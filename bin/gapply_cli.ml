@@ -3,7 +3,7 @@
    Usage:
      dune exec bin/gapply_cli.exe -- [--tpch MSF] [--partition sort|hash]
                                      [--no-optimize] [--parallelism N]
-                                     [--batch-size N] [-f script.sql]
+                                     [-f script.sql]
 
    Meta-commands inside the shell:
      \q            quit
@@ -130,7 +130,7 @@ let run_sessions db ~sessions ~iterations =
   let report = Session.run db ~sessions ~script in
   Format.printf "%a@." Session.pp_report report
 
-let main tpch_msf partition no_optimize parallelism batch_size analyze
+let main tpch_msf partition no_optimize parallelism analyze
     sessions iterations timeout_ms row_limit mem_limit fault data_dir
     durability wal_dump script =
   (* --wal-dump is a standalone debugging mode: render the records and
@@ -171,11 +171,6 @@ let main tpch_msf partition no_optimize parallelism batch_size analyze
     Format.eprintf "--parallelism must be >= 0 (0 = auto)@.";
     exit 2
   end;
-  (match batch_size with
-  | Some n when n < 0 ->
-      Format.eprintf "--batch-size must be >= 0 (0 = tuple-at-a-time)@.";
-      exit 2
-  | _ -> ());
   (match fault with
   | None -> ()
   | Some spec -> (
@@ -188,7 +183,7 @@ let main tpch_msf partition no_optimize parallelism batch_size analyze
   let db =
     try
       Engine.create ~partition ~optimize:(not no_optimize) ~parallelism
-        ?batch_size ?timeout_ms ?row_limit ?mem_limit ?data_dir
+        ?timeout_ms ?row_limit ?mem_limit ?data_dir
         ?durability ()
     with Errors.Recovery_error _ as e ->
       Format.eprintf "recovery failed: %s@." (Errors.to_string e);
@@ -246,14 +241,6 @@ let parallelism_arg =
        & info [ "parallelism" ] ~docv:"N"
            ~doc:"Domains used by the GApply/Group-by partition and \
                  execution phases (1 = sequential, 0 = one per core).")
-
-let batch_size_arg =
-  Arg.(value & opt (some int) None
-       & info [ "batch-size" ] ~docv:"N"
-           ~doc:"Rows per batch on the vectorized execution path \
-                 (0 = tuple-at-a-time).  Defaults to 128, or to \
-                 \\$(b,GAPPLY_BATCH) when set.  Also settable per \
-                 session with SET batch_size.")
 
 let analyze_arg =
   Arg.(value & flag
@@ -331,7 +318,7 @@ let cmd =
   Cmd.v
     (Cmd.info "gapply_cli" ~doc)
     Term.(const main $ tpch_arg $ partition_arg $ no_optimize_arg
-          $ parallelism_arg $ batch_size_arg $ analyze_arg $ sessions_arg
+          $ parallelism_arg $ analyze_arg $ sessions_arg
           $ iterations_arg $ timeout_arg $ row_limit_arg $ mem_limit_arg
           $ fault_arg $ data_dir_arg $ durability_arg $ wal_dump_arg
           $ script_arg)

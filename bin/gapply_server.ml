@@ -10,7 +10,7 @@
        [--per-client-cap N] [--idle-timeout-ms MS] [--drain-timeout-ms MS]
        [--replica-of HOST:PORT] [--tpch MSF] [--data-dir DIR]
        [--durability MODE] [--timeout MS] [--row-limit N]
-       [--mem-limit BYTES] [--parallelism N] [--batch-size N]
+       [--mem-limit BYTES] [--parallelism N]
 
    The bound port is announced on stdout as "listening on PORT" (an
    ephemeral --listen HOST:0 resolves here — the CI smoke test and the
@@ -40,7 +40,7 @@ let parse_listen s =
 let main listen http_port acceptors max_concurrent queue_depth
     admission_timeout_ms per_client_cap idle_timeout_ms drain_timeout_ms
     replica_of tpch_msf data_dir durability timeout_ms row_limit mem_limit
-    parallelism batch_size =
+    parallelism =
   let host, port =
     match parse_listen listen with
     | Some hp -> hp
@@ -96,7 +96,7 @@ let main listen http_port acceptors max_concurrent queue_depth
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let db =
     try
-      Engine.create ~parallelism ?batch_size ?timeout_ms ?row_limit
+      Engine.create ~parallelism ?timeout_ms ?row_limit
         ?mem_limit ?data_dir ?durability ()
     with Errors.Recovery_error _ as e ->
       Format.eprintf "recovery failed: %s@." (Errors.to_string e);
@@ -286,11 +286,6 @@ let parallelism_arg =
            ~doc:"Engine domains for partitioned execution (0 = one per \
                  core).")
 
-let batch_size_arg =
-  Arg.(value & opt (some int) None
-       & info [ "batch-size" ] ~docv:"N"
-           ~doc:"Rows per batch on the vectorized path.")
-
 let cmd =
   let doc = "network server for the GApply engine (wire protocol + \
              admission control)" in
@@ -301,6 +296,6 @@ let cmd =
           $ per_client_cap_arg $ idle_timeout_arg $ drain_timeout_arg
           $ replica_of_arg $ tpch_arg $ data_dir_arg
           $ durability_arg $ timeout_arg $ row_limit_arg $ mem_limit_arg
-          $ parallelism_arg $ batch_size_arg)
+          $ parallelism_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -23,7 +23,6 @@ type t = {
   mutable cbo : bool;  (* cost-based choices: gated rewrites, join order,
                           costed partition strategy *)
   mutable parallelism : int;
-  mutable batch_size : int;  (* rows per batch; 0 = scalar execution *)
   cache : Plan_cache.t;
   mutable cache_enabled : bool;
   ddl_lock : Mutex.t;  (* serializes DDL/DML statement bodies — under
@@ -126,8 +125,7 @@ let mvcc_enabled_from_env () =
   | _ -> true
 
 let create ?(partition = Compile.Hash_partition) ?(optimize = true) ?cbo
-    ?(parallelism = 1) ?(batch_size = Compile.default_batch_size)
-    ?plan_cache ?(cache_capacity = 128) ?timeout_ms
+    ?(parallelism = 1) ?plan_cache ?(cache_capacity = 128) ?timeout_ms
     ?row_limit ?mem_limit ?data_dir ?durability ?wal_group_commit
     ?checkpoint_wal_bytes ?mvcc () =
   (* re-read the fault/crash environment on every engine, not only at
@@ -158,7 +156,6 @@ let create ?(partition = Compile.Hash_partition) ?(optimize = true) ?cbo
     cbo =
       (match cbo with Some b -> b | None -> true) && cbo_enabled_from_env ();
     parallelism;
-    batch_size;
     cache = Plan_cache.create ~capacity:cache_capacity ();
     cache_enabled;
     ddl_lock = Mutex.create ();
@@ -451,8 +448,6 @@ let set_optimize db b = db.optimize <- b
 let set_cbo db b = db.cbo <- b
 let cbo_enabled db = db.cbo
 let set_parallelism db n = db.parallelism <- n
-let set_batch_size db n = db.batch_size <- max 0 n
-let batch_size db = db.batch_size
 
 let plan_cache db = db.cache
 let plan_cache_enabled db = db.cache_enabled
@@ -583,7 +578,7 @@ let load_tpch ?seed db ~msf =
 
 let config ?observe db =
   Compile.config_with ~partition:db.partition ~parallelism:db.parallelism
-    ~batch_size:db.batch_size ?observe ()
+    ?observe ()
 
 (** Parse a SQL query string into an (unoptimized) logical plan. *)
 let plan_of_sql db src =
@@ -626,7 +621,6 @@ let cache_key db sql =
     cbo = db.cbo;
     stats_epoch = Catalog.stats_epoch db.catalog;
     parallelism = db.parallelism;
-    batch_size = db.batch_size;
   }
 
 (* Costed partition-strategy choice: when cost-based optimization is on
@@ -649,8 +643,7 @@ let config_of_key ?partition (key : Plan_cache.key) =
   Compile.config_with
     ~partition:
       (match partition with Some p -> p | None -> key.Plan_cache.partition)
-    ~parallelism:key.Plan_cache.parallelism
-    ~batch_size:key.Plan_cache.batch_size ()
+    ~parallelism:key.Plan_cache.parallelism ()
 
 (* Cold path: parse + bind + optimize + compile, timed, fingerprinted
    against the catalog as of just before the parse (a concurrent DDL
@@ -846,8 +839,7 @@ let analyze_plan ?snapshot db plan =
   let attempt ~partition ~parallelism =
     let sink = Obs.make () in
     let cfg =
-      Compile.config_with ~partition ~parallelism
-        ~batch_size:db.batch_size ~observe:sink ()
+      Compile.config_with ~partition ~parallelism ~observe:sink ()
     in
     governed_attempt db (fun gov ->
         let rel =
@@ -957,7 +949,7 @@ let analyze_profile db src =
   let sink = Obs.make () in
   let cfg =
     Compile.config_with ~partition:db.partition ~parallelism:db.parallelism
-      ~batch_size:db.batch_size ~observe:sink ()
+      ~observe:sink ()
   in
   let rel =
     governed_attempt db (fun gov ->
@@ -1078,19 +1070,6 @@ let apply_set sess name (v : Sql_ast.set_value) : outcome =
     | Some s -> f s
   in
   match name with
-  | "batch_size" -> (
-      match v with
-      | Sql_ast.Set_int n when n >= 0 ->
-          set_batch_size db n;
-          Message (Printf.sprintf "batch_size = %d" n)
-      | Sql_ast.Set_ident "off" ->
-          set_batch_size db 0;
-          Message "batch_size = 0"
-      | Sql_ast.Set_default ->
-          set_batch_size db Compile.default_batch_size;
-          Message
-            (Printf.sprintf "batch_size = %d" Compile.default_batch_size)
-      | _ -> bad_value "a non-negative integer, OFF, or DEFAULT")
   | "cbo" -> (
       match v with
       | Sql_ast.Set_ident ("on" | "true") | Sql_ast.Set_default ->

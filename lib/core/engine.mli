@@ -50,7 +50,6 @@ val create :
   ?optimize:bool ->
   ?cbo:bool ->
   ?parallelism:int ->
-  ?batch_size:int ->
   ?plan_cache:bool ->
   ?cache_capacity:int ->
   ?timeout_ms:int ->
@@ -66,8 +65,6 @@ val create :
 (** A fresh engine with an empty catalog.  Defaults: hash-partitioned
     GApply, optimizer enabled, sequential execution.  [parallelism]
     follows {!Compile.config}: total domains, [0] = automatic.
-    [batch_size] sets the vectorized execution batch size (default
-    {!Compile.default_batch_size}; [0] = tuple-at-a-time).
 
     The plan cache is on by default with a 128-entry LRU capacity; pass
     [~plan_cache:false] to force every execution down the cold path.
@@ -117,13 +114,6 @@ val set_cbo : t -> bool -> unit
 
 val cbo_enabled : t -> bool
 val set_parallelism : t -> int -> unit
-
-val set_batch_size : t -> int -> unit
-(** Rows per batch on the vectorized path ([0] = tuple-at-a-time;
-    negative values clamp to [0]).  Also settable per session with
-    [SET batch_size = <n> | OFF | DEFAULT]. *)
-
-val batch_size : t -> int
 (** Compile knobs are part of the plan-cache key, so flipping one can
     never serve a plan compiled under the old setting — the cache
     key-splits, and flipping back re-hits the older entries. *)

@@ -159,8 +159,8 @@ let accountant opt ~op =
 
 (* Batch-materialization accounting: one Alloc fault site and one
    [charge] per batch, for the same total bytes the per-row accountant
-   would have accumulated — memory ceilings trip at the same budgets
-   under either execution mode, just at batch granularity. *)
+   would have accumulated over those rows — memory ceilings trip at
+   batch granularity. *)
 let batch_accountant opt ~op =
   match opt with
   | None -> None
@@ -198,28 +198,8 @@ let guard opt ~op pull =
 
 (* Root-cursor wrapper: counts statement output rows against the row
    limit (operator budgets see every intermediate row; only the final
-   result counts here). *)
-let wrap_root opt (pull : unit -> 'a option) : unit -> 'a option =
-  match opt with
-  | None -> pull
-  | Some t -> (
-      match t.budget.row_limit with
-      | None -> pull
-      | Some limit ->
-          fun () ->
-            let r = pull () in
-            (match r with
-            | Some _ ->
-                if Atomic.fetch_and_add t.out_rows 1 + 1 > limit then
-                  trip t
-                    (violation Errors.Row_limit
-                       (Printf.sprintf "statement produced more than %d rows"
-                          limit))
-            | None -> ());
-            r)
-
-(* Batch-cursor variant of [wrap_root]: each pull counts [len batch]
-   output rows, so the limit trips on the batch that crosses it. *)
+   result counts here).  Each pull counts [len batch] rows, so the limit
+   trips on the batch that crosses it. *)
 let wrap_root_batch opt ~(len : 'a -> int) (pull : unit -> 'a option) :
     unit -> 'a option =
   match opt with

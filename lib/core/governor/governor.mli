@@ -10,7 +10,8 @@
     - {!accountant}/{!charge} account bytes at materialization points —
       GApply partition tables, hash/sort buffers, group copies, cached
       Apply inners (and report the [Alloc] fault site);
-    - {!wrap_root} counts statement output rows against the row limit.
+    - {!wrap_root_batch} counts statement output rows against the row
+      limit.
 
     All state is atomic: cursors of one statement may run on many pool
     domains, and the first budget violation wins — it records itself,
@@ -58,7 +59,7 @@ val charge : t option -> op:string -> int -> unit
     @raise Errors.Resource_error with kind [Memory_exceeded]. *)
 
 val accountant : t option -> op:string -> (Tuple.t -> unit) option
-(** Per-row accounting closure for [Cursor.to_array]-style buffers:
+(** Per-row accounting closure for row-at-a-time buffers:
     charges each row's estimated bytes and reports the [Alloc] fault
     site.  [None] when ungoverned — the buffer loop stays hook-free. *)
 
@@ -66,7 +67,7 @@ val batch_accountant :
   t option -> op:string -> (Tuple.t array -> int -> int -> unit) option
 (** Batch variant for [Batch.to_array]: one [Alloc] fault site and one
     charge per batch, totalling the same bytes the per-row accountant
-    would accumulate. *)
+    would accumulate over the same rows. *)
 
 val tuple_bytes : Tuple.t -> int
 (** Estimated heap bytes of one materialized tuple. *)
@@ -85,11 +86,8 @@ val guard : t option -> op:string -> (unit -> 'a option) -> unit -> 'a option
     checks and [Open]/[Next]/[Close] fault sites.  Identity when
     ungoverned. *)
 
-val wrap_root : t option -> (unit -> 'a option) -> unit -> 'a option
-(** Wrap the statement's root cursor: counts output rows against the
-    row limit.  Identity when ungoverned or unlimited. *)
-
 val wrap_root_batch :
   t option -> len:('a -> int) -> (unit -> 'a option) -> unit -> 'a option
-(** {!wrap_root} for a batch-cursor root: each pull counts [len batch]
-    rows, tripping on the batch that crosses the limit. *)
+(** Wrap the statement's root batch cursor: each pull counts [len batch]
+    output rows against the row limit, tripping on the batch that
+    crosses it.  Identity when ungoverned or unlimited. *)

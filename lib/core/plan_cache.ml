@@ -3,7 +3,7 @@
 
    Keying.  Entries are keyed on the SQL text *and* every knob that
    changes what would be compiled: partition strategy, optimize flag,
-   parallelism, batch size.  Flipping a knob between two executions of
+   parallelism.  Flipping a knob between two executions of
    the same SQL therefore key-splits instead of serving a stale shape.
 
    Invalidation.  An entry records a fingerprint of everything its plan
@@ -32,7 +32,6 @@ type key = {
          prepare (which may itself have refreshed statistics), so the
          next lookup's live-epoch key matches. *)
   parallelism : int;
-  batch_size : int;
 }
 
 type entry = {

@@ -2,7 +2,7 @@
 
     Entries hold a bound + optimized + compiled plan keyed on the SQL
     text and every compile knob (partition strategy, optimize flag,
-    parallelism, batch size) — flipping a knob key-splits rather than
+    parallelism) — flipping a knob key-splits rather than
     reusing a stale shape.  Each entry is fingerprinted with the catalog
     {!Catalog.generation} and the {!Table.version} of every base table
     its plan scans; lookups revalidate the fingerprint lazily, and
@@ -25,7 +25,6 @@ type key = {
           its prepare (the prepare itself may refresh statistics), so
           the following lookup's live-epoch key matches. *)
   parallelism : int;
-  batch_size : int;
 }
 
 type entry = {

@@ -11,10 +11,8 @@
    copying ([of_array] chunks this way).  Consumers must not mutate
    [rows] and must not read outside [pos .. pos+len-1].
 
-   Interop is one adapter in each direction ([to_cursor] / [of_cursor]),
-   so operators migrate incrementally: a compiled node exposes a batch
-   path when its inputs do, and anything else falls back to the scalar
-   path unchanged. *)
+   Every compiled operator is a batch cursor; [to_cursor] is the one
+   adapter back to rows, for consumers at the tagger/client boundary. *)
 
 type t = {
   rows : Tuple.t array;
@@ -27,8 +25,8 @@ type cursor = unit -> t option
 (* 128, not the literature's customary 1024: OCaml allocates arrays
    longer than [Max_young_wosize] (256 words) directly on the major
    heap, so batches over ~255 rows turn every intermediate buffer into
-   a major-heap allocation and the bench sweep shows them losing to the
-   scalar path; 128-row batches stay minor-heap and measure fastest. *)
+   a major-heap allocation and the bench sweep shows them losing;
+   128-row batches stay minor-heap and measure fastest. *)
 let default_size = 128
 
 let get b i = Array.unsafe_get b.rows (b.pos + i)
@@ -55,34 +53,10 @@ let of_array ?(size = default_size) (arr : Tuple.t array) : cursor =
       Some { rows = arr; pos = p; len }
     end
 
-(** Pack a scalar cursor into batches of up to [size] rows.  The
-    fallback adapter for operators without a native batch path. *)
-let of_cursor ?(size = default_size) (c : Cursor.t) : cursor =
-  let size = max 1 size in
-  let exhausted = ref false in
-  fun () ->
-    if !exhausted then None
-    else begin
-      let buf = Array.make size Tuple.empty in
-      let k = ref 0 in
-      (try
-         while !k < size do
-           match c () with
-           | Some row ->
-               buf.(!k) <- row;
-               incr k
-           | None ->
-               exhausted := true;
-               raise Exit
-         done
-       with Exit -> ());
-      if !k = 0 then None else Some { rows = buf; pos = 0; len = !k }
-    end
-
 (* ---------- consumers / adapters ---------- *)
 
 (** Unbatch: replay a batch cursor row by row.  One live batch at a
-    time, so adapting back to scalar keeps the pipeline streaming. *)
+    time, so the row-at-a-time boundary keeps the pipeline streaming. *)
 let to_cursor (bc : cursor) : Cursor.t =
   let current = ref None in
   let rec next () =
@@ -177,8 +151,8 @@ let map (f : Tuple.t -> Tuple.t) (bc : cursor) : cursor =
       Some { rows = out; pos = 0; len = b.len }
 
 (** Concatenate lazily: each thunk is forced only when the previous
-    source is exhausted (mirrors [Cursor.concat], so invocation-count
-    observability is preserved for unions). *)
+    source is exhausted, so later UNION ALL branches are not invoked
+    (nor counted as invocations) early. *)
 let concat (sources : (unit -> cursor) list) : cursor =
   let remaining = ref sources in
   let current = ref None in
@@ -200,8 +174,8 @@ let concat (sources : (unit -> cursor) list) : cursor =
   in
   next
 
-(** Defer building the underlying cursor until the first pull (mirrors
-    [Cursor.deferred] — used for materializing operators). *)
+(** Defer building the underlying cursor until the first pull — used
+    by materializing operators. *)
 let deferred (mk : unit -> cursor) : cursor =
   let state = ref None in
   fun () ->

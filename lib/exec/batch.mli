@@ -7,8 +7,8 @@
     read outside [pos .. pos+len-1].  Emitted batches always have
     [len > 0].
 
-    [to_cursor] / [of_cursor] adapt in each direction, so operators
-    migrate to the batch path incrementally. *)
+    Every compiled operator is a batch cursor; {!to_cursor} adapts back
+    to rows at the tagger/client boundary. *)
 
 type t = {
   rows : Tuple.t array;
@@ -32,10 +32,6 @@ val iter : (Tuple.t -> unit) -> t -> unit
 val of_array : ?size:int -> Tuple.t array -> cursor
 (** Chunk an array into batch views without copying. *)
 
-val of_cursor : ?size:int -> Cursor.t -> cursor
-(** Pack a scalar cursor into batches — the fallback adapter for
-    operators without a native batch path. *)
-
 val to_cursor : cursor -> Cursor.t
 (** Unbatch, row by row; holds one live batch at a time. *)
 
@@ -54,8 +50,7 @@ val map : (Tuple.t -> Tuple.t) -> cursor -> cursor
 
 val concat : (unit -> cursor) list -> cursor
 (** Lazy concatenation: each thunk is forced only when the previous
-    source is exhausted (mirrors [Cursor.concat]). *)
+    source is exhausted. *)
 
 val deferred : (unit -> cursor) -> cursor
-(** Build the underlying cursor on first pull (mirrors
-    [Cursor.deferred]). *)
+(** Build the underlying cursor on first pull. *)

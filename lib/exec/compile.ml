@@ -1,7 +1,7 @@
 (* Logical-to-physical compilation.
 
    [plan] turns a logical plan into a [compiled] value once; the returned
-   [run] closure can then be executed many times under different
+   [brun] closure can then be executed many times under different
    environments — which is exactly what Apply (per outer row) and GApply
    (per group) do.
 
@@ -11,14 +11,11 @@
    the relation-valued variable and re-runs the compiled per-group
    query.
 
-   Execution is vectorized when [config.batch_size > 0]: operators that
-   have a batch implementation also expose [brun], a cursor over
-   [Batch.t] row arrays, and consume their children batch-wise
-   ([brun_of] falls back to packing a scalar child, so the batch path
-   covers whole pipelines even when one operator in the middle only has
-   a scalar implementation).  The scalar [run] of a batched operator is
-   derived from [brun] through [Batch.to_cursor], so both entry points
-   execute — and meter — the same code. *)
+   Execution is vectorized: every operator is a cursor over [Batch.t]
+   row arrays of up to [config.batch_size] rows and consumes its
+   children batch-wise.  The row-at-a-time [run] exists only as the
+   adapter at the tagger/client boundary, derived once from the wrapped
+   [brun] through [Batch.to_cursor]. *)
 
 type partition_strategy = Sort_partition | Hash_partition
 
@@ -34,26 +31,12 @@ type config = {
       (* total domains (submitter included) for the partition and
          execution phases of GApply/Group_by: 1 = sequential,
          0 = automatic (Domain.recommended_domain_count) *)
-  batch_size : int;
-      (* rows per batch on the vectorized path; 0 compiles the classic
-         tuple-at-a-time operators only *)
+  batch_size : int;  (* rows per batch, >= 1 *)
   observe : Obs.t option;
       (* per-operator metrics sink (EXPLAIN ANALYZE / --analyze).  None
          compiles exactly the uninstrumented operators — zero overhead
-         on the per-tuple path when tracing is off. *)
+         on the per-batch path when tracing is off. *)
 }
-
-(* The GAPPLY_BATCH switch is read once at startup: "off"/"0" forces
-   scalar execution everywhere batch_size is defaulted (the CI replay
-   that proves batch ≡ scalar), an integer overrides the batch size. *)
-let default_batch_size =
-  match Sys.getenv_opt "GAPPLY_BATCH" with
-  | Some ("off" | "0" | "false" | "no") -> 0
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 0 -> n
-      | _ -> Batch.default_size)
-  | None -> Batch.default_size
 
 let default_config =
   {
@@ -61,13 +44,16 @@ let default_config =
     apply_cache = true;
     use_indexes = true;
     parallelism = 1;
-    batch_size = default_batch_size;
+    batch_size = Batch.default_size;
     observe = None;
   }
 
 let config_with ?(partition = Hash_partition) ?(apply_cache = true)
     ?(use_indexes = true) ?(parallelism = 1)
-    ?(batch_size = default_batch_size) ?observe () =
+    ?(batch_size = Batch.default_size) ?observe () =
+  if batch_size < 1 then
+    invalid_arg
+      (Printf.sprintf "Compile.config_with: batch_size %d < 1" batch_size);
   { partition; apply_cache; use_indexes; parallelism; batch_size; observe }
 
 (* the Obs node of the operator currently being compiled (used by the
@@ -78,20 +64,8 @@ let obs_current config =
 type compiled = {
   schema : Schema.t;
   run : Env.t -> Cursor.t;
-  brun : (Env.t -> Batch.cursor) option;
-      (* vectorized entry point; present when the operator compiled a
-         batch implementation (batch_size > 0) *)
+  brun : Env.t -> Batch.cursor;
 }
-
-let batched config = config.batch_size > 0
-let bsize config = config.batch_size
-
-(* Batch view of any child: native when it has one, otherwise the
-   scalar cursor packed into batches. *)
-let brun_of ~size (c : compiled) env : Batch.cursor =
-  match c.brun with
-  | Some b -> b env
-  | None -> Batch.of_cursor ~size (c.run env)
 
 (* ---------- helpers ---------- *)
 
@@ -207,85 +181,126 @@ let group_rows ?pool ?gov ~op ~(idxs : int array) (rows : Tuple.t array) :
       |> List.rev
   | _ -> chunk 0 n
 
-(* Aggregate a row sequence into one output row of finished values.
-   Accumulators live in arrays so the per-row step is an indexed loop,
-   not a List.iter2 closure pair. *)
-let run_aggregates (specs : (Expr.agg * Eval.compiled option) list)
-    (frames : Eval.frames) (rows : Tuple.t list) : Tuple.t =
-  let specs = Array.of_list specs in
-  let n = Array.length specs in
-  let states = Array.map (fun (spec, _) -> Agg_state.create spec) specs in
-  List.iter
-    (fun row ->
-      for j = 0 to n - 1 do
-        let v =
-          match snd (Array.unsafe_get specs j) with
-          | None -> Value.Null
-          | Some c -> c frames row
-        in
-        Agg_state.add (Array.unsafe_get states j) v
-      done)
-    rows;
+(* Aggregate accumulators live in arrays so the per-row step is an
+   indexed loop, not a List.iter2 closure pair. *)
+let agg_states specs = Array.map (fun (spec, _) -> Agg_state.create spec) specs
+
+let agg_add (specs : (Expr.agg * Eval.compiled option) array) states frames
+    row =
+  for j = 0 to Array.length specs - 1 do
+    let v =
+      match snd (Array.unsafe_get specs j) with
+      | None -> Value.Null
+      | Some c -> c frames row
+    in
+    Agg_state.add (Array.unsafe_get states j) v
+  done
+
+(* Aggregate a row sequence into one output row of finished values. *)
+let run_aggregates specs (frames : Eval.frames) (rows : Tuple.t list) :
+    Tuple.t =
+  let states = agg_states specs in
+  List.iter (fun row -> agg_add specs states frames row) rows;
   Array.map Agg_state.finish states
 
 let compile_agg_args schema (aggs : (Expr.agg * string) list) =
-  List.map
-    (fun ((a : Expr.agg), _) ->
-      (a, Option.map (Eval.compile schema) a.Expr.arg))
-    aggs
+  Array.of_list
+    (List.map
+       (fun ((a : Expr.agg), _) ->
+         (a, Option.map (Eval.compile schema) a.Expr.arg))
+       aggs)
+
+(* Nested-loops expansion, shared by every join form and by Apply: each
+   left row is paired with the rows [matches lrow] yields (push-style,
+   in match order) and the joined rows passing [keep] are packed into
+   output batches of exactly [size] rows (the last one may be short).
+   Left rows are expanded one at a time, only until a batch is full, so
+   a large expansion — a cross product, an inner returning thousands of
+   rows per outer row — streams in [size]-row batches instead of
+   materializing a whole left batch's product; one left row expanding
+   past [size] spills into further batches queued for the next pulls.
+   Keeping every batch at [size] rows also keeps its array on OCaml's
+   minor heap (see [Batch.default_size]). *)
+let expand ~size ~keep (matches : Tuple.t -> (Tuple.t -> unit) -> unit)
+    (lbc : Batch.cursor) : Batch.cursor =
+  let left = ref { Batch.rows = [||]; pos = 0; len = 0 } and li = ref 0 in
+  let exhausted = ref false in
+  let ready = Queue.create () in
+  let out = ref [||] and n = ref 0 in
+  let flush () =
+    if !n > 0 then begin
+      Queue.push { Batch.rows = !out; pos = 0; len = !n } ready;
+      n := 0
+    end
+  in
+  let push row =
+    if !n = 0 then out := Array.make size Tuple.empty;
+    Array.unsafe_set !out !n row;
+    incr n;
+    if !n = size then flush ()
+  in
+  let rec next () =
+    if not (Queue.is_empty ready) then Some (Queue.pop ready)
+    else if !li < !left.Batch.len then begin
+      let b = !left in
+      while Queue.is_empty ready && !li < b.Batch.len do
+        let lrow = Batch.get b !li in
+        incr li;
+        matches lrow (fun rrow ->
+            let joined = Tuple.concat lrow rrow in
+            if keep joined then push joined)
+      done;
+      next ()
+    end
+    else if !exhausted then None
+    else
+      match lbc () with
+      | Some b ->
+          left := b;
+          li := 0;
+          next ()
+      | None ->
+          exhausted := true;
+          flush ();
+          next ()
+  in
+  next
+
+let keep_all (_ : Tuple.t) = true
 
 (* ---------- the compiler ---------- *)
 
 (* [plan] is the public entry: with a metrics sink in the config it
    registers one Obs node per operator (the metric tree mirrors the plan
    tree, since [compile] recurses through [plan] for every child) and
-   wraps the operator's cursor with the metering pull; without a sink it
-   is exactly [compile].
+   wraps the operator's batch cursor with the metering pull; without a
+   sink it is exactly [compile].
 
    Every operator additionally gets the resource governor's cooperative
-   wrapper: when the environment carries a governor, each pull checks
-   the cancellation token and the wall-clock deadline (and reports the
-   fault harness's Open/Next/Close sites).  Ungoverned runs pay one
-   [match] per operator invocation and nothing per tuple.
+   wrapper: when the environment carries a governor, each batch pull
+   checks the cancellation token and the wall-clock deadline (and
+   reports the fault harness's Open/Next/Close sites).  Ungoverned runs
+   pay one [match] per operator invocation and nothing per batch.
 
-   A batched operator is wrapped once, on its batch cursor — checks,
-   metering and fault sites fire per batch — and its scalar [run] is
-   re-derived from the wrapped [brun] through [Batch.to_cursor], so the
-   two entry points can never drift apart. *)
+   The row-at-a-time [run] is derived here, once, from the wrapped
+   [brun]. *)
 let rec plan ?(config = default_config) ?(outer : Schema.t list = [])
     (p : Plan.t) : compiled =
   let op = Plan.op_name p in
-  let finish node (c : compiled) =
-    match c.brun with
-    | None ->
-        let run env =
-          let pull = c.run env in
-          let pull =
-            match node with
-            | None -> pull
-            | Some (sink, n) -> Obs.instrument sink n pull
-          in
-          Governor.guard env.Env.governor ~op pull
-        in
-        { c with run }
-    | Some b ->
-        let brun env =
-          let pull = b env in
-          let pull =
-            match node with
-            | None -> pull
-            | Some (sink, n) ->
-                Obs.instrument_batch sink n
-                  ~len:(fun (bt : Batch.t) -> bt.Batch.len)
-                  pull
-          in
-          Governor.guard env.Env.governor ~op pull
-        in
-        {
-          c with
-          run = (fun env -> Batch.to_cursor (brun env));
-          brun = Some brun;
-        }
+  let finish node (schema, b) =
+    let brun env =
+      let pull = b env in
+      let pull =
+        match node with
+        | None -> pull
+        | Some (sink, n) ->
+            Obs.instrument_batch sink n
+              ~len:(fun (bt : Batch.t) -> bt.Batch.len)
+              pull
+      in
+      Governor.guard env.Env.governor ~op pull
+    in
+    { schema; brun; run = (fun env -> Batch.to_cursor (brun env)) }
   in
   match config.observe with
   | None -> finish None (compile ~config ~outer p)
@@ -293,55 +308,31 @@ let rec plan ?(config = default_config) ?(outer : Schema.t list = [])
       Obs.enter sink ~op (fun node ->
           finish (Some (sink, node)) (compile ~config ~outer p))
 
-and compile ~config ~(outer : Schema.t list) (p : Plan.t) : compiled =
+and compile ~config ~(outer : Schema.t list) (p : Plan.t) :
+    Schema.t * (Env.t -> Batch.cursor) =
   let schema = Props.schema_of ~outer p in
+  let size = config.batch_size in
   match p with
   | Plan.Table_scan { table; _ } ->
       (* visibility is resolved per run from the environment's snapshot,
          so the compiled closure is snapshot-agnostic and one cached
          plan serves every session *)
-      let scan_rows env =
-        let t = Catalog.find_table env.Env.catalog table in
-        match env.Env.snapshot with
-        | None -> Relation.rows_array (Table.to_relation t)
-        | Some snap -> Mvcc.visible_rows snap t
-      in
-      {
-        schema;
-        run = (fun env -> Cursor.of_array (scan_rows env));
-        brun =
-          (if not (batched config) then None
-           else
-             Some (fun env -> Batch.of_array ~size:(bsize config) (scan_rows env)));
-      }
+      ( schema,
+        fun env ->
+          let t = Catalog.find_table env.Env.catalog table in
+          Batch.of_array ~size
+            (match env.Env.snapshot with
+            | None -> Relation.rows_array (Table.to_relation t)
+            | Some snap -> Mvcc.visible_rows snap t) )
   | Plan.Group_scan { var; _ } ->
-      {
-        schema;
-        run = (fun env -> Cursor.of_relation (Env.find_group env var));
-        brun =
-          (if not (batched config) then None
-           else
-             Some
-               (fun env ->
-                 Batch.of_array ~size:(bsize config)
-                   (Relation.rows_array (Env.find_group env var))));
-      }
+      ( schema,
+        fun env ->
+          Batch.of_array ~size (Relation.rows_array (Env.find_group env var))
+      )
   | Plan.Select { pred; input } ->
       let c = plan ~config ~outer input in
       let test = Eval.compile_pred c.schema pred in
-      {
-        schema;
-        run =
-          (fun env ->
-            Cursor.filter (test env.Env.frames) (c.run env));
-        brun =
-          (if not (batched config) then None
-           else
-             Some
-               (fun env ->
-                 Batch.filter (test env.Env.frames)
-                   (brun_of ~size:(bsize config) c env)));
-      }
+      (schema, fun env -> Batch.filter (test env.Env.frames) (c.brun env))
   | Plan.Project { items; input } ->
       let c = plan ~config ~outer input in
       let compiled_items =
@@ -357,145 +348,73 @@ and compile ~config ~(outer : Schema.t list) (p : Plan.t) : compiled =
         done;
         (out : Tuple.t)
       in
-      {
-        schema;
-        run = (fun env -> Cursor.map (project env.Env.frames) (c.run env));
-        brun =
-          (if not (batched config) then None
-           else
-             Some
-               (fun env ->
-                 Batch.map (project env.Env.frames)
-                   (brun_of ~size:(bsize config) c env)));
-      }
+      (schema, fun env -> Batch.map (project env.Env.frames) (c.brun env))
   | Plan.Join { pred; left; right; _ } -> compile_join ~config ~outer pred left right
-  | Plan.Alias { input; _ } ->
-      let c = plan ~config ~outer input in
-      { schema; run = c.run; brun = c.brun }
+  | Plan.Alias { input; _ } -> (schema, (plan ~config ~outer input).brun)
   | Plan.Group_by { keys; aggs; input } ->
       let c = plan ~config ~outer input in
       let idxs = key_indexes c.schema keys in
       let specs = compile_agg_args c.schema aggs in
       let obs_node = obs_current config in
-      (* partition + aggregate a materialized input; shared by the
-         scalar and batch entry points *)
-      let compute env pool gov (rows : Tuple.t array) : Tuple.t array =
-        let groups =
-          group_rows ?pool ?gov ~op:"groupby.partition" ~idxs rows
-        in
-        Option.iter
-          (fun n -> Obs.add_partitions n (List.length groups))
-          obs_node;
-        let finish (key, members) =
-          Tuple.concat key (run_aggregates specs env.Env.frames members)
-        in
-        match (pool, groups) with
-        | Some pool, _ :: _ :: _ ->
-            (* groups are independent: aggregate each on the pool,
-               emitting results in group order *)
-            Domain_pool.parallel_map_array pool finish (Array.of_list groups)
-        | _ -> Array.of_list (List.map finish groups)
-      in
-      {
-        schema;
-        run =
-          (fun env ->
-            Cursor.deferred (fun () ->
-                let pool = Domain_pool.for_parallelism config.parallelism in
-                let gov = env.Env.governor in
-                let rows =
-                  Cursor.to_array
-                    ?account:(Governor.accountant gov ~op:"groupby.input")
-                    (c.run env)
-                in
-                Cursor.of_array (compute env pool gov rows)));
-        brun =
-          (if not (batched config) then None
-           else
-             Some
-               (fun env ->
-                 Batch.deferred (fun () ->
-                     let pool =
-                       Domain_pool.for_parallelism config.parallelism
-                     in
-                     let gov = env.Env.governor in
-                     let rows =
-                       Batch.to_array
-                         ?account:
-                           (Governor.batch_accountant gov ~op:"groupby.input")
-                         (brun_of ~size:(bsize config) c env)
-                     in
-                     Batch.of_array ~size:(bsize config)
-                       (compute env pool gov rows))));
-      }
+      ( schema,
+        fun env ->
+          Batch.deferred (fun () ->
+              let pool = Domain_pool.for_parallelism config.parallelism in
+              let gov = env.Env.governor in
+              let rows =
+                Batch.to_array
+                  ?account:(Governor.batch_accountant gov ~op:"groupby.input")
+                  (c.brun env)
+              in
+              let groups =
+                group_rows ?pool ?gov ~op:"groupby.partition" ~idxs rows
+              in
+              Option.iter
+                (fun n -> Obs.add_partitions n (List.length groups))
+                obs_node;
+              let finish (key, members) =
+                Tuple.concat key (run_aggregates specs env.Env.frames members)
+              in
+              Batch.of_array ~size
+                (match (pool, groups) with
+                | Some pool, _ :: _ :: _ ->
+                    (* groups are independent: aggregate each on the
+                       pool, emitting results in group order *)
+                    Domain_pool.parallel_map_array pool finish
+                      (Array.of_list groups)
+                | _ -> Array.of_list (List.map finish groups))) )
   | Plan.Aggregate { aggs; input } ->
       let c = plan ~config ~outer input in
       let specs = compile_agg_args c.schema aggs in
-      {
-        schema;
-        run =
-          (fun env ->
-            Cursor.deferred (fun () ->
-                let rows =
-                  Array.to_list
-                    (Cursor.to_array
-                       ?account:
-                         (Governor.accountant env.Env.governor
-                            ~op:"aggregate.input")
-                       (c.run env))
-                in
-                Cursor.singleton (run_aggregates specs env.Env.frames rows)));
-        brun =
-          (if not (batched config) then None
-           else
-             Some
-               (fun env ->
-                 Batch.deferred (fun () ->
-                     (* stream batches straight into the accumulators —
-                        no materialized input.  The scalar path buffers,
-                        so the same bytes are still charged batch-wise:
-                        a memory ceiling means the same thing under
-                        either execution mode. *)
-                     let account =
-                       Governor.batch_accountant env.Env.governor
-                         ~op:"aggregate.input"
-                     in
-                     let specs_a = Array.of_list specs in
-                     let n = Array.length specs_a in
-                     let states =
-                       Array.map (fun (spec, _) -> Agg_state.create spec)
-                         specs_a
-                     in
-                     let frames = env.Env.frames in
-                     let bc = brun_of ~size:(bsize config) c env in
-                     let rec drain () =
-                       match bc () with
-                       | None -> ()
-                       | Some b ->
-                           (match account with
-                           | None -> ()
-                           | Some f -> f b.Batch.rows b.Batch.pos b.Batch.len);
-                           Batch.iter
-                             (fun row ->
-                               for j = 0 to n - 1 do
-                                 let v =
-                                   match snd (Array.unsafe_get specs_a j) with
-                                   | None -> Value.Null
-                                   | Some ce -> ce frames row
-                                 in
-                                 Agg_state.add (Array.unsafe_get states j) v
-                               done)
-                             b;
-                           drain ()
-                     in
-                     drain ();
-                     Batch.of_array ~size:(bsize config)
-                       [| Array.map Agg_state.finish states |])));
-      }
+      ( schema,
+        fun env ->
+          Batch.deferred (fun () ->
+              (* stream batches straight into the accumulators — no
+                 materialized input, but each batch is still charged as
+                 if buffered, so a memory ceiling means the same thing
+                 here as at every other materialization point *)
+              let account =
+                Governor.batch_accountant env.Env.governor
+                  ~op:"aggregate.input"
+              in
+              let states = agg_states specs in
+              let frames = env.Env.frames in
+              let bc = c.brun env in
+              let rec drain () =
+                match bc () with
+                | None -> ()
+                | Some b ->
+                    (match account with
+                    | None -> ()
+                    | Some f -> f b.Batch.rows b.Batch.pos b.Batch.len);
+                    Batch.iter (fun row -> agg_add specs states frames row) b;
+                    drain ()
+              in
+              drain ();
+              Batch.of_array [| Array.map Agg_state.finish states |]) )
   | Plan.Distinct input ->
       let c = plan ~config ~outer input in
-      (* one seen-set per invocation, shared by whichever entry point
-         runs (only one does) *)
+      (* one seen-set per invocation *)
       let make_pred env =
         let seen = Tuple.Tbl.create 64 in
         let account =
@@ -509,17 +428,7 @@ and compile ~config ~(outer : Schema.t list) (p : Plan.t) : compiled =
             true
           end
       in
-      {
-        schema;
-        run = (fun env -> Cursor.filter (make_pred env) (c.run env));
-        brun =
-          (if not (batched config) then None
-           else
-             Some
-               (fun env ->
-                 Batch.filter (make_pred env)
-                   (brun_of ~size:(bsize config) c env)));
-      }
+      (schema, fun env -> Batch.filter (make_pred env) (c.brun env))
   | Plan.Order_by { keys; input } ->
       let c = plan ~config ~outer input in
       let compiled_keys =
@@ -562,51 +471,20 @@ and compile ~config ~(outer : Schema.t list) (p : Plan.t) : compiled =
           arr;
         Array.map (fun (_, (_, row)) -> row) arr
       in
-      {
-        schema;
-        run =
-          (fun env ->
-            Cursor.deferred (fun () ->
-                let rows =
-                  Cursor.to_array
-                    ?account:
-                      (Governor.accountant env.Env.governor
-                         ~op:"orderby.input")
-                    (c.run env)
-                in
-                Cursor.of_array (sort_rows env rows)));
-        brun =
-          (if not (batched config) then None
-           else
-             Some
-               (fun env ->
-                 Batch.deferred (fun () ->
-                     let rows =
-                       Batch.to_array
-                         ?account:
-                           (Governor.batch_accountant env.Env.governor
-                              ~op:"orderby.input")
-                         (brun_of ~size:(bsize config) c env)
-                     in
-                     Batch.of_array ~size:(bsize config) (sort_rows env rows))));
-      }
+      ( schema,
+        fun env ->
+          Batch.deferred (fun () ->
+              let rows =
+                Batch.to_array
+                  ?account:
+                    (Governor.batch_accountant env.Env.governor
+                       ~op:"orderby.input")
+                  (c.brun env)
+              in
+              Batch.of_array ~size (sort_rows env rows)) )
   | Plan.Union_all branches ->
       let cs = List.map (plan ~config ~outer) branches in
-      {
-        schema;
-        run =
-          (fun env ->
-            Cursor.concat (List.map (fun c () -> c.run env) cs));
-        brun =
-          (if not (batched config) then None
-           else
-             Some
-               (fun env ->
-                 Batch.concat
-                   (List.map
-                      (fun c () -> brun_of ~size:(bsize config) c env)
-                      cs)));
-      }
+      (schema, fun env -> Batch.concat (List.map (fun c () -> c.brun env) cs))
   | Plan.Apply { outer = outer_plan; inner } ->
       let co = plan ~config ~outer outer_plan in
       let ci = plan ~config ~outer:(co.schema :: outer) inner in
@@ -616,77 +494,46 @@ and compile ~config ~(outer : Schema.t list) (p : Plan.t) : compiled =
          rows of one run and is evaluated once — the standard
          uncorrelated-subquery caching a production engine performs.
          This matters enormously for per-group queries like Q2, where
-         the inner is an aggregate of the whole group. *)
+         the inner is an aggregate of the whole group.  The cached inner
+         is lazy: an empty outer never runs it. *)
       let correlated =
         List.exists
           (fun (r : Expr.col_ref) ->
             Schema.find_all ?qual:r.Expr.qual r.Expr.name co.schema <> [])
           (Plan.outer_refs inner)
       in
-      if correlated || not config.apply_cache then
-        {
-          schema;
-          run =
-            (fun env ->
-              Cursor.concat_map
-                (fun outer_row ->
-                  let env' = Env.push_frame co.schema outer_row env in
-                  Cursor.map (Tuple.concat outer_row) (ci.run env'))
-                (co.run env));
-          brun = None;
-        }
-      else
-        {
-          schema;
-          run =
-            (fun env ->
-              Cursor.deferred (fun () ->
-                  let inner_rows =
-                    lazy
-                      (Cursor.to_array
-                         ?account:
-                           (Governor.accountant env.Env.governor
-                              ~op:"apply.cache")
-                         (ci.run env))
-                  in
-                  Cursor.concat_map
-                    (fun outer_row ->
-                      Cursor.map (Tuple.concat outer_row)
-                        (Cursor.of_array (Lazy.force inner_rows)))
-                    (co.run env)));
-          brun = None;
-        }
+      let matches =
+        if correlated || not config.apply_cache then fun env orow yield ->
+          Batch.drain_iter yield
+            (ci.brun (Env.push_frame co.schema orow env))
+        else fun env ->
+          let inner_rows =
+            lazy
+              (Batch.to_array
+                 ?account:
+                   (Governor.batch_accountant env.Env.governor
+                      ~op:"apply.cache")
+                 (ci.brun env))
+          in
+          fun _ yield -> Array.iter yield (Lazy.force inner_rows)
+      in
+      ( schema,
+        fun env ->
+          Batch.deferred (fun () ->
+              expand ~size ~keep:keep_all (matches env) (co.brun env)) )
   | Plan.Exists { input; negated } ->
       let c = plan ~config ~outer input in
-      {
-        schema;
-        run =
-          (fun env ->
-            Cursor.deferred (fun () ->
-                let nonempty = c.run env () <> None in
-                if nonempty <> negated then Cursor.singleton Tuple.empty
-                else Cursor.empty));
-        brun = None;
-      }
+      ( schema,
+        fun env ->
+          Batch.deferred (fun () ->
+              let nonempty = c.brun env () <> None in
+              Batch.of_array
+                (if nonempty <> negated then [| Tuple.empty |] else [||])) )
   | Plan.G_apply { gcols; var; outer = outer_plan; pgq; cluster } ->
       let co = plan ~config ~outer outer_plan in
       let cp = plan ~config ~outer pgq in
       let idxs = key_indexes co.schema gcols in
       let obs_node = obs_current config in
-      (* partition a materialized outer, report and order the groups;
-         shared by the scalar and batch entry points *)
-      let prepare ?pool ?gov rows =
-        let groups = partition ~config ?pool ?gov ~idxs rows in
-        Option.iter
-          (fun n -> Obs.add_partitions n (List.length groups))
-          obs_node;
-        (* the Section 3.1 clustering guarantee: emit groups in key
-           order; sort partitioning already provides it, hash
-           partitioning orders the (small) group list *)
-        if cluster && config.partition = Hash_partition then
-          List.sort (fun (a, _) (b, _) -> Tuple.compare a b) groups
-        else groups
-      in
       (* each group is materialised as a temporary relation (rows are
          copied into it, as the paper's execution phase describes) — so
          the width of the outer input is a real cost and the
@@ -707,96 +554,57 @@ and compile ~config ~(outer : Schema.t list) (p : Plan.t) : compiled =
               done);
           (key, Env.bind_group var (Relation.of_array co.schema arr) env)
       in
-      {
-        schema;
-        run =
-          (fun env ->
-            Cursor.deferred (fun () ->
-                let pool = Domain_pool.for_parallelism config.parallelism in
-                let gov = env.Env.governor in
-                let rows =
-                  Cursor.to_array
-                    ?account:
-                      (Governor.accountant gov ~op:"gapply.materialize")
-                    (co.run env)
-                in
-                let groups = prepare ?pool ?gov rows in
-                let bind = make_bind env gov in
-                let run_group g =
-                  let key, env' = bind g in
-                  Cursor.map (Tuple.concat key) (cp.run env')
-                in
-                match (pool, groups) with
-                | Some pool, _ :: _ :: _ ->
-                    (* parallel execution phase: groups share no state
-                       (the per-group semantics are order-independent),
-                       so each group's compiled PGQ runs on the pool
-                       against its own immutable Env.  Results are
-                       materialised per group and concatenated in group
-                       order, keeping the output tuple-identical to the
-                       sequential path — including the clustering
-                       guarantee above. *)
-                    let exec_account =
-                      Governor.accountant gov ~op:"gapply.exec"
-                    in
-                    let per_group =
-                      Domain_pool.parallel_map_array pool
-                        (fun g ->
-                          Cursor.to_array ?account:exec_account (run_group g))
-                        (Array.of_list groups)
-                    in
-                    Cursor.concat
-                      (List.map
-                         (fun rows () -> Cursor.of_array rows)
-                         (Array.to_list per_group))
-                | _ ->
-                    Cursor.concat
-                      (List.map (fun g () -> run_group g) groups)));
-        brun =
-          (if not (batched config) then None
-           else
-             Some
-               (fun env ->
-                 Batch.deferred (fun () ->
-                     let pool =
-                       Domain_pool.for_parallelism config.parallelism
-                     in
-                     let gov = env.Env.governor in
-                     let rows =
-                       Batch.to_array
-                         ?account:
-                           (Governor.batch_accountant gov
-                              ~op:"gapply.materialize")
-                         (brun_of ~size:(bsize config) co env)
-                     in
-                     let groups = prepare ?pool ?gov rows in
-                     let bind = make_bind env gov in
-                     let run_group g =
-                       let key, env' = bind g in
-                       Batch.map (Tuple.concat key)
-                         (brun_of ~size:(bsize config) cp env')
-                     in
-                     match (pool, groups) with
-                     | Some pool, _ :: _ :: _ ->
-                         let exec_account =
-                           Governor.batch_accountant gov ~op:"gapply.exec"
-                         in
-                         let per_group =
-                           Domain_pool.parallel_map_array pool
-                             (fun g ->
-                               Batch.to_array ?account:exec_account
-                                 (run_group g))
-                             (Array.of_list groups)
-                         in
-                         Batch.concat
-                           (List.map
-                              (fun rows () ->
-                                Batch.of_array ~size:(bsize config) rows)
-                              (Array.to_list per_group))
-                     | _ ->
-                         Batch.concat
-                           (List.map (fun g () -> run_group g) groups))));
-      }
+      ( schema,
+        fun env ->
+          Batch.deferred (fun () ->
+              let pool = Domain_pool.for_parallelism config.parallelism in
+              let gov = env.Env.governor in
+              let rows =
+                Batch.to_array
+                  ?account:
+                    (Governor.batch_accountant gov ~op:"gapply.materialize")
+                  (co.brun env)
+              in
+              let groups = partition ~config ?pool ?gov ~idxs rows in
+              Option.iter
+                (fun n -> Obs.add_partitions n (List.length groups))
+                obs_node;
+              (* the Section 3.1 clustering guarantee: emit groups in key
+                 order; sort partitioning already provides it, hash
+                 partitioning orders the (small) group list *)
+              let groups =
+                if cluster && config.partition = Hash_partition then
+                  List.sort (fun (a, _) (b, _) -> Tuple.compare a b) groups
+                else groups
+              in
+              let bind = make_bind env gov in
+              let run_group g =
+                let key, env' = bind g in
+                Batch.map (Tuple.concat key) (cp.brun env')
+              in
+              match (pool, groups) with
+              | Some pool, _ :: _ :: _ ->
+                  (* parallel execution phase: groups share no state (the
+                     per-group semantics are order-independent), so each
+                     group's compiled PGQ runs on the pool against its
+                     own immutable Env.  Results are materialised per
+                     group and concatenated in group order, keeping the
+                     output tuple-identical to the sequential path —
+                     including the clustering guarantee above. *)
+                  let exec_account =
+                    Governor.batch_accountant gov ~op:"gapply.exec"
+                  in
+                  let per_group =
+                    Domain_pool.parallel_map_array pool
+                      (fun g -> Batch.to_array ?account:exec_account (run_group g))
+                      (Array.of_list groups)
+                  in
+                  Batch.concat
+                    (List.map
+                       (fun rows () -> Batch.of_array ~size rows)
+                       (Array.to_list per_group))
+              | _ -> Batch.concat (List.map (fun g () -> run_group g) groups))
+      )
 
 (* Partition phase of GApply.  Hash partitioning groups rows in
    first-seen order; sort partitioning additionally clusters the output
@@ -846,17 +654,17 @@ and partition ~config ?pool ?gov ~idxs (rows : Tuple.t array) :
    NULL key are dropped from both build and probe sides of the hash
    join.
 
-   The vectorized probe consumes the left side batch-wise and expands
-   matches into compacted output batches; a single-component key probes
-   a [Value.Tbl] (hash build) or the index's [Value]-keyed bucket
-   directly, with no per-row key tuple.  Matches are yielded
-   push-style into the consumer — the scalar path buffers them per
-   left row, the batch path streams them straight into its output
-   buffer. *)
-and compile_join ~config ~outer pred left right : compiled =
+   Every form consumes the left side batch-wise through [expand]; they
+   differ only in the match source.  Nested loops iterate the
+   materialized right side; a single-component key probes a [Value.Tbl]
+   (hash build) or the index's [Value]-keyed bucket directly, with no
+   per-row key tuple. *)
+and compile_join ~config ~outer pred left right :
+    Schema.t * (Env.t -> Batch.cursor) =
   let cl = plan ~config ~outer left in
   let cr = plan ~config ~outer right in
   let schema = Schema.concat cl.schema cr.schema in
+  let size = config.batch_size in
   let { Join_analysis.equi; residual } =
     Join_analysis.split ~left:cl.schema ~right:cr.schema pred
   in
@@ -865,30 +673,25 @@ and compile_join ~config ~outer pred left right : compiled =
     | [] -> None
     | ps -> Some (Eval.compile_pred schema (Expr.conjoin ps))
   in
-  let keep frames row =
-    match residual_test with None -> true | Some test -> test frames row
+  let keep env =
+    match residual_test with
+    | None -> keep_all
+    | Some test -> test env.Env.frames
   in
   if equi = [] then
-    {
-      schema;
-      run =
-        (fun env ->
-          Cursor.deferred (fun () ->
-              let right_rows =
-                Cursor.to_array
-                  ?account:
-                    (Governor.accountant env.Env.governor
-                       ~op:"join.materialize")
-                  (cr.run env)
-              in
-              Cursor.concat_map
-                (fun lrow ->
-                  Cursor.filter (keep env.Env.frames)
-                    (Cursor.map (Tuple.concat lrow)
-                       (Cursor.of_array right_rows)))
-                (cl.run env)));
-      brun = None;
-    }
+    ( schema,
+      fun env ->
+        Batch.deferred (fun () ->
+            let right_rows =
+              Batch.to_array
+                ?account:
+                  (Governor.batch_accountant env.Env.governor
+                     ~op:"join.materialize")
+                (cr.brun env)
+            in
+            expand ~size ~keep:(keep env)
+              (fun _ yield -> Array.iter yield right_rows)
+              (cl.brun env)) )
   else
     let left_keys =
       List.map (fun (a, _, _) -> Eval.compile cl.schema a) equi
@@ -1065,83 +868,15 @@ and compile_join ~config ~outer pred left right : compiled =
               | Some bucket -> Array.iter yield bucket
             else ()
     in
-    (* expand left rows against a per-row match yielder (right-side
-       rows in bucket order); shared by the hash and index-probe paths *)
-    let probe_cursor frames (matches : Tuple.t -> (Tuple.t -> unit) -> unit)
-        lc =
-      Cursor.concat_map
-        (fun lrow ->
-          let acc = ref [] in
-          matches lrow (fun rrow ->
-              let joined = Tuple.concat lrow rrow in
-              if keep frames joined then acc := joined :: !acc);
-          match !acc with
-          | [] -> Cursor.empty
-          | joined -> Cursor.of_list (List.rev joined))
-        lc
-    in
-    (* same expansion batch-wise: each left batch compacts its joined
-       rows into one output batch (empty expansions pull the next left
-       batch, so emitted batches are never empty); matches stream
-       straight into the output buffer, no per-row bucket list *)
-    let probe_batches frames (matches : Tuple.t -> (Tuple.t -> unit) -> unit)
-        lbc =
-      let rec next () =
-        match lbc () with
-        | None -> None
-        | Some b ->
-            let out = ref (Array.make (max 16 b.Batch.len) Tuple.empty) in
-            let n = ref 0 in
-            let push row =
-              if !n = Array.length !out then begin
-                let bigger = Array.make (2 * !n) Tuple.empty in
-                Array.blit !out 0 bigger 0 !n;
-                out := bigger
-              end;
-              !out.(!n) <- row;
-              incr n
-            in
-            Batch.iter
-              (fun lrow ->
-                matches lrow (fun rrow ->
-                    let joined = Tuple.concat lrow rrow in
-                    if keep frames joined then push joined))
-              b;
-            if !n = 0 then next ()
-            else Some { Batch.rows = !out; pos = 0; len = !n }
-      in
-      next
-    in
-    let run env =
-      match index_probe env with
-      | Some probe ->
-          Cursor.deferred (fun () ->
-              probe_cursor env.Env.frames probe (cl.run env))
-      | None ->
-          Cursor.deferred (fun () ->
-              let lookup =
-                build_lookup env (fun f -> Cursor.iter f (cr.run env))
-              in
-              probe_cursor env.Env.frames lookup (cl.run env))
-    in
-    let brun =
-      if not (batched config) then None
-      else
-        Some
-          (fun env ->
-            match index_probe env with
-            | Some probe ->
-                Batch.deferred (fun () ->
-                    probe_batches env.Env.frames probe
-                      (brun_of ~size:(bsize config) cl env))
-            | None ->
-                Batch.deferred (fun () ->
-                    let lookup =
-                      build_lookup env (fun f ->
-                          Batch.drain_iter f
-                            (brun_of ~size:(bsize config) cr env))
-                    in
-                    probe_batches env.Env.frames lookup
-                      (brun_of ~size:(bsize config) cl env)))
-    in
-    { schema; run; brun }
+    ( schema,
+      fun env ->
+        match index_probe env with
+        | Some probe ->
+            Batch.deferred (fun () ->
+                expand ~size ~keep:(keep env) probe (cl.brun env))
+        | None ->
+            Batch.deferred (fun () ->
+                let lookup =
+                  build_lookup env (fun f -> Batch.drain_iter f (cr.brun env))
+                in
+                expand ~size ~keep:(keep env) lookup (cl.brun env)) )

@@ -1,7 +1,7 @@
 (** Logical-to-physical compilation.
 
     {!plan} turns a logical plan into a {!compiled} value once; the
-    [run] closure can then be executed many times under different
+    [brun] closure can then be executed many times under different
     environments — which is exactly what Apply (per outer row) and
     GApply (per group) do.
 
@@ -29,26 +29,20 @@ type config = {
           ([Domain.recommended_domain_count ()]).  Output is
           tuple-identical to sequential execution at any setting. *)
   batch_size : int;
-      (** rows per batch on the vectorized path; [0] compiles the
-          classic tuple-at-a-time operators only.  Output is
-          tuple-identical at any setting. *)
+      (** rows per batch, at least 1 (default {!Batch.default_size}).
+          Output is tuple-identical at any setting. *)
   observe : Obs.t option;
       (** per-operator metrics sink (EXPLAIN ANALYZE / --analyze): one
-          {!Obs.node} is registered per plan operator and every cursor is
-          wrapped with the metering pull.  [None] compiles the exact
-          uninstrumented operators — zero per-tuple overhead when
+          {!Obs.node} is registered per plan operator and every batch
+          cursor is wrapped with the metering pull.  [None] compiles the
+          exact uninstrumented operators — zero per-batch overhead when
           tracing is off.  A sink observes one compilation; use a fresh
           sink per compiled plan. *)
 }
 
-val default_batch_size : int
-(** {!Batch.default_size}, overridden once at startup by the
-    [GAPPLY_BATCH] environment switch: [off]/[0] forces scalar
-    execution, an integer sets the batch size. *)
-
 val default_config : config
 (** Hash partitioning, Apply caching on, indexes on, sequential,
-    vectorized at {!default_batch_size}, unobserved. *)
+    {!Batch.default_size}-row batches, unobserved. *)
 
 val config_with :
   ?partition:partition_strategy ->
@@ -59,15 +53,15 @@ val config_with :
   ?observe:Obs.t ->
   unit ->
   config
+(** @raise Invalid_argument when [batch_size < 1]. *)
 
 type compiled = {
   schema : Schema.t;
   run : Env.t -> Cursor.t;
-  brun : (Env.t -> Batch.cursor) option;
-      (** vectorized entry point, present when the operator compiled a
-          batch implementation ([batch_size > 0]); [run] is then derived
-          from it through [Batch.to_cursor], so both entry points
-          execute the same instrumented code *)
+      (** row-at-a-time adapter over [brun] ([Batch.to_cursor]) for
+          consumers at the tagger/client boundary *)
+  brun : Env.t -> Batch.cursor;
+      (** the operator's (instrumented, governed) batch cursor *)
 }
 
 val plan : ?config:config -> ?outer:Schema.t list -> Plan.t -> compiled

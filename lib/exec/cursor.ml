@@ -1,111 +1,9 @@
-(* Pull-based (Volcano-style) tuple cursors.
-
-   A cursor is a stateful generator: each call returns the next tuple or
-   [None] at end-of-stream.  Blocking operators (sort, hash aggregate,
-   partition phase of GApply) materialise on the first pull. *)
+(* Pull-based row cursors: the row-at-a-time view of a compiled plan at
+   the tagger/client boundary ([Compile.compiled.run], adapted from the
+   batch cursor by [Batch.to_cursor]).  Each call returns the next
+   tuple or [None] at end-of-stream. *)
 
 type t = unit -> Tuple.t option
-
-let empty : t = fun () -> None
-
-let singleton tuple : t =
-  let done_ = ref false in
-  fun () ->
-    if !done_ then None
-    else begin
-      done_ := true;
-      Some tuple
-    end
-
-let of_array (rows : Tuple.t array) : t =
-  let i = ref 0 in
-  fun () ->
-    if !i < Array.length rows then begin
-      let row = rows.(!i) in
-      incr i;
-      Some row
-    end
-    else None
-
-let of_subarray (rows : Tuple.t array) ~pos ~len : t =
-  let i = ref pos in
-  let stop = pos + len in
-  fun () ->
-    if !i < stop then begin
-      let row = rows.(!i) in
-      incr i;
-      Some row
-    end
-    else None
-
-(* Walk the list directly instead of [of_array (Array.of_list rows)]:
-   building the intermediate array copied every row just to read them
-   back out once. *)
-let of_list rows : t =
-  let rest = ref rows in
-  fun () ->
-    match !rest with
-    | [] -> None
-    | row :: tl ->
-        rest := tl;
-        Some row
-let of_relation rel = of_array (Relation.rows_array rel)
-
-let map f (c : t) : t =
- fun () -> match c () with None -> None | Some row -> Some (f row)
-
-let filter pred (c : t) : t =
-  let rec pull () =
-    match c () with
-    | None -> None
-    | Some row -> if pred row then Some row else pull ()
-  in
-  pull
-
-(** Concatenate a list of lazily-started cursors (each thunk is forced
-    when its stream begins, so later UNION ALL branches don't run early). *)
-let concat (thunks : (unit -> t) list) : t =
-  let remaining = ref thunks in
-  let current = ref empty in
-  let rec pull () =
-    match !current () with
-    | Some row -> Some row
-    | None -> (
-        match !remaining with
-        | [] -> None
-        | thunk :: rest ->
-            remaining := rest;
-            current := thunk ();
-            pull ())
-  in
-  pull
-
-(** Flatten: for each input row produce a sub-cursor and stream it. *)
-let concat_map (f : Tuple.t -> t) (c : t) : t =
-  let current = ref empty in
-  let rec pull () =
-    match !current () with
-    | Some row -> Some row
-    | None -> (
-        match c () with
-        | None -> None
-        | Some row ->
-            current := f row;
-            pull ())
-  in
-  pull
-
-(** Defer building the underlying cursor until the first pull; used by
-    blocking operators. *)
-let deferred (build : unit -> t) : t =
-  let state = ref None in
-  fun () ->
-    match !state with
-    | Some c -> c ()
-    | None ->
-        let c = build () in
-        state := Some c;
-        c ()
 
 let fold f init (c : t) =
   let rec go acc = match c () with None -> acc | Some row -> go (f acc row)
@@ -115,31 +13,20 @@ let fold f init (c : t) =
 let iter f c = fold (fun () row -> f row) () c
 
 (* Drain into a growable buffer with amortised doubling — one pass and
-   no intermediate list (this sits on the partition-phase hot path).
-   [account] is the resource governor's allocation-accounting hook:
-   called per buffered row *as it is materialised*, so a memory ceiling
-   trips mid-buffer instead of after the damage is done.  The default
-   (no accounting) adds nothing to the loop. *)
-let to_array ?account (c : t) : Tuple.t array =
+   no intermediate list. *)
+let to_array (c : t) : Tuple.t array =
   let buf = ref (Array.make 32 Tuple.empty) in
   let n = ref 0 in
-  let push row =
-    if !n = Array.length !buf then begin
-      let bigger = Array.make (2 * !n) Tuple.empty in
-      Array.blit !buf 0 bigger 0 !n;
-      buf := bigger
-    end;
-    !buf.(!n) <- row;
-    incr n
-  in
-  (match account with
-  | None -> iter push c
-  | Some account ->
-      iter
-        (fun row ->
-          account row;
-          push row)
-        c);
+  iter
+    (fun row ->
+      if !n = Array.length !buf then begin
+        let bigger = Array.make (2 * !n) Tuple.empty in
+        Array.blit !buf 0 bigger 0 !n;
+        buf := bigger
+      end;
+      !buf.(!n) <- row;
+      incr n)
+    c;
   if !n = Array.length !buf then !buf else Array.sub !buf 0 !n
 
 let to_list (c : t) : Tuple.t list =

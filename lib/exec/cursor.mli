@@ -1,40 +1,14 @@
-(** Pull-based (Volcano-style) tuple cursors.
+(** Pull-based row cursors.
 
-    A cursor is a stateful generator: each call returns the next tuple
-    or [None] at end-of-stream.  Blocking operators (sort, aggregation,
-    GApply's partition phase) materialise on the first pull via
-    {!deferred}. *)
+    The row-at-a-time view of a compiled plan for consumers at the
+    tagger/client boundary: [Compile.compiled.run] adapts the operator's
+    batch cursor with [Batch.to_cursor].  Each call returns the next
+    tuple or [None] at end-of-stream. *)
 
 type t = unit -> Tuple.t option
 
-val empty : t
-val singleton : Tuple.t -> t
-val of_array : Tuple.t array -> t
-val of_subarray : Tuple.t array -> pos:int -> len:int -> t
-val of_list : Tuple.t list -> t
-val of_relation : Relation.t -> t
-
-val map : (Tuple.t -> Tuple.t) -> t -> t
-val filter : (Tuple.t -> bool) -> t -> t
-
-val concat : (unit -> t) list -> t
-(** Concatenate lazily-started cursors (each thunk is forced when its
-    stream begins, so later UNION ALL branches don't run early). *)
-
-val concat_map : (Tuple.t -> t) -> t -> t
-
-val deferred : (unit -> t) -> t
-(** Defer building the underlying cursor until the first pull. *)
-
-val fold : ('a -> Tuple.t -> 'a) -> 'a -> t -> 'a
 val iter : (Tuple.t -> unit) -> t -> unit
-
-val to_array : ?account:(Tuple.t -> unit) -> t -> Tuple.t array
-(** Drain into an array.  [account] is the allocation-accounting hook of
-    the resource governor: called once per row as it is buffered, so a
-    memory budget can trip mid-materialization.  It may raise; the
-    partially filled buffer is then simply dropped. *)
-
+val to_array : t -> Tuple.t array
 val to_list : t -> Tuple.t list
 val to_relation : Schema.t -> t -> Relation.t
 

@@ -2,39 +2,24 @@
 
    [?governor] threads a per-statement resource governor into the
    environment (budget checks and cancellation inside every operator)
-   and wraps the root cursor with the output-row limit — the one budget
-   that only makes sense at the statement boundary.
+   and wraps the root batch cursor with the output-row limit — the one
+   budget that only makes sense at the statement boundary.
+   Materialisation blits whole batches into the result buffer. *)
 
-   When the compilation carries a batch entry point, materialisation
-   goes through it directly: whole batches blit into the result buffer
-   instead of the tuple-at-a-time adapter consing one row per pull. *)
-
-let batch_len (b : Batch.t) = b.Batch.len
+let root ?governor (c : Compile.compiled) env : Batch.cursor =
+  Governor.wrap_root_batch governor
+    ~len:(fun (b : Batch.t) -> b.Batch.len)
+    (c.Compile.brun env)
 
 let materialize ?governor (c : Compile.compiled) env : Relation.t =
-  match c.Compile.brun with
-  | Some b ->
-      Relation.of_array c.Compile.schema
-        (Batch.to_array
-           (Governor.wrap_root_batch governor ~len:batch_len (b env)))
-  | None ->
-      Cursor.to_relation c.Compile.schema
-        (Governor.wrap_root governor (c.Compile.run env))
+  Relation.of_array c.Compile.schema (Batch.to_array (root ?governor c env))
 
 let count ?governor (c : Compile.compiled) env : int =
-  match c.Compile.brun with
-  | Some b ->
-      let pull = Governor.wrap_root_batch governor ~len:batch_len (b env) in
-      let n = ref 0 in
-      let rec go () =
-        match pull () with
-        | Some batch ->
-            n := !n + batch_len batch;
-            go ()
-        | None -> !n
-      in
-      go ()
-  | None -> Cursor.length (Governor.wrap_root governor (c.Compile.run env))
+  let pull = root ?governor c env in
+  let rec go n =
+    match pull () with Some b -> go (n + b.Batch.len) | None -> n
+  in
+  go 0
 
 (** Compile and run [plan] against [catalog], materialising the result.
     [?snapshot] pins every scan and index probe to an MVCC snapshot. *)

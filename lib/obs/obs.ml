@@ -61,34 +61,13 @@ let emit t node kind =
   | None -> ()
   | Some h -> h { op = node.op; node_id = node.id; kind }
 
-let instrument t node (pull : unit -> 'a option) : unit -> 'a option =
-  Metrics.incr node.invocations;
-  emit t node Open;
-  let opened = Metrics.now_ns () in
-  (* per-invocation state: one cursor is only ever pulled by the single
-     domain that runs it, so a plain ref is safe here *)
-  let awaiting_first = ref true in
-  fun () ->
-    let t0 = Metrics.now_ns () in
-    let r = pull () in
-    let t1 = Metrics.now_ns () in
-    Metrics.add_span node.time (t1 - t0);
-    (match r with
-    | Some _ ->
-        Metrics.incr node.rows;
-        if !awaiting_first then begin
-          awaiting_first := false;
-          Metrics.add_span node.ttft (t1 - opened)
-        end;
-        emit t node Next
-    | None -> emit t node Close);
-    r
-
-(* Batch-cursor variant of [instrument]: one pull yields a whole batch,
-   so the row counter advances by [len r] per pull and [batches] counts
-   the pulls.  Trace hooks still see one [Next] per row (not per batch)
-   so row-granular traces are identical under either execution mode;
-   the per-row emit loop only runs when a hook is installed. *)
+(* Wrap one batch-cursor invocation: counts the invocation, emits
+   [Open], then meters every pull.  One pull yields a whole batch, so
+   the row counter advances by [len r] per pull and [batches] counts the
+   pulls.  Trace hooks still see one [Next] per row (not per batch) so
+   traces stay row-granular; the per-row emit loop only runs when a hook
+   is installed.  Per-invocation state: one cursor is only ever pulled
+   by the single domain that runs it, so a plain ref is safe here. *)
 let instrument_batch t node ~len (pull : unit -> 'a option) : unit -> 'a option
     =
   Metrics.incr node.invocations;

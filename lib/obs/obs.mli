@@ -4,9 +4,9 @@
     ([Compile.plan ~config:{... observe = Some sink ...}]).  During
     compilation every plan operator registers a {!node} (the metric tree
     mirrors the plan tree, children in plan-child order); at run time
-    each operator's cursor is wrapped so that
+    each operator's batch cursor is wrapped so that
 
-    - every [run] call counts as one {e invocation} (a per-group query
+    - every [brun] call counts as one {e invocation} (a per-group query
       under GApply is invoked once per group — the paper's per-group PGQ
       executions);
     - every yielded tuple bumps the node's row counter;
@@ -19,7 +19,7 @@
     All counters are {!Metrics} atomics: the instrumented cursors of the
     parallel execution phase update them from pool domains without lost
     updates.  With [observe = None] the compiler emits no wrappers at
-    all, so the tracing-off overhead is zero on the per-tuple path.
+    all, so the tracing-off overhead is zero on the per-batch path.
 
     A sink observes one compiled plan; make a fresh sink per
     [Engine.exec] / per compilation (that is the reset boundary), or
@@ -55,16 +55,12 @@ val current : t -> node option
 
 (** {1 Run-side instrumentation} *)
 
-val instrument : t -> node -> (unit -> 'a option) -> unit -> 'a option
-(** Wrap one cursor (one invocation): counts the invocation, emits
-    [Open], then meters every pull as described above. *)
-
 val instrument_batch :
   t -> node -> len:('a -> int) -> (unit -> 'a option) -> unit -> 'a option
-(** Like {!instrument} for batch cursors: each pull yields [len batch]
-    rows, counted into [rows], with [batches] counting the pulls.
-    Trace hooks still receive one [Next] per row, so row-granular
-    traces match the scalar path. *)
+(** Wrap one batch cursor (one invocation): counts the invocation,
+    emits [Open], then meters every pull as described above.  Each pull
+    yields [len batch] rows, counted into [rows], with [batches]
+    counting the pulls.  Trace hooks still receive one [Next] per row. *)
 
 val add_partitions : node -> int -> unit
 (** Record groups formed by a partition phase (GApply / Group_by). *)
@@ -75,7 +71,7 @@ type stat = {
   op : string;  (** [Plan.op_name] of the operator *)
   invocations : int;
   rows : int;
-  batches : int;  (** batch pulls when the operator ran vectorized *)
+  batches : int;  (** batch pulls *)
   partitions : int;
   time_ns : int;  (** inclusive of children (time spent inside pulls) *)
   ttft_ns : int;  (** summed invocation-to-first-tuple spans *)

@@ -64,10 +64,7 @@ let test_timer_monotonic () =
 (* Strip what is legitimately nondeterministic from a report: the
    time=/first= values, and the numeric suffix of the binder's __aggN
    / __sqN gensyms (process-global counters, so they depend on how many
-   queries were bound earlier in the test run).  " batches=N" tokens are
-   removed entirely — they exist only under vectorized execution, and
-   the goldens must also hold for the GAPPLY_BATCH=off CI replay
-   (test_batches_reported asserts their presence separately). *)
+   queries were bound earlier in the test run). *)
 let normalize report =
   let n = String.length report in
   let buf = Buffer.create n in
@@ -85,12 +82,6 @@ let normalize report =
         !i < n && report.[!i] <> ' ' && report.[!i] <> ')'
         && report.[!i] <> '\n'
       do
-        incr i
-      done
-    end
-    else if starts !i " batches=" then begin
-      i := !i + String.length " batches=";
-      while !i < n && report.[!i] >= '0' && report.[!i] <= '9' do
         incr i
       done
     end
@@ -223,26 +214,28 @@ let test_q1_explain_golden () =
 let q1_analyze_golden =
   "== explain analyze ==\n\
    gapply[ps_suppkey : $tmpsupp]  (est rows=405) (rows=405 loops=1 \
-   groups=5 time=_ first=_)\n\
+   groups=5 batches=10 time=_ first=_)\n\
   \  project[partsupp.ps_suppkey as ps_suppkey, part.p_name as p_name, \
    part.p_retailprice as p_retailprice]  (est rows=400) (rows=400 \
-   loops=1 time=_ first=_)\n\
+   loops=1 batches=4 time=_ first=_)\n\
   \    join(fk->)[(partsupp.ps_partkey = part.p_partkey)]  (est \
-   rows=400) (rows=400 loops=1 time=_ first=_)\n\
-  \      scan(partsupp)  (est rows=400) (rows=400 loops=1 time=_ \
-   first=_)\n\
-  \      scan(part)  (est rows=100) (rows=100 loops=1 time=_ first=_)\n\
-  \  union all  (est rows=81) (rows=405 loops=5 time=_ first=_)\n\
-  \    project[p_name, p_retailprice, NULL as avgprice]  (est rows=80) \
-   (rows=400 loops=5 time=_ first=_)\n\
-  \      group_scan($tmpsupp)  (est rows=80) (rows=400 loops=5 time=_ \
-   first=_)\n\
-  \    project[NULL as col1, NULL as col2, __agg_]  (est rows=1) \
-   (rows=5 loops=5 time=_ first=_)\n\
-  \      aggregate[avg(p_retailprice) as __agg_]  (est rows=1) (rows=5 \
-   loops=5 time=_ first=_)\n\
-  \        group_scan($tmpsupp)  (est rows=80) (rows=400 loops=5 \
+   rows=400) (rows=400 loops=1 batches=4 time=_ first=_)\n\
+  \      scan(partsupp)  (est rows=400) (rows=400 loops=1 batches=4 \
    time=_ first=_)\n\
+  \      scan(part)  (est rows=100) (rows=100 loops=1 batches=1 time=_ \
+   first=_)\n\
+  \  union all  (est rows=81) (rows=405 loops=5 batches=10 time=_ \
+   first=_)\n\
+  \    project[p_name, p_retailprice, NULL as avgprice]  (est rows=80) \
+   (rows=400 loops=5 batches=5 time=_ first=_)\n\
+  \      group_scan($tmpsupp)  (est rows=80) (rows=400 loops=5 \
+   batches=5 time=_ first=_)\n\
+  \    project[NULL as col1, NULL as col2, __agg_]  (est rows=1) \
+   (rows=5 loops=5 batches=5 time=_ first=_)\n\
+  \      aggregate[avg(p_retailprice) as __agg_]  (est rows=1) (rows=5 \
+   loops=5 batches=5 time=_ first=_)\n\
+  \        group_scan($tmpsupp)  (est rows=80) (rows=400 loops=5 \
+   batches=5 time=_ first=_)\n\
    == actual rows: 405  estimated: 405 ==\n"
 
 (* the dict footer appears only while encoding is enabled, so the
@@ -261,8 +254,7 @@ let test_q1_analyze_golden () =
     (normalize
        (explanation (tpch_db ()) ("explain analyze " ^ Workloads.q1_gapply)))
 
-(* batch counters ride the EXPLAIN ANALYZE operator lines exactly when
-   execution is vectorized — so the GAPPLY_BATCH=off replay sees none *)
+(* batch counters ride the EXPLAIN ANALYZE operator lines *)
 let test_batches_reported () =
   let contains s sub =
     let n = String.length s and m = String.length sub in
@@ -272,9 +264,7 @@ let test_batches_reported () =
   let report =
     explanation (tpch_db ()) ("explain analyze " ^ Workloads.q1_gapply)
   in
-  Alcotest.(check bool) "batches= iff vectorized"
-    (Compile.default_batch_size > 0)
-    (contains report "batches=");
+  Alcotest.(check bool) "batches= reported" true (contains report "batches=");
   Alcotest.(check bool) "dict footer iff encoding enabled"
     (Dict.enabled ())
     (contains report "== dict: ")
@@ -355,7 +345,7 @@ let test_q2_q4_explain_stable () =
 
 (* The invariants each operator's counters obey, given whether its
    cursor was fully drained.  [drained = false] (below Exists, whose
-   probe stops after one tuple, or below a Join's streamed sides)
+   probe stops after one batch, or below a Join's streamed sides)
    weakens every equality to the corresponding inequality.  A subtree
    that was registered but never invoked is all zeros, which satisfies
    every equality, so drained-ness can be propagated structurally. *)
@@ -377,7 +367,7 @@ let rec consistent ~drained ~table_card (p : Plan.t) (s : Obs.stat) =
     | Plan.Group_scan _, [] -> true
     | (Plan.Select _ | Plan.Distinct _), [ c ] -> s.Obs.rows <= c.Obs.rows
     | (Plan.Project _ | Plan.Alias _), [ c ] ->
-        (* Cursor.map: exactly one input pull per output pull *)
+        (* Batch.map: one output row per input row *)
         s.Obs.rows = c.Obs.rows
     | Plan.Order_by _, [ c ] ->
         s.Obs.rows <= c.Obs.rows

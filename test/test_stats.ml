@@ -183,34 +183,23 @@ let gen_dml =
       (1, Gen.pure Clear);
     ]
 
-(* Drain a compiled scan through both accounting paths — the scalar
-   cursor (per-row hook) and the vectorized cursor (per-batch hook) —
-   and require both to account exactly [Table.cardinality] rows. *)
+(* Drain a compiled scan through the batch cursor (per-batch
+   accounting hook) and through the row-at-a-time boundary adapter, and
+   require both to see exactly [Table.cardinality] rows. *)
 let scan_accounting_agrees cat t =
   let plan =
     Plan.table_scan ~table:(Table.name t) ~alias:(Table.name t)
       (Table.schema t)
   in
   let compiled = Compile.plan plan in
-  let scalar = ref 0 in
-  let arr =
-    Cursor.to_array
-      ~account:(fun _ -> incr scalar)
-      (compiled.Compile.run (Env.make cat))
-  in
-  let batched =
-    match compiled.Compile.brun with
-    | None -> !scalar (* scalar-only build (GAPPLY_BATCH=off) *)
-    | Some brun ->
-        let n = ref 0 in
-        ignore
-          (Batch.to_array
-             ~account:(fun _ _ len -> n := !n + len)
-             (brun (Env.make cat)));
-        !n
-  in
+  let arr = Cursor.to_array (compiled.Compile.run (Env.make cat)) in
+  let accounted = ref 0 in
+  ignore
+    (Batch.to_array
+       ~account:(fun _ _ len -> accounted := !accounted + len)
+       (compiled.Compile.brun (Env.make cat)));
   let card = Table.cardinality t in
-  Array.length arr = card && !scalar = card && batched = card
+  Array.length arr = card && !accounted = card
 
 let prop_row_count_conservation =
   QCheck2.Test.make ~count:100

@@ -1,10 +1,14 @@
 (* Vectorized execution and dictionary encoding.
 
-   The batch path must be invisible: for any plan, any batch size
+   The batch executor is the only executor, so it is checked against
+   the reference evaluator (the paper's denotational semantics, sharing
+   no machinery with the compiler): for any plan, any batch size
    (including degenerate ones that split every operator boundary) and
-   any parallelism, the result is the scalar result.  The property
+   any parallelism, the result is the reference result.  The property
    tests reuse the random plan generators from [Test_properties]; the
-   TPC-H checks pin the paper's Q1-Q4 workload in both formulations.
+   operator cases pin the nested-loop join, both Apply forms and EXISTS
+   at batch boundaries; the TPC-H checks pin the paper's Q1-Q4 workload
+   in both formulations.
 
    The dictionary must likewise be invisible: interning at insert time
    and decoding at the output boundary round-trips every string, equal
@@ -12,26 +16,28 @@
    domains, and an engine with encoding disabled digests identically. *)
 
 open Support
+open Expr
 
 module Gen = QCheck2.Gen
 
 let qtest = QCheck_alcotest.to_alcotest
 
-(* ---------- batch = scalar on random plans ---------- *)
+(* ---------- executor = reference on random plans ---------- *)
 
-let run_with ~batch_size ?(parallelism = 1) cat plan =
-  Executor.run
+let run_with ?governor ~batch_size ?(parallelism = 1) cat plan =
+  Executor.run ?governor
     ~config:(Compile.config_with ~batch_size ~parallelism ())
     cat plan
 
-(* Degenerate (1), prime (7), and default (1024) batch sizes: the first
+(* Degenerate (1), prime (7), and default (128) batch sizes: the first
    two force every operator through its partial-batch and
    carry-over-between-pulls paths. *)
-let gen_batch_size = Gen.oneofl [ 1; 7; 1024 ]
+let batch_sizes = [ 1; 7; Batch.default_size ]
+let gen_batch_size = Gen.oneofl batch_sizes
 
-let prop_batch_matches_scalar =
+let prop_executor_matches_reference =
   QCheck2.Test.make ~count:150
-    ~name:"batched executor = scalar executor on random plans"
+    ~name:"executor = Reference on random plans, sizes 1/7/128"
     (Gen.quad
        (Test_properties.gen_relation Test_properties.g_schema)
        Test_properties.gen_pgq gen_batch_size (Gen.oneofl [ 1; 2 ]))
@@ -41,13 +47,12 @@ let prop_batch_matches_scalar =
         Test_properties.substitute_group pgq
           Test_properties.unqualified_scan_r
       in
-      let scalar = run_with ~batch_size:0 cat plan in
-      Relation.equal_as_multiset scalar
+      Relation.equal_as_multiset (Reference.run cat plan)
         (run_with ~batch_size ~parallelism cat plan))
 
-let prop_gapply_batch_matches_scalar =
+let prop_gapply_matches_reference =
   QCheck2.Test.make ~count:150
-    ~name:"batched GApply = scalar GApply on random groupings"
+    ~name:"GApply = Reference on random groupings, sizes 1/7/128"
     (Gen.quad
        (Test_properties.gen_relation Test_properties.g_schema)
        (Gen.pair Test_properties.gen_gcols Test_properties.gen_pgq)
@@ -58,32 +63,173 @@ let prop_gapply_batch_matches_scalar =
         Plan.g_apply ~gcols ~var:"g"
           ~outer:Test_properties.unqualified_scan_r ~pgq
       in
-      let scalar = run_with ~batch_size:0 cat plan in
-      Relation.equal_as_multiset scalar
+      Relation.equal_as_multiset (Reference.run cat plan)
         (run_with ~batch_size ~parallelism cat plan))
 
 (* ---------- batch plumbing ---------- *)
 
-(* of_cursor / to_cursor round-trip at an adversarial size, preserving
-   order — the adapters are what lets scalar-only operators sit in the
-   middle of a batched pipeline. *)
+(* of_array / to_cursor round-trip at an adversarial size, preserving
+   order — [to_cursor] is the row-at-a-time boundary the tagger reads. *)
 let test_batch_roundtrip () =
   let rows = List.init 23 (fun i -> row [ vi i ]) in
   let out =
     Cursor.to_list
-      (Batch.to_cursor (Batch.of_cursor ~size:7 (Cursor.of_list rows)))
+      (Batch.to_cursor (Batch.of_array ~size:7 (Array.of_list rows)))
   in
   Alcotest.(check (list tuple_testable)) "order and rows preserved" rows out
 
 let test_batch_to_array_exact_fit () =
   let rows = List.init 100 (fun i -> row [ vi i ]) in
-  let arr =
-    Batch.to_array (Batch.of_cursor ~size:32 (Cursor.of_list rows))
-  in
+  let arr = Batch.to_array (Batch.of_array ~size:32 (Array.of_list rows)) in
   Alcotest.(check int) "length" 100 (Array.length arr);
   List.iteri
     (fun i r -> Alcotest.check tuple_testable "row" r arr.(i))
     rows
+
+let test_batch_size_validated () =
+  Alcotest.check_raises "batch_size 0 is rejected"
+    (Invalid_argument "Compile.config_with: batch_size 0 < 1") (fun () ->
+      ignore (Compile.config_with ~batch_size:0 ()))
+
+(* ---------- operators at batch boundaries ---------- *)
+
+(* l(a) = 0..19, r(b) = 0..14, big(v) = 0..299, e(a) empty *)
+let ops_catalog () =
+  let cat = Catalog.create () in
+  let table name col n =
+    let t = Table.create name [ (col, Datatype.Int) ] in
+    Table.insert_all t (List.init n (fun i -> row [ vi i ]));
+    Catalog.add_table cat t
+  in
+  table "l" "a" 20;
+  table "r" "b" 15;
+  table "big" "v" 300;
+  table "e" "a" 0;
+  cat
+
+(* run [plan] at every batch size and require the reference result *)
+let check_sizes ?(min_rows = 0) cat name plan =
+  let reference = Reference.run cat plan in
+  Alcotest.(check bool)
+    (name ^ ": reference has enough rows")
+    true
+    (Relation.cardinality reference >= min_rows);
+  List.iter
+    (fun batch_size ->
+      check_rel
+        (Printf.sprintf "%s at batch size %d" name batch_size)
+        reference
+        (run_with ~batch_size cat plan))
+    batch_sizes
+
+let test_nested_loop_join () =
+  let cat = ops_catalog () in
+  (* no equi-pair: nested loops over the materialized right side, with
+     one left row expanding past a 7-row batch *)
+  check_sizes ~min_rows:100 cat "a < b"
+    (Plan.join (column "a" <^ column "b") (scan cat "l") (scan cat "r"));
+  check_sizes cat "a + 3 <= b and a <> 5"
+    (Plan.join
+       ((column "a" +^ int 3 <=^ column "b") &&& not_ (column "a" ==^ int 5))
+       (scan cat "l") (scan cat "r"))
+
+let test_correlated_apply_grows_buffer () =
+  let cat = ops_catalog () in
+  (* every outer row pairs with 300 - a inner rows: past 128, so one
+     outer row's expansion outgrows the output buffer *)
+  let inner = Plan.select (column "v" >=^ outer "a") (scan cat "big") in
+  check_sizes ~min_rows:(20 * 281) cat "correlated apply"
+    (Plan.apply (scan cat "l") inner)
+
+let test_cached_apply_runs_inner_lazily () =
+  let cat = ops_catalog () in
+  (* uncorrelated inner: evaluated at most once per run, and never when
+     the outer is empty *)
+  List.iter
+    (fun (outer_table, inner_runs) ->
+      let plan =
+        Plan.apply (scan cat outer_table)
+          (Plan.aggregate [ (count_star, "n") ] (scan cat "big"))
+      in
+      List.iter
+        (fun batch_size ->
+          let sink = Obs.make () in
+          let c =
+            Compile.plan
+              ~config:(Compile.config_with ~batch_size ~observe:sink ())
+              plan
+          in
+          check_rel
+            (Printf.sprintf "apply over %s at batch size %d" outer_table
+               batch_size)
+            (Reference.run cat plan)
+            (Executor.run_compiled cat c);
+          match Obs.snapshot sink with
+          | Some { Obs.children = [ _; inner ]; _ } ->
+              Alcotest.(check int)
+                (Printf.sprintf "inner invocations over %s" outer_table)
+                inner_runs inner.Obs.invocations
+          | _ -> Alcotest.fail "expected an apply node with two children")
+        batch_sizes)
+    [ ("e", 0); ("l", 1) ]
+
+let test_exists_and_not_exists () =
+  let cat = ops_catalog () in
+  List.iter
+    (fun negated ->
+      let name = if negated then "not exists" else "exists" in
+      (* correlated: rows of l with some r row above them (a < 14) *)
+      check_sizes ~min_rows:5 cat (name ^ " (correlated)")
+        (Plan.apply (scan cat "l")
+           (Plan.exists ~negated
+              (Plan.select (column "b" >^ outer "a") (scan cat "r"))));
+      (* uncorrelated, cached: all rows of l or none *)
+      check_sizes cat (name ^ " (cached)")
+        (Plan.apply (scan cat "l")
+           (Plan.exists ~negated
+              (Plan.select (column "b" >^ int 10) (scan cat "r")))))
+    [ false; true ]
+
+let test_governed_correlated_apply () =
+  let cat = ops_catalog () in
+  let plan =
+    Plan.apply (scan cat "l")
+      (Plan.select (column "v" >=^ outer "a") (scan cat "big"))
+  in
+  let expect_violation name kind budget =
+    List.iter
+      (fun batch_size ->
+        match
+          run_with ~governor:(Governor.start budget) ~batch_size cat plan
+        with
+        | _ ->
+            Alcotest.failf "%s at batch size %d: expected a typed failure"
+              name batch_size
+        | exception Errors.Resource_error v ->
+            Alcotest.(check string)
+              (Printf.sprintf "%s at batch size %d" name batch_size)
+              (Errors.resource_kind_to_string kind)
+              (Errors.resource_kind_to_string v.Errors.kind))
+      batch_sizes
+  in
+  expect_violation "row limit" Errors.Row_limit
+    { Governor.unlimited with Governor.row_limit = Some 100 };
+  (* a 1 ns deadline has passed by the first pull *)
+  expect_violation "timeout" Errors.Timeout
+    { Governor.unlimited with Governor.timeout_ns = Some 1 }
+
+(* ---------- the batch size is no longer a session knob ---------- *)
+
+let test_set_batch_size_unknown () =
+  let db = Engine.create () in
+  ignore (Engine.exec db "create table t (a int)");
+  ignore (Engine.exec db "insert into t values (1), (2)");
+  (match Engine.exec db "set batch_size = 64" with
+  | Engine.Failed (Errors.Name_error m) ->
+      Alcotest.(check string) "typed error" "unknown SET knob batch_size" m
+  | _ -> Alcotest.fail "expected a typed Name_error");
+  check_rows "engine still usable" [ [ vi 2 ] ]
+    (Engine.query db "select count(*) from t")
 
 (* ---------- dictionary round-trip ---------- *)
 
@@ -163,23 +309,30 @@ let test_dict_concurrent_shards () =
       let stats = Dict.stats dict in
       Alcotest.(check int) "distinct entries" 97 stats.Dict_stats.entries
 
-(* ---------- TPC-H Q1-Q4: batched = scalar, encoded = plain ---------- *)
+(* ---------- TPC-H Q1-Q4: executor = reference, encoded = plain ---------- *)
 
-let tpch_engine ?batch_size () =
-  let db = Engine.create ?batch_size () in
+let tpch_engine () =
+  let db = Engine.create () in
   Engine.load_tpch db ~msf:0.1;
   db
 
-let test_tpch_batch_equivalence () =
-  let batched = tpch_engine ~batch_size:1024 ()
-  and scalar = tpch_engine ~batch_size:0 () in
+let test_tpch_matches_reference () =
+  let db = tpch_engine () in
+  let cat = Engine.catalog db in
   List.iter
     (fun (name, gapply, baseline) ->
       List.iter
         (fun (form, sql) ->
-          Alcotest.check relation_ordered_testable
-            (Printf.sprintf "%s (%s)" name form)
-            (Engine.query scalar sql) (Engine.query batched sql))
+          let plan = Engine.effective_plan db sql in
+          let reference = Reference.run cat plan in
+          List.iter
+            (fun batch_size ->
+              check_rel
+                (Printf.sprintf "%s (%s) at batch size %d" name form
+                   batch_size)
+                reference
+                (run_with ~batch_size cat plan))
+            [ 7; Batch.default_size ])
         [ ("gapply", gapply); ("baseline", baseline) ])
     Workloads.figure8_queries
 
@@ -205,18 +358,32 @@ let test_tpch_dict_digest () =
 
 let suite =
   [
-    qtest prop_batch_matches_scalar;
-    qtest prop_gapply_batch_matches_scalar;
+    qtest prop_executor_matches_reference;
+    qtest prop_gapply_matches_reference;
     Alcotest.test_case "batch adapters round-trip at size 7" `Quick
       test_batch_roundtrip;
     Alcotest.test_case "Batch.to_array is exact-fit" `Quick
       test_batch_to_array_exact_fit;
+    Alcotest.test_case "batch size below 1 is rejected" `Quick
+      test_batch_size_validated;
+    Alcotest.test_case "nested-loop join = Reference at 1/7/128" `Quick
+      test_nested_loop_join;
+    Alcotest.test_case "correlated Apply past one batch = Reference" `Quick
+      test_correlated_apply_grows_buffer;
+    Alcotest.test_case "cached Apply: empty outer never runs inner" `Quick
+      test_cached_apply_runs_inner_lazily;
+    Alcotest.test_case "EXISTS / NOT EXISTS = Reference at 1/7/128" `Quick
+      test_exists_and_not_exists;
+    Alcotest.test_case "governed correlated Apply fails typed" `Quick
+      test_governed_correlated_apply;
+    Alcotest.test_case "SET batch_size is an unknown knob" `Quick
+      test_set_batch_size_unknown;
     Alcotest.test_case "dictionary round-trips strings" `Quick
       test_dict_roundtrip;
     Alcotest.test_case "concurrent interning agrees across domains" `Quick
       test_dict_concurrent_shards;
-    Alcotest.test_case "TPC-H Q1-Q4: batched = scalar" `Quick
-      test_tpch_batch_equivalence;
+    Alcotest.test_case "TPC-H Q1-Q4 = Reference at sizes 7/128" `Quick
+      test_tpch_matches_reference;
     Alcotest.test_case "TPC-H digest: encoded = plain" `Quick
       test_tpch_dict_digest;
   ]
