@@ -32,7 +32,7 @@ open Cmdliner
 
 let print_outcome timing elapsed = function
   | Engine.Rows rel -> (
-      Format.printf "%a" Relation.pp rel;
+      Format.print_string (Relation.to_string rel);
       if timing then Format.printf "(%.1f ms)@." (1000. *. elapsed))
   | Engine.Message m -> Format.printf "%s@." m
   | Engine.Explanation text -> Format.printf "%s" text
@@ -51,7 +51,7 @@ let run_statement db ~timing ~analyze src =
     let t0 = Unix.gettimeofday () in
     if analyze && is_plain_select src then begin
       let rel, report = Engine.analyze db src in
-      Format.printf "%a" Relation.pp rel;
+      Format.print_string (Relation.to_string rel);
       Format.printf "%s" report;
       if timing then
         Format.printf "(%.1f ms)@." (1000. *. (Unix.gettimeofday () -. t0))

@@ -5,14 +5,7 @@
 type t = { fd : Unix.file_descr; mutable closed : bool }
 
 let connect ?(host = "127.0.0.1") ~port () =
-  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try
-     Unix.connect fd
-       (Unix.ADDR_INET (Unix.inet_addr_of_string host, port))
-   with e ->
-     (try Unix.close fd with Unix.Unix_error _ -> ());
-     raise e);
-  { fd; closed = false }
+  { fd = Wire.dial ~host ~port; closed = false }
 
 let close t =
   if not t.closed then begin

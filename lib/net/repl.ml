@@ -345,22 +345,13 @@ let stream_once r fd =
     | exception (Unix.Unix_error _ | End_of_file) -> continue_ := false
   done
 
-let dial r =
-  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try
-     Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string r.host, r.port))
-   with e ->
-     (try Unix.close fd with Unix.Unix_error _ -> ());
-     raise e);
-  fd
-
 let run r =
   let first = ref true in
   while (not (stopped r)) && replica_state r <> Diverged do
     if not !first then Repl_stats.reconnected r.rstats;
     first := false;
     set_state r Connecting;
-    (match dial r with
+    (match Wire.dial ~host:r.host ~port:r.port with
     | fd ->
         Mutex.protect r.mu (fun () -> r.sock <- Some fd);
         (try stream_once r fd

@@ -89,12 +89,12 @@ let failed_of_exn e =
 
 let response_of_outcome (o : Engine.outcome) : Wire.response =
   match o with
-  | Engine.Rows rel ->
-      Wire.Rows
-        {
-          count = Relation.cardinality rel;
-          body = Format.asprintf "%a" Relation.pp rel;
-        }
+  | Engine.Rows rel -> (
+      (* the table must fit one frame beside its u32 row count; the
+         renderer refuses a larger one before allocating it *)
+      match Relation.to_string ~max_bytes:(Wire.max_frame - 4) rel with
+      | body -> Wire.Rows { count = Relation.cardinality rel; body }
+      | exception (Errors.Exec_error _ as e) -> failed_of_exn e)
   | Engine.Message m -> Wire.Message m
   | Engine.Explanation e -> Wire.Explanation e
   | Engine.Failed e -> failed_of_exn e
@@ -103,9 +103,19 @@ let response_of_outcome (o : Engine.outcome) : Wire.response =
 
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
-let send_quietly fd resp =
+let rec send_quietly fd resp =
   (* the peer may already be gone (EPIPE, reset); its response is moot *)
   try Wire.write_response fd resp with
+  | Wire.Frame_too_large size ->
+      (* refused before a byte went out: the connection is intact *)
+      send_quietly fd
+        (Wire.Failed
+           {
+             cls = "exec";
+             message =
+               Printf.sprintf "reply of %d bytes exceeds the %d-byte frame limit"
+                 size Wire.max_frame;
+           })
   | Unix.Unix_error _ | Wire.Protocol_error _ -> ()
 
 let handle_query t sess ?client sql =
@@ -190,7 +200,7 @@ let handle_connection t id fd =
 let accept_loop t =
   let continue_ = ref true in
   while !continue_ do
-    match Unix.accept ~cloexec:true t.lfd with
+    match Wire.accept t.lfd with
     | fd, _addr ->
         if Mutex.protect t.mu (fun () -> t.stopping) then begin
           close_quietly fd

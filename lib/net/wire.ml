@@ -33,6 +33,7 @@
    class "protocol" and closes, so a confused client never hangs. *)
 
 exception Protocol_error of string
+exception Frame_too_large of int
 
 let max_frame = 64 * 1024 * 1024
 
@@ -122,46 +123,46 @@ let encode_request = function
       ('S', Buffer.contents buf)
   | Quit -> ('X', "")
 
-let encode_response = function
+(* A response as its tag, the fixed fields that open its payload, and
+   the variable tail (reply body, message, snapshot or WAL bytes).  The
+   tail is not copied here: [encode_response] and [write_response] each
+   copy it once, into their exact-size result. *)
+let response_parts = function
   | Rows { count; body } ->
-      let buf = Buffer.create (String.length body + 4) in
+      let buf = Buffer.create 4 in
       put_u32 buf count;
-      Buffer.add_string buf body;
-      ('R', Buffer.contents buf)
-  | Message m -> ('m', m)
-  | Explanation e -> ('E', e)
+      ('R', Buffer.contents buf, body)
+  | Message m -> ('m', "", m)
+  | Explanation e -> ('E', "", e)
   | Failed { cls; message } ->
       if String.length cls > 255 then
         raise (Protocol_error "error class too long");
-      let buf = Buffer.create (String.length cls + String.length message + 1) in
-      Buffer.add_char buf (Char.chr (String.length cls));
-      Buffer.add_string buf cls;
-      Buffer.add_string buf message;
-      ('F', Buffer.contents buf)
+      ('F', String.make 1 (Char.chr (String.length cls)) ^ cls, message)
   | Overloaded { queue_depth; retry_after_ms; message } ->
-      let buf = Buffer.create (String.length message + 8) in
+      let buf = Buffer.create 8 in
       put_u32 buf queue_depth;
       put_u32 buf retry_after_ms;
-      Buffer.add_string buf message;
-      ('O', Buffer.contents buf)
+      ('O', Buffer.contents buf, message)
   | Repl_snapshot { epoch; offset; body } ->
-      let buf = Buffer.create (String.length body + 16) in
+      let buf = Buffer.create 16 in
       put_u64 buf epoch;
       put_u64 buf offset;
-      Buffer.add_string buf body;
-      ('s', Buffer.contents buf)
+      ('s', Buffer.contents buf, body)
   | Repl_batch { epoch; offset; data } ->
-      let buf = Buffer.create (String.length data + 16) in
+      let buf = Buffer.create 16 in
       put_u64 buf epoch;
       put_u64 buf offset;
-      Buffer.add_string buf data;
-      ('b', Buffer.contents buf)
+      ('b', Buffer.contents buf, data)
   | Repl_heartbeat { epoch; offset } ->
       let buf = Buffer.create 16 in
       put_u64 buf epoch;
       put_u64 buf offset;
-      ('h', Buffer.contents buf)
-  | Goodbye -> ('G', "")
+      ('h', Buffer.contents buf, "")
+  | Goodbye -> ('G', "", "")
+
+let encode_response r =
+  let tag, head, tail = response_parts r in
+  (tag, if head = "" then tail else head ^ tail)
 
 (* ---------- decoding (from tag + payload) ---------- *)
 
@@ -252,12 +253,43 @@ let write_all fd s =
     sent := !sent + n
   done
 
-let write_frame fd (tag, payload) =
-  let buf = Buffer.create (String.length payload + 5) in
-  Buffer.add_char buf tag;
-  put_u32 buf (String.length payload);
-  Buffer.add_string buf payload;
-  write_all fd (Buffer.contents buf)
+(* The whole frame — header, fixed fields, tail — is laid out in one
+   exact-size buffer and handed to one [write_all].  A payload over
+   [max_frame] is refused before anything is written: every reader
+   would reject the frame, and the connection stays usable. *)
+let write_frame fd tag head tail =
+  let hl = String.length head and tl = String.length tail in
+  let len = hl + tl in
+  if len > max_frame then raise (Frame_too_large len);
+  let frame = Bytes.create (5 + len) in
+  Bytes.set frame 0 tag;
+  Bytes.set_int32_le frame 1 (Int32.of_int len);
+  Bytes.blit_string head 0 frame 5 hl;
+  Bytes.blit_string tail 0 frame (5 + hl) tl;
+  write_all fd (Bytes.unsafe_to_string frame)
+
+(* Replies go out in one write and the peer waits for the whole frame:
+   with Nagle's algorithm on, a frame's tail can sit behind the peer's
+   delayed ACK for ~40 ms. *)
+let set_nodelay fd = Unix.setsockopt fd Unix.TCP_NODELAY true
+
+let dial ~host ~port =
+  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  (try
+     Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
+     set_nodelay fd
+   with e ->
+     (try Unix.close fd with Unix.Unix_error _ -> ());
+     raise e);
+  fd
+
+let accept lfd =
+  let fd, addr = Unix.accept ~cloexec:true lfd in
+  (try set_nodelay fd
+   with e ->
+     (try Unix.close fd with Unix.Unix_error _ -> ());
+     raise e);
+  (fd, addr)
 
 (* Returns [None] on a clean EOF at a frame boundary. *)
 let read_frame fd =
@@ -279,8 +311,13 @@ let read_frame fd =
        with End_of_file -> raise (Protocol_error "connection closed mid-frame"));
       Some (tag, Bytes.unsafe_to_string payload)
 
-let write_request fd r = write_frame fd (encode_request r)
-let write_response fd r = write_frame fd (encode_response r)
+let write_request fd r =
+  let tag, payload = encode_request r in
+  write_frame fd tag "" payload
+
+let write_response fd r =
+  let tag, head, tail = response_parts r in
+  write_frame fd tag head tail
 
 let read_request fd =
   match read_frame fd with

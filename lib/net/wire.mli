@@ -13,9 +13,14 @@
 
 exception Protocol_error of string
 
+exception Frame_too_large of int
+(** A write refused because its payload (of the given size) exceeds
+    {!max_frame}; nothing was written, so the connection is intact. *)
+
 val max_frame : int
 (** Upper bound on a frame payload (64 MiB); larger frames are a
-    protocol error, not an allocation. *)
+    protocol error when read, not an allocation, and {!Frame_too_large}
+    when written. *)
 
 type lineage =
   | Bootstrap  (** no local state (or an explicit resync request):
@@ -66,7 +71,21 @@ type response =
     signal. *)
 
 val write_request : Unix.file_descr -> request -> unit
+
 val write_response : Unix.file_descr -> response -> unit
+(** One exact-size frame buffer, one complete write: a reply body is
+    copied once on its way to the socket.
+    @raise Frame_too_large before writing if the payload is over
+    {!max_frame}. *)
+
+val dial : host:string -> port:int -> Unix.file_descr
+(** Connect a TCP stream socket with [TCP_NODELAY] set: a frame is
+    written whole, and Nagle's algorithm would hold its tail behind the
+    peer's delayed ACK. *)
+
+val accept : Unix.file_descr -> Unix.file_descr * Unix.sockaddr
+(** [Unix.accept] (close-on-exec) with [TCP_NODELAY] set on the
+    accepted socket. *)
 
 val read_request : Unix.file_descr -> request option
 (** [None] on clean EOF at a frame boundary. *)

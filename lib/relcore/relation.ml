@@ -80,51 +80,82 @@ let equal_as_list a b =
   Array.length a.rows = Array.length b.rows
   && Array.for_all2 Tuple.equal a.rows b.rows
 
-(** Pretty-print as an aligned ASCII table (used by the CLI and examples). *)
-let pp ppf r =
-  let headers =
-    Array.map
-      (fun (c : Schema.column) ->
-        match c.Schema.source with
-        | None -> c.Schema.cname
-        | Some s -> s ^ "." ^ c.Schema.cname)
-      r.schema
-  in
-  let ncols = Array.length headers in
-  let width = Array.map String.length headers in
-  let cells =
-    Array.map
-      (fun row ->
-        Array.mapi
-          (fun i v ->
-            let s = Value.to_string v in
-            if String.length s > width.(i) then width.(i) <- String.length s;
-            s)
-          (Array.sub row 0 ncols))
-      r.rows
-  in
-  let line ppf () =
-    for i = 0 to ncols - 1 do
-      Format.fprintf ppf "+%s" (String.make (width.(i) + 2) '-')
-    done;
-    Format.fprintf ppf "+@\n"
-  in
-  let row ppf cells =
-    for i = 0 to ncols - 1 do
-      Format.fprintf ppf "| %-*s " width.(i) cells.(i)
-    done;
-    Format.fprintf ppf "|@\n"
-  in
+(* The aligned ASCII table — the CLI's output and the server's reply
+   body — rendered in two passes: the first computes every cell and the
+   column widths, the second fills one exact-size [Bytes] with blits and
+   fills.  Rules and rows alike are [sum (width + 3) + 2] bytes long. *)
+let to_string ?max_bytes r =
+  let nrows = Array.length r.rows in
+  let ncols = Array.length r.schema in
   if ncols = 0 then
-    Format.fprintf ppf "(%d row(s) over the empty schema)@\n"
-      (Array.length r.rows)
+    "(" ^ string_of_int nrows ^ " row(s) over the empty schema)\n"
   else begin
-    line ppf ();
-    row ppf headers;
-    line ppf ();
-    Array.iter (row ppf) cells;
-    line ppf ();
-    Format.fprintf ppf "(%d row(s))@\n" (Array.length r.rows)
+    let headers =
+      Array.map
+        (fun (c : Schema.column) ->
+          match c.Schema.source with
+          | None -> c.Schema.cname
+          | Some s -> s ^ "." ^ c.Schema.cname)
+        r.schema
+    in
+    let width = Array.map String.length headers in
+    (* row-major: the cells of row [ri] start at [ri * ncols] *)
+    let cells = Array.make (nrows * ncols) "" in
+    Array.iteri
+      (fun ri row ->
+        if Array.length row < ncols then
+          invalid_arg "Relation.to_string: row shorter than the schema";
+        for i = 0 to ncols - 1 do
+          let s = Value.to_string (Array.unsafe_get row i) in
+          if String.length s > width.(i) then width.(i) <- String.length s;
+          Array.unsafe_set cells ((ri * ncols) + i) s
+        done)
+      r.rows;
+    let line_len = Array.fold_left (fun n w -> n + w + 3) 2 width in
+    let footer = "(" ^ string_of_int nrows ^ " row(s))\n" in
+    let total = (line_len * (nrows + 4)) + String.length footer in
+    (match max_bytes with
+    | Some limit when total > limit ->
+        Errors.exec_errorf
+          "result table of %d bytes exceeds the %d-byte reply limit" total
+          limit
+    | _ -> ());
+    let b = Bytes.create total in
+    let pos = ref 0 in
+    let rule () =
+      for i = 0 to ncols - 1 do
+        Bytes.unsafe_set b !pos '+';
+        Bytes.unsafe_fill b (!pos + 1) (width.(i) + 2) '-';
+        pos := !pos + width.(i) + 3
+      done;
+      Bytes.unsafe_set b !pos '+';
+      Bytes.unsafe_set b (!pos + 1) '\n';
+      pos := !pos + 2
+    in
+    let row strs base =
+      for i = 0 to ncols - 1 do
+        let s = Array.unsafe_get strs (base + i) in
+        let n = String.length s in
+        Bytes.unsafe_set b !pos '|';
+        Bytes.unsafe_set b (!pos + 1) ' ';
+        Bytes.unsafe_blit_string s 0 b (!pos + 2) n;
+        Bytes.unsafe_fill b (!pos + 2 + n) (width.(i) - n + 1) ' ';
+        pos := !pos + width.(i) + 3
+      done;
+      Bytes.unsafe_set b !pos '|';
+      Bytes.unsafe_set b (!pos + 1) '\n';
+      pos := !pos + 2
+    in
+    rule ();
+    row headers 0;
+    rule ();
+    for ri = 0 to nrows - 1 do
+      row cells (ri * ncols)
+    done;
+    rule ();
+    Bytes.blit_string footer 0 b !pos (String.length footer);
+    Bytes.unsafe_to_string b
   end
 
-let to_string r = Format.asprintf "%a" pp r
+(** Pretty-print as an aligned ASCII table: the bytes of {!to_string}. *)
+let pp ppf r = Format.pp_print_string ppf (to_string r)

@@ -41,7 +41,12 @@ val equal_as_multiset : t -> t -> bool
 val equal_as_list : t -> t -> bool
 (** Row-for-row equality including order. *)
 
-val pp : Format.formatter -> t -> unit
-(** Aligned ASCII table (used by the CLI and examples). *)
+val to_string : ?max_bytes:int -> t -> string
+(** Aligned ASCII table: the CLI's output and the server's reply body.
+    Rendered without [Format]: one pass sizes the table, a second fills
+    one exact-size buffer.
+    @raise Errors.Exec_error before allocating anything if the table
+    would exceed [max_bytes] (default: no limit). *)
 
-val to_string : t -> string
+val pp : Format.formatter -> t -> unit
+(** [pp_print_string] of {!to_string}. *)

@@ -34,12 +34,16 @@ let is_null = function
   | Null -> true
   | Int _ | Float _ | Str _ | Bool _ | Sym _ -> false
 
+(* The primitive behind [Printf]'s [%g]: same bytes, without
+   interpreting a format string per call. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 let to_string = function
   | Null -> "NULL"
   | Int i -> string_of_int i
   | Float f ->
       (* Keep a trailing ".0" so floats round-trip through the parser. *)
-      let s = Printf.sprintf "%.12g" f in
+      let s = format_float "%.12g" f in
       if String.contains s '.' || String.contains s 'e' ||
          String.contains s 'n' (* nan, inf *)
       then s

@@ -12,19 +12,35 @@
    - [tag_to_buffer] streams markup text (true constant-space tagging);
    - [tag] builds an [Xml.t] for programmatic use and tests. *)
 
-let key_of (enc : Publish.encoding) (row : Tuple.t) =
-  Tuple.project (List.init enc.Publish.e_key_count (fun i -> i)) row
+(* Whether [row] carries the cluster key of the open parent's row: the
+   key is the first [e_key_count] columns of every row. *)
+let same_key (enc : Publish.encoding) (parent : Tuple.t) (row : Tuple.t) =
+  let rec go i =
+    i = enc.Publish.e_key_count
+    || (Value.equal_total parent.(i) row.(i) && go (i + 1))
+  in
+  go 0
 
-let branch_of (enc : Publish.encoding) (row : Tuple.t) :
+(* Branch descriptors indexed by node id (0 is the parent), so the
+   per-row dispatch is an array load. *)
+let branch_table (enc : Publish.encoding) : Publish.branch_desc option array =
+  let max_id =
+    List.fold_left
+      (fun m (b : Publish.branch_desc) -> max m b.Publish.b_id)
+      0 enc.Publish.e_branches
+  in
+  let table = Array.make (max_id + 1) None in
+  List.iter
+    (fun (b : Publish.branch_desc) -> table.(b.Publish.b_id) <- Some b)
+    enc.Publish.e_branches;
+  table.(0) <- Some enc.Publish.e_parent;
+  table
+
+let branch_of (enc : Publish.encoding) table (row : Tuple.t) :
     Publish.branch_desc =
   match Tuple.get row enc.Publish.e_node_col with
-  | Value.Int 0 -> enc.Publish.e_parent
   | Value.Int id -> (
-      match
-        List.find_opt
-          (fun (b : Publish.branch_desc) -> b.Publish.b_id = id)
-          enc.Publish.e_branches
-      with
+      match if id >= 0 && id < Array.length table then table.(id) else None with
       | Some b -> b
       | None -> Errors.exec_errorf "tagger: unknown node id %d" id)
   | v ->
@@ -42,37 +58,35 @@ let field_elements (branch : Publish.branch_desc) (row : Tuple.t) =
       | v -> Some (Xml.element tag [ Xml.text (Value.to_string v) ]))
     branch.Publish.b_fields
 
+let parent_tag (enc : Publish.encoding) =
+  match enc.Publish.e_parent.Publish.b_tag with Some t -> t | None -> "item"
+
 (** Build the document tree. *)
 let tag (enc : Publish.encoding) (cursor : Cursor.t) : Xml.t =
+  let table = branch_table enc in
   let parents = ref [] in
-  let current_key = ref None in
+  let current_parent = ref None in
   let current_children = ref [] in
   let close_current () =
-    match !current_key with
+    match !current_parent with
     | None -> ()
     | Some _ ->
         parents :=
-          Xml.element
-            (match enc.Publish.e_parent.Publish.b_tag with
-            | Some t -> t
-            | None -> "item")
-            (List.rev !current_children)
-          :: !parents;
-        current_key := None;
+          Xml.element (parent_tag enc) (List.rev !current_children) :: !parents;
+        current_parent := None;
         current_children := []
   in
   Cursor.iter
     (fun row ->
-      let key = key_of enc row in
-      let branch = branch_of enc row in
+      let branch = branch_of enc table row in
       if branch.Publish.b_id = 0 then begin
         close_current ();
-        current_key := Some key;
+        current_parent := Some row;
         current_children := List.rev (field_elements branch row)
       end
       else begin
-        (match !current_key with
-        | Some k when Tuple.equal k key -> ()
+        (match !current_parent with
+        | Some p when same_key enc p row -> ()
         | _ ->
             Errors.exec_errorf
               "tagger: child row %s arrived without its parent (stream \
@@ -92,51 +106,61 @@ let tag (enc : Publish.encoding) (cursor : Cursor.t) : Xml.t =
   close_current ();
   Xml.element enc.Publish.e_root_tag (List.rev !parents)
 
-(** Stream markup into a buffer; memory is bounded by a single row. *)
+let open_tag buf tag =
+  Buffer.add_char buf '<';
+  Buffer.add_string buf tag;
+  Buffer.add_char buf '>'
+
+let close_tag buf tag =
+  Buffer.add_string buf "</";
+  Buffer.add_string buf tag;
+  Buffer.add_char buf '>'
+
+(** Stream markup into a buffer; memory is bounded by a single row.
+    Writes the bytes [Xml.to_string] gives the tree of {!tag}, except
+    that an element without content is [<t></t>], not [<t/>]. *)
 let tag_to_buffer (enc : Publish.encoding) (cursor : Cursor.t)
     (buf : Buffer.t) : unit =
-  let parent_tag =
-    match enc.Publish.e_parent.Publish.b_tag with
-    | Some t -> t
-    | None -> "item"
-  in
-  Buffer.add_string buf (Printf.sprintf "<%s>" enc.Publish.e_root_tag);
-  let current_key = ref None in
-  let close_current () =
-    if !current_key <> None then
-      Buffer.add_string buf (Printf.sprintf "</%s>" parent_tag)
-  in
-  let emit_fields branch row =
+  let table = branch_table enc in
+  let parent_tag = parent_tag enc in
+  let emit_fields (branch : Publish.branch_desc) row =
     List.iter
-      (fun x -> Buffer.add_string buf (Xml.to_string x))
-      (field_elements branch row)
+      (fun (tag, idx) ->
+        match Tuple.get row idx with
+        | Value.Null -> ()
+        | v ->
+            open_tag buf tag;
+            Xml.escape_into buf (Value.to_string v);
+            close_tag buf tag)
+      branch.Publish.b_fields
   in
+  open_tag buf enc.Publish.e_root_tag;
+  let current_parent = ref None in
   Cursor.iter
     (fun row ->
-      let key = key_of enc row in
-      let branch = branch_of enc row in
+      let branch = branch_of enc table row in
       if branch.Publish.b_id = 0 then begin
-        close_current ();
-        current_key := Some key;
-        Buffer.add_string buf (Printf.sprintf "<%s>" parent_tag);
+        if Option.is_some !current_parent then close_tag buf parent_tag;
+        current_parent := Some row;
+        open_tag buf parent_tag;
         emit_fields branch row
       end
       else begin
-        (match !current_key with
-        | Some k when Tuple.equal k key -> ()
+        (match !current_parent with
+        | Some p when same_key enc p row -> ()
         | _ ->
             Errors.exec_errorf
               "tagger: stream not clustered at row %s" (Tuple.to_string row));
         match branch.Publish.b_tag with
         | Some tag ->
-            Buffer.add_string buf (Printf.sprintf "<%s>" tag);
+            open_tag buf tag;
             emit_fields branch row;
-            Buffer.add_string buf (Printf.sprintf "</%s>" tag)
+            close_tag buf tag
         | None -> emit_fields branch row
       end)
     cursor;
-  close_current ();
-  Buffer.add_string buf (Printf.sprintf "</%s>" enc.Publish.e_root_tag)
+  if Option.is_some !current_parent then close_tag buf parent_tag;
+  close_tag buf enc.Publish.e_root_tag
 
 (** Publish a view end-to-end with the given strategy. *)
 type strategy = Sorted_outer_union | Gapply_pass

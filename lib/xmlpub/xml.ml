@@ -14,21 +14,37 @@ type t =
 let element ?(attrs = []) tag children = Element (tag, attrs, children)
 let text s = Text s
 
+let entity = function
+  | '<' -> Some "&lt;"
+  | '>' -> Some "&gt;"
+  | '&' -> Some "&amp;"
+  | '"' -> Some "&quot;"
+  | _ -> None
+
+(* Runs of plain bytes are blitted whole; only the four special
+   characters are written one at a time. *)
+let escape_into buf s =
+  let start = ref 0 in
+  for i = 0 to String.length s - 1 do
+    match entity (String.unsafe_get s i) with
+    | None -> ()
+    | Some e ->
+        Buffer.add_substring buf s !start (i - !start);
+        Buffer.add_string buf e;
+        start := i + 1
+  done;
+  Buffer.add_substring buf s !start (String.length s - !start)
+
 let escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '<' -> Buffer.add_string buf "&lt;"
-      | '>' -> Buffer.add_string buf "&gt;"
-      | '&' -> Buffer.add_string buf "&amp;"
-      | '"' -> Buffer.add_string buf "&quot;"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+  if not (String.exists (fun c -> Option.is_some (entity c)) s) then s
+  else begin
+    let buf = Buffer.create (String.length s + 16) in
+    escape_into buf s;
+    Buffer.contents buf
+  end
 
 let rec serialize_into buf = function
-  | Text s -> Buffer.add_string buf (escape s)
+  | Text s -> escape_into buf s
   | Element (tag, attrs, children) ->
       Buffer.add_char buf '<';
       Buffer.add_string buf tag;
@@ -37,7 +53,7 @@ let rec serialize_into buf = function
           Buffer.add_char buf ' ';
           Buffer.add_string buf k;
           Buffer.add_string buf "=\"";
-          Buffer.add_string buf (escape v);
+          escape_into buf v;
           Buffer.add_char buf '"')
         attrs;
       if children = [] then Buffer.add_string buf "/>"

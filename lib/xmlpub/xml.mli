@@ -11,7 +11,11 @@ val element : ?attrs:(string * string) list -> string -> t list -> t
 val text : string -> t
 
 val escape : string -> string
-(** XML-escape text content (angle brackets, ampersand, double quote). *)
+(** XML-escape text content (angle brackets, ampersand, double quote).
+    A string with none of them is returned as is, unallocated. *)
+
+val escape_into : Buffer.t -> string -> unit
+(** [escape] appended straight to a buffer. *)
 
 val to_string : t -> string
 (** Compact one-line serialization (self-closing empty elements). *)

@@ -164,10 +164,21 @@ let test_view_validation () =
        false
      with Errors.Plan_error _ -> true)
 
+(* MD5 of the serialized three-level document at msf 0.05, taken before
+   the serializer escaped text straight into its buffer. *)
+let test_document_pinned () =
+  let doc =
+    Xml.to_string (Deep_publish.publish (Lazy.force cat) Deep_view.customer_orders)
+  in
+  Alcotest.(check string) "serialized bytes" "190f74430bb625d456ad38dc61e66369"
+    (Digest.to_hex (Digest.string doc))
+
 let suite =
   [
     Alcotest.test_case "three-level structure" `Quick
       test_three_level_structure;
+    Alcotest.test_case "document matches its pinned digest" `Quick
+      test_document_pinned;
     Alcotest.test_case "derived aggregates at every level" `Quick
       test_derived_aggregates_present;
     Alcotest.test_case "revenue matches SQL" `Quick test_revenue_matches_sql;

@@ -161,6 +161,51 @@ let test_framed_io_round_trip () =
       | _ -> Alcotest.fail "EOF at frame boundary must read as None");
       Unix.close d)
 
+let test_oversized_frame_refused () =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close a with Unix.Unix_error _ -> ());
+      try Unix.close b with Unix.Unix_error _ -> ())
+    (fun () ->
+      let body = String.make (Wire.max_frame + 1) 'x' in
+      (match Wire.write_response a (Wire.Rows { count = 1; body }) with
+      | () -> Alcotest.fail "a payload over max_frame must be refused"
+      | exception Wire.Frame_too_large n ->
+          Alcotest.(check int) "refusal names the payload size"
+            (Wire.max_frame + 5) n);
+      Unix.set_nonblock b;
+      match Unix.read b (Bytes.create 1) 0 1 with
+      | n -> Alcotest.fail (Printf.sprintf "refused frame wrote %d byte(s)" n)
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ())
+
+let nodelay fd = Unix.getsockopt fd Unix.TCP_NODELAY
+
+let test_stream_sockets_nodelay () =
+  (* both ends of a live loopback connection, made by the calls the
+     server's acceptors and the clients use *)
+  let lfd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close lfd with Unix.Unix_error _ -> ())
+    (fun () ->
+      Unix.bind lfd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+      Unix.listen lfd 1;
+      let port =
+        match Unix.getsockname lfd with
+        | Unix.ADDR_INET (_, p) -> p
+        | _ -> Alcotest.fail "no port"
+      in
+      let client = Wire.dial ~host:"127.0.0.1" ~port in
+      let server, _ = Wire.accept lfd in
+      Alcotest.(check bool) "dialed end" true (nodelay client);
+      Alcotest.(check bool) "accepted end" true (nodelay server);
+      Unix.close client;
+      Unix.close server);
+  with_server (server_cfg ()) (fun _db srv _stats ->
+      with_client srv (fun c ->
+          Alcotest.(check bool) "Net_client connection" true
+            (nodelay (Net_client.fd c))))
+
 (* ---------- admission control ---------- *)
 
 (* Hold an admission slot open until released; used to fill the gate
@@ -722,12 +767,45 @@ let test_server_health_and_metrics () =
       let missing = http_get hp "/nope" in
       Alcotest.(check bool) "unknown path is 404" true (contains missing "404"))
 
+let test_server_oversized_reply () =
+  with_server (server_cfg ()) (fun _db srv _stats ->
+      with_client srv (fun c ->
+          let ack sql =
+            match Net_client.query c sql with
+            | Wire.Message _ -> ()
+            | _ -> Alcotest.fail ("expected an acknowledgement: " ^ String.sub sql 0 20)
+          in
+          ack "create table big (s text)";
+          (* one 1 MiB cell pads its whole column: 71 rows render to
+             about 71 MiB, past the 64 MiB frame limit *)
+          ack (Printf.sprintf "insert into big values ('%s')" (String.make (1 lsl 20) 'x'));
+          ack
+            ("insert into big values "
+            ^ String.concat ", " (List.init 70 (fun _ -> "('y')")));
+          let message =
+            expect_failed "oversized reply" "exec"
+              (Net_client.query c "select s from big")
+          in
+          Alcotest.(check bool) "message names the limit" true
+            (contains message (string_of_int (Wire.max_frame - 4)));
+          let count, _ =
+            expect_rows "the connection still serves"
+              (Net_client.query c "select count(*) as n from big")
+          in
+          Alcotest.(check int) "one row" 1 count))
+
 let suite =
   [
     Alcotest.test_case "wire: codec round-trips every frame shape" `Quick
       test_codec_round_trip;
     Alcotest.test_case "wire: framed io round-trips; torn frames are typed"
       `Quick test_framed_io_round_trip;
+    Alcotest.test_case "wire: an oversized frame is refused unwritten" `Quick
+      test_oversized_frame_refused;
+    Alcotest.test_case "wire: stream sockets set TCP_NODELAY" `Quick
+      test_stream_sockets_nodelay;
+    Alcotest.test_case "server: an oversized reply fails typed, connection open"
+      `Quick test_server_oversized_reply;
     Alcotest.test_case "admission: gate and bounded queue shed beyond capacity"
       `Quick test_admission_gate_queue_shed;
     Alcotest.test_case "admission: queue deadline sheds promptly" `Quick

@@ -112,8 +112,138 @@ let test_fk_metadata () =
     (Catalog.covers_primary_key cat ~table:"supplier"
        ~cols:[ "s_suppkey"; "s_name" ])
 
+(* ---------- the rendered table ---------- *)
+
+(* The renderer [Relation.to_string] replaced: [Format] per cell and
+   [Printf] per float, kept as the oracle for its bytes. *)
+let format_render r =
+  let cell = function
+    | Value.Float f ->
+        let s = Printf.sprintf "%.12g" f in
+        if String.contains s '.' || String.contains s 'e' || String.contains s 'n'
+        then s
+        else s ^ ".0"
+    | v -> Value.to_string v
+  in
+  let headers =
+    Array.map
+      (fun (c : Schema.column) ->
+        match c.Schema.source with
+        | None -> c.Schema.cname
+        | Some s -> s ^ "." ^ c.Schema.cname)
+      (Relation.schema r)
+  in
+  let ncols = Array.length headers in
+  let width = Array.map String.length headers in
+  let cells =
+    Array.map
+      (fun row ->
+        Array.mapi
+          (fun i v ->
+            let s = cell v in
+            if String.length s > width.(i) then width.(i) <- String.length s;
+            s)
+          (Array.sub row 0 ncols))
+      (Relation.rows_array r)
+  in
+  let line ppf () =
+    for i = 0 to ncols - 1 do
+      Format.fprintf ppf "+%s" (String.make (width.(i) + 2) '-')
+    done;
+    Format.fprintf ppf "+@\n"
+  in
+  let row ppf cells =
+    for i = 0 to ncols - 1 do
+      Format.fprintf ppf "| %-*s " width.(i) cells.(i)
+    done;
+    Format.fprintf ppf "|@\n"
+  in
+  Format.asprintf "%t" (fun ppf ->
+      if ncols = 0 then
+        Format.fprintf ppf "(%d row(s) over the empty schema)@\n"
+          (Array.length cells)
+      else begin
+        line ppf ();
+        row ppf headers;
+        line ppf ();
+        Array.iter (row ppf) cells;
+        line ppf ();
+        Format.fprintf ppf "(%d row(s))@\n" (Array.length cells)
+      end)
+
+let sym_pool = Strpool.create ()
+
+let gen_string =
+  QCheck.Gen.(
+    oneof
+      [
+        oneofl [ ""; "x"; "héllo"; "日本語"; "naïve café"; "a | b"; "-+-" ];
+        string_size ~gen:printable (int_range 0 12);
+      ])
+
+let gen_float =
+  QCheck.Gen.(
+    oneof
+      [
+        float;
+        oneofl
+          [ nan; infinity; neg_infinity; -0.; 0.; 1e-300; 1e300; 3.; -42.; 0.1;
+            1e15; 123456789012.5; max_float; min_float ];
+        map float_of_int small_signed_int;
+      ])
+
+let gen_value =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return Value.Null);
+        (1, map (fun b -> Value.Bool b) bool);
+        (2, map (fun i -> Value.Int i) (oneof [ int; oneofl [ min_int; max_int; 0; -1 ] ]));
+        (2, map (fun f -> Value.Float f) gen_float);
+        (2, map (fun s -> Value.Str s) gen_string);
+        (1, map (fun s -> Value.Sym (sym_pool, Strpool.intern sym_pool s)) gen_string);
+      ])
+
+let gen_column =
+  QCheck.Gen.(
+    map2
+      (fun source name -> Schema.column ?source name Datatype.Str)
+      (opt (oneofl [ "t"; "ps1"; "très" ]))
+      (oneofl [ "a"; "b"; "p_name"; ""; "ü"; "count(*)"; "a_rather_long_column_name" ]))
+
+(* zero to four columns (zero is the empty schema), zero to six rows *)
+let gen_relation =
+  QCheck.Gen.(
+    int_range 0 4 >>= fun ncols ->
+    list_repeat ncols gen_column >>= fun cols ->
+    int_range 0 6 >>= fun nrows ->
+    list_repeat nrows (list_repeat ncols gen_value) >|= fun rows ->
+    Relation.make (Schema.of_list cols) (List.map Tuple.of_list rows))
+
+let prop_render_matches_format =
+  QCheck.Test.make ~count:1000 ~name:"to_string = the Format renderer, byte for byte"
+    (QCheck.make ~print:format_render gen_relation)
+    (fun r -> String.equal (Relation.to_string r) (format_render r))
+
+let test_render_size_limit () =
+  let r =
+    rel [ ("a", Datatype.Int); ("b", Datatype.Str) ] [ [ vi 1; vs "x" ]; [ vnull; vs "yz" ] ]
+  in
+  let s = Relation.to_string r in
+  Alcotest.(check string) "a limit the table fits renders it" s
+    (Relation.to_string ~max_bytes:(String.length s) r);
+  match Relation.to_string ~max_bytes:(String.length s - 1) r with
+  | _ -> Alcotest.fail "a table over the limit must be refused"
+  | exception Errors.Exec_error m ->
+      Alcotest.(check string) "message names the size and the limit"
+        (Printf.sprintf "result table of %d bytes exceeds the %d-byte reply limit"
+           (String.length s) (String.length s - 1))
+        m
+
 let suite =
   [
+    QCheck_alcotest.to_alcotest prop_render_matches_format;
+    Alcotest.test_case "rendered table size limit" `Quick test_render_size_limit;
     Alcotest.test_case "schema find" `Quick test_schema_find;
     Alcotest.test_case "schema qualified resolution" `Quick
       test_schema_qualified;

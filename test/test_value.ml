@@ -62,6 +62,27 @@ let test_literal_rendering () =
   Alcotest.(check string) "float keeps point" "3.0" (Value.to_string (vf 3.));
   Alcotest.(check string) "null" "NULL" (Value.to_string vnull)
 
+(* The rendering rule before floats went straight to the formatting
+   primitive: [Printf]'s %.12g, plus ".0" when that reads as an int. *)
+let printf_float_rule f =
+  let s = Printf.sprintf "%.12g" f in
+  if String.contains s '.' || String.contains s 'e' || String.contains s 'n'
+  then s
+  else s ^ ".0"
+
+let prop_float_rendering =
+  QCheck.Test.make ~count:2000 ~name:"Value.to_string (Float f) = the Printf rule"
+    (QCheck.make ~print:(Printf.sprintf "%h")
+       QCheck.Gen.(
+         oneof
+           [
+             float;
+             map Int64.float_of_bits ui64;
+             map float_of_int int;
+             oneofl [ nan; infinity; neg_infinity; -0.; 1e-300; 1e300; 5e-324 ];
+           ]))
+    (fun f -> String.equal (Value.to_string (vf f)) (printf_float_rule f))
+
 let test_datatype_unify () =
   Alcotest.(check bool) "null unifies" true
     (Datatype.unify Datatype.Null Datatype.Float = Some Datatype.Float);
@@ -83,5 +104,6 @@ let suite =
     Alcotest.test_case "arithmetic" `Quick test_arithmetic;
     Alcotest.test_case "3VL truth tables" `Quick test_truth_tables;
     Alcotest.test_case "literal rendering" `Quick test_literal_rendering;
+    QCheck_alcotest.to_alcotest prop_float_rendering;
     Alcotest.test_case "datatype unification" `Quick test_datatype_unify;
   ]

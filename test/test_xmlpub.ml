@@ -16,6 +16,19 @@ let test_serializer () =
   Alcotest.(check string) "serialized"
     "<a k=\"v\"><b>x&lt;y&amp;z</b><c/></a>" (Xml.to_string doc)
 
+let test_escape () =
+  let plain = "no markup here" in
+  Alcotest.(check bool) "nothing to escape: the input itself" true
+    (Xml.escape plain == plain);
+  Alcotest.(check string) "every special character" "&lt;a&gt; &amp; &quot;b&quot;"
+    (Xml.escape "<a> & \"b\"");
+  let buf = Buffer.create 16 in
+  Buffer.add_string buf "[";
+  Xml.escape_into buf "x<y";
+  Xml.escape_into buf "";
+  Xml.escape_into buf "&";
+  Alcotest.(check string) "escape_into appends" "[x&lt;y&amp;" (Buffer.contents buf)
+
 let test_canonicalize_unordered () =
   let d1 = Xml.element "a" [ Xml.element "b" []; Xml.element "c" [] ] in
   let d2 = Xml.element "a" [ Xml.element "c" []; Xml.element "b" [] ] in
@@ -129,9 +142,43 @@ let test_pipelines_on_tpch () =
   Alcotest.(check bool) "non-trivial document" true
     (count_elements "part" doc > 10)
 
+(* MD5 of the streamed Figure-1 documents, taken before the tagger
+   wrote markup straight into the buffer.  msf 0.5 is the publish
+   benchmark's scale, the smallest at which both group-selection specs
+   keep suppliers. *)
+let figure1_digests =
+  [
+    ("view", Publish.of_view Xml_view.figure1, "4961f9ce6e4e968b64f231b8ae9df451");
+    ("q1", Flwr.compile Flwr.q1, "4eb7ed73b322ed7afa2b8eb29f273eb4");
+    ("q1_extended", Flwr.compile Flwr.q1_extended, "f2a0749aa5a04fb1e464a1678d60604e");
+    ( "exists_1890",
+      Flwr.compile (Flwr.expensive_part_suppliers 1890.),
+      "b753c10c5fef9e6ebc0a167fc21b4fc9" );
+    ( "avg_1400",
+      Flwr.compile (Flwr.high_average_suppliers 1400.),
+      "94b13abc132279f8c74b5cd2e8c9983d" );
+  ]
+
+let test_figure1_documents_pinned () =
+  let cat = Tpch_gen.catalog ~msf:0.5 () in
+  List.iter
+    (fun (label, spec, digest) ->
+      let plan, enc = Publish.gapply_plan cat spec in
+      let buf = Buffer.create (1 lsl 16) in
+      Tagger.tag_to_buffer enc ((Compile.plan plan).Compile.run (Env.make cat)) buf;
+      let doc = Buffer.contents buf in
+      Alcotest.(check string) (label ^ ": streamed bytes") digest
+        (Digest.to_hex (Digest.string doc));
+      Alcotest.(check string) (label ^ ": tree serialization") doc
+        (Xml.to_string (Tagger.publish cat spec)))
+    figure1_digests
+
 let suite =
   [
     Alcotest.test_case "serializer + escaping" `Quick test_serializer;
+    Alcotest.test_case "escape allocates only when it must" `Quick test_escape;
+    Alcotest.test_case "Figure-1 documents match pinned digests" `Quick
+      test_figure1_documents_pinned;
     Alcotest.test_case "unordered canonical comparison" `Quick
       test_canonicalize_unordered;
     Alcotest.test_case "figure-1 pipelines agree" `Quick
