@@ -295,8 +295,8 @@ let bench_partitioning ~msf ~repeat () =
   let cat = Tpch_gen.catalog ~msf () in
   (* the paper's claim is that the *speedup over the baseline* is
      comparable whichever way GApply partitions *)
-  Format.printf "%-4s %12s %12s %12s %16s %16s@." "" "baseline" "sort (ms)"
-    "hash (ms)" "speedup (sort)" "speedup (hash)";
+  Format.printf "%-4s %12s %12s %12s %16s %16s %6s@." "" "baseline"
+    "sort (ms)" "hash (ms)" "speedup (sort)" "speedup (hash)" "same?";
   List.iter
     (fun (name, gapply_src, baseline_src) ->
       let plan = optimize cat (bind cat gapply_src) in
@@ -316,14 +316,26 @@ let bench_partitioning ~msf ~repeat () =
               ~config:(Compile.config_with ~partition:Compile.Hash_partition ())
               cat plan)
       in
-      Format.printf "%-4s %12.1f %12.1f %12.1f %15.2fx %15.2fx@." name
+      (* the strategies may emit groups in different orders, so the
+         results are compared as multisets *)
+      let identical =
+        Relation.equal_as_multiset
+          (Executor.run
+             ~config:(Compile.config_with ~partition:Compile.Sort_partition ())
+             cat plan)
+          (Executor.run
+             ~config:(Compile.config_with ~partition:Compile.Hash_partition ())
+             cat plan)
+      in
+      Format.printf "%-4s %12.1f %12.1f %12.1f %15.2fx %15.2fx %6b@." name
         (ms t_base) (ms t_sort) (ms t_hash) (t_base /. t_sort)
-        (t_base /. t_hash);
+        (t_base /. t_hash) identical;
       record ~section:"partitioning" ~query:name
         [
           ("baseline_ms", Json.Float (ms t_base));
           ("sort_ms", Json.Float (ms t_sort));
           ("hash_ms", Json.Float (ms t_hash));
+          ("identical", Json.Bool identical);
         ])
     Workloads.figure8_queries
 
@@ -429,6 +441,14 @@ let bench_clientsim ~msf ~repeat () =
 
 (* ---------- XML publishing pipeline ---------- *)
 
+let record_pipeline name t_ou t_ga same =
+  record ~section:"pipeline" ~query:name
+    [
+      ("outer_union_ms", Json.Float (ms t_ou));
+      ("gapply_ms", Json.Float (ms t_ga));
+      ("same", Json.Bool same);
+    ]
+
 let bench_pipeline ~msf ~repeat () =
   header
     (Printf.sprintf
@@ -465,7 +485,8 @@ let bench_pipeline ~msf ~repeat () =
           (Tagger.publish ~strategy:Tagger.Gapply_pass cat spec)
       in
       Format.printf "%-28s %16.1f %14.1f %9.2fx %6b@." name (ms t_ou)
-        (ms t_ga) (t_ou /. t_ga) same)
+        (ms t_ga) (t_ou /. t_ga) same;
+      record_pipeline name t_ou t_ga same)
     specs;
   (* the three-level customer -> order -> lineitem view with per-level
      aggregates (deep publisher) *)
@@ -482,7 +503,8 @@ let bench_pipeline ~msf ~repeat () =
       (Deep_publish.publish ~strategy:Deep_publish.Gapply_pass cat deep)
   in
   Format.printf "%-28s %16.1f %14.1f %9.2fx %6b@."
-    "3-level orders (3 aggs)" (ms t_ou) (ms t_ga) (t_ou /. t_ga) same
+    "3-level orders (3 aggs)" (ms t_ou) (ms t_ga) (t_ou /. t_ga) same;
+  record_pipeline "3-level orders (3 aggs)" t_ou t_ga same
 
 (* ---------- ablations of engine design choices (DESIGN.md §5) -------- *)
 

@@ -698,8 +698,8 @@ let lookup_or_prepare db sql = lookup_or_prepare_key db (cache_key db sql)
 (* The memory ceiling almost always trips in a materialization phase
    whose footprint depends on the partitioning strategy: hash
    partitioning buffers a table slot + bucket cell + key copy per row
-   (plus a merge pass when parallel), sort partitioning only a decorated
-   row tag.  So when a hash-partitioned (or parallel) statement trips
+   (plus a merge pass when parallel), sort partitioning only the merge
+   buffer and group lists.  So when a hash-partitioned (or parallel) statement trips
    the ceiling, one retry under {sort partitioning, parallelism 1} —
    with a fresh governor and the same budget — frequently completes.
    The downgrade is recorded in [Gov_stats] and keyed into the plan

@@ -128,7 +128,8 @@ let tuple_bytes (row : Tuple.t) =
 (* Per-row partition-structure overheads.  Hash partitioning pays for a
    table slot, a bucket cons cell and a projected key copy per row (and
    the parallel phase additionally merges per-domain partials); sort
-   partitioning only decorates each row with a (key, index) tag.  The
+   partitioning sorts the rows in place and pays only the merge sort's
+   scratch buffer and a group-list cell per row.  The
    constants encode that real gap — it is why the engine can degrade
    from hash to sort when the ceiling trips. *)
 let hash_partition_overhead_per_row = 112

@@ -79,6 +79,31 @@ let key_indexes schema (refs : Expr.col_ref list) : int array =
 let project_key (idxs : int array) (row : Tuple.t) : Tuple.t =
   Array.map (fun i -> row.(i)) idxs
 
+(* Compare two rows in place on key columns [idxs], most significant
+   first; [desc.(k)] reverses key [k]. *)
+let compare_on (idxs : int array) (desc : bool array) : Tuple.t -> Tuple.t -> int
+    =
+  let n = Array.length idxs in
+  let rec go a b k =
+    if k = n then 0
+    else
+      let i = Array.unsafe_get idxs k in
+      let c =
+        Value.compare_total (Array.unsafe_get a i) (Array.unsafe_get b i)
+      in
+      if c = 0 then go a b (k + 1) else if Array.unsafe_get desc k then -c else c
+  in
+  fun a b -> go a b 0
+
+(* The one row sort (ORDER BY and sort partitioning): stable, in place
+   on the operator's own materialized array.  Stability is the
+   tiebreak — equal keys keep input order — and the pool's merge sort
+   is stable too, so both paths give the same answer. *)
+let sort_rows ?pool cmp (rows : Tuple.t array) =
+  match pool with
+  | Some pool -> Domain_pool.parallel_sort pool cmp rows
+  | None -> Array.stable_sort cmp rows
+
 (* below this many rows the per-domain partial tables of the parallel
    partition phase cost more than they save *)
 let parallel_partition_threshold = 1024
@@ -431,57 +456,52 @@ and compile ~config ~(outer : Schema.t list) (p : Plan.t) :
       (schema, fun env -> Batch.filter (make_pred env) (c.brun env))
   | Plan.Order_by { keys; input } ->
       let c = plan ~config ~outer input in
-      let compiled_keys =
-        List.map (fun (e, dir) -> (Eval.compile c.schema e, dir)) keys
+      (* a bare-column key is compared in place; any other key is
+         evaluated once per row into a trailing column of a widened row,
+         which the same comparator sorts and the output drops *)
+      let arity = Schema.arity c.schema in
+      let exprs =
+        List.filter_map
+          (function
+            | Expr.Col _, _ -> None | e, _ -> Some (Eval.compile c.schema e))
+          keys
       in
-      let sort_rows env (rows : Tuple.t array) : Tuple.t array =
-        Governor.charge env.Env.governor ~op:"orderby.sort"
-          (Array.length rows * Governor.sort_partition_overhead_per_row);
-        let decorated =
-          Array.map
-            (fun row ->
-              ( List.map
-                  (fun (ce, dir) -> (ce env.Env.frames row, dir))
-                  compiled_keys,
-                row ))
-            rows
-        in
-        let cmp (ka, _) (kb, _) =
-          let rec go a b =
-            match (a, b) with
-            | [], [] -> 0
-            | (va, dir) :: ra, (vb, _) :: rb ->
-                let c = Value.compare_total va vb in
-                let c =
-                  match dir with
-                  | Plan.Asc -> c
-                  | Plan.Desc -> -c
-                in
-                if c <> 0 then c else go ra rb
-            | _ -> 0
-          in
-          go ka kb
-        in
-        (* stable sort keeps multiset evaluation deterministic *)
-        let arr = Array.mapi (fun i x -> (i, x)) decorated in
-        Array.sort
-          (fun (i, a) (j, b) ->
-            let c = cmp a b in
-            if c <> 0 then c else compare i j)
-          arr;
-        Array.map (fun (_, (_, row)) -> row) arr
+      let next = ref arity in
+      let idx = function
+        | Expr.Col r, _ -> Schema.find ?qual:r.Expr.qual r.Expr.name c.schema
+        | _ -> incr next; !next - 1
+      in
+      let cmp =
+        compare_on
+          (Array.of_list (List.map idx keys))
+          (Array.of_list (List.map (fun (_, dir) -> dir = Plan.Desc) keys))
       in
       ( schema,
         fun env ->
           Batch.deferred (fun () ->
+              let gov = env.Env.governor in
               let rows =
                 Batch.to_array
-                  ?account:
-                    (Governor.batch_accountant env.Env.governor
-                       ~op:"orderby.input")
+                  ?account:(Governor.batch_accountant gov ~op:"orderby.input")
                   (c.brun env)
               in
-              Batch.of_array ~size (sort_rows env rows)) )
+              Governor.charge gov ~op:"orderby.sort"
+                (Array.length rows * Governor.sort_partition_overhead_per_row);
+              let pool = Domain_pool.for_parallelism config.parallelism in
+              match exprs with
+              | [] ->
+                  sort_rows ?pool cmp rows;
+                  Batch.of_array ~size rows
+              | _ ->
+                  let frames = env.Env.frames in
+                  let widen row =
+                    Array.append row
+                      (Array.of_list (List.map (fun ce -> ce frames row) exprs))
+                  in
+                  let wide = Array.map widen rows in
+                  sort_rows ?pool cmp wide;
+                  Batch.of_array ~size
+                    (Array.map (fun row -> Array.sub row 0 arity) wide)) )
   | Plan.Union_all branches ->
       let cs = List.map (plan ~config ~outer) branches in
       (schema, fun env -> Batch.concat (List.map (fun c () -> c.brun env) cs))
@@ -615,8 +635,9 @@ and compile ~config ~(outer : Schema.t list) (p : Plan.t) :
 
    Memory accounting mirrors the real structures: hashing pays per-row
    table overhead (plus a merge pass when parallel) through
-   [group_rows]; sorting only pays the decoration tags.  The governor's
-   graceful degradation leans on exactly this asymmetry. *)
+   [group_rows]; sorting only pays the merge buffer and the group
+   lists.  The governor's graceful degradation leans on exactly this
+   asymmetry. *)
 and partition ~config ?pool ?gov ~idxs (rows : Tuple.t array) :
     (Tuple.t * Tuple.t list) list =
   match config.partition with
@@ -626,28 +647,19 @@ and partition ~config ?pool ?gov ~idxs (rows : Tuple.t array) :
       Governor.check gov ~op:"gapply.partition(sort)";
       Governor.charge gov ~op:"gapply.partition(sort)"
         (Array.length rows * Governor.sort_partition_overhead_per_row);
-      (* decorate-sort-undecorate: keys are projected once per row; the
-         index tiebreak makes the comparison a total order, so the
-         (unstable) parallel sort gives the sequential answer *)
-      let tagged =
-        Array.mapi (fun i row -> (project_key idxs row, i, row)) rows
-      in
-      let cmp (ka, i, _) (kb, j, _) =
-        let c = Tuple.compare ka kb in
-        if c <> 0 then c else compare i j
-      in
-      (match pool with
-      | Some pool -> Domain_pool.parallel_sort pool cmp tagged
-      | None -> Array.sort cmp tagged);
-      let out = ref [] in
-      Array.iter
-        (fun (key, _, row) ->
-          match !out with
-          | (k, members) :: rest when Tuple.equal k key ->
-              out := (k, row :: members) :: rest
-          | _ -> out := (key, [ row ]) :: !out)
-        tagged;
-      List.rev_map (fun (k, members) -> (k, List.rev members)) !out
+      (* sort the rows on the key columns, then cut a group wherever
+         adjacent keys differ; each group's key is projected once *)
+      let cmp = compare_on idxs (Array.make (Array.length idxs) false) in
+      sort_rows ?pool cmp rows;
+      let groups = ref [] and members = ref [] in
+      for i = Array.length rows - 1 downto 0 do
+        members := rows.(i) :: !members;
+        if i = 0 || cmp rows.(i - 1) rows.(i) <> 0 then begin
+          groups := (project_key idxs rows.(i), !members) :: !groups;
+          members := []
+        end
+      done;
+      !groups
 
 (* Joins: hash join on extracted equi-pairs when possible, nested loops
    otherwise.  NULL join keys never match (SQL semantics), so rows with a

@@ -188,8 +188,8 @@ let parallel_map_array (t : t) (f : 'a -> 'b) (input : 'a array) : 'b array =
 
 (* Parallel merge sort (in place): sort contiguous runs on the pool,
    then ping-pong pairwise merges between the array and a scratch
-   buffer.  Not stable — callers pass a total order (the engine's
-   decorated sorts tiebreak on the original index). *)
+   buffer.  Stable: runs are sorted with [Array.stable_sort] and a merge
+   takes ties from the left (earlier) run. *)
 
 let merge ~cmp (src : 'a array) lo mid hi (dst : 'a array) =
   let i = ref lo and j = ref mid in
@@ -206,50 +206,36 @@ let merge ~cmp (src : 'a array) lo mid hi (dst : 'a array) =
 
 let parallel_sort (t : t) (cmp : 'a -> 'a -> int) (arr : 'a array) : unit =
   let n = Array.length arr in
-  if t.workers = 0 || n < 4096 then Array.sort cmp arr
+  if t.workers = 0 || n < 4096 then Array.stable_sort cmp arr
   else begin
-    let nruns = t.workers + 1 in
-    let size = (n + nruns - 1) / nruns in
-    let runs =
-      Array.init nruns (fun i -> (i * size, min n ((i + 1) * size)))
-      |> Array.to_list
-      |> List.filter (fun (lo, hi) -> lo < hi)
-      |> Array.of_list
-    in
+    (* run [i] is [bounds.(i), bounds.(i + 1)) *)
+    let nruns = min (t.workers + 1) n in
+    let bounds = Array.init (nruns + 1) (fun i -> i * n / nruns) in
     ignore
       (parallel_map_array t
-         (fun (lo, hi) ->
-           let sub = Array.sub arr lo (hi - lo) in
-           Array.sort cmp sub;
-           Array.blit sub 0 arr lo (hi - lo))
-         runs);
-    let scratch = Array.copy arr in
-    let rec passes (src : 'a array) (dst : 'a array) (runs : (int * int) array)
-        =
-      if Array.length runs <= 1 then src
+         (fun i ->
+           let lo = bounds.(i) and len = bounds.(i + 1) - bounds.(i) in
+           let sub = Array.sub arr lo len in
+           Array.stable_sort cmp sub;
+           Array.blit sub 0 arr lo len)
+         (Array.init nruns Fun.id));
+    (* merge run pairs; an odd last run is merged with an empty one,
+       which copies it *)
+    let rec passes src dst bounds =
+      let nruns = Array.length bounds - 1 in
+      if nruns <= 1 then src
       else begin
-        let npairs = (Array.length runs + 1) / 2 in
+        let npairs = (nruns + 1) / 2 in
+        let b k = bounds.(min k nruns) in
         ignore
           (parallel_map_array t
              (fun p ->
-               let lo, mid = runs.(2 * p) in
-               if (2 * p) + 1 < Array.length runs then
-                 let _, hi = runs.((2 * p) + 1) in
-                 merge ~cmp src lo mid hi dst
-               else Array.blit src lo dst lo (mid - lo))
-             (Array.init npairs (fun p -> p)));
-        let runs' =
-          Array.init npairs (fun p ->
-              let lo, _ = runs.(2 * p) in
-              let hi =
-                if (2 * p) + 1 < Array.length runs then snd runs.((2 * p) + 1)
-                else snd runs.(2 * p)
-              in
-              (lo, hi))
-        in
-        passes dst src runs'
+               let lo = 2 * p in
+               merge ~cmp src (b lo) (b (lo + 1)) (b (lo + 2)) dst)
+             (Array.init npairs Fun.id));
+        passes dst src (Array.init (npairs + 1) (fun p -> b (2 * p)))
       end
     in
-    let result = passes arr scratch runs in
+    let result = passes arr (Array.copy arr) bounds in
     if result != arr then Array.blit result 0 arr 0 n
   end

@@ -40,6 +40,7 @@ val parallel_map_array : t -> ('a -> 'b) -> 'a array -> 'b array
     must be safe to call from multiple domains at once. *)
 
 val parallel_sort : t -> ('a -> 'a -> int) -> 'a array -> unit
-(** In-place parallel merge sort.  Not stable: callers needing
-    determinism pass a total order (e.g. tiebreak on original index).
-    Falls back to [Array.sort] for small inputs or sequential pools. *)
+(** In-place parallel merge sort.  Stable: elements that compare equal
+    keep their input order, so the result equals [Array.stable_sort]'s.
+    Falls back to [Array.stable_sort] for small inputs or sequential
+    pools. *)

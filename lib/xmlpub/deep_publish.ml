@@ -326,16 +326,28 @@ let gapply_plan (catalog : Catalog.t) (v : Deep_view.t) : Plan.t * encoding
 
 (* ---------- the hierarchical constant-space tagger ---------- *)
 
-type frame = {
-  f_tag : string;
-  f_key : Tuple.t;
-  mutable f_children : Xml.t list;  (* reversed *)
+(* A branch's chain as arrays, indexed by level (root level first). *)
+type chain = {
+  c_branch : branch;
+  c_tags : string array;
+  c_slots : int array array;
 }
 
-let chain_keys (b : branch) (row : Tuple.t) : Tuple.t list =
-  List.map
-    (fun slots -> Tuple.of_list (List.map (fun i -> Tuple.get row i) slots))
-    b.b_chain_slots
+(* Chains indexed by node id, so the per-row dispatch is an array load. *)
+let chain_table (enc : encoding) : chain option array =
+  let max_id = List.fold_left (fun m b -> max m b.b_id) 0 enc.e_branches in
+  let table = Array.make (max_id + 1) None in
+  List.iter
+    (fun b ->
+      table.(b.b_id) <-
+        Some
+          {
+            c_branch = b;
+            c_tags = Array.of_list b.b_chain_tags;
+            c_slots = Array.of_list (List.map Array.of_list b.b_chain_slots);
+          })
+    enc.e_branches;
+  table
 
 let field_elements (b : branch) (row : Tuple.t) =
   List.filter_map
@@ -345,77 +357,101 @@ let field_elements (b : branch) (row : Tuple.t) =
       | v -> Some (Xml.element tag [ Xml.text (Value.to_string v) ]))
     b.b_fields
 
-(** Build the document tree from a clustered stream. *)
+(** Build the document tree from a clustered stream.  The open chain is
+    kept per level in arrays with a depth counter: each open element's
+    tag, the row that opened it with that level's key slots, and its
+    children so far (reversed).  A row's keys are compared against the
+    open rows in place. *)
 let tag (enc : encoding) (cursor : Cursor.t) : Xml.t =
-  let root_children = ref [] in
-  let stack : frame list ref = ref [] in
-  let pop () =
-    match !stack with
-    | [] -> ()
-    | frame :: rest ->
-        let element =
-          Xml.element frame.f_tag (List.rev frame.f_children)
-        in
-        (match rest with
-        | [] -> root_children := element :: !root_children
-        | parent :: _ -> parent.f_children <- element :: parent.f_children);
-        stack := rest
+  let table = chain_table enc in
+  let max_depth =
+    Array.fold_left
+      (fun m c ->
+        match c with Some c -> max m (Array.length c.c_tags) | None -> m)
+      0 table
   in
-  let common_prefix tags keys =
-    (* length of the longest prefix of the open stack matching the
-       row's chain (stack is innermost-first) *)
-    let open_frames = List.rev !stack in
-    let rec go n frames tags keys =
-      match (frames, tags, keys) with
-      | f :: fr, t :: tr, k :: kr
-        when String.equal f.f_tag t && Tuple.equal f.f_key k ->
-          go (n + 1) fr tr kr
-      | _ -> n
+  let open_tag = Array.make max_depth "" in
+  let open_row = Array.make max_depth Tuple.empty in
+  let open_slots = Array.make max_depth [||] in
+  let open_children = Array.make max_depth [] in
+  let depth = ref 0 in
+  let root_children = ref [] in
+  let pop () =
+    let d = !depth - 1 in
+    let element = Xml.element open_tag.(d) (List.rev open_children.(d)) in
+    open_children.(d) <- [];
+    if d = 0 then root_children := element :: !root_children
+    else open_children.(d - 1) <- element :: open_children.(d - 1);
+    depth := d
+  in
+  (* whether [row]'s keys at [slots] equal those the open element at
+     [level] was opened on *)
+  let same_key row slots level =
+    let fslots = open_slots.(level) and frow = open_row.(level) in
+    let n = Array.length slots in
+    let rec go j =
+      j = n
+      || Value.equal_total frow.(fslots.(j)) row.(slots.(j))
+         && go (j + 1)
     in
-    go 0 open_frames tags keys
+    Array.length fslots = n && go 0
+  in
+  (* length of the longest prefix of the open chain matching the row's *)
+  let common_prefix c row =
+    let n = min !depth (Array.length c.c_tags) in
+    let rec go level =
+      if
+        level < n
+        && String.equal open_tag.(level) c.c_tags.(level)
+        && same_key row c.c_slots.(level) level
+      then go (level + 1)
+      else level
+    in
+    go 0
   in
   Cursor.iter
     (fun row ->
       match Tuple.get row enc.e_node_col with
       | Value.Int id ->
-          let b = branch_by_id enc id in
-          let keys = chain_keys b row in
-          let depth = List.length b.b_chain_slots in
-          let cp = common_prefix b.b_chain_tags keys in
-          while List.length !stack > cp do
+          let c =
+            match
+              if id >= 0 && id < Array.length table then table.(id) else None
+            with
+            | Some c -> c
+            | None -> Errors.exec_errorf "deep tagger: unknown node id %d" id
+          in
+          let b = c.c_branch in
+          let levels = Array.length c.c_tags in
+          let cp = common_prefix c row in
+          while !depth > cp do
             pop ()
           done;
           (match b.b_tag with
           | Some tag ->
-              if cp <> depth - 1 then
+              if cp <> levels - 1 then
                 Errors.exec_errorf
                   "deep tagger: <%s> row arrived without its parent \
                    (stream not clustered?)"
                   tag;
-              stack :=
-                {
-                  f_tag = tag;
-                  f_key = List.nth keys (depth - 1);
-                  f_children = List.rev (field_elements b row);
-                }
-                :: !stack
+              open_tag.(cp) <- tag;
+              open_row.(cp) <- row;
+              open_slots.(cp) <- c.c_slots.(cp);
+              open_children.(cp) <- List.rev (field_elements b row);
+              depth := cp + 1
           | None ->
-              if cp <> depth then
+              if cp <> levels then
                 Errors.exec_errorf
                   "deep tagger: derived values arrived without their \
                    parent element";
-              (match !stack with
-              | frame :: _ ->
-                  frame.f_children <-
-                    List.rev_append (field_elements b row) frame.f_children
-              | [] ->
-                  Errors.exec_errorf
-                    "deep tagger: derived values at the root"))
+              if cp = 0 then
+                Errors.exec_errorf "deep tagger: derived values at the root";
+              open_children.(cp - 1) <-
+                List.rev_append (field_elements b row) open_children.(cp - 1))
       | v ->
           Errors.exec_errorf "deep tagger: non-integer node id %s"
             (Value.to_string v))
     cursor;
-  while !stack <> [] do
+  while !depth > 0 do
     pop ()
   done;
   Xml.element enc.e_root_tag (List.rev !root_children)

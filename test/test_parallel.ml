@@ -61,7 +61,19 @@ let test_parallel_sort () =
   let expected = Array.copy arr in
   Array.sort compare expected;
   Domain_pool.parallel_sort pool compare arr;
-  Alcotest.(check (array int)) "sorted like Array.sort" expected arr
+  Alcotest.(check (array int)) "sorted like Array.sort" expected arr;
+  (* stability: (key, seq) pairs sorted on a heavily duplicated key
+     alone must keep each key's pairs in seq order, with an even (4)
+     and an odd (3) number of runs *)
+  let on_key (a, _) (b, _) = compare a b in
+  List.iter
+    (fun pool ->
+      let pairs = Array.init n (fun seq -> (next () mod 23, seq)) in
+      let expected = List.stable_sort on_key (Array.to_list pairs) in
+      Domain_pool.parallel_sort pool on_key pairs;
+      Alcotest.(check (list (pair int int)))
+        "stable like List.stable_sort" expected (Array.to_list pairs))
+    [ pool; Domain_pool.create ~num_domains:2 () ]
 
 (* ---------- parallel execution = sequential execution ---------- *)
 

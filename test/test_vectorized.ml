@@ -66,6 +66,110 @@ let prop_gapply_matches_reference =
       Relation.equal_as_multiset (Reference.run cat plan)
         (run_with ~batch_size ~parallelism cat plan))
 
+(* ---------- exact row order ---------- *)
+
+(* Rows equal cell for cell, representation included: [Int 1] and
+   [Float 1.], or a [Str] and the [Sym] of the same text, tie in the
+   sort order but are different cells, so an unstable sort shows. *)
+let same_rows a b =
+  let same_value x y =
+    match (x, y) with
+    | Value.Sym (p, i), Value.Sym (q, j) -> p == q && i = j
+    | Value.Sym _, _ | _, Value.Sym _ -> false
+    | x, y -> x = y
+  in
+  let a = Relation.rows_array a and b = Relation.rows_array b in
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun r s ->
+         Array.length r = Array.length s && Array.for_all2 same_value r s)
+       a b
+
+let mixed_pool = Strpool.create ()
+
+(* few distinct values, several of them equal across representations *)
+let gen_mixed_value : Value.t Gen.t =
+  let sym s = Value.Sym (mixed_pool, Strpool.intern mixed_pool s) in
+  Gen.oneofl
+    [
+      Value.Null; Value.Int 0; Value.Int 1; Value.Int 2; Value.Float 0.5;
+      Value.Float 1.; Value.Float 2.; Value.Str "a"; Value.Str "b"; sym "a";
+      sym "b";
+    ]
+
+let mixed_schema =
+  schema
+    [ ("a", Datatype.Int); ("b", Datatype.Int); ("c", Datatype.Int);
+      ("s", Datatype.Int) ]
+
+(* small relations, and ones past the parallel sort's 4096-row cutoff;
+   column [s] numbers the rows so every reordering is visible *)
+let gen_mixed_relation : Relation.t Gen.t =
+  Gen.map
+    (fun rows ->
+      Relation.make mixed_schema
+        (List.mapi
+           (fun i cells -> Tuple.of_list (cells @ [ Value.Int i ]))
+           rows))
+    (Gen.list_size
+       (Gen.oneof [ Gen.int_range 0 40; Gen.int_range 4096 4400 ])
+       (Gen.list_repeat 3 gen_mixed_value))
+
+(* 1-3 keys over the columns and one expression, each Asc or Desc *)
+let gen_order_keys : (Expr.t * Plan.sort_dir) list Gen.t =
+  let coalesce_a_c =
+    Expr.Case
+      ( [ (Expr.Unary (Expr.Is_null, column "a"), column "c") ],
+        Some (column "a") )
+  in
+  Gen.list_size (Gen.int_range 1 3)
+    (Gen.pair
+       (Gen.oneofl [ column "a"; column "b"; column "c"; coalesce_a_c ])
+       (Gen.oneofl [ Plan.Asc; Plan.Desc ]))
+
+(* Inputs past 4096 rows make shrinking take minutes, so the two
+   properties below report their failing case unshrunk. *)
+let prop_order_by_exact_order =
+  QCheck2.Test.make ~count:120
+    ~name:"ORDER BY = Reference row for row, sizes 1/7/128, parallelism 1/4"
+    (Gen.no_shrink
+       (Gen.quad gen_mixed_relation gen_order_keys gen_batch_size
+          (Gen.oneofl [ 1; 4 ])))
+    (fun (rel, keys, batch_size, parallelism) ->
+      let env = Env.bind_group "g" rel (Env.make (Catalog.create ())) in
+      let plan = Plan.order_by keys (Plan.group_scan ~var:"g" mixed_schema) in
+      same_rows (Reference.eval env plan)
+        (Executor.run_in
+           ~config:(Compile.config_with ~batch_size ~parallelism ())
+           env plan))
+
+let prop_sort_partition_equals_hash =
+  QCheck2.Test.make ~count:60
+    ~name:"clustered GApply: sort partitioning = hash partitioning row for row"
+    (Gen.no_shrink @@ Gen.quad
+       (Gen.oneof
+          [
+            Test_properties.gen_relation ~max_rows:40 Test_properties.g_schema;
+            Gen.map
+              (Relation.make Test_properties.g_schema)
+              (Gen.list_size (Gen.int_range 4096 4300)
+                 (Test_properties.gen_row Test_properties.g_schema));
+          ])
+       (Gen.pair Test_properties.gen_gcols Test_properties.gen_pgq)
+       gen_batch_size (Gen.oneofl [ 1; 4 ]))
+    (fun (rel, (gcols, pgq), batch_size, parallelism) ->
+      let cat = Test_properties.catalog_with_r rel in
+      let plan =
+        Plan.g_apply_clustered ~gcols ~var:"g"
+          ~outer:Test_properties.unqualified_scan_r ~pgq
+      in
+      let run partition =
+        Executor.run
+          ~config:(Compile.config_with ~partition ~batch_size ~parallelism ())
+          cat plan
+      in
+      same_rows (run Compile.Sort_partition) (run Compile.Hash_partition))
+
 (* ---------- batch plumbing ---------- *)
 
 (* of_array / to_cursor round-trip at an adversarial size, preserving
@@ -386,4 +490,6 @@ let suite =
       test_tpch_matches_reference;
     Alcotest.test_case "TPC-H digest: encoded = plain" `Quick
       test_tpch_dict_digest;
+    qtest prop_order_by_exact_order;
+    qtest prop_sort_partition_equals_hash;
   ]
