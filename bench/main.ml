@@ -506,6 +506,123 @@ let bench_pipeline ~msf ~repeat () =
     "3-level orders (3 aggs)" (ms t_ou) (ms t_ga) (t_ou /. t_ga) same;
   record_pipeline "3-level orders (3 aggs)" t_ou t_ga same
 
+(* ---------- number rendering at the output boundary ---------- *)
+
+(* The rule [Value.to_string] must reproduce for numbers: [Printf]'s
+   %.12g plus ".0" when that reads as an int, and [string_of_int]. *)
+let printf_number = function
+  | Value.Float f ->
+      let s = Printf.sprintf "%.12g" f in
+      if String.contains s '.' || String.contains s 'e' || String.contains s 'n'
+      then s
+      else s ^ ".0"
+  | Value.Int i -> string_of_int i
+  | v -> Value.to_string v
+
+(* Whether [Value.to_string] renders [f] on its exact integer path: the
+   smallest k <= 6 with round (|f| * 10^k) < 1e12 dividing back to |f|. *)
+let short_decimal f =
+  let a = Float.abs f in
+  a >= 1e-4 && a < 1e12
+  && List.exists
+       (fun k ->
+         let p = 10. ** float_of_int k in
+         let m = Float.round (a *. p) in
+         m < 1e12 && m /. p = a)
+       [ 0; 1; 2; 3; 4; 5; 6 ]
+
+(* Every Int and Float cell of the Figure 8 Q1-Q4 result tables (the
+   serve workload's replies, msf >= 0.25) and of the five Figure-1
+   tagger streams (the publish workload's, msf >= 0.5), rendered by
+   [Value.to_string] and by the Printf rule: ns per cell for each, the
+   share of floats on the exact path, and whether every cell is
+   byte-equal (CI gates [identical]). *)
+let bench_render ~msf ~repeat () =
+  let table_msf = Float.max msf 0.25 and stream_msf = Float.max msf 0.5 in
+  header
+    (Printf.sprintf "Number rendering: Value.to_string vs Printf (msf %g / %g)"
+       table_msf stream_msf);
+  let db = Engine.create ~parallelism:1 () in
+  Engine.load_tpch db ~msf:table_msf;
+  let tables =
+    List.map
+      (fun (name, sql, _) ->
+        match Engine.exec db sql with
+        | Engine.Rows rel -> (name, Relation.rows_array rel)
+        | _ -> failwith (name ^ ": expected rows"))
+      Workloads.figure8_queries
+  in
+  Engine.close db;
+  let cat = Tpch_gen.catalog ~msf:stream_msf () in
+  let streams =
+    List.map
+      (fun (name, spec) ->
+        let plan, _ = Publish.gapply_plan cat spec in
+        let rows = (Compile.plan plan).Compile.run (Env.make cat) in
+        (name, Cursor.to_array rows))
+      [
+        ("view", Publish.of_view Xml_view.figure1);
+        ("q1", Flwr.compile Flwr.q1);
+        ("q1_extended", Flwr.compile Flwr.q1_extended);
+        ("exists_1890", Flwr.compile (Flwr.expensive_part_suppliers 1890.));
+        ("avg_1400", Flwr.compile (Flwr.high_average_suppliers 1400.));
+      ]
+  in
+  Format.printf "%-12s %8s %8s %10s %12s %12s %10s@." "query" "numeric"
+    "floats" "fast share" "to_string ns" "printf ns" "identical";
+  List.iter
+    (fun (name, rows) ->
+      let cells =
+        Array.of_list
+          (List.filter
+             (function Value.Int _ | Value.Float _ -> true | _ -> false)
+             (List.concat_map Array.to_list (Array.to_list rows)))
+      in
+      let n = Array.length cells in
+      let floats =
+        List.filter_map
+          (function Value.Float f -> Some f | _ -> None)
+          (Array.to_list cells)
+      in
+      let nfloats = List.length floats in
+      let fast_share =
+        if nfloats = 0 then 1.
+        else
+          float_of_int (List.length (List.filter short_decimal floats))
+          /. float_of_int nfloats
+      in
+      let identical =
+        Array.for_all
+          (fun v -> String.equal (Value.to_string v) (printf_number v))
+          cells
+      in
+      (* ten passes per sample keep a sample well above the clock's grain *)
+      let ns_per_cell render =
+        let t =
+          time_runs ~repeat:(max repeat 5) (fun () ->
+              for _ = 1 to 10 do
+                Array.iter
+                  (fun v -> ignore (Sys.opaque_identity (render v)))
+                  cells
+              done)
+        in
+        if n = 0 then 0. else t *. 1e9 /. float_of_int (10 * n)
+      in
+      let t_value = ns_per_cell Value.to_string in
+      let t_printf = ns_per_cell printf_number in
+      Format.printf "%-12s %8d %8d %10.3f %12.1f %12.1f %10b@." name n nfloats
+        fast_share t_value t_printf identical;
+      record ~section:"render" ~query:name
+        [
+          ("numeric_cells", Json.Int n);
+          ("float_cells", Json.Int nfloats);
+          ("fast_share", Json.Float fast_share);
+          ("value_ns_per_cell", Json.Float t_value);
+          ("printf_ns_per_cell", Json.Float t_printf);
+          ("identical", Json.Bool identical);
+        ])
+    (tables @ streams)
+
 (* ---------- ablations of engine design choices (DESIGN.md §5) -------- *)
 
 let bench_ablation ~msf ~repeat () =
@@ -1729,9 +1846,9 @@ let bench_replication ~msf:_ ~repeat:_ () =
 let all_sections =
   [
     "figure8"; "table1"; "partitioning"; "parallel"; "clientsim";
-    "pipeline"; "ablation"; "analyze"; "throughput"; "transactions";
-    "governor"; "durability"; "vectorized"; "server"; "replication";
-    "micro";
+    "pipeline"; "render"; "ablation"; "analyze"; "throughput";
+    "transactions"; "governor"; "durability"; "vectorized"; "server";
+    "replication"; "micro";
   ]
 
 let run_section ~msf ~repeat = function
@@ -1741,6 +1858,7 @@ let run_section ~msf ~repeat = function
   | "parallel" -> bench_parallel ~msf ~repeat ()
   | "clientsim" -> bench_clientsim ~msf ~repeat ()
   | "pipeline" -> bench_pipeline ~msf ~repeat ()
+  | "render" -> bench_render ~msf ~repeat ()
   | "ablation" -> bench_ablation ~msf ~repeat ()
   | "analyze" -> bench_analyze ~msf ~repeat ()
   | "throughput" -> bench_throughput ~msf ~repeat ()

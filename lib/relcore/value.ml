@@ -38,16 +38,88 @@ let is_null = function
    interpreting a format string per call. *)
 external format_float : string -> float -> string = "caml_format_float"
 
+(* ---------- exact number rendering ----------
+
+   Numbers are written digit by digit into an exact-size [Bytes], with
+   the same bytes as [string_of_int] and as [%.12g] plus the ".0" rule.
+   Only the floats that are not short decimals go through the C
+   formatter. *)
+
+(* decimal digits of [n >= 0] *)
+let rec num_digits n = if n < 10 then 1 else 1 + num_digits (n / 10)
+
+(* the low [w] decimal digits of [n >= 0], zero-padded, ending just
+   before [stop] *)
+let rec write_digits b stop n w =
+  if w > 0 then begin
+    Bytes.unsafe_set b (stop - 1) (Char.unsafe_chr (48 + (n mod 10)));
+    write_digits b (stop - 1) (n / 10) (w - 1)
+  end
+
+let int_to_string i =
+  if i = min_int then string_of_int i (* [-i] overflows *)
+  else
+    let sign = if i < 0 then 1 else 0 in
+    let n = abs i in
+    let len = sign + num_digits n in
+    let b = Bytes.create len in
+    if sign = 1 then Bytes.unsafe_set b 0 '-';
+    write_digits b len n (len - sign);
+    Bytes.unsafe_to_string b
+
+(* The C formatter, for the floats the exact path does not cover.  Keep
+   a trailing ".0" so floats round-trip through the parser. *)
+let format_float_slow f =
+  let s = format_float "%.12g" f in
+  if String.contains s '.' || String.contains s 'e' ||
+     String.contains s 'n' (* nan, inf *)
+  then s
+  else s ^ ".0"
+
+let pow10_f = [| 1.; 10.; 100.; 1e3; 1e4; 1e5; 1e6 |]
+let pow10_i = [| 1; 10; 100; 1_000; 10_000; 100_000; 1_000_000 |]
+
+(* [-?q.r] for the decimal [m / 10^k]: [k] fraction digits, or [q.0]
+   when [k = 0]. *)
+let render_decimal neg m k =
+  let sign = if neg then 1 else 0 in
+  let q = m / pow10_i.(k) in
+  let dq = num_digits q in
+  let frac = if k = 0 then 1 else k in
+  let len = sign + dq + 1 + frac in
+  let b = Bytes.create len in
+  if neg then Bytes.unsafe_set b 0 '-';
+  write_digits b (sign + dq) q dq;
+  Bytes.unsafe_set b (sign + dq) '.';
+  write_digits b len (m - (q * pow10_i.(k))) frac;
+  Bytes.unsafe_to_string b
+
+(* Exact path for [a = |f|] in [1e-4, 1e12).  For the smallest [k <= 6]
+   with [m = round (a * 10^k) < 1e12] and [m /. 10^k = a], [f] is the
+   double nearest to the decimal [d = m / 10^k]: [m] and [10^k] are
+   exact doubles and IEEE division is correctly rounded.  [d] has at
+   most 12 significant digits and lies within [2^-53 * a] of [f], far
+   below half a unit in its 12th digit, so [%.12g] prints exactly [d],
+   in fixed notation (its exponent is in [-4, 11]), with trailing zeros
+   stripped — which the smallest [k] never writes. *)
+let rec float_exact f k =
+  if k > 6 then format_float_slow f
+  else
+    (* [a] is recomputed here, not passed: a float argument is boxed *)
+    let a = Float.abs f and p = Array.unsafe_get pow10_f k in
+    let m = Float.round (a *. p) in
+    if m < 1e12 && m /. p = a then render_decimal (f < 0.) (int_of_float m) k
+    else float_exact f (k + 1)
+
+let float_to_string f =
+  let a = Float.abs f in
+  (* false for NaN, infinities and zeros *)
+  if a >= 1e-4 && a < 1e12 then float_exact f 0 else format_float_slow f
+
 let to_string = function
   | Null -> "NULL"
-  | Int i -> string_of_int i
-  | Float f ->
-      (* Keep a trailing ".0" so floats round-trip through the parser. *)
-      let s = format_float "%.12g" f in
-      if String.contains s '.' || String.contains s 'e' ||
-         String.contains s 'n' (* nan, inf *)
-      then s
-      else s ^ ".0"
+  | Int i -> int_to_string i
+  | Float f -> float_to_string f
   | Str s -> s
   | Sym (pool, id) -> Strpool.get pool id  (* the decode boundary *)
   | Bool b -> if b then "TRUE" else "FALSE"

@@ -28,8 +28,10 @@ val type_of : t -> Datatype.t option
 val is_null : t -> bool
 
 val to_string : t -> string
-(** Plain rendering ([NULL], [42], [3.0], [abc], [TRUE]).  Decodes
-    [Sym] handles — this is the output-boundary decode. *)
+(** Plain rendering ([NULL], [42], [3.0], [abc], [TRUE]).  Floats read
+    as [Printf]'s [%.12g], with [".0"] appended when that reads as an
+    integer.  Decodes [Sym] handles — this is the output-boundary
+    decode. *)
 
 val canonical : t -> t
 (** [Sym] decoded back to a plain [Str]; everything else unchanged.

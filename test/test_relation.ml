@@ -114,8 +114,9 @@ let test_fk_metadata () =
 
 (* ---------- the rendered table ---------- *)
 
-(* The renderer [Relation.to_string] replaced: [Format] per cell and
-   [Printf] per float, kept as the oracle for its bytes. *)
+(* The renderer [Relation.to_string] replaced: [Format] per cell,
+   [Printf] per float and [string_of_int] per int, kept as the oracle
+   for its bytes. *)
 let format_render r =
   let cell = function
     | Value.Float f ->
@@ -123,6 +124,7 @@ let format_render r =
         if String.contains s '.' || String.contains s 'e' || String.contains s 'n'
         then s
         else s ^ ".0"
+    | Value.Int i -> string_of_int i
     | v -> Value.to_string v
   in
   let headers =
@@ -240,9 +242,36 @@ let test_render_size_limit () =
            (String.length s) (String.length s - 1))
         m
 
+(* MD5 of the rendered Figure 8 Q1-Q4 tables — the bodies the server
+   replies with — at msf 0.25, seed 1, taken before numbers were written
+   without the C formatter.  The oracle above draws random cells; these
+   pin the bytes of the replies the serve benchmark checks. *)
+let figure8_digests =
+  [
+    ("Q1", "0dcba74ca0cc2201a189f14b3e737c43");
+    ("Q2", "50ea0abe3e3c8608703de2dd9b6f54c1");
+    ("Q3", "e9adb01f476132df759ea78c10422857");
+    ("Q4", "e65baa0aa55afb7a00cb8cb14c5cb36a");
+  ]
+
+let test_figure8_replies_pinned () =
+  let db = Engine.create ~parallelism:1 () in
+  Engine.load_tpch ~seed:1 db ~msf:0.25;
+  List.iter2
+    (fun (name, sql, _) (name', digest) ->
+      assert (name = name');
+      match Engine.exec db sql with
+      | Engine.Rows rel ->
+          Alcotest.(check string) (name ^ ": reply body") digest
+            (Digest.to_hex (Digest.string (Relation.to_string rel)))
+      | _ -> Alcotest.failf "%s: expected rows" name)
+    Workloads.figure8_queries figure8_digests
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_render_matches_format;
+    Alcotest.test_case "Figure 8 reply bodies match pinned digests" `Quick
+      test_figure8_replies_pinned;
     Alcotest.test_case "rendered table size limit" `Quick test_render_size_limit;
     Alcotest.test_case "schema find" `Quick test_schema_find;
     Alcotest.test_case "schema qualified resolution" `Quick

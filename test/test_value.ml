@@ -83,6 +83,54 @@ let prop_float_rendering =
            ]))
     (fun f -> String.equal (Value.to_string (vf f)) (printf_float_rule f))
 
+(* The exact path's domain: short decimals [m / 10^k] across the 12-digit
+   and [k <= 6] limits, the TPC-H prices, products and sums the
+   benchmarks publish, and the edges of [1e-4, 1e12). *)
+let rec pow10 k = if k = 0 then 1 else 10 * pow10 (k - 1)
+
+let gen_short_decimal =
+  QCheck.Gen.(
+    let decimal =
+      map3
+        (fun e m k ->
+          float_of_int (m mod (1 + pow10 e)) /. float_of_int (pow10 k))
+        (int_range 0 13) int (int_range 0 8)
+    in
+    let price = map Tpch_gen.retail_price (int_range 1 200_000) in
+    let product = map2 (fun p q -> p *. float_of_int q) price (int_range 1 50) in
+    let sum =
+      map (List.fold_left ( +. ) 0.) (list_size (int_range 1 7) product)
+    in
+    let edges =
+      oneofl
+        [ 1e-4; Float.pred 1e-4; Float.succ 1e-4; 1e12; Float.pred 1e12;
+          Float.succ 1e12; 999999999999.5; 99999999999.95; 0.; -0.; 5e-324;
+          Float.pred Float.min_float; nan; infinity; neg_infinity ]
+    in
+    let signed g = map2 (fun neg f -> if neg then -.f else f) bool g in
+    oneof [ signed decimal; price; product; sum; signed edges ])
+
+let prop_short_decimal_rendering =
+  QCheck.Test.make ~count:5000
+    ~name:"Value.to_string on short decimals = the Printf rule"
+    (QCheck.make ~print:(Printf.sprintf "%h") gen_short_decimal)
+    (fun f -> String.equal (Value.to_string (vf f)) (printf_float_rule f))
+
+let prop_int_rendering =
+  QCheck.Test.make ~count:2000 ~name:"Value.to_string (Int i) = string_of_int"
+    (QCheck.make ~print:string_of_int
+       QCheck.Gen.(
+         let p = map pow10 (int_range 0 18) in
+         oneof
+           [
+             int;
+             small_signed_int;
+             map2 (fun p neg -> if neg then -p else p) p bool;
+             map2 (fun p neg -> if neg then 1 - p else p - 1) p bool;
+             oneofl [ min_int; max_int; min_int + 1; 0; -1 ];
+           ]))
+    (fun i -> String.equal (Value.to_string (vi i)) (string_of_int i))
+
 let test_datatype_unify () =
   Alcotest.(check bool) "null unifies" true
     (Datatype.unify Datatype.Null Datatype.Float = Some Datatype.Float);
@@ -105,5 +153,7 @@ let suite =
     Alcotest.test_case "3VL truth tables" `Quick test_truth_tables;
     Alcotest.test_case "literal rendering" `Quick test_literal_rendering;
     QCheck_alcotest.to_alcotest prop_float_rendering;
+    QCheck_alcotest.to_alcotest prop_short_decimal_rendering;
+    QCheck_alcotest.to_alcotest prop_int_rendering;
     Alcotest.test_case "datatype unification" `Quick test_datatype_unify;
   ]
