@@ -38,13 +38,14 @@ type t = {
 
 let make ?where ~returns view = { view; where; returns }
 
-let child_index (v : Xml_view.t) tag =
-  let rec go i = function
-    | [] -> Errors.name_errorf "view has no child element <%s>" tag
-    | (c : Xml_view.child_spec) :: rest ->
-        if String.equal c.Xml_view.c_tag tag then i else go (i + 1) rest
-  in
-  go 0 v.Xml_view.children
+let child_of_tag (v : Xml_view.t) tag =
+  match
+    List.find_opt
+      (fun (c : Xml_view.child_spec) -> String.equal c.Xml_view.c_tag tag)
+      v.Xml_view.children
+  with
+  | Some c -> c
+  | None -> Errors.name_errorf "view has no child element <%s>" tag
 
 (** Lower to a publishing spec. *)
 let compile (q : t) : Publish.spec =
@@ -84,22 +85,15 @@ let compile (q : t) : Publish.spec =
         | Parent_fields | Nested_children _ -> None)
       q.returns
   in
-  (* group predicates refer to children of the *original* view (the
-     predicate child need not be returned); the publisher evaluates them
-     against the original child query, so translate indexes carefully:
-     for simplicity we require predicate children to also be returned or
-     be the only child. *)
+  (* a group predicate names a child of the original view, which need
+     not be returned (Section 4.2's "Return $s") *)
   let pred =
     Option.map
       (function
         | Some_child (tag, col, op, value) ->
-            Publish.Child_exists
-              ( (try reindex tag with _ -> child_index v tag),
-                col, op, value )
+            Publish.Child_exists (child_of_tag v tag, col, op, value)
         | Child_agg_cmp (fn, tag, col, op, value) ->
-            Publish.Agg_cmp
-              ( (try reindex tag with _ -> child_index v tag),
-                fn, col, op, value ))
+            Publish.Agg_cmp (child_of_tag v tag, fn, col, op, value))
       q.where
   in
   { Publish.view = view'; derived; pred }

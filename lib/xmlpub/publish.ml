@@ -10,7 +10,9 @@
 
    - [gapply_plan]: the child branches and every derived aggregate are
      produced by a single GApply pass over the child query; the stream is
-     then ordered the same way, and the same tagger applies.
+     then ordered the same way, and the same tagger applies.  A group
+     predicate is evaluated inside the per-group query (Section 4.2's
+     object selection), over the child query joined to its parents.
 
    Both plans produce rows under the same [encoding], so the tagger (and
    the tests) can check they publish identical documents. *)
@@ -23,10 +25,15 @@ type derived_agg = {
 }
 
 type group_pred =
-  | Agg_cmp of int * Expr.agg_fn * string * Expr.binop * float
-      (* child index, aggregate over its column, comparison, constant *)
-  | Child_exists of int * string * Expr.binop * float
+  | Agg_cmp of
+      Xml_view.child_spec * Expr.agg_fn * string * Expr.binop * float
+      (* selecting child, aggregate over its column, comparison, constant *)
+  | Child_exists of Xml_view.child_spec * string * Expr.binop * float
       (* keep parents having some child row with column op constant *)
+
+(* The child a group predicate filters on; it need not be published. *)
+let selecting_child = function
+  | Agg_cmp (c, _, _, _, _) | Child_exists (c, _, _, _) -> c
 
 type spec = {
   view : Xml_view.t;
@@ -136,12 +143,10 @@ let qualifying_keys catalog (spec : spec) : Plan.t option =
   match spec.pred with
   | None -> None
   | Some pred ->
-      let v = spec.view in
-      let child_of i = List.nth v.Xml_view.children i in
+      let c = selecting_child pred in
       let plan =
         match pred with
-        | Child_exists (i, col, op, value) ->
-            let c = child_of i in
+        | Child_exists (_, col, op, value) ->
             Plan.distinct
               (Plan.project
                  (List.mapi
@@ -149,8 +154,7 @@ let qualifying_keys catalog (spec : spec) : Plan.t option =
                     c.Xml_view.c_link)
                  (Plan.select (cmp_expr col op value)
                     (bind catalog c.Xml_view.c_query)))
-        | Agg_cmp (i, fn, col, op, value) ->
-            let c = child_of i in
+        | Agg_cmp (_, fn, col, op, value) ->
             let keys =
               List.map (fun link -> Expr.col link) c.Xml_view.c_link
             in
@@ -206,23 +210,24 @@ let order_and_union ~(enc : encoding) branches =
     (keys @ [ (Expr.column "xnode", Plan.Asc) ])
     (Plan.union_all branches)
 
+(* The parent elements' branch, from [plan] (the parent query). *)
+let parent_branch ~(enc : encoding) (parent : Xml_view.parent_spec) plan =
+  branch_projection ~enc
+    ~key_exprs:(List.map Expr.column parent.Xml_view.p_key)
+    ~branch:enc.e_parent
+    ~payload:(field_exprs parent.Xml_view.p_fields)
+    plan
+
 (* ---------- strategy 1: sorted outer union ---------- *)
 
 let outer_union_plan catalog (spec : spec) : Plan.t * encoding =
   let enc = build_encoding spec in
   let v = spec.view in
   let keys_plan = qualifying_keys catalog spec in
-  let parent_plan =
-    maybe_semijoin ~keys_plan ~on_cols:v.Xml_view.parent.Xml_view.p_key
-      (bind catalog v.Xml_view.parent.Xml_view.p_query)
-  in
   let parent_branch =
-    branch_projection ~enc
-      ~key_exprs:
-        (List.map Expr.column v.Xml_view.parent.Xml_view.p_key)
-      ~branch:enc.e_parent
-      ~payload:(field_exprs v.Xml_view.parent.Xml_view.p_fields)
-      parent_plan
+    parent_branch ~enc v.Xml_view.parent
+      (maybe_semijoin ~keys_plan ~on_cols:v.Xml_view.parent.Xml_view.p_key
+         (bind catalog v.Xml_view.parent.Xml_view.p_query))
   in
   let child_branches =
     List.mapi
@@ -268,94 +273,182 @@ let outer_union_plan catalog (spec : spec) : Plan.t * encoding =
 
 (* ---------- strategy 2: one GApply pass per child ---------- *)
 
+(* Projection items putting a PGQ row into [branch]'s slots of the
+   encoding: every column except the key columns, which GApply
+   prepends. *)
+let pgq_items ~(enc : encoding) (branch : branch_desc) payload =
+  let k = enc.e_key_count in
+  let items =
+    Array.init (enc.e_arity - k) (fun j ->
+        (Expr.null, Printf.sprintf "xp%d" (j + k)))
+  in
+  items.(enc.e_node_col - k) <- (Expr.int branch.b_id, "xnode");
+  List.iteri
+    (fun fi (_, col_idx) ->
+      items.(col_idx - k) <-
+        (List.nth payload fi, Printf.sprintf "xp%d" col_idx))
+    branch.b_fields;
+  Array.to_list items
+
+(* Child [i]'s element rows and its derived aggregates, each computed
+   from the group that [g ()] scans. *)
+let child_pgq_branches ~(enc : encoding) (spec : spec) i
+    (c : Xml_view.child_spec) g =
+  let nchildren = List.length spec.view.Xml_view.children in
+  let rows =
+    Plan.project
+      (pgq_items ~enc (List.nth enc.e_branches i)
+         (field_exprs c.Xml_view.c_fields))
+      (g ())
+  in
+  let derived =
+    List.concat
+      (List.mapi
+         (fun j (d : derived_agg) ->
+           if d.d_child <> i then []
+           else
+             [
+               Plan.project
+                 (pgq_items ~enc
+                    (List.nth enc.e_branches (nchildren + j))
+                    [ Expr.column "dagg" ])
+                 (Plan.aggregate
+                    [ (Expr.agg d.d_fn (Some (Expr.column d.d_col)), "dagg") ]
+                    (g ()));
+             ])
+         spec.derived)
+  in
+  rows :: derived
+
+(* GApply [pgq] over [outer] grouped on [gcols], with the key prefix
+   renamed to the common xk names. *)
+let keyed_gapply ~(enc : encoding) ~gcols ~var ~outer pgq =
+  let ga = Plan.g_apply ~gcols ~var ~outer ~pgq in
+  Plan.project
+    (List.mapi
+       (fun idx (col : Schema.column) ->
+         ( Expr.Col (Expr.col ?qual:col.Schema.source col.Schema.cname),
+           if idx < enc.e_key_count then Printf.sprintf "xk%d" idx
+           else col.Schema.cname ))
+       (Schema.to_list (Props.schema_of ga)))
+    ga
+
+(* The GApply of the child a group predicate names.  Its outer input is
+   the child query joined to the parent query, so every group carries
+   its parent's row, and the PGQ keeps or drops the group as a whole:
+
+     Apply (Exists guard, Union_all [parent row; child rows; aggs])
+
+   The guard is [Select (pred, group)] for an existential predicate and
+   [Select (agg op c, Aggregate (agg, group))] for an aggregate one.
+   The child query runs once, instead of under a qualifying-keys plan
+   that the parent and child branches each semijoin with. *)
+let selecting_gapply catalog ~(enc : encoding) (spec : spec) ~sel pred =
+  let v = spec.view in
+  let parent = v.Xml_view.parent in
+  let c = selecting_child pred in
+  let parent_plan = bind catalog parent.Xml_view.p_query in
+  let parent_schema = Props.schema_of parent_plan in
+  (* fresh names for the parent's columns, so none collides with a
+     child column *)
+  let fresh i = Printf.sprintf "__xparent%d" i in
+  let fresh_of name = fresh (Schema.find name parent_schema) in
+  let renamed =
+    List.mapi
+      (fun i (col : Schema.column) ->
+        ( Expr.Col (Expr.col ?qual:col.Schema.source col.Schema.cname),
+          fresh i ))
+      (Schema.to_list parent_schema)
+  in
+  let on =
+    Expr.conjoin
+      (List.map2
+         (fun link key ->
+           Expr.( ==^ ) (Expr.column link) (Expr.column (fresh_of key)))
+         c.Xml_view.c_link parent.Xml_view.p_key)
+  in
+  (* the child query probes a hash table built on the parent rows; a
+     probe row's matches come out in build order and, the key being
+     unique, there is one per child row, so each group's members keep
+     the child query's row order: the order of a parent's children in
+     the published document *)
+  let outer =
+    Plan.join on
+      (bind catalog c.Xml_view.c_query)
+      (Plan.project renamed parent_plan)
+  in
+  let var = "xsel" in
+  let g () = Plan.group_scan ~var (Props.schema_of outer) in
+  let guard =
+    match pred with
+    | Child_exists (_, col, op, value) ->
+        Plan.select (cmp_expr col op value) (g ())
+    | Agg_cmp (_, fn, col, op, value) ->
+        Plan.select (cmp_expr "qagg" op value)
+          (Plan.aggregate [ (Expr.agg fn (Some (Expr.column col)), "qagg") ]
+             (g ()))
+  in
+  (* every member carries the same parent row (the key identifies it):
+     Distinct over the parent's columns leaves exactly that row *)
+  let parent_row =
+    Plan.project
+      (pgq_items ~enc enc.e_parent
+         (List.map
+            (fun (col, _) -> Expr.column (fresh_of col))
+            parent.Xml_view.p_fields))
+      (Plan.distinct
+         (Plan.project
+            (List.map (fun (_, name) -> (Expr.column name, name)) renamed)
+            (g ())))
+  in
+  let child_rows =
+    match sel with
+    | Some i -> child_pgq_branches ~enc spec i c g
+    | None -> []
+  in
+  keyed_gapply ~enc
+    ~gcols:
+      (List.map (fun key -> Expr.col (fresh_of key)) parent.Xml_view.p_key)
+    ~var ~outer
+    (Plan.apply (Plan.exists guard)
+       (Plan.union_all (parent_row :: child_rows)))
+
 let gapply_plan catalog (spec : spec) : Plan.t * encoding =
   let enc = build_encoding spec in
   let v = spec.view in
-  let keys_plan = qualifying_keys catalog spec in
-  let parent_plan =
-    maybe_semijoin ~keys_plan ~on_cols:v.Xml_view.parent.Xml_view.p_key
-      (bind catalog v.Xml_view.parent.Xml_view.p_query)
+  let child_gapply ~restrict i (c : Xml_view.child_spec) =
+    let outer = restrict c (bind catalog c.Xml_view.c_query) in
+    let var = Printf.sprintf "xg%d" i in
+    let g () = Plan.group_scan ~var (Props.schema_of outer) in
+    keyed_gapply ~enc
+      ~gcols:(List.map (fun l -> Expr.col l) c.Xml_view.c_link)
+      ~var ~outer
+      (Plan.union_all (child_pgq_branches ~enc spec i c g))
   in
-  let parent_branch =
-    branch_projection ~enc
-      ~key_exprs:
-        (List.map Expr.column v.Xml_view.parent.Xml_view.p_key)
-      ~branch:enc.e_parent
-      ~payload:(field_exprs v.Xml_view.parent.Xml_view.p_fields)
-      parent_plan
+  let branches =
+    match spec.pred with
+    | None ->
+        parent_branch ~enc v.Xml_view.parent
+          (bind catalog v.Xml_view.parent.Xml_view.p_query)
+        :: List.mapi
+             (child_gapply ~restrict:(fun _ plan -> plan))
+             v.Xml_view.children
+    | Some pred ->
+        (* the selecting child's index, if it is published *)
+        let sel =
+          List.find_index (( = ) (selecting_child pred)) v.Xml_view.children
+        in
+        (* the other children keep only the qualifying parents' rows *)
+        let keys_plan = lazy (qualifying_keys catalog spec) in
+        let restrict (c : Xml_view.child_spec) plan =
+          maybe_semijoin ~keys_plan:(Lazy.force keys_plan)
+            ~on_cols:c.Xml_view.c_link plan
+        in
+        selecting_gapply catalog ~enc spec ~sel pred
+        :: List.concat
+             (List.mapi
+                (fun i c ->
+                  if sel = Some i then [] else [ child_gapply ~restrict i c ])
+                v.Xml_view.children)
   in
-  let nchildren = List.length v.Xml_view.children in
-  let gapply_branches =
-    List.mapi
-      (fun i (c : Xml_view.child_spec) ->
-        let outer =
-          maybe_semijoin ~keys_plan ~on_cols:c.Xml_view.c_link
-            (bind catalog c.Xml_view.c_query)
-        in
-        let oschema = Props.schema_of outer in
-        let var = Printf.sprintf "xg%d" i in
-        let g () = Plan.group_scan ~var oschema in
-        (* payload slots in the PGQ output: everything except the key
-           columns, which GApply prepends *)
-        let pgq_arity = enc.e_arity - enc.e_key_count in
-        let pgq_items branch payload =
-          let items =
-            Array.init pgq_arity (fun j ->
-                (Expr.null, Printf.sprintf "xp%d" (j + enc.e_key_count)))
-          in
-          items.(enc.e_node_col - enc.e_key_count) <-
-            (Expr.int branch.b_id, "xnode");
-          List.iteri
-            (fun fi (_, col_idx) ->
-              items.(col_idx - enc.e_key_count) <-
-                (List.nth payload fi, Printf.sprintf "xp%d" col_idx))
-            branch.b_fields;
-          Array.to_list items
-        in
-        let rows_branch =
-          Plan.project
-            (pgq_items (List.nth enc.e_branches i)
-               (field_exprs c.Xml_view.c_fields))
-            (g ())
-        in
-        let derived_branches =
-          List.concat
-            (List.mapi
-               (fun j (d : derived_agg) ->
-                 if d.d_child <> i then []
-                 else
-                   [
-                     Plan.project
-                       (pgq_items
-                          (List.nth enc.e_branches (nchildren + j))
-                          [ Expr.column "dagg" ])
-                       (Plan.aggregate
-                          [ (Expr.agg d.d_fn (Some (Expr.column d.d_col)),
-                             "dagg") ]
-                          (g ()));
-                   ])
-               spec.derived)
-        in
-        let pgq = Plan.union_all (rows_branch :: derived_branches) in
-        let ga =
-          Plan.g_apply
-            ~gcols:(List.map (fun l -> Expr.col l) c.Xml_view.c_link)
-            ~var ~outer ~pgq
-        in
-        (* rename the key prefix to the common xk names *)
-        let out = Props.schema_of ga in
-        Plan.project
-          (List.mapi
-             (fun idx (col : Schema.column) ->
-               let name =
-                 if idx < enc.e_key_count then
-                   Printf.sprintf "xk%d" idx
-                 else (Schema.get out idx).Schema.cname
-               in
-               (Expr.Col (Expr.col ?qual:col.Schema.source col.Schema.cname),
-                name))
-             (Schema.to_list out))
-          ga)
-      v.Xml_view.children
-  in
-  (order_and_union ~enc (parent_branch :: gapply_branches), enc)
+  (order_and_union ~enc branches, enc)

@@ -5,7 +5,13 @@
     Both plans produce rows under the same {!encoding} (parent-key
     columns, a node-id column, null-padded per-branch payload slots), so
     the same tagger consumes either stream and the tests can check the
-    published documents are identical. *)
+    published documents are identical.
+
+    The view's parent key ([Xml_view.parent_spec.p_key]) must identify a
+    parent row: no two rows of the parent query share a key.  The GApply
+    plan of a spec with a group predicate relies on it, since it joins
+    the child query to the parent query and takes each group's parent
+    row from its members. *)
 
 type derived_agg = {
   d_child : int;          (** which child's rows it aggregates *)
@@ -14,10 +20,15 @@ type derived_agg = {
   d_tag : string;         (** element tag of the derived value *)
 }
 
+(** A group predicate names the child it filters on (the selecting
+    child).  That child need not be among the view's published
+    children: a query may select parents by a child it does not
+    return. *)
 type group_pred =
-  | Agg_cmp of int * Expr.agg_fn * string * Expr.binop * float
+  | Agg_cmp of
+      Xml_view.child_spec * Expr.agg_fn * string * Expr.binop * float
       (** keep parents whose child aggregate satisfies the comparison *)
-  | Child_exists of int * string * Expr.binop * float
+  | Child_exists of Xml_view.child_spec * string * Expr.binop * float
       (** keep parents having some child row with column op constant *)
 
 type spec = {
@@ -56,4 +67,9 @@ val outer_union_plan : Catalog.t -> spec -> Plan.t * encoding
 
 val gapply_plan : Catalog.t -> spec -> Plan.t * encoding
 (** Child rows and every derived aggregate come from a single GApply
-    pass per child query. *)
+    pass per child query.  With a group predicate, the selecting child's
+    GApply runs over the child query joined to the parent query, and its
+    per-group query emits the parent row, the child rows and the derived
+    aggregates only when the predicate holds on the group; there is no
+    separate parent branch, and the child query runs once.  Any other
+    child is semijoined with the qualifying parent keys. *)

@@ -29,7 +29,8 @@
 type parent_spec = {
   p_tag : string;
   p_query : string;              (* first columns must include [p_key] *)
-  p_key : string list;           (* identifying columns *)
+  p_key : string list;           (* identifying columns, unique in
+                                    [p_query]'s rows *)
   p_fields : (string * string) list;  (* (column, element tag) *)
 }
 

@@ -6,7 +6,9 @@
 type parent_spec = {
   p_tag : string;
   p_query : string;              (** SQL producing parent rows *)
-  p_key : string list;           (** identifying columns *)
+  p_key : string list;
+      (** identifying columns: unique in [p_query]'s rows, which the
+          publishing plans rely on ({!Publish}) *)
   p_fields : (string * string) list;  (** (column, element tag) *)
 }
 

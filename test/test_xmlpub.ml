@@ -159,8 +159,10 @@ let figure1_digests =
       "94b13abc132279f8c74b5cd2e8c9983d" );
   ]
 
+let tpch_half = lazy (Tpch_gen.catalog ~msf:0.5 ())
+
 let test_figure1_documents_pinned () =
-  let cat = Tpch_gen.catalog ~msf:0.5 () in
+  let cat = Lazy.force tpch_half in
   List.iter
     (fun (label, spec, digest) ->
       let plan, enc = Publish.gapply_plan cat spec in
@@ -172,6 +174,246 @@ let test_figure1_documents_pinned () =
       Alcotest.(check string) (label ^ ": tree serialization") doc
         (Xml.to_string (Tagger.publish cat spec)))
     figure1_digests
+
+(* ---------- group selection in the GApply plan ---------- *)
+
+(* Section 4.2's "Return $s": select suppliers by their parts without
+   publishing the parts.  The selecting child is not among the view's
+   children, and both strategies must still filter on it. *)
+let test_parent_only_selection () =
+  let cat = Lazy.force tpch_half in
+  let parents_of where =
+    let doc =
+      publish_both cat
+        (Flwr.compile
+           (Flwr.make Xml_view.figure1 ~where ~returns:[ Flwr.Parent_fields ]))
+    in
+    Alcotest.(check int) "no part elements" 0 (count_elements "part" doc);
+    count_elements "supplier" doc
+  in
+  let count_in q =
+    count_elements "supplier" (Tagger.publish cat (Flwr.compile q))
+  in
+  Alcotest.(check int) "exists: the 37 suppliers of exists_1890" 37
+    (count_in (Flwr.expensive_part_suppliers 1890.));
+  Alcotest.(check int) "exists: the same suppliers without their parts" 37
+    (parents_of (Flwr.Some_child ("part", "p_retailprice", Expr.Gt, 1890.)));
+  Alcotest.(check int) "avg: the same suppliers without their parts"
+    (count_in (Flwr.high_average_suppliers 1400.))
+    (parents_of
+       (Flwr.Child_agg_cmp (Expr.Avg, "part", "p_retailprice", Expr.Gt, 1400.)))
+
+(* Node counts outside any per-group query: the plan around the GApply
+   operators, and each GApply's outer input, but not its PGQ. *)
+let rec count_outside_pgq pred plan =
+  let here = if pred plan then 1 else 0 in
+  match plan with
+  | Plan.G_apply { outer; _ } -> here + count_outside_pgq pred outer
+  | p ->
+      List.fold_left
+        (fun n c -> n + count_outside_pgq pred c)
+        here (Plan.children p)
+
+let test_group_selection_plan_shape () =
+  let cat = Lazy.force tpch_half in
+  List.iter
+    (fun (label, q) ->
+      let plan, _ = Publish.gapply_plan cat (Flwr.compile q) in
+      let count pred =
+        Plan.fold (fun n p -> if pred p then n + 1 else n) 0 plan
+      in
+      Alcotest.(check int) (label ^ ": one scan of partsupp") 1
+        (count (function
+          | Plan.Table_scan { table = "partsupp"; _ } -> true
+          | _ -> false));
+      Alcotest.(check int) (label ^ ": one GApply") 1
+        (count (function Plan.G_apply _ -> true | _ -> false));
+      Alcotest.(check int) (label ^ ": no Distinct/Group_by outside the PGQ") 0
+        (count_outside_pgq
+           (function Plan.Distinct _ | Plan.Group_by _ -> true | _ -> false)
+           plan))
+    [
+      ("exists_1890", Flwr.expensive_part_suppliers 1890.);
+      ("avg_1400", Flwr.high_average_suppliers 1400.);
+    ]
+
+(* Both strategies against each other and against the reference
+   evaluator, on random suppliers with two children: parts (through
+   partsupp) and lineitems.  Either child may carry the predicate, be
+   published or not, and have rows whose link is NULL.  Prices are
+   multiples of 0.25, so sums and averages are exact in any order. *)
+
+module Gen = QCheck2.Gen
+
+type selection_case = {
+  nsupp : int;
+  prices : float list;  (* part k's price is element k - 1 *)
+  partsupp : (int option * int) list;
+  lineitems : (int option * int * float) list;
+  where : Flwr.predicate;
+  publish_parts : bool;
+  publish_lineitems : bool;
+  derived : bool;
+}
+
+let lineitem_child =
+  {
+    Xml_view.c_tag = "lineitem";
+    c_query = "select l_suppkey, l_orderkey, l_extendedprice from lineitem";
+    c_link = [ "l_suppkey" ];
+    c_fields =
+      [ ("l_orderkey", "l_orderkey"); ("l_extendedprice", "l_extendedprice") ];
+  }
+
+let two_child_view =
+  Xml_view.validate
+    {
+      Xml_view.figure1 with
+      Xml_view.children =
+        Xml_view.figure1.Xml_view.children @ [ lineitem_child ];
+    }
+
+let selection_catalog c =
+  let cat = Catalog.create () in
+  let table name cols rows =
+    let t = Table.create name cols in
+    Table.insert_all t rows;
+    Catalog.add_table cat t
+  in
+  let link = function Some k -> vi k | None -> vnull in
+  table "supplier"
+    [ ("s_suppkey", Datatype.Int); ("s_name", Datatype.Str) ]
+    (List.init c.nsupp (fun i ->
+         row [ vi (i + 1); vs (Printf.sprintf "s%d" (i + 1)) ]));
+  table "part"
+    [ ("p_partkey", Datatype.Int); ("p_name", Datatype.Str);
+      ("p_retailprice", Datatype.Float) ]
+    (List.mapi
+       (fun i p -> row [ vi (i + 1); vs (Printf.sprintf "p%d" (i + 1)); vf p ])
+       c.prices);
+  table "partsupp"
+    [ ("ps_suppkey", Datatype.Int); ("ps_partkey", Datatype.Int) ]
+    (List.map (fun (s, p) -> row [ link s; vi p ]) c.partsupp);
+  table "lineitem"
+    [ ("l_suppkey", Datatype.Int); ("l_orderkey", Datatype.Int);
+      ("l_extendedprice", Datatype.Float) ]
+    (List.map (fun (s, o, p) -> row [ link s; vi o; vf p ]) c.lineitems);
+  cat
+
+let selection_query c =
+  let children =
+    (if c.publish_parts then [ ("part", "p_retailprice", Expr.Avg) ] else [])
+    @ (if c.publish_lineitems then [ ("lineitem", "l_extendedprice", Expr.Max) ]
+       else [])
+  in
+  Flwr.make two_child_view ~where:c.where
+    ~returns:
+      (Flwr.Parent_fields
+      :: List.map (fun (tag, _, _) -> Flwr.Nested_children tag) children
+      @
+      if c.derived then
+        List.map
+          (fun (tag, col, fn) ->
+            Flwr.Child_aggregate (fn, tag, col, tag ^ "_agg"))
+          children
+      else [])
+
+let gen_selection_case =
+  let open Gen in
+  let price = map (fun q -> float_of_int q *. 0.25) (int_range 4 80) in
+  let* nsupp = int_range 1 4 in
+  let* prices = list_size (int_range 1 4) price in
+  let nparts = List.length prices in
+  let link =
+    frequency [ (1, pure None); (5, map Option.some (int_range 1 nsupp)) ]
+  in
+  let* partsupp = list_size (int_range 0 8) (pair link (int_range 1 nparts)) in
+  let* lineitems =
+    list_size (int_range 0 8) (triple link (int_range 1 20) price)
+  in
+  let* on_lineitems = bool in
+  let tag, col, values =
+    if on_lineitems then
+      ("lineitem", "l_extendedprice", List.map (fun (_, _, p) -> p) lineitems)
+    else
+      ( "part", "p_retailprice",
+        List.map (fun (_, p) -> List.nth prices (p - 1)) partsupp )
+  in
+  let values = if values = [] then prices else values in
+  let lo = List.fold_left Float.min infinity values in
+  let hi = List.fold_left Float.max neg_infinity values in
+  let* bound =
+    oneof
+      [
+        pure (lo -. 1.);
+        oneofl values;
+        map (fun f -> lo +. (f *. (hi -. lo))) (float_bound_inclusive 1.);
+        pure (hi +. 1.);
+      ]
+  in
+  let* op = oneofl [ Expr.Gt; Expr.Gte; Expr.Lt; Expr.Lte ] in
+  let* where =
+    oneof
+      [
+        pure (Flwr.Some_child (tag, col, op, bound));
+        map
+          (fun fn -> Flwr.Child_agg_cmp (fn, tag, col, op, bound))
+          (oneofl [ Expr.Avg; Expr.Min; Expr.Max; Expr.Sum; Expr.Count ]);
+      ]
+  in
+  let* publish_parts = bool in
+  let* publish_lineitems = bool in
+  let* derived = bool in
+  return
+    { nsupp; prices; partsupp; lineitems; where; publish_parts;
+      publish_lineitems; derived }
+
+let print_selection_case c =
+  let link = function Some k -> string_of_int k | None -> "NULL" in
+  Printf.sprintf
+    "%s\nsuppliers 1..%d, prices [%s]\npartsupp [%s]\nlineitem [%s]"
+    (Flwr.to_xquery (selection_query c))
+    c.nsupp
+    (String.concat "; " (List.map string_of_float c.prices))
+    (String.concat "; "
+       (List.map
+          (fun (s, p) -> Printf.sprintf "(%s,%d)" (link s) p)
+          c.partsupp))
+    (String.concat "; "
+       (List.map
+          (fun (s, o, p) -> Printf.sprintf "(%s,%d,%g)" (link s) o p)
+          c.lineitems))
+
+(* [Xml.to_string], except that an element without content is written
+   open-and-close, as [Tagger.tag_to_buffer] streams it. *)
+let rec open_empty = function
+  | Xml.Element (tag, attrs, []) -> Xml.Element (tag, attrs, [ Xml.text "" ])
+  | Xml.Element (tag, attrs, children) ->
+      Xml.Element (tag, attrs, List.map open_empty children)
+  | t -> t
+
+let prop_strategies_agree =
+  QCheck2.Test.make ~count:300
+    ~name:"group selection: GApply = outer union = Reference"
+    ~print:print_selection_case gen_selection_case (fun c ->
+      let cat = selection_catalog c in
+      let spec = Flwr.compile (selection_query c) in
+      let run_plan (plan, enc) =
+        let rows = Executor.run cat plan in
+        if not (Relation.equal_as_multiset rows (Reference.run cat plan)) then
+          QCheck2.Test.fail_report "executor rows differ from Reference";
+        let cursor () = Seq.to_dispenser (List.to_seq (Relation.rows rows)) in
+        let tree = Tagger.tag enc (cursor ()) in
+        let buf = Buffer.create 256 in
+        Tagger.tag_to_buffer enc (cursor ()) buf;
+        if Buffer.contents buf <> Xml.to_string (open_empty tree) then
+          QCheck2.Test.fail_report "tag_to_buffer differs from the tree";
+        (rows, tree)
+      in
+      let ga_rows, ga_doc = run_plan (Publish.gapply_plan cat spec) in
+      let ou_rows, ou_doc = run_plan (Publish.outer_union_plan cat spec) in
+      Relation.equal_as_multiset ga_rows ou_rows
+      && Xml.equal_unordered ga_doc ou_doc)
 
 let suite =
   [
@@ -195,4 +437,9 @@ let suite =
       test_tagger_rejects_unclustered_stream;
     Alcotest.test_case "pipelines agree on TPC-H data" `Quick
       test_pipelines_on_tpch;
+    Alcotest.test_case "selection by an unpublished child" `Quick
+      test_parent_only_selection;
+    Alcotest.test_case "group selection scans the child query once" `Quick
+      test_group_selection_plan_shape;
+    QCheck_alcotest.to_alcotest prop_strategies_agree;
   ]
