@@ -442,8 +442,11 @@ let bench_clientsim ~msf ~repeat () =
 (* ---------- XML publishing pipeline ---------- *)
 
 (* [parents] counts the published parent elements (the root's children),
-   so an empty document shows. *)
-let record_pipeline name ~msf t_ou t_ga same (doc : Xml.t) =
+   so an empty document shows.  [runs] counts the ascending runs that
+   reach the GApply plan's final ORDER BY, and [runs_bound] is 1 + its
+   GApply branches (CI gates runs <= runs_bound). *)
+let record_pipeline name ~msf ~presorted:(runs, runs_bound) t_ou t_ga same
+    (doc : Xml.t) =
   let parents =
     match doc with Xml.Element (_, _, cs) -> List.length cs | Xml.Text _ -> 0
   in
@@ -454,6 +457,8 @@ let record_pipeline name ~msf t_ou t_ga same (doc : Xml.t) =
       ("gapply_ms", Json.Float (ms t_ga));
       ("same", Json.Bool same);
       ("parents", Json.Int parents);
+      ("runs", Json.Int runs);
+      ("runs_bound", Json.Int runs_bound);
     ]
 
 (* The group selections use the publish workload's bounds, which keep
@@ -481,8 +486,8 @@ let bench_pipeline ~msf ~repeat () =
         Flwr.compile (Flwr.high_average_suppliers 1400.) );
     ]
   in
-  Format.printf "%-28s %16s %14s %10s %6s@." "query" "outer union (ms)"
-    "gapply (ms)" "speedup" "same?";
+  Format.printf "%-28s %16s %14s %10s %6s %8s@." "query" "outer union (ms)"
+    "gapply (ms)" "speedup" "same?" "runs";
   List.iter
     (fun (name, msf, cat, spec) ->
       let ou_plan, ou_enc = Publish.outer_union_plan cat spec in
@@ -501,9 +506,10 @@ let bench_pipeline ~msf ~repeat () =
           (Tagger.publish ~strategy:Tagger.Sorted_outer_union cat spec)
           doc
       in
-      Format.printf "%-28s %16.1f %14.1f %9.2fx %6b@." name (ms t_ou)
-        (ms t_ga) (t_ou /. t_ga) same;
-      record_pipeline name ~msf t_ou t_ga same doc)
+      let presorted = Publish.presorted_runs cat ga_plan in
+      Format.printf "%-28s %16.1f %14.1f %9.2fx %6b %5d/%d@." name (ms t_ou)
+        (ms t_ga) (t_ou /. t_ga) same (fst presorted) (snd presorted);
+      record_pipeline name ~msf ~presorted t_ou t_ga same doc)
     specs;
   (* the three-level customer -> order -> lineitem view with per-level
      aggregates (deep publisher) *)
@@ -520,9 +526,13 @@ let bench_pipeline ~msf ~repeat () =
          deep)
       doc
   in
-  Format.printf "%-28s %16.1f %14.1f %9.2fx %6b@."
-    "3-level orders (3 aggs)" (ms t_ou) (ms t_ga) (t_ou /. t_ga) same;
-  record_pipeline "3-level orders (3 aggs)" ~msf t_ou t_ga same doc
+  let presorted =
+    Publish.presorted_runs cat (fst (Deep_publish.gapply_plan cat deep))
+  in
+  Format.printf "%-28s %16.1f %14.1f %9.2fx %6b %5d/%d@."
+    "3-level orders (3 aggs)" (ms t_ou) (ms t_ga) (t_ou /. t_ga) same
+    (fst presorted) (snd presorted);
+  record_pipeline "3-level orders (3 aggs)" ~msf ~presorted t_ou t_ga same doc
 
 (* ---------- number rendering at the output boundary ---------- *)
 

@@ -90,8 +90,12 @@ let exists ?(negated = false) input = Exists { input; negated }
 let g_apply ~gcols ~var ~outer ~pgq =
   G_apply { gcols; var; outer; pgq; cluster = false }
 
-(** Like {!g_apply} with the Section 3.1 clustering guarantee (used by
-    the SQL binder for gapply-syntax queries). *)
+(** Like {!g_apply} with the Section 3.1 clustering guarantee: groups
+    come out in key order.  The SQL binder uses it for gapply-syntax
+    queries.  The publishing plans ([Publish.gapply_plan],
+    [Deep_publish.gapply_plan]) rely on it too: each of their GApply
+    branches then reaches the final ORDER BY already sorted, and the
+    sort only merges runs. *)
 let g_apply_clustered ~gcols ~var ~outer ~pgq =
   G_apply { gcols; var; outer; pgq; cluster = true }
 

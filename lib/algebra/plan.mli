@@ -82,8 +82,12 @@ val g_apply : gcols:Expr.col_ref list -> var:string -> outer:t -> pgq:t -> t
 
 val g_apply_clustered :
   gcols:Expr.col_ref list -> var:string -> outer:t -> pgq:t -> t
-(** Like {!g_apply} with the Section 3.1 clustering guarantee (used by
-    the SQL binder for gapply-syntax queries). *)
+(** Like {!g_apply} with the Section 3.1 clustering guarantee: groups
+    come out in key order.  The SQL binder uses it for gapply-syntax
+    queries.  The publishing plans ([Publish.gapply_plan],
+    [Deep_publish.gapply_plan]) rely on it too: each of their GApply
+    branches then reaches the final ORDER BY already sorted, and the
+    sort only merges runs. *)
 
 (** {1 Traversals} *)
 

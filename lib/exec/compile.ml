@@ -95,14 +95,29 @@ let compare_on (idxs : int array) (desc : bool array) : Tuple.t -> Tuple.t -> in
   in
   fun a b -> go a b 0
 
-(* The one row sort (ORDER BY and sort partitioning): stable, in place
-   on the operator's own materialized array.  Stability is the
-   tiebreak — equal keys keep input order — and the pool's merge sort
-   is stable too, so both paths give the same answer. *)
-let sort_rows ?pool cmp (rows : Tuple.t array) =
-  match pool with
-  | Some pool -> Domain_pool.parallel_sort pool cmp rows
-  | None -> Array.stable_sort cmp rows
+(* The one row sort (ORDER BY and sort partitioning), in place and
+   run-adaptive as compile.mli states; ties keep input order. *)
+let min_run = 8
+
+let sort_rows ?pool cmp (rows : 'a array) =
+  let n = Array.length rows in
+  (* [starts]: run starts after 0, latest first; [None]: runs too short *)
+  let rec scan i starts nruns =
+    if i >= n then Some starts
+    else if cmp (Array.unsafe_get rows (i - 1)) (Array.unsafe_get rows i) <= 0
+    then scan (i + 1) starts nruns
+    else if (nruns + 1) * min_run > i + (min_run * min_run) then None
+    else scan (i + 1) (i :: starts) (nruns + 1)
+  in
+  match scan 1 [] 1 with
+  | Some [] -> ()
+  | Some starts ->
+      Domain_pool.merge_runs ?pool cmp rows
+        (Array.of_list (0 :: List.rev (n :: starts)))
+  | None -> (
+      match pool with
+      | Some pool -> Domain_pool.parallel_sort pool cmp rows
+      | None -> Array.stable_sort cmp rows)
 
 (* below this many rows the per-domain partial tables of the parallel
    partition phase cost more than they save *)
@@ -116,8 +131,8 @@ let parallel_partition_threshold = 1024
    contiguous input chunks and merges them in chunk order.  Each partial
    is re-reversed into its chunk's first-seen order before merging, so
    the global key-encounter order equals the sequential first-seen
-   order; the final double reversal then reproduces the sequential
-   output exactly.
+   order; listing the merged keys latest first then reproduces the
+   sequential output exactly.
 
    Under a governor ([gov]), every chunk first passes a cancellation /
    deadline check and charges the hash table's per-row structure
@@ -144,10 +159,7 @@ let group_rows ?pool ?gov ~op ~(idxs : int array) (rows : Tuple.t array) :
               Value.Tbl.add tbl v (ref [ row ]);
               order := v :: !order
         done;
-        List.rev_map
-          (fun v -> ([| v |], List.rev !(Value.Tbl.find tbl v)))
-          !order
-        |> List.rev
+        List.map (fun v -> ([| v |], List.rev !(Value.Tbl.find tbl v))) !order
     | _ ->
         let tbl : Tuple.t list ref Tuple.Tbl.t = Tuple.Tbl.create 64 in
         let order = ref [] in
@@ -160,10 +172,7 @@ let group_rows ?pool ?gov ~op ~(idxs : int array) (rows : Tuple.t array) :
               Tuple.Tbl.add tbl key (ref [ row ]);
               order := key :: !order
         done;
-        List.rev_map
-          (fun key -> (key, List.rev !(Tuple.Tbl.find tbl key)))
-          !order
-        |> List.rev
+        List.map (fun key -> (key, List.rev !(Tuple.Tbl.find tbl key))) !order
   in
   let n = Array.length rows in
   match pool with
@@ -200,10 +209,9 @@ let group_rows ?pool ?gov ~op ~(idxs : int array) (rows : Tuple.t array) :
                   order := key :: !order)
             (List.rev partial))
         partials;
-      List.rev_map
+      List.map
         (fun key -> (key, List.concat (List.rev !(Tuple.Tbl.find tbl key))))
         !order
-      |> List.rev
   | _ -> chunk 0 n
 
 (* Aggregate accumulators live in arrays so the per-row step is an
@@ -373,7 +381,16 @@ and compile ~config ~(outer : Schema.t list) (p : Plan.t) :
         done;
         (out : Tuple.t)
       in
-      (schema, fun env -> Batch.map (project env.Env.frames) (c.brun env))
+      (* a rename-only projection (item i is input column i) passes the
+         input rows through: no operator writes into a row's cells *)
+      let input_col i = function
+        | Expr.Col r, _ -> Schema.find ?qual:r.qual r.name c.schema = i
+        | _ -> false
+      in
+      if nitems = Schema.arity c.schema
+         && List.for_all Fun.id (List.mapi input_col items)
+      then (schema, c.brun)
+      else (schema, fun env -> Batch.map (project env.Env.frames) (c.brun env))
   | Plan.Join { pred; left; right; _ } -> compile_join ~config ~outer pred left right
   | Plan.Alias { input; _ } -> (schema, (plan ~config ~outer input).brun)
   | Plan.Group_by { keys; aggs; input } ->
@@ -626,9 +643,9 @@ and compile ~config ~(outer : Schema.t list) (p : Plan.t) :
               | _ -> Batch.concat (List.map (fun g () -> run_group g) groups))
       )
 
-(* Partition phase of GApply.  Hash partitioning groups rows in
-   first-seen order; sort partitioning additionally clusters the output
-   by the grouping columns (the property the constant-space tagger
+(* Partition phase of GApply.  Hash partitioning returns groups in
+   reverse first-seen key order; sort partitioning returns them in key
+   order, clustering the output (the property the constant-space tagger
    needs).  With a pool, hashing merges per-domain partial partitions
    and sorting becomes a parallel merge sort; both orderings are
    identical to the sequential result.

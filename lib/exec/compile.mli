@@ -67,3 +67,12 @@ type compiled = {
 val plan : ?config:config -> ?outer:Schema.t list -> Plan.t -> compiled
 (** [outer] carries enclosing Apply outer schemas (for schema
     derivation of correlated subplans). *)
+
+val sort_rows : ?pool:Domain_pool.t -> ('a -> 'a -> int) -> 'a array -> unit
+(** The row sort behind ORDER BY and sort partitioning: stable and in
+    place, so it always equals [Array.stable_sort cmp rows].  One compare
+    pass finds the maximal non-descending runs ([cmp prev next <= 0]
+    continues one).  One run returns at once, moving and allocating
+    nothing; a few runs are merged ({!Domain_pool.merge_runs}).  Once
+    the runs seen average under 8 rows, the pass stops and a full stable
+    sort takes over ({!Domain_pool.parallel_sort} with [pool]). *)

@@ -186,10 +186,9 @@ let parallel_map_array (t : t) (f : 'a -> 'b) (input : 'a array) : 'b array =
     Array.map (function Some v -> v | None -> assert false) results
   end
 
-(* Parallel merge sort (in place): sort contiguous runs on the pool,
-   then ping-pong pairwise merges between the array and a scratch
-   buffer.  Stable: runs are sorted with [Array.stable_sort] and a merge
-   takes ties from the left (earlier) run. *)
+(* Merging sorted runs in place: ping-pong pairwise merges between the
+   array and a scratch buffer, each pass on the pool if there is one.
+   Stable: a merge takes ties from the left (earlier) run. *)
 
 let merge ~cmp (src : 'a array) lo mid hi (dst : 'a array) =
   let i = ref lo and j = ref mid in
@@ -204,6 +203,32 @@ let merge ~cmp (src : 'a array) lo mid hi (dst : 'a array) =
     end
   done
 
+let merge_runs ?pool (cmp : 'a -> 'a -> int) (arr : 'a array) bounds =
+  let each npairs f =
+    let pairs = Array.init npairs Fun.id in
+    match pool with
+    | Some t -> ignore (parallel_map_array t f pairs)
+    | None -> Array.iter f pairs
+  in
+  (* merge run pairs; an odd last run is merged with an empty one,
+     which copies it *)
+  let rec passes src dst bounds =
+    let nruns = Array.length bounds - 1 in
+    if nruns <= 1 then src
+    else begin
+      let npairs = (nruns + 1) / 2 in
+      let b k = bounds.(min k nruns) in
+      each npairs (fun p ->
+          let lo = 2 * p in
+          merge ~cmp src (b lo) (b (lo + 1)) (b (lo + 2)) dst);
+      passes dst src (Array.init (npairs + 1) (fun p -> b (2 * p)))
+    end
+  in
+  let result = passes arr (Array.copy arr) bounds in
+  if result != arr then Array.blit result 0 arr 0 (Array.length arr)
+
+(* Parallel merge sort: sort contiguous runs on the pool with
+   [Array.stable_sort], then merge them. *)
 let parallel_sort (t : t) (cmp : 'a -> 'a -> int) (arr : 'a array) : unit =
   let n = Array.length arr in
   if t.workers = 0 || n < 4096 then Array.stable_sort cmp arr
@@ -219,23 +244,5 @@ let parallel_sort (t : t) (cmp : 'a -> 'a -> int) (arr : 'a array) : unit =
            Array.stable_sort cmp sub;
            Array.blit sub 0 arr lo len)
          (Array.init nruns Fun.id));
-    (* merge run pairs; an odd last run is merged with an empty one,
-       which copies it *)
-    let rec passes src dst bounds =
-      let nruns = Array.length bounds - 1 in
-      if nruns <= 1 then src
-      else begin
-        let npairs = (nruns + 1) / 2 in
-        let b k = bounds.(min k nruns) in
-        ignore
-          (parallel_map_array t
-             (fun p ->
-               let lo = 2 * p in
-               merge ~cmp src (b lo) (b (lo + 1)) (b (lo + 2)) dst)
-             (Array.init npairs Fun.id));
-        passes dst src (Array.init (npairs + 1) (fun p -> b (2 * p)))
-      end
-    in
-    let result = passes arr (Array.copy arr) bounds in
-    if result != arr then Array.blit result 0 arr 0 n
+    merge_runs ~pool:t cmp arr bounds
   end

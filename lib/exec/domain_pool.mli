@@ -44,3 +44,10 @@ val parallel_sort : t -> ('a -> 'a -> int) -> 'a array -> unit
     keep their input order, so the result equals [Array.stable_sort]'s.
     Falls back to [Array.stable_sort] for small inputs or sequential
     pools. *)
+
+val merge_runs : ?pool:t -> ('a -> 'a -> int) -> 'a array -> int array -> unit
+(** [merge_runs cmp arr bounds] merges the sorted runs
+    [[bounds.(i), bounds.(i + 1))] of [arr] in place ([bounds] rises from
+    [0] to [Array.length arr]) through one scratch copy, each pass on
+    [pool] if given.  Ties come from the earlier run, so the result
+    equals [Array.stable_sort]'s. *)

@@ -292,11 +292,15 @@ let gapply_plan (catalog : Catalog.t) (v : Deep_view.t) : Plan.t * encoding
                   (g ())))
            agg_branches
        in
+       (* groups in key order, and the aggregate rows (own-key slots
+          NULL, which sorts first) ahead of the element rows: each group
+          then comes out in the final ORDER BY's order, and the branch
+          reaches it as one presorted run *)
        let ga =
-         Plan.g_apply
+         Plan.g_apply_clustered
            ~gcols:(List.map (fun c -> Expr.col c) parent_cols)
            ~var ~outer
-           ~pgq:(Plan.union_all (rows_branch :: agg_pgq_branches))
+           ~pgq:(Plan.union_all (agg_pgq_branches @ [ rows_branch ]))
        in
        (* re-shuffle the GApply output (parent keys first, then the PGQ
           columns) into the global slot order *)

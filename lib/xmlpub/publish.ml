@@ -321,9 +321,12 @@ let child_pgq_branches ~(enc : encoding) (spec : spec) i
   rows :: derived
 
 (* GApply [pgq] over [outer] grouped on [gcols], with the key prefix
-   renamed to the common xk names. *)
+   renamed to the common xk names (a rename-only projection, which
+   passes rows through).  The GApply emits its groups in key order, and
+   each group's union emits its node ids in ascending order, so the
+   branch reaches the final ORDER BY as one presorted run. *)
 let keyed_gapply ~(enc : encoding) ~gcols ~var ~outer pgq =
-  let ga = Plan.g_apply ~gcols ~var ~outer ~pgq in
+  let ga = Plan.g_apply_clustered ~gcols ~var ~outer ~pgq in
   Plan.project
     (List.mapi
        (fun idx (col : Schema.column) ->
@@ -452,3 +455,37 @@ let gapply_plan catalog (spec : spec) : Plan.t * encoding =
                 v.Xml_view.children)
   in
   (order_and_union ~enc branches, enc)
+
+(* ---------- presorted input of the final ORDER BY ---------- *)
+
+let presorted_runs catalog (plan : Plan.t) =
+  match plan with
+  | Plan.Order_by { keys; input } ->
+      let c = Compile.plan input in
+      let env = Env.make catalog in
+      let keys =
+        List.map (fun (e, dir) -> (Eval.compile c.Compile.schema e, dir)) keys
+      in
+      let cmp a b =
+        List.fold_left
+          (fun acc (key, dir) ->
+            if acc <> 0 then acc
+            else
+              let x =
+                Value.compare_total (key env.Env.frames a)
+                  (key env.Env.frames b)
+              in
+              if dir = Plan.Desc then -x else x)
+          0 keys
+      in
+      let runs = ref 0 and prev = ref None in
+      Cursor.iter
+        (fun row ->
+          (match !prev with Some p when cmp p row <= 0 -> () | _ -> incr runs);
+          prev := Some row)
+        (c.Compile.run env);
+      let branches =
+        match input with Plan.Union_all bs -> bs | p -> [ p ]
+      in
+      (!runs, 1 + List.length (List.filter Plan.contains_gapply branches))
+  | _ -> invalid_arg "Publish.presorted_runs: no final ORDER BY"

@@ -73,3 +73,15 @@ val gapply_plan : Catalog.t -> spec -> Plan.t * encoding
     aggregates only when the predicate holds on the group; there is no
     separate parent branch, and the child query runs once.  Any other
     child is semijoined with the qualifying parent keys. *)
+
+(** {1 Order-aware publishing} *)
+
+val presorted_runs : Catalog.t -> Plan.t -> int * int
+(** [presorted_runs catalog plan] runs the input of [plan]'s final
+    ORDER BY (a {!gapply_plan} or {!Deep_publish.gapply_plan}) unsorted
+    and returns [(runs, bound)]: the maximal ascending runs of that
+    stream under the ORDER BY's keys, and [1 +] the UNION ALL branches
+    that contain a GApply.  Every GApply branch of a publishing plan
+    reaches the sort as one run and the plain branches as one more, so
+    [runs <= bound] (the sort then only merges runs).
+    @raise Invalid_argument if [plan] is not an [Order_by]. *)

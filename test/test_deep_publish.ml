@@ -173,6 +173,18 @@ let test_document_pinned () =
   Alcotest.(check string) "serialized bytes" "190f74430bb625d456ad38dc61e66369"
     (Digest.to_hex (Digest.string doc))
 
+(* Clustered GApplies with their aggregate rows (NULL own-key slots)
+   ahead of the element rows: each GApply branch reaches the final ORDER
+   BY as one presorted run.  Unclustered, the input had 813 runs. *)
+let test_presorted_runs () =
+  let cat = Tpch_gen.catalog ~seed:1 ~msf:0.25 () in
+  let runs, bound =
+    Publish.presorted_runs cat
+      (fst (Deep_publish.gapply_plan cat Deep_view.customer_orders))
+  in
+  if runs > bound then
+    Alcotest.failf "%d runs reach the ORDER BY, bound %d" runs bound
+
 let suite =
   [
     Alcotest.test_case "three-level structure" `Quick
@@ -185,6 +197,8 @@ let suite =
     Alcotest.test_case "nesting is correct" `Quick test_nesting_is_correct;
     Alcotest.test_case "deep tagger rejects unclustered input" `Quick
       test_deep_tagger_rejects_unclustered;
+    Alcotest.test_case "GApply branches reach the ORDER BY presorted" `Quick
+      test_presorted_runs;
     Alcotest.test_case "encoding shape" `Quick test_encoding_shape;
     Alcotest.test_case "view validation" `Quick test_view_validation;
   ]

@@ -37,6 +37,46 @@ let test_project_computed () =
   Alcotest.(check string) "computed column name" "double_price"
     (Schema.get (Relation.schema r) 1).Schema.cname
 
+(* A projection that only renames (item i is input column i) passes the
+   input rows through; one that reorders or computes builds new rows.
+   EXPLAIN ANALYZE still shows the renaming project with its rows. *)
+let test_rename_only_project () =
+  let input =
+    rel [ ("a", Datatype.Int); ("b", Datatype.Str) ]
+      [ [ vi 1; vs "one" ]; [ vi 2; vs "two" ]; [ vi 3; vs "three" ] ]
+  in
+  let env = Env.bind_group "g" input (Env.make (Catalog.create ())) in
+  let run items =
+    Cursor.to_array
+      ((Compile.plan
+          (Plan.project items
+             (Plan.group_scan ~var:"g" (Relation.schema input))))
+         .Compile.run env)
+  in
+  let shared items =
+    List.for_all2 ( == ) (Relation.rows input) (Array.to_list (run items))
+  in
+  Alcotest.(check bool) "rename-only: the input rows themselves" true
+    (shared [ (column "a", "x"); (column "b", "y") ]);
+  Alcotest.(check bool) "reordering: new rows" false
+    (List.exists2 ( == ) (Relation.rows input)
+       (Array.to_list (run [ (column "b", "b"); (column "a", "a") ])));
+  Alcotest.(check bool) "computed: new rows" false
+    (shared [ (column "a" +^ int 0, "a"); (column "b", "b") ]);
+  let db = Engine.create () in
+  ignore (Engine.exec db "create table t (a int, b varchar)");
+  ignore
+    (Engine.exec db "insert into t values (1, 'one'), (2, 'two'), (3, 'x')");
+  let _, report = Engine.analyze db "select a as x, b as y from t" in
+  Alcotest.(check bool) "EXPLAIN ANALYZE lists the project and its rows" true
+    (List.exists
+       (fun line ->
+         String.starts_with ~prefix:"project[" line
+         && List.exists
+              (String.starts_with ~prefix:"rows=3 ")
+              (String.split_on_char '(' line))
+       (String.split_on_char '\n' report))
+
 let test_equijoin () =
   let cat = Lazy.force cat in
   let r = run_checked cat (partsupp_part cat) in
@@ -227,6 +267,8 @@ let suite =
     Alcotest.test_case "select" `Quick test_select;
     Alcotest.test_case "project with computed columns" `Quick
       test_project_computed;
+    Alcotest.test_case "rename-only project passes rows through" `Quick
+      test_rename_only_project;
     Alcotest.test_case "equi hash join" `Quick test_equijoin;
     Alcotest.test_case "theta (nested-loop) join" `Quick test_nonequi_join;
     Alcotest.test_case "null join keys" `Quick test_join_null_keys_do_not_match;

@@ -127,21 +127,90 @@ let gen_order_keys : (Expr.t * Plan.sort_dir) list Gen.t =
        (Gen.oneofl [ column "a"; column "b"; column "c"; coalesce_a_c ])
        (Gen.oneofl [ Plan.Asc; Plan.Desc ]))
 
-(* Inputs past 4096 rows make shrinking take minutes, so the two
+let order_by_group keys =
+  Plan.order_by keys (Plan.group_scan ~var:"g" mixed_schema)
+
+let bind_g rel = Env.bind_group "g" rel (Env.make (Catalog.create ()))
+
+(* [rel] cut into [k] contiguous pieces, each sorted on [keys] by the
+   reference evaluator: a presorted input (k = 1) or k sorted runs *)
+let sorted_runs k keys rel =
+  let rows = Relation.rows_array rel in
+  let n = Array.length rows in
+  let piece i =
+    let lo = i * n / k and hi = (i + 1) * n / k in
+    Relation.rows_array
+      (Reference.eval
+         (bind_g (Relation.of_array mixed_schema (Array.sub rows lo (hi - lo))))
+         (order_by_group keys))
+  in
+  Relation.of_array mixed_schema (Array.concat (List.init k piece))
+
+(* Inputs past 4096 rows make shrinking take minutes, so the
    properties below report their failing case unshrunk. *)
 let prop_order_by_exact_order =
   QCheck2.Test.make ~count:120
     ~name:"ORDER BY = Reference row for row, sizes 1/7/128, parallelism 1/4"
     (Gen.no_shrink
-       (Gen.quad gen_mixed_relation gen_order_keys gen_batch_size
+       (Gen.quad
+          (Gen.pair gen_mixed_relation
+             (Gen.oneofl [ None; Some 1; Some 2; Some 3; Some 50 ]))
+          gen_order_keys gen_batch_size
           (Gen.oneofl [ 1; 4 ])))
-    (fun (rel, keys, batch_size, parallelism) ->
-      let env = Env.bind_group "g" rel (Env.make (Catalog.create ())) in
-      let plan = Plan.order_by keys (Plan.group_scan ~var:"g" mixed_schema) in
+    (fun ((rel, runs), keys, batch_size, parallelism) ->
+      (* random, presorted or k-run input *)
+      let rel =
+        match runs with None -> rel | Some k -> sorted_runs k keys rel
+      in
+      let env = bind_g rel in
+      let plan = order_by_group keys in
       same_rows (Reference.eval env plan)
         (Executor.run_in
            ~config:(Compile.config_with ~batch_size ~parallelism ())
            env plan))
+
+(* (key, seq) rows for the row sort itself: keys from a small range, so
+   rows tie within and across runs.  Shapes: one sorted run, k sorted
+   runs, reverse-sorted, all equal, random; sizes 0 and 1, small, and
+   past the parallel sort's 4096-row cutoff. *)
+let gen_sort_input : (int * int) array Gen.t =
+  let open Gen in
+  let* n = oneof [ int_range 0 1; int_range 2 300; int_range 4096 4300 ] in
+  let* keys = array_size (return n) (int_range 0 9) in
+  let+ shape =
+    oneofl [ `Runs 1; `Runs 2; `Runs 3; `Runs 50; `Reverse; `Equal; `Random ]
+  in
+  let sorted_pieces k =
+    Array.concat
+      (List.init k (fun i ->
+           let lo = i * n / k and hi = (i + 1) * n / k in
+           let piece = Array.sub keys lo (hi - lo) in
+           Array.sort compare piece;
+           piece))
+  in
+  let keys =
+    match shape with
+    | `Runs k -> sorted_pieces k
+    | `Reverse -> Array.map (fun k -> -k) (sorted_pieces 1)
+    | `Equal -> Array.make n 0
+    | `Random -> keys
+  in
+  Array.mapi (fun seq k -> (k, seq)) keys
+
+let sort_pool = lazy (Domain_pool.create ~num_domains:2 ())
+
+let prop_sort_rows_stable =
+  QCheck2.Test.make ~count:300
+    ~name:"sort_rows = Array.stable_sort on runs, ties, reverse, random input"
+    (Gen.no_shrink (Gen.pair gen_sort_input Gen.bool))
+    (fun (input, pooled) ->
+      let on_key (a, _) (b, _) = compare a b in
+      let expected = Array.copy input in
+      Array.stable_sort on_key expected;
+      let rows = Array.copy input in
+      let pool = if pooled then Some (Lazy.force sort_pool) else None in
+      Compile.sort_rows ?pool on_key rows;
+      rows = expected)
 
 let prop_sort_partition_equals_hash =
   QCheck2.Test.make ~count:60
@@ -491,5 +560,6 @@ let suite =
     Alcotest.test_case "TPC-H digest: encoded = plain" `Quick
       test_tpch_dict_digest;
     qtest prop_order_by_exact_order;
+    qtest prop_sort_rows_stable;
     qtest prop_sort_partition_equals_hash;
   ]
