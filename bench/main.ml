@@ -441,12 +441,24 @@ let bench_clientsim ~msf ~repeat () =
 
 (* ---------- XML publishing pipeline ---------- *)
 
+(* [Xml.to_string] of [doc], except that an element without content is
+   written open-and-close, as the tagger's buffer sink streams it. *)
+let streamed_form doc =
+  let rec open_empty = function
+    | Xml.Element (tag, attrs, []) -> Xml.Element (tag, attrs, [ Xml.text "" ])
+    | Xml.Element (tag, attrs, cs) ->
+        Xml.Element (tag, attrs, List.map open_empty cs)
+    | t -> t
+  in
+  Xml.to_string (open_empty doc)
+
 (* [parents] counts the published parent elements (the root's children),
    so an empty document shows.  [runs] counts the ascending runs that
    reach the GApply plan's final ORDER BY, and [runs_bound] is 1 + its
-   GApply branches (CI gates runs <= runs_bound). *)
-let record_pipeline name ~msf ~presorted:(runs, runs_bound) t_ou t_ga same
-    (doc : Xml.t) =
+   GApply branches (CI gates runs <= runs_bound).  [streamed_same] is
+   whether the buffer sink streamed [doc]'s bytes (CI gates it). *)
+let record_pipeline name ~msf ~presorted:(runs, runs_bound) ~streamed t_ou
+    t_ga same (doc : Xml.t) =
   let parents =
     match doc with Xml.Element (_, _, cs) -> List.length cs | Xml.Text _ -> 0
   in
@@ -456,10 +468,17 @@ let record_pipeline name ~msf ~presorted:(runs, runs_bound) t_ou t_ga same
       ("outer_union_ms", Json.Float (ms t_ou));
       ("gapply_ms", Json.Float (ms t_ga));
       ("same", Json.Bool same);
+      ("streamed_same", Json.Bool (String.equal streamed (streamed_form doc)));
       ("parents", Json.Int parents);
       ("runs", Json.Int runs);
       ("runs_bound", Json.Int runs_bound);
     ]
+
+(* The bytes the buffer sink streams for a publishing plan. *)
+let stream cat (plan, enc) =
+  let buf = Buffer.create 65536 in
+  Tagger.tag_to_buffer enc ((Compile.plan plan).Compile.run (Env.make cat)) buf;
+  Buffer.contents buf
 
 (* The group selections use the publish workload's bounds, which keep
    suppliers only from msf 0.5 up (37 and 33 of 50 there), so they run
@@ -509,7 +528,9 @@ let bench_pipeline ~msf ~repeat () =
       let presorted = Publish.presorted_runs cat ga_plan in
       Format.printf "%-28s %16.1f %14.1f %9.2fx %6b %5d/%d@." name (ms t_ou)
         (ms t_ga) (t_ou /. t_ga) same (fst presorted) (snd presorted);
-      record_pipeline name ~msf ~presorted t_ou t_ga same doc)
+      record_pipeline name ~msf ~presorted
+        ~streamed:(stream cat (ga_plan, ga_enc))
+        t_ou t_ga same doc)
     specs;
   (* the three-level customer -> order -> lineitem view with per-level
      aggregates (deep publisher) *)
@@ -526,13 +547,13 @@ let bench_pipeline ~msf ~repeat () =
          deep)
       doc
   in
-  let presorted =
-    Publish.presorted_runs cat (fst (Deep_publish.gapply_plan cat deep))
-  in
+  let ga = Deep_publish.gapply_plan cat deep in
+  let presorted = Publish.presorted_runs cat (fst ga) in
   Format.printf "%-28s %16.1f %14.1f %9.2fx %6b %5d/%d@."
     "3-level orders (3 aggs)" (ms t_ou) (ms t_ga) (t_ou /. t_ga) same
     (fst presorted) (snd presorted);
-  record_pipeline "3-level orders (3 aggs)" ~msf ~presorted t_ou t_ga same doc
+  record_pipeline "3-level orders (3 aggs)" ~msf ~presorted
+    ~streamed:(stream cat ga) t_ou t_ga same doc
 
 (* ---------- number rendering at the output boundary ---------- *)
 

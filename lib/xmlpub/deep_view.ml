@@ -1,12 +1,13 @@
-(* Arbitrary-depth XML views.
+(* XML view trees of any depth.
 
-   The two-level publisher (Xml_view / Publish) covers the paper's
-   Figure 1; real publishing schemas nest deeper (customer -> orders ->
-   lineitems).  A deep view is a tree of element nodes; each node's SQL
-   query must output its *full hierarchical key path* — the key columns
-   of every ancestor plus its own — which is exactly what the sorted
-   outer union encoding of [Shanmugasundaram et al.] requires for the
-   constant-space tagger.
+   The paper's XPeranto view trees (Figure 1) are n-level, and real
+   publishing schemas nest deeper than its supplier/part example
+   (customer -> orders -> lineitems); the two-level views of Xml_view
+   lower onto this tree (Publish).  A view is a tree of element nodes;
+   each node's SQL query must output its *full hierarchical key path* —
+   the key columns of every ancestor plus its own — which is exactly
+   what the sorted outer union encoding of [Shanmugasundaram et al.]
+   requires for the constant-space tagger.
 
    Per-node derived aggregates (e.g. an order-total element under each
    customer) aggregate that node's rows grouped by the parent path; the
@@ -28,19 +29,33 @@ type node = {
       (* full hierarchical key path: ancestors' key columns first, this
          node's own key columns last *)
   n_own_keys : int;
-      (* how many trailing columns of [n_path] are this node's own *)
+      (* how many trailing columns of [n_path] are this node's own.  A
+         leaf may own none: each of its rows is then its own element *)
   n_fields : (string * string) list;  (* (column, element tag) *)
   n_aggregates : aggregate_spec list;
   n_children : node list;
 }
 
-type t = { root_tag : string; top : node }
+type guard =
+  | Some_row of string * Expr.binop * float
+  | Agg_holds of Expr.agg_fn * string * Expr.binop * float
+
+type selection = {
+  s_query : string;
+  s_link : string list;  (* columns equal to the top node's key path *)
+  s_guard : guard;
+}
+
+type t = { root_tag : string; top : node; select : selection option }
 
 let rec validate_node ~(ancestor_path : string list) (n : node) =
   let prefix_len = List.length n.n_path - n.n_own_keys in
-  if n.n_own_keys <= 0 then
-    Errors.plan_errorf "view node <%s> must have its own key columns"
-      n.n_tag;
+  if n.n_own_keys < 0 then
+    Errors.plan_errorf "view node <%s> has a negative key count" n.n_tag;
+  (* the children's rows name their parent by its keys *)
+  if n.n_own_keys = 0 && n.n_children <> [] then
+    Errors.plan_errorf
+      "view node <%s> has children but no key columns of its own" n.n_tag;
   if prefix_len <> List.length ancestor_path then
     Errors.plan_errorf
       "view node <%s>: key path has %d ancestor columns, expected %d"
@@ -50,6 +65,17 @@ let rec validate_node ~(ancestor_path : string list) (n : node) =
 
 let validate (v : t) =
   validate_node ~ancestor_path:[] v.top;
+  (* a derived value attaches to the parent element, and the top
+     node's parent is the document root *)
+  if v.top.n_aggregates <> [] then
+    Errors.plan_errorf "view %s: the top node <%s> cannot carry aggregates"
+      v.root_tag v.top.n_tag;
+  (match v.select with
+  | Some s when List.length s.s_link <> List.length v.top.n_path ->
+      Errors.plan_errorf
+        "view %s: selection link arity does not match the top key path"
+        v.root_tag
+  | _ -> ());
   v
 
 (** A three-level view over the TPC-H order-processing tables:
@@ -111,4 +137,5 @@ let customer_orders =
               };
             ];
         };
+      select = None;
     }

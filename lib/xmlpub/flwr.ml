@@ -91,9 +91,15 @@ let compile (q : t) : Publish.spec =
     Option.map
       (function
         | Some_child (tag, col, op, value) ->
-            Publish.Child_exists (child_of_tag v tag, col, op, value)
+            {
+              Publish.g_child = child_of_tag v tag;
+              g_guard = Deep_view.Some_row (col, op, value);
+            }
         | Child_agg_cmp (fn, tag, col, op, value) ->
-            Publish.Agg_cmp (child_of_tag v tag, fn, col, op, value))
+            {
+              Publish.g_child = child_of_tag v tag;
+              g_guard = Deep_view.Agg_holds (fn, col, op, value);
+            })
       q.where
   in
   { Publish.view = view'; derived; pred }

@@ -1,20 +1,11 @@
-(** The constant-space tagger (the middleware of paper Section 2).
+(** The tagging names of the two-level Figure-1 pipeline, kept for the
+    benchmark's adapter: each is a call into {!Deep_publish}, whose one
+    tagger serves every depth. *)
 
-    Consumes a tuple stream clustered by the parent key (the sorted
-    outer union guarantees it with ORDER BY; the GApply plan with its
-    final order-by) and emits XML keeping only the current parent
-    element open — memory is bounded by one group, never the whole
-    document.
+val tag_to_buffer : Deep_publish.encoding -> Cursor.t -> Buffer.t -> unit
+(** {!Deep_publish.tag_to_buffer}. *)
 
-    @raise Errors.Exec_error if the stream is not clustered. *)
-
-val tag : Publish.encoding -> Cursor.t -> Xml.t
-(** Build the document tree. *)
-
-val tag_to_buffer : Publish.encoding -> Cursor.t -> Buffer.t -> unit
-(** Stream markup text; memory bounded by a single row. *)
-
-type strategy =
+type strategy = Deep_publish.strategy =
   | Sorted_outer_union  (** the classical Section 2 pipeline *)
   | Gapply_pass         (** one GApply pass per child element type *)
 

@@ -38,6 +38,16 @@ let check_rows msg expected_rows actual =
   in
   check_rel msg expected actual
 
+(* ---------- XML ---------- *)
+
+(* A tree whose [Xml.to_string] writes an element without content
+   open-and-close, as [Deep_publish.tag_to_buffer] streams it. *)
+let rec open_empty = function
+  | Xml.Element (tag, attrs, []) -> Xml.Element (tag, attrs, [ Xml.text "" ])
+  | Xml.Element (tag, attrs, children) ->
+      Xml.Element (tag, attrs, List.map open_empty children)
+  | t -> t
+
 (* ---------- a tiny TPC-H-like fixture ---------- *)
 
 (* 3 suppliers; supplier 1 has parts 1,2,3; supplier 2 has parts 2,4;

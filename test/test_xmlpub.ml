@@ -113,7 +113,7 @@ let test_streaming_tagger_matches_tree () =
     let compiled = Compile.plan plan in
     compiled.Compile.run (Env.make cat)
   in
-  let tree = Tagger.tag enc (run ()) in
+  let tree = Deep_publish.tag enc (run ()) in
   let buf = Buffer.create 256 in
   Tagger.tag_to_buffer enc (run ()) buf;
   Alcotest.(check string) "streaming output equals tree serialization"
@@ -132,7 +132,7 @@ let test_tagger_rejects_unclustered_stream () =
   let compiled = Compile.plan unordered in
   Alcotest.(check bool) "raises on unclustered input" true
     (try
-       ignore (Tagger.tag enc (compiled.Compile.run (Env.make cat)));
+       ignore (Deep_publish.tag enc (compiled.Compile.run (Env.make cat)));
        false
      with Errors.Exec_error _ -> true)
 
@@ -400,14 +400,6 @@ let print_selection_case c =
           (fun (s, o, p) -> Printf.sprintf "(%s,%d,%g)" (link s) o p)
           c.lineitems))
 
-(* [Xml.to_string], except that an element without content is written
-   open-and-close, as [Tagger.tag_to_buffer] streams it. *)
-let rec open_empty = function
-  | Xml.Element (tag, attrs, []) -> Xml.Element (tag, attrs, [ Xml.text "" ])
-  | Xml.Element (tag, attrs, children) ->
-      Xml.Element (tag, attrs, List.map open_empty children)
-  | t -> t
-
 let prop_strategies_agree =
   QCheck2.Test.make ~count:300
     ~name:"group selection: GApply = outer union = Reference"
@@ -419,7 +411,7 @@ let prop_strategies_agree =
         if not (Relation.equal_as_multiset rows (Reference.run cat plan)) then
           QCheck2.Test.fail_report "executor rows differ from Reference";
         let cursor () = Seq.to_dispenser (List.to_seq (Relation.rows rows)) in
-        let tree = Tagger.tag enc (cursor ()) in
+        let tree = Deep_publish.tag enc (cursor ()) in
         let buf = Buffer.create 256 in
         Tagger.tag_to_buffer enc (cursor ()) buf;
         if Buffer.contents buf <> Xml.to_string (open_empty tree) then
