@@ -1000,9 +1000,10 @@ let bench_throughput ~msf ~repeat () =
   in
   Format.printf
     "@.Repeat sweep (Q1-Q4 x %d): %.0f statements/s, p50 %.2f ms, p99 %.2f \
-     ms@.  cache: %a@."
+     ms@.  cache: hits=%d misses=%d hit_rate=%.2f saved=%.1f ms@."
     iterations sweep.Session.qps sweep.Session.p50_ms sweep.Session.p99_ms
-    Cache_stats.pp sweep.Session.cache;
+    sweep.Session.cache.Cache_stats.hits sweep.Session.cache.Cache_stats.misses
+    hit_rate saved_ms;
   record ~section:"throughput" ~query:"repeat-sweep"
     [
       ("iterations", Json.Int iterations);
@@ -1032,9 +1033,10 @@ let bench_throughput ~msf ~repeat () =
   in
   Format.printf
     "@.%d concurrent sessions: %.0f statements/s (sequential replay %.0f), \
-     identical results: %b@.  cache: %a@."
+     identical results: %b@.  cache: hits=%d misses=%d@."
     sessions concurrent.Session.qps sequential.Session.qps identical
-    Cache_stats.pp concurrent.Session.cache;
+    concurrent.Session.cache.Cache_stats.hits
+    concurrent.Session.cache.Cache_stats.misses;
   record ~section:"throughput" ~query:(Printf.sprintf "sessions-%d" sessions)
     [
       ("sessions", Json.Int sessions);
@@ -1059,6 +1061,8 @@ let bench_throughput ~msf ~repeat () =
    reader statement errored.  [writers-conflict]: two writers racing on
    one table under first-committer-wins; committed + conflicted must
    account for every transaction begun. *)
+let closed m outcome = Metrics.read m ~label:outcome "gapply_txn_closed_total"
+
 let bench_transactions ~msf:_ ~repeat:_ () =
   header
     "Interactive transactions: snapshot readers under a concurrent writer";
@@ -1138,7 +1142,7 @@ let bench_transactions ~msf:_ ~repeat:_ () =
       Session.run ~concurrent:true db ~sessions:(readers + 1)
         ~script:(fun i -> if i = 0 then writer_trace else reader_trace)
     in
-    (solo, mixed, Txn_stats.snapshot (Engine.txn_stats db))
+    (solo, mixed, Engine.metrics db)
   in
   let solo, mixed, stats = run_pair ~mvcc:true in
   let solo_p50 = percentile 0.50 solo ~skip_writer:false
@@ -1150,8 +1154,8 @@ let bench_transactions ~msf:_ ~repeat:_ () =
     "%d snapshot readers (%d txns each): solo p50 %.3f ms p99 %.3f ms@.  \
      with concurrent writer: p50 %.3f ms p99 %.3f ms (reader errors %d)@.  \
      writer: %d committed, %d conflicts@."
-    readers rounds solo_p50 solo_p99 with_p50 with_p99 errors stats.committed
-    stats.conflicts;
+    readers rounds solo_p50 solo_p99 with_p50 with_p99 errors
+    (closed stats "committed") (closed stats "conflict");
   record ~section:"transactions" ~query:"readers-solo"
     [
       ("sessions", Json.Int readers);
@@ -1170,8 +1174,8 @@ let bench_transactions ~msf:_ ~repeat:_ () =
       ("solo_p99_ms", Json.Float solo_p99);
       ( "p99_ratio",
         Json.Float (if solo_p99 > 0. then with_p99 /. solo_p99 else 0.) );
-      ("writer_committed", Json.Int stats.committed);
-      ("writer_conflicts", Json.Int stats.conflicts);
+      ("writer_committed", Json.Int (closed stats "committed"));
+      ("writer_conflicts", Json.Int (closed stats "conflict"));
       ("mvcc", Json.Bool true);
     ];
   (* the same mixed workload with the kill-switch thrown: reads resolve
@@ -1204,18 +1208,20 @@ let bench_transactions ~msf:_ ~repeat:_ () =
   let race =
     Session.run ~concurrent:true db ~sessions:2 ~script:writer_script
   in
-  let s = Txn_stats.snapshot (Engine.txn_stats db) in
-  let accounted = s.committed + s.conflicts + s.rolled_back = s.begun in
+  let m = Engine.metrics db in
+  let begun = Metrics.read m "gapply_txn_begun_total" in
+  let committed = closed m "committed" and conflicts = closed m "conflict" in
+  let accounted = committed + conflicts + closed m "rolled_back" = begun in
   Format.printf
     "two-writer race (%d txns): begun %d = committed %d + conflicts %d \
      (accounted %b)@."
-    (2 * rounds) s.begun s.committed s.conflicts accounted;
+    (2 * rounds) begun committed conflicts accounted;
   record ~section:"transactions" ~query:"writers-conflict"
     [
       ("txns", Json.Int (2 * rounds));
-      ("begun", Json.Int s.begun);
-      ("committed", Json.Int s.committed);
-      ("conflicts", Json.Int s.conflicts);
+      ("begun", Json.Int begun);
+      ("committed", Json.Int committed);
+      ("conflicts", Json.Int conflicts);
       ("accounted", Json.Bool accounted);
       ("qps", Json.Float race.Session.qps);
     ]
@@ -1262,7 +1268,7 @@ let bench_governor ~msf ~repeat:_ () =
     let db = Engine.create ~partition ~mem_limit:max_int () in
     Engine.load_tpch db ~msf;
     ignore (Engine.query db Workloads.q1_gapply);
-    (Gov_stats.snapshot (Engine.gov_stats db)).Gov_stats.peak_bytes
+    Metrics.read (Engine.metrics db) "gapply_governor_peak_bytes"
   in
   let hash_peak = peak ~partition:Compile.Hash_partition in
   let sort_peak = peak ~partition:Compile.Sort_partition in
@@ -1277,7 +1283,7 @@ let bench_governor ~msf ~repeat:_ () =
   in
   let elapsed_ms = float_of_int (Metrics.now_ns () - t0) /. 1e6 in
   let downgrades =
-    (Gov_stats.snapshot (Engine.gov_stats db)).Gov_stats.downgrades
+    Metrics.read (Engine.metrics db) "gapply_governor_downgrades_total"
   in
   Format.printf
     "memory: Q1 peaks %d B (hash) vs %d B (sort); ceiling %d B -> %s via \
@@ -1632,8 +1638,7 @@ let bench_server ~msf ~repeat:_ () =
   in
   let db = Engine.create () in
   Engine.load_tpch db ~msf;
-  let stats = Net_stats.create () in
-  let srv = Server.start ~stats cfg db in
+  let srv = Server.start cfg db in
   let port = Server.port srv in
   Fun.protect
     ~finally:(fun () ->
@@ -1748,8 +1753,9 @@ let bench_server ~msf ~repeat:_ () =
       in
       run "open-loop-0.5x" (0.5 *. capacity_qps) 24;
       run "open-loop-2x" (2.0 *. capacity_qps) 96;
-      Format.printf "server counters: %a@." Net_stats.pp
-        (Net_stats.snapshot stats))
+      Format.printf "server counters: %s@."
+        (Metrics.line (Engine.metrics db)
+           [ "gapply_connections_"; "gapply_statements_" ]))
 
 (* ---------- replication: apply lag, catch-up, failover ---------- *)
 
@@ -1812,7 +1818,7 @@ let bench_replication ~msf:_ ~repeat:_ () =
     exec_ok pdb (Printf.sprintf "insert into ingest values (%d, 'row-%d')" i i);
     if i mod 25 = 0 then
       lag_samples :=
-        Repl_stats.lag_bytes (Repl_stats.snapshot (Repl.replica_stats rep))
+        Repl_stats.lag_bytes (Repl.replica_stats rep)
         :: !lag_samples
   done;
   let ingest_ms = float_of_int (Metrics.now_ns () - t0) /. 1e6 in
@@ -1830,7 +1836,7 @@ let bench_replication ~msf:_ ~repeat:_ () =
     Repl.replica_position rep = Some (Engine.repl_position pdb)
   in
   let catchup_ms = float_of_int (Metrics.now_ns () - t1) /. 1e6 in
-  let rs = Repl_stats.snapshot (Repl.replica_stats rep) in
+  let rs = Repl.replica_stats rep in
   let lags = Array.of_list !lag_samples in
   Array.sort compare lags;
   let pct p =
@@ -1843,7 +1849,7 @@ let bench_replication ~msf:_ ~repeat:_ () =
   let lag_max = if Array.length lags = 0 then 0 else lags.(Array.length lags - 1)
   in
   let applied_per_sec =
-    float_of_int rs.Repl_stats.units_applied
+    float_of_int (Metrics.get rs.Repl_stats.units_applied)
     /. (float_of_int (Metrics.now_ns () - t0) /. 1e9)
   in
   Format.printf
@@ -1862,9 +1868,9 @@ let bench_replication ~msf:_ ~repeat:_ () =
       ("catchup_ms", Json.Float catchup_ms);
       ("converged", Json.Bool caught_up);
       ("applied_units_per_sec", Json.Float applied_per_sec);
-      ("snapshots_installed", Json.Int rs.Repl_stats.snapshots_installed);
-      ("reconnects", Json.Int rs.Repl_stats.reconnects);
-      ("torn_detected", Json.Int rs.Repl_stats.torn_detected);
+      ("snapshots_installed", Json.Int (Metrics.get rs.Repl_stats.snapshots_installed));
+      ("reconnects", Json.Int (Metrics.get rs.Repl_stats.reconnects));
+      ("torn_detected", Json.Int (Metrics.get rs.Repl_stats.torn_detected));
     ];
   (* failover: kill the primary for good, promote the replica, count
      the acknowledged rows that survived *)

@@ -113,16 +113,13 @@ let main listen http_port acceptors max_concurrent queue_depth
       Engine.load_tpch db ~msf;
       Format.printf "loaded TPC-H micro data at msf %g@." msf
   | None -> ());
-  (* One stats instance shared by the applier and the server's hub, so
-     \repl and /metrics on a replica node show the apply counters. *)
-  let repl_stats = Repl_stats.create () in
   let replica =
     ref
       (match replica_target with
       | None -> None
       | Some (rhost, rport) ->
           let r =
-            Repl.start_replica ~stats:repl_stats ~host:rhost ~port:rport db
+            Repl.start_replica ~host:rhost ~port:rport db
           in
           Format.printf "replicating from %s:%d (reads served here, \
                          writes redirected)@."
@@ -143,7 +140,7 @@ let main listen http_port acceptors max_concurrent queue_depth
     }
   in
   let srv =
-    try Server.start ~repl_stats cfg db
+    try Server.start cfg db
     with Unix.Unix_error (e, _, _) ->
       Format.eprintf "cannot listen on %s:%d: %s@." host port
         (Unix.error_message e);
@@ -180,7 +177,8 @@ let main listen http_port acceptors max_concurrent queue_depth
   | None -> ());
   Server.stop ~drain_timeout_ms srv;
   Engine.close db;
-  Format.printf "%a@." Net_stats.pp (Net_stats.snapshot (Server.stats srv));
+  Format.printf "%s@."
+    (Metrics.line (Engine.metrics db) [ "gapply_connections_"; "gapply_statements_" ]);
   Format.printf "bye.@."
 
 let listen_arg =

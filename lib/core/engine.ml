@@ -40,7 +40,9 @@ type t = {
          cancellation token *)
   inflight_mu : Mutex.t;
   inflight_seq : int Atomic.t;
+  metrics : Metrics.registry;  (* every subsystem's counters and gauges *)
   gov_stats : Gov_stats.t;
+  wal_stats : Wal_stats.t;  (* registered even without a data directory *)
   store : Store.t option;  (* durability layer, when a data_dir is given *)
   recovery : Recovery.outcome option;  (* what opening the store found *)
   mvcc : bool;  (* snapshot-isolated reads (kill-switch: GAPPLY_MVCC=off
@@ -124,6 +126,24 @@ let mvcc_enabled_from_env () =
   | Some ("off" | "0" | "false" | "no") -> false
   | _ -> true
 
+(* Dictionary totals over the catalog, summed when read. *)
+let register_dict_gauges reg cat =
+  let over_pools name help f =
+    Metrics.derived reg ~help ("gapply_dict_" ^ name) (fun () ->
+        List.fold_left (fun acc d -> acc + Dict.total f d) 0 (Catalog.dicts cat))
+  in
+  Metrics.derived reg ~help:"Dictionary-encoded tables." "gapply_dict_tables"
+    (fun () -> List.length (Catalog.dicts cat));
+  over_pools "shards" "Dictionary shard pools." (fun _ -> 1);
+  over_pools "entries" "Distinct strings interned." Strpool.length;
+  over_pools "bytes" "String payload bytes interned." Strpool.bytes;
+  over_pools "encode_hits" "Inserted strings found already interned."
+    (fun p -> (Strpool.counters p).Strpool.c_hits);
+  over_pools "encode_misses" "Inserted strings that added an entry."
+    (fun p -> (Strpool.counters p).Strpool.c_misses);
+  over_pools "decodes" "Interned strings read back at the output boundary."
+    (fun p -> (Strpool.counters p).Strpool.c_decodes)
+
 let create ?(partition = Compile.Hash_partition) ?(optimize = true) ?cbo
     ?(parallelism = 1) ?plan_cache ?(cache_capacity = 128) ?timeout_ms
     ?row_limit ?mem_limit ?data_dir ?durability ?wal_group_commit
@@ -136,27 +156,32 @@ let create ?(partition = Compile.Hash_partition) ?(optimize = true) ?cbo
     (match plan_cache with Some b -> b | None -> true)
     && cache_enabled_from_env ()
   in
+  let metrics = Metrics.registry () in
+  let wal_stats = Wal_stats.create metrics in
   let store, recovery =
     match data_dir with
     | None -> (None, None)
     | Some dir ->
         let s, outcome =
           Store.open_dir ?durability ?group_commit:wal_group_commit
-            ?checkpoint_bytes:checkpoint_wal_bytes dir
+            ?checkpoint_bytes:checkpoint_wal_bytes ~stats:wal_stats dir
         in
         (Some s, Some outcome)
   in
+  let catalog =
+    match store with
+    | Some s -> Store.catalog s  (* recovered from disk *)
+    | None -> Catalog.create ()
+  in
+  register_dict_gauges metrics catalog;
   {
-    catalog =
-      (match store with
-      | Some s -> Store.catalog s  (* recovered from disk *)
-      | None -> Catalog.create ());
+    catalog;
     partition;
     optimize;
     cbo =
       (match cbo with Some b -> b | None -> true) && cbo_enabled_from_env ();
     parallelism;
-    cache = Plan_cache.create ~capacity:cache_capacity ();
+    cache = Plan_cache.create ~capacity:cache_capacity metrics;
     cache_enabled;
     ddl_lock = Mutex.create ();
     budget =
@@ -169,12 +194,14 @@ let create ?(partition = Compile.Hash_partition) ?(optimize = true) ?cbo
     inflight = Hashtbl.create 32;
     inflight_mu = Mutex.create ();
     inflight_seq = Atomic.make 0;
-    gov_stats = Gov_stats.create ();
+    metrics;
+    gov_stats = Gov_stats.create metrics;
+    wal_stats;
     store;
     recovery;
     mvcc =
       (match mvcc with Some b -> b | None -> true) && mvcc_enabled_from_env ();
-    txn_stats = Txn_stats.create ();
+    txn_stats = Txn_stats.create metrics;
     txn_seq = Atomic.make 1;
     read_only = None;
     dsess = None;
@@ -190,12 +217,17 @@ let check_writable db =
 
 let catalog db = db.catalog
 let mvcc_enabled db = db.mvcc
-let txn_stats db = db.txn_stats
+let metrics db = db.metrics
+
+(* A backslash report: the families under [prefix], one line. *)
+let report db name prefix = name ^ ": " ^ Metrics.line db.metrics [ prefix ]
+
+(* The same line as an EXPLAIN ANALYZE footer. *)
+let footer db name prefix = Printf.sprintf "== %s ==\n" (report db name prefix)
 
 let txn_report db =
-  Format.asprintf "txn: %a%s" Txn_stats.pp
-    (Txn_stats.snapshot db.txn_stats)
-    (if db.mvcc then
+  report db "txn" "gapply_txn_"
+  ^ (if db.mvcc then
        Printf.sprintf " mvcc=on ts=%d" (Catalog.current_ts db.catalog)
      else " mvcc=off")
 
@@ -230,6 +262,15 @@ let session db =
 
 let in_transaction sess = sess.txn <> None
 
+(* A session going away with a transaction open (a wire client that
+   disconnected mid-transaction) rolls it back: staged writes never
+   touched shared tables, so only the count needs closing. *)
+let close_session sess =
+  if sess.txn <> None then begin
+    sess.txn <- None;
+    Metrics.incr sess.sdb.txn_stats.rolled_back
+  end
+
 (* Visibility for a statement: inside a transaction, the snapshot pinned
    at BEGIN plus the transaction's own staged rows (read-your-own-writes);
    otherwise a fresh snapshot of latest-committed state.  [None] (the
@@ -257,7 +298,7 @@ let engine_snapshot db =
 let data_dir db = Option.map Store.dir db.store
 let durability db = Option.map Store.durability db.store
 let recovery_outcome db = db.recovery
-let wal_stats db = Option.map (fun s -> Wal_stats.snapshot (Store.stats s)) db.store
+let wal_stats db = Option.map (fun _ -> Wal_stats.snapshot db.wal_stats) db.store
 
 let set_durability db d =
   match db.store with
@@ -279,8 +320,8 @@ let wal_report db =
   match db.store with
   | None -> "wal: no data directory"
   | Some s ->
-      Format.asprintf "wal: %a mode=%s epoch=%d len=%s dir=%s%s" Wal_stats.pp
-        (Wal_stats.snapshot (Store.stats s))
+      Printf.sprintf "%s mode=%s epoch=%d len=%s dir=%s%s"
+        (report db "wal" "gapply_wal_")
         (Store.durability_to_string (Store.durability s))
         (Store.wal_epoch s)
         (Pretty.bytes (Store.wal_length s))
@@ -470,17 +511,13 @@ let set_row_limit db n = db.budget <- { db.budget with Governor.row_limit = n }
 let set_mem_limit db bytes =
   db.budget <- { db.budget with Governor.mem_limit_bytes = bytes }
 
-let gov_stats db = db.gov_stats
-
 let dict_report db =
-  Format.asprintf "dict: %a%s" Dict_stats.pp
-    (Catalog.dict_stats db.catalog)
-    (if Dict.enabled () then "" else " (encoding disabled)")
+  report db "dict" "gapply_dict_"
+  ^ if Dict.enabled () then "" else " (encoding disabled)"
 
 let governor_report db =
-  Format.asprintf "governor: %a%s" Gov_stats.pp
-    (Gov_stats.snapshot db.gov_stats)
-    (match Fault.current () with
+  report db "governor" "gapply_governor_"
+  ^ (match Fault.current () with
     | Some p -> Printf.sprintf " fault=%s" (Fault.plan_to_string p)
     | None -> "")
 
@@ -541,7 +578,7 @@ let governed_attempt : 'a. ?budget:Governor.budget -> t ->
       let id = register_inflight db gov in
       let note () =
         unregister_inflight db id;
-        Gov_stats.note_peak db.gov_stats (Governor.mem_bytes gov)
+        Metrics.raise_to db.gov_stats.peak_bytes (Governor.mem_bytes gov)
       in
       try
         let r = run (Some gov) in
@@ -628,13 +665,14 @@ let cache_key db sql =
    whole-plan estimates under both strategies and downgrade to sort when
    it prices lower (near-unique grouping keys: a hash table with one
    entry per row costs more than sorting).  An explicit sort setting —
-   including the graceful-degradation retry key — is honored as-is. *)
-let effective_partition db (key : Plan_cache.key) plan =
-  if key.Plan_cache.cbo && key.Plan_cache.partition = Compile.Hash_partition
-  then
+   including the graceful-degradation retry key — is honored as-is.
+   Returns the strategy and, when costed, both estimates (for EXPLAIN). *)
+let choose_partition db ~cbo partition plan =
+  if cbo && partition = Compile.Hash_partition then
     let sort_c, hash_c = Cost.partition_costs db.catalog plan in
-    if sort_c < hash_c then Compile.Sort_partition else Compile.Hash_partition
-  else key.Plan_cache.partition
+    ( (if sort_c < hash_c then Compile.Sort_partition else Compile.Hash_partition),
+      Some (sort_c, hash_c) )
+  else (partition, None)
 
 (* The compile configuration is derived from the cache key (not from
    the engine's current knobs): the graceful-degradation retry prepares
@@ -658,11 +696,13 @@ let prepare_entry db (key : Plan_cache.key) =
         .Optimizer.plan
     else plan
   in
-  let partition = effective_partition db key plan in
+  let partition, _ =
+    choose_partition db ~cbo:key.Plan_cache.cbo key.Plan_cache.partition plan
+  in
   let compiled = Compile.plan ~config:(config_of_key ~partition key) plan in
   let prepare_ns = Metrics.now_ns () - t0 in
   if db.cache_enabled then
-    Cache_stats.add_prepare_ns (Plan_cache.stats db.cache) prepare_ns;
+    Metrics.add (Plan_cache.stats db.cache).prepare_ns prepare_ns;
   (* the prepare itself may have computed statistics for the first time
      (bumping the epoch mid-prepare); store the entry under the epoch it
      actually consulted, so the very next lookup — which reads the live
@@ -702,7 +742,7 @@ let lookup_or_prepare db sql = lookup_or_prepare_key db (cache_key db sql)
    buffer and group lists.  So when a hash-partitioned (or parallel) statement trips
    the ceiling, one retry under {sort partitioning, parallelism 1} —
    with a fresh governor and the same budget — frequently completes.
-   The downgrade is recorded in [Gov_stats] and keyed into the plan
+   The downgrade is counted in [gapply_governor_downgrades_total] and keyed into the plan
    cache under its own knobs, so repeated degraded runs warm-hit. *)
 
 let downgraded_key (key : Plan_cache.key) =
@@ -726,7 +766,7 @@ let run_entry_governed ?snapshot ?budget db (e : Plan_cache.entry) :
         Executor.run_compiled ?governor:gov ?snapshot db.catalog
           e.Plan_cache.compiled)
   with ex when is_mem_trip ex && can_downgrade e.Plan_cache.key ->
-    Gov_stats.downgrade db.gov_stats;
+    Metrics.incr db.gov_stats.downgrades;
     governed_attempt ?budget db (fun gov ->
         let d = lookup_or_prepare_key db (downgraded_key e.Plan_cache.key) in
         Executor.run_compiled ?governor:gov ?snapshot db.catalog
@@ -738,11 +778,8 @@ let cached_plan db src =
   | None -> None
 
 let cache_report db =
-  let s = Cache_stats.snapshot (Plan_cache.stats db.cache) in
-  Format.asprintf "plan cache: %a entries=%d/%d%s" Cache_stats.pp s
-    (Plan_cache.length db.cache)
-    (Plan_cache.capacity db.cache)
-    (if db.cache_enabled then "" else " (disabled)")
+  report db "plan cache" "gapply_plan_cache_"
+  ^ if db.cache_enabled then "" else " (disabled)"
 
 (* ---------- prepared statements ---------- *)
 
@@ -829,13 +866,7 @@ let analyze_plan ?snapshot db plan =
       (Optimizer.optimize ~cbo:db.cbo db.catalog plan).Optimizer.plan
     else plan
   in
-  let chosen_partition =
-    if db.cbo && db.partition = Compile.Hash_partition then
-      let sort_c, hash_c = Cost.partition_costs db.catalog plan in
-      if sort_c < hash_c then Compile.Sort_partition
-      else Compile.Hash_partition
-    else db.partition
-  in
+  let chosen_partition, _ = choose_partition db ~cbo:db.cbo db.partition plan in
   let attempt ~partition ~parallelism =
     let sink = Obs.make () in
     let cfg =
@@ -862,7 +893,7 @@ let analyze_plan ?snapshot db plan =
               (chosen_partition = Compile.Sort_partition
               && db.parallelism = 1)
     ->
-      Gov_stats.downgrade db.gov_stats;
+      Metrics.incr db.gov_stats.downgrades;
       let rel, sink = attempt ~partition:Compile.Sort_partition ~parallelism:1 in
       (rel, sink, true)
   in
@@ -874,48 +905,24 @@ let analyze_plan ?snapshot db plan =
          re-ran with sort partitioning, parallelism=1 ==\n"
     else report
   in
-  let s = Cache_stats.snapshot (Plan_cache.stats db.cache) in
-  let report =
-    if Cache_stats.lookups s + s.Cache_stats.evictions
-       + s.Cache_stats.invalidations > 0
-    then
-      report
-      ^ Format.asprintf "== plan cache: %a entries=%d/%d ==\n" Cache_stats.pp
-          s
-          (Plan_cache.length db.cache)
-          (Plan_cache.capacity db.cache)
-    else report
+  (* subsystem footers, each only once its subsystem has seen traffic,
+     so untouched engines keep the historical output byte-for-byte:
+     plan-cache lookups, WAL traffic, a dictionary-encoded table (none
+     without string columns or with GAPPLY_DICT=off), a transaction *)
+  let c = Plan_cache.stats db.cache in
+  let footers =
+    [
+      ( Metrics.(get c.hits + get c.misses + get c.evictions + get c.invalidations) > 0,
+        ("plan cache", "gapply_plan_cache_") );
+      (Wal_stats.active db.wal_stats, ("wal", "gapply_wal_"));
+      (Catalog.dicts db.catalog <> [], ("dict", "gapply_dict_"));
+      (Metrics.get db.txn_stats.begun > 0, ("txn", "gapply_txn_"));
+    ]
   in
-  (* durability footer, only once the store has seen traffic (plain
-     in-memory engines keep the historical output byte-for-byte) *)
-  let report =
-    match db.store with
-    | Some st
-      when Wal_stats.active (Wal_stats.snapshot (Store.stats st)) ->
-        report
-        ^ Format.asprintf "== wal: %a mode=%s ==\n" Wal_stats.pp
-            (Wal_stats.snapshot (Store.stats st))
-            (Store.durability_to_string (Store.durability st))
-    | _ -> report
-  in
-  (* dictionary footer, only when some table is dictionary-encoded
-     (engines without string columns — or with GAPPLY_DICT=off — keep
-     the historical output byte-for-byte) *)
-  let report =
-    let ds = Catalog.dict_stats db.catalog in
-    if Dict_stats.active ds then
-      report ^ Format.asprintf "== dict: %a ==\n" Dict_stats.pp ds
-    else report
-  in
-  (* transaction footer, only once a transaction has run (engines that
-     never BEGIN keep the historical output byte-for-byte) *)
-  let report =
-    let ts = Txn_stats.snapshot db.txn_stats in
-    if Txn_stats.seen ts then
-      report ^ Format.asprintf "== txn: %a ==\n" Txn_stats.pp ts
-    else report
-  in
-  (rel, report)
+  ( rel,
+    List.fold_left
+      (fun acc (on, (name, prefix)) -> if on then acc ^ footer db name prefix else acc)
+      report footers )
 
 (** Run a query under per-operator instrumentation: the result relation
     plus the rendered EXPLAIN ANALYZE report. *)
@@ -1018,13 +1025,13 @@ let render_explain db plan =
   (* the costed partition choice, when it is actually in play (cbo on
      and the session on the default hash setting) — the observable the
      plan-choice tests read *)
-  if db.cbo && db.partition = Compile.Hash_partition then begin
-    let sort_c, hash_c = Cost.partition_costs db.catalog opt.Optimizer.plan in
-    Buffer.add_string buf
-      (Printf.sprintf "== partition: %s (sort=%.0f hash=%.0f) ==\n"
-         (if sort_c < hash_c then "sort" else "hash")
-         sort_c hash_c)
-  end;
+  (match choose_partition db ~cbo:db.cbo db.partition opt.Optimizer.plan with
+  | p, Some (sort_c, hash_c) ->
+      Buffer.add_string buf
+        (Printf.sprintf "== partition: %s (sort=%.0f hash=%.0f) ==\n"
+           (if p = Compile.Sort_partition then "sort" else "hash")
+           sort_c hash_c)
+  | _, None -> ());
   Buffer.contents buf
 
 let prepared_name name = String.lowercase_ascii name
@@ -1164,7 +1171,7 @@ let stage_insert db tx name rows stmt =
   in
   st.st_rows <- List.rev_append encoded st.st_rows;
   tx.wstmts <- Sql_ast.statement_to_string stmt :: tx.wstmts;
-  Txn_stats.record_staged db.txn_stats;
+  Metrics.incr db.txn_stats.staged;
   Printf.sprintf "staged %d row(s) into %s (txn %d)" (List.length encoded)
     (Table.name table) tx.txn_id
 
@@ -1281,7 +1288,7 @@ let exec_stmt sess ~sql (stmt : Sql_ast.statement) : outcome =
                 writes = [];
                 wstmts = [];
               };
-          Txn_stats.record_begin db.txn_stats;
+          Metrics.incr db.txn_stats.begun;
           Message (Printf.sprintf "begin (txn %d)" id))
   | Sql_ast.Stmt_commit -> (
       match sess.txn with
@@ -1295,13 +1302,17 @@ let exec_stmt sess ~sql (stmt : Sql_ast.statement) : outcome =
             if tx.writes <> [] then commit_txn db tx
           with
           | () ->
-              Txn_stats.record_commit db.txn_stats;
+              Metrics.incr db.txn_stats.committed;
               if tx.writes <> [] then
                 ignore (Plan_cache.invalidate_stale db.cache db.catalog);
               Message (Printf.sprintf "commit (txn %d)" tx.txn_id)
           | exception (Errors.Txn_conflict _ as ex) ->
-              Txn_stats.record_conflict db.txn_stats;
-              Failed ex))
+              Metrics.incr db.txn_stats.conflicts;
+              Failed ex
+          | exception ex ->
+              (* read-only, disk full: closed all the same *)
+              Metrics.incr db.txn_stats.failed;
+              raise ex))
   | Sql_ast.Stmt_rollback -> (
       match sess.txn with
       | None -> Failed (Errors.Exec_error "no transaction in progress")
@@ -1309,7 +1320,7 @@ let exec_stmt sess ~sql (stmt : Sql_ast.statement) : outcome =
           (* staged writes never touched shared tables, so rollback is
              pure bookkeeping: drop the buffers *)
           sess.txn <- None;
-          Txn_stats.record_rollback db.txn_stats;
+          Metrics.incr db.txn_stats.rolled_back;
           Message (Printf.sprintf "rollback (txn %d)" tx.txn_id))
   | Sql_ast.Stmt_insert (name, rows) when sess.txn <> None -> (
       let tx = Option.get sess.txn in

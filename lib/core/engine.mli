@@ -118,6 +118,15 @@ val set_parallelism : t -> int -> unit
     never serve a plan compiled under the old setting — the cache
     key-splits, and flipping back re-hits the older entries. *)
 
+val metrics : t -> Metrics.registry
+(** The engine's one metrics registry: the plan cache
+    ([gapply_plan_cache_*]), governor ([gapply_governor_*]),
+    transactions ([gapply_txn_*]), WAL and recovery ([gapply_wal_*]) and
+    dictionary totals ([gapply_dict_*]) register here at creation; a
+    server in front of the engine adds its connection, admission and
+    replication families.  The backslash reports, the EXPLAIN ANALYZE
+    footers and [/metrics] all render from it. *)
+
 val dict_report : t -> string
 (** One-line dictionary-encoding statistics over the catalog (the CLI's
     [\dict] meta-command). *)
@@ -136,7 +145,7 @@ val dict_report : t -> string
     When a hash-partitioned or parallel statement trips the {e memory}
     ceiling, the engine retries it once under sort partitioning with
     parallelism 1 — the degraded shape buffers strictly less — and
-    records the downgrade in {!gov_stats} (and in the EXPLAIN ANALYZE
+    counts the downgrade in [gapply_governor_downgrades_total] (and in the EXPLAIN ANALYZE
     report).  Budgets are engine state, not compile knobs: they are not
     part of the plan-cache key, and flipping them never splits or
     evicts cache entries. *)
@@ -152,9 +161,6 @@ val set_row_limit : t -> int option -> unit
 
 val set_mem_limit : t -> int option -> unit
 (** Ceiling, in bytes, on a statement's accounted materialization. *)
-
-val gov_stats : t -> Gov_stats.t
-(** Violation / downgrade counters and the peak-accounted-bytes gauge. *)
 
 val governor_report : t -> string
 (** One-line human-readable governor summary (the CLI's [\governor]). *)
@@ -424,9 +430,9 @@ val exec_session : session -> string -> outcome
 
 val in_transaction : session -> bool
 
-val txn_stats : t -> Txn_stats.t
-(** Transaction counters: begun / committed / rolled back / conflicts /
-    staged statements. *)
+val close_session : session -> unit
+(** Roll back the session's open transaction, if any (counted as rolled
+    back) — for a connection that ends mid-transaction. *)
 
 val txn_report : t -> string
 (** One-line transaction summary with the MVCC mode and current commit

@@ -52,19 +52,26 @@ type t = {
   stats : Cache_stats.t;
 }
 
-let create ?(capacity = 128) () =
-  {
-    capacity = max 1 capacity;
-    table = Hashtbl.create 64;
-    clock = 0;
-    lock = Mutex.create ();
-    stats = Cache_stats.create ();
-  }
-
 let locked t f = Mutex.protect t.lock f
-let capacity t = t.capacity
-let stats t = t.stats
 let length t = locked t (fun () -> Hashtbl.length t.table)
+
+let create ?(capacity = 128) reg =
+  let t =
+    {
+      capacity = max 1 capacity;
+      table = Hashtbl.create 64;
+      clock = 0;
+      lock = Mutex.create ();
+      stats = Cache_stats.create reg;
+    }
+  in
+  Metrics.derived reg ~help:"Plans cached now." "gapply_plan_cache_entries"
+    (fun () -> length t);
+  Metrics.derived reg ~help:"Plan-cache capacity (LRU bound)."
+    "gapply_plan_cache_capacity" (fun () -> t.capacity);
+  t
+
+let stats t = t.stats
 let clear t = locked t (fun () -> Hashtbl.reset t.table)
 
 (* ---------- dependency fingerprints ---------- *)
@@ -118,25 +125,25 @@ let find t cat key =
   in
   match found with
   | Some (`Hit e) ->
-      Cache_stats.hit t.stats;
-      Cache_stats.add_saved_ns t.stats e.prepare_ns;
+      Metrics.incr t.stats.hits;
+      Metrics.add t.stats.saved_ns e.prepare_ns;
       Some e
   | Some (`Stale _) ->
-      Cache_stats.invalidation t.stats;
+      Metrics.incr t.stats.invalidations;
       None
   | None -> None
 
 (** Unvalidated, counter-free lookup (introspection / tests). *)
 let peek t key = locked t (fun () -> Hashtbl.find_opt t.table key)
 
-let record_miss t = Cache_stats.miss t.stats
+let record_miss t = Metrics.incr t.stats.misses
 
 (** Credit a warm execution that bypassed the table (a prepared-
     statement handle revalidating its own entry). *)
 let note_hit t (e : entry) =
   locked t (fun () -> e.last_used <- tick t);
-  Cache_stats.hit t.stats;
-  Cache_stats.add_saved_ns t.stats e.prepare_ns
+  Metrics.incr t.stats.hits;
+  Metrics.add t.stats.saved_ns e.prepare_ns
 
 (** Insert, evicting least-recently-used entries over capacity. *)
 let add t (e : entry) =
@@ -162,7 +169,7 @@ let add t (e : entry) =
         done;
         !n)
   in
-  for _ = 1 to evicted do Cache_stats.eviction t.stats done
+  Metrics.add t.stats.evictions evicted
 
 let remove t key = locked t (fun () -> Hashtbl.remove t.table key)
 
@@ -181,5 +188,5 @@ let invalidate_stale t cat =
         List.iter (Hashtbl.remove t.table) stale;
         List.length stale)
   in
-  for _ = 1 to stale do Cache_stats.invalidation t.stats done;
+  Metrics.add t.stats.invalidations stale;
   stale

@@ -39,10 +39,11 @@ type entry = {
 
 type t
 
-val create : ?capacity:int -> unit -> t
-(** [capacity] defaults to 128 entries (LRU-evicted beyond that). *)
+val create : ?capacity:int -> Metrics.registry -> t
+(** [capacity] defaults to 128 entries (LRU-evicted beyond that).  The
+    counters, the entry count and the capacity register as
+    [gapply_plan_cache_*]. *)
 
-val capacity : t -> int
 val length : t -> int
 val stats : t -> Cache_stats.t
 val clear : t -> unit

@@ -154,7 +154,10 @@ let pp_report ppf (r : report) =
   in
   Format.fprintf ppf
     "@[<v>sessions=%d statements=%d errors=%d elapsed=%s qps=%.0f p50=%.3fms \
-     p99=%.3fms@,cache: %a@]"
+     p99=%.3fms@,cache: hits=%d misses=%d invalidations=%d hit_rate=%.2f \
+     saved=%s@]"
     r.sessions r.statements errors
     (Pretty.duration_ns r.elapsed_ns)
-    r.qps r.p50_ms r.p99_ms Cache_stats.pp r.cache
+    r.qps r.p50_ms r.p99_ms r.cache.hits r.cache.misses r.cache.invalidations
+    (Cache_stats.hit_rate r.cache)
+    (Pretty.duration_ns r.cache.saved_ns)

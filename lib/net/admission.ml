@@ -35,7 +35,7 @@ let default_config =
 
 type t = {
   cfg : config;
-  stats : Net_stats.t option;
+  stats : Net_stats.t;
   mu : Mutex.t;
   cond : Condition.t;
   mutable running : int;
@@ -49,22 +49,35 @@ type t = {
 
 let tick_interval = 0.002 (* 2ms: bounds deadline-check latency *)
 
-let create ?stats cfg =
+let running t = Mutex.protect t.mu (fun () -> t.running)
+let queued t = Mutex.protect t.mu (fun () -> t.waiting)
+
+let create reg cfg =
   if cfg.max_concurrent < 1 then invalid_arg "admission: max_concurrent < 1";
   if cfg.queue_depth < 0 then invalid_arg "admission: queue_depth < 0";
-  {
-    cfg;
-    stats;
-    mu = Mutex.create ();
-    cond = Condition.create ();
-    running = 0;
-    waiting = 0;
-    draining = false;
-    stopped = false;
-    ewma_service_ns = 0.;
-    ticker = None;
-    by_client = Hashtbl.create 16;
-  }
+  let t =
+    {
+      cfg;
+      stats = Net_stats.create reg;
+      mu = Mutex.create ();
+      cond = Condition.create ();
+      running = 0;
+      waiting = 0;
+      draining = false;
+      stopped = false;
+      ewma_service_ns = 0.;
+      ticker = None;
+      by_client = Hashtbl.create 16;
+    }
+  in
+  Metrics.derived reg ~help:"Statements executing now." "gapply_admission_running"
+    (fun () -> running t);
+  Metrics.derived reg ~help:"Statements waiting for a slot now."
+    "gapply_admission_queued" (fun () -> queued t);
+  Metrics.derived_float reg ~help:"Smoothed statement service time (ms)."
+    "gapply_admission_ewma_service_ms" (fun () ->
+      Mutex.protect t.mu (fun () -> t.ewma_service_ns /. 1e6));
+  t
 
 (* Per-client bookkeeping; all called with [t.mu] held. *)
 let client_count_locked t c =
@@ -110,9 +123,7 @@ let retry_after_ms_locked t =
   max 1 (min 5000 (int_of_float (ceil est)))
 
 let shed t reason ~detail =
-  (match (t.stats, reason) with
-  | Some s, r -> Net_stats.shed s r
-  | None, _ -> ());
+  Net_stats.shed t.stats reason;
   let queue_depth, retry_after_ms =
     Mutex.protect t.mu (fun () -> (t.waiting, retry_after_ms_locked t))
   in
@@ -198,7 +209,7 @@ let admit ?client t f =
   match decision with
   | `Shed (reason, detail) -> shed t reason ~detail
   | `Admitted ->
-      (match t.stats with Some s -> Net_stats.admitted s | None -> ());
+      Metrics.incr t.stats.admitted;
       let t0 = now_ns () in
       Fun.protect
         ~finally:(fun () ->
@@ -233,11 +244,5 @@ let stop t =
       Condition.broadcast t.cond);
   match t.ticker with Some th -> Thread.join th | None -> ()
 
-let running t = Mutex.protect t.mu (fun () -> t.running)
-let queued t = Mutex.protect t.mu (fun () -> t.waiting)
-
 let client_running t c = Mutex.protect t.mu (fun () -> client_count_locked t c)
 
-let retry_after_ms t = Mutex.protect t.mu (fun () -> retry_after_ms_locked t)
-let ewma_service_ms t =
-  Mutex.protect t.mu (fun () -> t.ewma_service_ns /. 1e6)

@@ -30,8 +30,10 @@ val default_config : config
 
 type t
 
-val create : ?stats:Net_stats.t -> config -> t
-(** @raise Invalid_argument on a non-positive gate or negative queue. *)
+val create : Metrics.registry -> config -> t
+(** Admission and shed counters, and the running / queued / EWMA
+    service-time gauges, register in the registry.
+    @raise Invalid_argument on a non-positive gate or negative queue. *)
 
 val admit : ?client:string -> t -> (unit -> 'a) -> 'a
 (** Run the thunk inside an execution slot, queueing if the gate is
@@ -59,9 +61,3 @@ val queued : t -> int
 
 val client_running : t -> string -> int
 (** Slots currently held by one client token. *)
-
-val retry_after_ms : t -> int
-(** The backoff hint a shed issued now would carry. *)
-
-val ewma_service_ms : t -> float
-(** Smoothed service time of recently admitted statements. *)

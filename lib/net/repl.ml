@@ -40,8 +40,8 @@ type hub = {
   dirty : bool Atomic.t; (* set by the store's on-durable hook *)
 }
 
-let create_hub ?stats db =
-  let hstats = match stats with Some s -> s | None -> Repl_stats.create () in
+let create_hub db =
+  let hstats = Repl_stats.create (Engine.metrics db) in
   let hub = { db; hstats; dirty = Atomic.make true } in
   Engine.set_on_durable db (fun () -> Atomic.set hub.dirty true);
   hub
@@ -51,7 +51,7 @@ let hub_stats hub = hub.hstats
 let send_snapshot hub fd =
   let epoch, offset, body = Engine.repl_snapshot hub.db in
   Wire.write_response fd (Wire.Repl_snapshot { epoch; offset; body });
-  Repl_stats.snapshot_sent hub.hstats;
+  Metrics.incr hub.hstats.snapshots_sent;
   (epoch, offset)
 
 let stream hub fd ~stopping (epoch0, offset0) =
@@ -74,7 +74,8 @@ let stream hub fd ~stopping (epoch0, offset0) =
       else begin
         Wire.write_response fd
           (Wire.Repl_batch { epoch = cur_epoch; offset = !pos; data });
-        Repl_stats.batch_sent hub.hstats ~bytes:(String.length data);
+        Metrics.incr hub.hstats.batches_sent;
+        Metrics.add hub.hstats.bytes_sent (String.length data);
         pos := !pos + String.length data;
         last_beat := Metrics.now_ns ()
       end
@@ -84,7 +85,7 @@ let stream hub fd ~stopping (epoch0, offset0) =
       if now - !last_beat >= heartbeat_every_ns then begin
         Wire.write_response fd
           (Wire.Repl_heartbeat { epoch = cur_epoch; offset = durable });
-        Repl_stats.heartbeat_sent hub.hstats;
+        Metrics.incr hub.hstats.heartbeats_sent;
         last_beat := now
       end;
       if not (Atomic.exchange hub.dirty false) then Thread.delay poll_interval
@@ -105,9 +106,9 @@ let stream hub fd ~stopping (epoch0, offset0) =
      needs are gone — snapshot re-sync.
    - [Bootstrap]: snapshot. *)
 let serve hub fd ~stopping ~(lineage : Wire.lineage) ~epoch ~offset =
-  Repl_stats.subscriber_connected hub.hstats;
+  Metrics.incr hub.hstats.subscribers;
   Fun.protect
-    ~finally:(fun () -> Repl_stats.subscriber_disconnected hub.hstats)
+    ~finally:(fun () -> Metrics.decr hub.hstats.subscribers)
     (fun () ->
       match
         let cur_epoch, durable = Engine.repl_position hub.db in
@@ -132,7 +133,7 @@ let serve hub fd ~stopping ~(lineage : Wire.lineage) ~epoch ~offset =
       with
       | Ok pos -> stream hub fd ~stopping pos
       | Error detail ->
-          Repl_stats.diverged_rejected hub.hstats;
+          Metrics.incr hub.hstats.diverged_rejections;
           Wire.write_response fd
             (Wire.Failed { cls = "repl_diverged"; message = detail })
       | exception (Unix.Unix_error _ | Wire.Protocol_error _ | End_of_file)
@@ -211,7 +212,7 @@ let sleep_interruptible r ms =
   done
 
 let note_torn r =
-  Repl_stats.torn r.rstats;
+  Metrics.incr r.rstats.torn_detected;
   Mutex.protect r.mu (fun () ->
       r.torn_strikes <- r.torn_strikes + 1;
       if r.torn_strikes >= torn_strike_limit then r.force_bootstrap <- true)
@@ -268,7 +269,8 @@ let drain_units r buf ~epoch ~base =
        let mark = (epoch, !base + !unit_end) in
        Engine.apply_replicated r.rdb units ~mark;
        note_progress r mark;
-       Repl_stats.batch_applied r.rstats ~units:(List.length units);
+       Metrics.incr r.rstats.batches_applied;
+       Metrics.add r.rstats.units_applied (List.length units);
        Repl_stats.set_applied r.rstats ~epoch ~offset:(snd mark);
        let rest = String.sub data !unit_end (String.length data - !unit_end) in
        Buffer.clear buf;
@@ -310,7 +312,7 @@ let stream_once r fd =
         cur_epoch := epoch;
         base := offset;
         r.last_contact_ns <- Metrics.now_ns ();
-        Repl_stats.snapshot_installed r.rstats;
+        Metrics.incr r.rstats.snapshots_installed;
         Repl_stats.set_applied r.rstats ~epoch ~offset;
         Repl_stats.set_primary_position r.rstats ~epoch ~offset;
         set_state r Streaming
@@ -348,7 +350,7 @@ let stream_once r fd =
 let run r =
   let first = ref true in
   while (not (stopped r)) && replica_state r <> Diverged do
-    if not !first then Repl_stats.reconnected r.rstats;
+    if not !first then Metrics.incr r.rstats.reconnects;
     first := false;
     set_state r Connecting;
     (match Wire.dial ~host:r.host ~port:r.port with
@@ -368,13 +370,13 @@ let run r =
   done;
   if stopped r then set_state r Stopped
 
-let start_replica ?stats ?(seed = 0) ~host ~port db =
+let start_replica ?(seed = 0) ~host ~port db =
   let dir =
     match Engine.data_dir db with
     | Some d -> d
     | None -> Errors.exec_errorf "replication requires a data directory"
   in
-  let rstats = match stats with Some s -> s | None -> Repl_stats.create () in
+  let rstats = Repl_stats.create (Engine.metrics db) in
   let position, initial_lineage =
     match
       (Engine.repl_recovered_position db, Engine.repl_recovered_diverged db)

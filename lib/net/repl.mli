@@ -22,9 +22,11 @@
 
 type hub
 
-val create_hub : ?stats:Repl_stats.t -> Engine.t -> hub
+val create_hub : Engine.t -> hub
 (** Register the WAL-durability wake-up hook and return the hub the
-    server hands each subscribing connection to. *)
+    server hands each subscribing connection to.  Its counters register
+    as [gapply_repl_*] in {!Engine.metrics} — the same handles a
+    replica's applier on that engine uses. *)
 
 val hub_stats : hub -> Repl_stats.t
 
@@ -55,7 +57,6 @@ type replica_state =
   | Stopped
 
 val start_replica :
-  ?stats:Repl_stats.t ->
   ?seed:int ->
   host:string ->
   port:int ->

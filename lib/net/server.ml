@@ -135,8 +135,7 @@ let handle_query t sess ?client sql =
 let handle_meta t sess cmd = ignore t; response_of_outcome (Meta.run sess cmd)
 
 let repl_status_body t =
-  Format.asprintf "repl: %a" Repl_stats.pp
-    (Repl_stats.snapshot (Repl.hub_stats t.repl))
+  "repl: " ^ Metrics.line (Engine.metrics t.db) [ "gapply_repl_" ]
 
 let connection_loop t fd =
   let sess = Engine.new_session t.db in
@@ -148,6 +147,7 @@ let connection_loop t fd =
      forever (drain joins every thread); a stalled write fails with
      EAGAIN and the response is abandoned *)
   Unix.setsockopt_float fd Unix.SO_SNDTIMEO 10.;
+  Fun.protect ~finally:(fun () -> Engine.close_session sess) @@ fun () ->
   let quit = ref false in
   while not !quit do
     match Wire.read_request fd with
@@ -173,24 +173,26 @@ let connection_loop t fd =
         send_quietly fd (handle_query t sess ?client:!client sql)
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
         (* idle past the read timeout: tell the client and reap *)
-        Net_stats.idle_timeout t.stats;
+        Metrics.incr t.stats.idle_timeouts;
         send_quietly fd Wire.Goodbye;
         quit := true
     | exception Wire.Protocol_error m ->
         (* a confused client gets one typed frame, then the close *)
-        Net_stats.protocol_error t.stats;
+        Metrics.incr t.stats.protocol_errors;
         send_quietly fd (Wire.Failed { cls = "protocol"; message = m });
         quit := true
     | exception Unix.Unix_error _ -> quit := true
   done
 
 let handle_connection t id fd =
-  Net_stats.connection_opened t.stats;
+  Metrics.incr t.stats.accepted;
+  Metrics.incr t.stats.active;
   Fun.protect
     ~finally:(fun () ->
       close_quietly fd;
       Mutex.protect t.mu (fun () -> Hashtbl.remove t.conns id);
-      Net_stats.connection_closed t.stats)
+      Metrics.incr t.stats.closed;
+      Metrics.decr t.stats.active)
     (fun () ->
       try connection_loop t fd
       with _ ->
@@ -231,67 +233,6 @@ let http_response ~status ~content_type body =
     "HTTP/1.0 %s\r\nContent-Type: %s\r\nContent-Length: %d\r\nConnection: \
      close\r\n\r\n%s"
     status content_type (String.length body) body
-
-let prometheus_body t =
-  let s = Net_stats.snapshot t.stats in
-  let g = Gov_stats.snapshot (Engine.gov_stats t.db) in
-  let b = Buffer.create 1024 in
-  let line fmt = Printf.ksprintf (fun l -> Buffer.add_string b (l ^ "\n")) fmt in
-  line "# TYPE gapply_connections_accepted_total counter";
-  line "gapply_connections_accepted_total %d" s.Net_stats.accepted;
-  line "# TYPE gapply_connections_active gauge";
-  line "gapply_connections_active %d" s.Net_stats.active;
-  line "# TYPE gapply_statements_admitted_total counter";
-  line "gapply_statements_admitted_total %d" s.Net_stats.admitted;
-  line "# TYPE gapply_statements_shed_total counter";
-  line "gapply_statements_shed_total{reason=\"queue_full\"} %d"
-    s.Net_stats.shed_queue_full;
-  line "gapply_statements_shed_total{reason=\"deadline\"} %d"
-    s.Net_stats.shed_timeout;
-  line "gapply_statements_shed_total{reason=\"draining\"} %d"
-    s.Net_stats.shed_draining;
-  line "gapply_statements_shed_total{reason=\"quota\"} %d"
-    s.Net_stats.shed_quota;
-  line "# TYPE gapply_protocol_errors_total counter";
-  line "gapply_protocol_errors_total %d" s.Net_stats.protocol_errors;
-  line "# TYPE gapply_idle_timeouts_total counter";
-  line "gapply_idle_timeouts_total %d" s.Net_stats.idle_timeouts;
-  line "# TYPE gapply_drain_cancelled_total counter";
-  line "gapply_drain_cancelled_total %d" s.Net_stats.drain_cancelled;
-  line "# TYPE gapply_admission_running gauge";
-  line "gapply_admission_running %d" (Admission.running t.adm);
-  line "# TYPE gapply_admission_queued gauge";
-  line "gapply_admission_queued %d" (Admission.queued t.adm);
-  line "# TYPE gapply_admission_ewma_service_ms gauge";
-  line "gapply_admission_ewma_service_ms %.3f" (Admission.ewma_service_ms t.adm);
-  line "# TYPE gapply_governor_violations_total counter";
-  line "gapply_governor_violations_total{kind=\"timeout\"} %d"
-    g.Gov_stats.timeouts;
-  line "gapply_governor_violations_total{kind=\"memory\"} %d"
-    g.Gov_stats.memory_trips;
-  line "gapply_governor_violations_total{kind=\"row_limit\"} %d"
-    g.Gov_stats.row_limits;
-  line "gapply_governor_violations_total{kind=\"cancelled\"} %d"
-    g.Gov_stats.cancellations;
-  let r = Repl_stats.snapshot (Repl.hub_stats t.repl) in
-  line "# TYPE gapply_repl_subscribers gauge";
-  line "gapply_repl_subscribers %d" r.Repl_stats.subscribers;
-  line "# TYPE gapply_repl_batches_sent_total counter";
-  line "gapply_repl_batches_sent_total %d" r.Repl_stats.batches_sent;
-  line "# TYPE gapply_repl_bytes_sent_total counter";
-  line "gapply_repl_bytes_sent_total %d" r.Repl_stats.bytes_sent;
-  line "# TYPE gapply_repl_snapshots_sent_total counter";
-  line "gapply_repl_snapshots_sent_total %d" r.Repl_stats.snapshots_sent;
-  line "# TYPE gapply_repl_heartbeats_sent_total counter";
-  line "gapply_repl_heartbeats_sent_total %d" r.Repl_stats.heartbeats_sent;
-  line "# TYPE gapply_repl_diverged_rejections_total counter";
-  line "gapply_repl_diverged_rejections_total %d"
-    r.Repl_stats.diverged_rejections;
-  line "# TYPE gapply_repl_batches_applied_total counter";
-  line "gapply_repl_batches_applied_total %d" r.Repl_stats.batches_applied;
-  line "# TYPE gapply_repl_lag_bytes gauge";
-  line "gapply_repl_lag_bytes %d" (Repl_stats.lag_bytes r);
-  Buffer.contents b
 
 (* One-shot HTTP/1.0: read the request head (bounded), answer, close.
    Good enough for a scrape target and a load-balancer health probe;
@@ -334,7 +275,8 @@ let handle_http t fd =
               http_response ~status:"200 OK" ~content_type:"text/plain" "ok\n"
         | "/metrics" ->
             http_response ~status:"200 OK"
-              ~content_type:"text/plain; version=0.0.4" (prometheus_body t)
+              ~content_type:"text/plain; version=0.0.4"
+              (Metrics.prometheus (Engine.metrics t.db))
         | _ ->
             http_response ~status:"404 Not Found" ~content_type:"text/plain"
               "not found\n"
@@ -370,10 +312,10 @@ let listen_on host port =
   in
   (fd, bound)
 
-let start ?stats ?repl_stats cfg db =
-  let stats = match stats with Some s -> s | None -> Net_stats.create () in
+let start cfg db =
+  let stats = Net_stats.create (Engine.metrics db) in
   let adm =
-    Admission.create ~stats
+    Admission.create (Engine.metrics db)
       {
         Admission.max_concurrent = cfg.max_concurrent;
         queue_depth = cfg.queue_depth;
@@ -381,7 +323,7 @@ let start ?stats ?repl_stats cfg db =
         per_client_cap = cfg.per_client_cap;
       }
   in
-  let repl = Repl.create_hub ?stats:repl_stats db in
+  let repl = Repl.create_hub db in
   (* every statement must carry a cancellation token, or drain could
      not abort in-flight work with unlimited budgets *)
   Engine.set_always_governed db true;
@@ -418,9 +360,7 @@ let start ?stats ?repl_stats cfg db =
 
 let port t = t.port
 let http_port t = match t.http with Some (_, p) -> Some p | None -> None
-let stats t = t.stats
 let admission t = t.adm
-let repl_stats t = Repl.hub_stats t.repl
 
 let stop ?(drain_timeout_ms = 5000) t =
   let already = Mutex.protect t.mu (fun () ->
@@ -442,7 +382,7 @@ let stop ?(drain_timeout_ms = 5000) t =
     (* 2. abort in-flight statements: each surfaces a typed [cancelled]
        response on its own connection before that connection closes *)
     let cancelled = Engine.cancel_inflight t.db in
-    for _ = 1 to cancelled do Net_stats.drain_cancelled t.stats done;
+    Metrics.add t.stats.drain_cancelled cancelled;
     ignore (Admission.await_idle t.adm ~timeout_ms:drain_timeout_ms);
     (* 3. wake readers blocked on idle connections: they see EOF and
        close cleanly.  Loop: a connection accepted in the race window

@@ -39,9 +39,11 @@ val default_config : config
 
 type t
 
-val start : ?stats:Net_stats.t -> ?repl_stats:Repl_stats.t -> config ->
-  Engine.t -> t
-(** Bind, listen, and serve.  Also registers the replication hub: a
+val start : config -> Engine.t -> t
+(** Bind, listen, and serve.  Connection, admission and replication
+    counters register in {!Engine.metrics}, which [/metrics] renders
+    whole — restarting a server on the same engine keeps counting into
+    the same series.  Also registers the replication hub: a
     connection sending [Repl_subscribe] becomes a WAL stream served by
     {!Repl.serve} on its own thread (replication streams bypass
     admission — they are not statements).  Raises [Unix.Unix_error] if
@@ -52,12 +54,7 @@ val port : t -> int
 
 val http_port : t -> int option
 
-val stats : t -> Net_stats.t
 val admission : t -> Admission.t
-
-val repl_stats : t -> Repl_stats.t
-(** The replication hub's counters (also rendered by [/metrics] and the
-    [\repl] meta-command). *)
 
 val stop : ?drain_timeout_ms:int -> t -> unit
 (** Graceful drain (default 5 s bound on waiting for in-flight

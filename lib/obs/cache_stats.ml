@@ -1,39 +1,39 @@
-(* Plan-cache counters: atomics, so the concurrent sessions of the
-   workload driver can hit/miss/invalidate the shared cache from pool
-   domains without lost updates ("no counter tears"). *)
+(* Plan-cache counters, registered as gapply_plan_cache_*: atomics, so
+   the concurrent sessions of the workload driver can hit/miss/
+   invalidate the shared cache from pool domains without lost updates —
+   hits + misses always equals the lookups that ran. *)
 
 type t = {
   hits : Metrics.counter;
   misses : Metrics.counter;
   evictions : Metrics.counter;
-  invalidations : Metrics.counter;
-  prepare_ns : Metrics.timer;
-  saved_ns : Metrics.timer;
+  invalidations : Metrics.counter;  (* entries dropped as version-stale *)
+  prepare_ns : Metrics.counter;     (* parse + bind + optimize + compile *)
+  saved_ns : Metrics.counter;       (* preparation time the hits skipped *)
 }
 
-let create () =
-  {
-    hits = Metrics.counter ();
-    misses = Metrics.counter ();
-    evictions = Metrics.counter ();
-    invalidations = Metrics.counter ();
-    prepare_ns = Metrics.timer ();
-    saved_ns = Metrics.timer ();
-  }
+(* Bound in order: the registry renders families in registration
+   order, and record fields evaluate right to left. *)
+let create reg =
+  let c name help = Metrics.counter_in reg ~help ("gapply_plan_cache_" ^ name) in
+  let hits = c "hits_total" "Plan-cache lookups answered from the cache." in
+  let misses = c "misses_total" "Plan-cache lookups that prepared a plan." in
+  let evictions = c "evictions_total" "Entries evicted by the LRU bound." in
+  let invalidations =
+    c "invalidations_total" "Entries dropped because a table they read changed."
+  in
+  let prepare_ns = c "prepare_ns_total" "Time spent preparing plans on misses." in
+  let saved_ns = c "saved_ns_total" "Preparation time that hits avoided." in
+  { hits; misses; evictions; invalidations; prepare_ns; saved_ns }
 
-let hit t = Metrics.incr t.hits
-let miss t = Metrics.incr t.misses
-let eviction t = Metrics.incr t.evictions
-let invalidation t = Metrics.incr t.invalidations
-let add_prepare_ns t ns = Metrics.add_span t.prepare_ns ns
-let add_saved_ns t ns = Metrics.add_span t.saved_ns ns
-
+(* A plain-int view, for attributing one run against a long-lived
+   engine: counters only grow, so the delta of two snapshots is itself a
+   snapshot. *)
 type snapshot = {
   hits : int;
   misses : int;
   evictions : int;
   invalidations : int;
-  prepare_ns : int;
   saved_ns : int;
 }
 
@@ -43,41 +43,19 @@ let snapshot (t : t) =
     misses = Metrics.get t.misses;
     evictions = Metrics.get t.evictions;
     invalidations = Metrics.get t.invalidations;
-    prepare_ns = Metrics.elapsed_ns t.prepare_ns;
-    saved_ns = Metrics.elapsed_ns t.saved_ns;
+    saved_ns = Metrics.get t.saved_ns;
   }
 
-let reset (t : t) =
-  Metrics.reset t.hits;
-  Metrics.reset t.misses;
-  Metrics.reset t.evictions;
-  Metrics.reset t.invalidations;
-  Metrics.reset_timer t.prepare_ns;
-  Metrics.reset_timer t.saved_ns
-
-(* Counters only grow, so the delta of two snapshots of the same sink is
-   itself a valid snapshot (used to report one workload run against a
-   long-lived engine). *)
+(** [diff after before]: per-run delta of a monotonic sink. *)
 let diff (after : snapshot) (before : snapshot) =
   {
     hits = after.hits - before.hits;
     misses = after.misses - before.misses;
     evictions = after.evictions - before.evictions;
     invalidations = after.invalidations - before.invalidations;
-    prepare_ns = after.prepare_ns - before.prepare_ns;
     saved_ns = after.saved_ns - before.saved_ns;
   }
 
-let lookups (s : snapshot) = s.hits + s.misses
-
 let hit_rate (s : snapshot) =
-  let n = lookups s in
+  let n = s.hits + s.misses in
   if n = 0 then 0. else float_of_int s.hits /. float_of_int n
-
-let pp ppf (s : snapshot) =
-  Format.fprintf ppf
-    "hits=%d misses=%d evictions=%d invalidations=%d hit_rate=%.2f \
-     prepare=%s saved=%s"
-    s.hits s.misses s.evictions s.invalidations (hit_rate s)
-    (Pretty.duration_ns s.prepare_ns)
-    (Pretty.duration_ns s.saved_ns)

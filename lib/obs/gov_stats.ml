@@ -1,7 +1,7 @@
-(* Resource-governor counters, Cache_stats-style: atomics, so violations
-   recorded from concurrent sessions (pool domains) never tear, and the
-   snapshot/diff pair attributes one workload run against a long-lived
-   engine. *)
+(* Resource-governor counters, registered as gapply_governor_*: every
+   budget violation by kind, every graceful-degradation retry, and the
+   largest memory footprint any statement accounted.  Atomics, so
+   violations recorded from concurrent sessions never tear. *)
 
 type t = {
   timeouts : Metrics.counter;
@@ -9,20 +9,32 @@ type t = {
   row_limits : Metrics.counter;
   cancellations : Metrics.counter;
   injected_faults : Metrics.counter;
-  downgrades : Metrics.counter;   (* hash -> sort/seq retries taken *)
-  peak_bytes : int Atomic.t;      (* max accounted bytes of any statement *)
+  downgrades : Metrics.counter;  (* hash -> sort/seq retries taken *)
+  peak_bytes : Metrics.counter;  (* max gauge: accounted bytes of any statement *)
 }
 
-let create () =
-  {
-    timeouts = Metrics.counter ();
-    memory_trips = Metrics.counter ();
-    row_limits = Metrics.counter ();
-    cancellations = Metrics.counter ();
-    injected_faults = Metrics.counter ();
-    downgrades = Metrics.counter ();
-    peak_bytes = Atomic.make 0;
-  }
+let create reg =
+  let violation kind =
+    Metrics.counter_in reg ~label:("kind", kind)
+      ~help:"Statements stopped by a resource budget, by kind."
+      "gapply_governor_violations_total"
+  in
+  let timeouts = violation "timeout" in
+  let memory_trips = violation "memory" in
+  let row_limits = violation "row_limit" in
+  let cancellations = violation "cancelled" in
+  let injected_faults = violation "injected" in
+  let downgrades =
+    Metrics.counter_in reg
+      ~help:"Memory trips retried with sort partitioning, parallelism 1."
+      "gapply_governor_downgrades_total"
+  in
+  let peak_bytes =
+    Metrics.gauge_in reg ~help:"Largest memory footprint a statement accounted."
+      "gapply_governor_peak_bytes"
+  in
+  { timeouts; memory_trips; row_limits; cancellations; injected_faults; downgrades;
+    peak_bytes }
 
 let record t (kind : Errors.resource_kind) =
   Metrics.incr
@@ -32,52 +44,3 @@ let record t (kind : Errors.resource_kind) =
     | Errors.Row_limit -> t.row_limits
     | Errors.Cancelled -> t.cancellations
     | Errors.Injected_fault -> t.injected_faults)
-
-let downgrade t = Metrics.incr t.downgrades
-
-let rec note_peak t bytes =
-  let cur = Atomic.get t.peak_bytes in
-  if bytes > cur && not (Atomic.compare_and_set t.peak_bytes cur bytes) then
-    note_peak t bytes
-
-type snapshot = {
-  timeouts : int;
-  memory_trips : int;
-  row_limits : int;
-  cancellations : int;
-  injected_faults : int;
-  downgrades : int;
-  peak_bytes : int;
-}
-
-let snapshot (t : t) =
-  {
-    timeouts = Metrics.get t.timeouts;
-    memory_trips = Metrics.get t.memory_trips;
-    row_limits = Metrics.get t.row_limits;
-    cancellations = Metrics.get t.cancellations;
-    injected_faults = Metrics.get t.injected_faults;
-    downgrades = Metrics.get t.downgrades;
-    peak_bytes = Atomic.get t.peak_bytes;
-  }
-
-let reset (t : t) =
-  Metrics.reset t.timeouts;
-  Metrics.reset t.memory_trips;
-  Metrics.reset t.row_limits;
-  Metrics.reset t.cancellations;
-  Metrics.reset t.injected_faults;
-  Metrics.reset t.downgrades;
-  Atomic.set t.peak_bytes 0
-
-let violations (s : snapshot) =
-  s.timeouts + s.memory_trips + s.row_limits + s.cancellations
-  + s.injected_faults
-
-let pp ppf (s : snapshot) =
-  Format.fprintf ppf
-    "timeouts=%d mem_trips=%d row_limits=%d cancelled=%d injected=%d \
-     downgrades=%d peak=%s"
-    s.timeouts s.memory_trips s.row_limits s.cancellations s.injected_faults
-    s.downgrades
-    (Pretty.bytes s.peak_bytes)

@@ -1,108 +1,62 @@
-(* Network-front-end counters, Gov_stats-style: atomics, so acceptor
-   and connection threads record without tearing, and the snapshot pair
-   attributes one bench run (or one chaos sweep) against a long-lived
-   server. *)
+(* Network front-end counters, registered as gapply_connections_* and
+   gapply_statements_*: connections, admission decisions, sheds by
+   reason, protocol errors and drain cancellations.  Atomics, so
+   acceptor and connection threads record without tearing. *)
+
+type shed_reason =
+  | Queue_full  (** admission queue at capacity when the statement arrived *)
+  | Deadline    (** queued, but no slot freed before the admission deadline *)
+  | Draining    (** rejected because a graceful drain had begun *)
+  | Quota       (** the client was at its per-client fair-share cap while
+                    other clients held the remaining slots *)
 
 type t = {
-  accepted : Metrics.counter;       (* connections accepted *)
-  closed : Metrics.counter;         (* connections fully torn down *)
-  active : int Atomic.t;            (* gauge: live connections *)
-  admitted : Metrics.counter;       (* statements that got a slot *)
-  shed_queue_full : Metrics.counter;
-  shed_timeout : Metrics.counter;   (* queued past the admission deadline *)
-  shed_draining : Metrics.counter;  (* rejected because a drain began *)
-  shed_quota : Metrics.counter;     (* client over its fair-share cap *)
+  accepted : Metrics.counter;
+  closed : Metrics.counter;           (* connections fully torn down *)
+  active : Metrics.counter;           (* gauge: live connections *)
   protocol_errors : Metrics.counter;
-  idle_timeouts : Metrics.counter;  (* connections reaped for silence *)
-  drain_cancelled : Metrics.counter;
-      (* in-flight statements cancelled by a graceful drain *)
+  idle_timeouts : Metrics.counter;    (* connections reaped for silence *)
+  admitted : Metrics.counter;         (* statements that got a slot *)
+  shed_queue_full : Metrics.counter;
+  shed_deadline : Metrics.counter;
+  shed_draining : Metrics.counter;
+  shed_quota : Metrics.counter;
+  drain_cancelled : Metrics.counter;  (* in-flight statements a drain cancelled *)
 }
 
-let create () =
-  {
-    accepted = Metrics.counter ();
-    closed = Metrics.counter ();
-    active = Atomic.make 0;
-    admitted = Metrics.counter ();
-    shed_queue_full = Metrics.counter ();
-    shed_timeout = Metrics.counter ();
-    shed_draining = Metrics.counter ();
-    shed_quota = Metrics.counter ();
-    protocol_errors = Metrics.counter ();
-    idle_timeouts = Metrics.counter ();
-    drain_cancelled = Metrics.counter ();
-  }
-
-let connection_opened t =
-  Metrics.incr t.accepted;
-  Atomic.incr t.active
-
-let connection_closed t =
-  Metrics.incr t.closed;
-  Atomic.decr t.active
-
-let admitted t = Metrics.incr t.admitted
-
-type shed_reason = Queue_full | Deadline | Draining | Quota
+let create reg =
+  let conn name help = Metrics.counter_in reg ~help ("gapply_connections_" ^ name) in
+  let shed reason =
+    Metrics.counter_in reg ~label:("reason", reason)
+      ~help:"Statements shed by admission control, by reason."
+      "gapply_statements_shed_total"
+  in
+  let accepted = conn "accepted_total" "Connections accepted." in
+  let closed = conn "closed_total" "Connections closed." in
+  let active =
+    Metrics.gauge_in reg ~help:"Connections open now." "gapply_connections_active"
+  in
+  let protocol_errors =
+    conn "protocol_errors_total" "Connections closed on a malformed frame."
+  in
+  let idle_timeouts = conn "idle_timeouts_total" "Connections reaped for silence." in
+  let admitted =
+    Metrics.counter_in reg ~help:"Statements admitted to an execution slot."
+      "gapply_statements_admitted_total"
+  in
+  let shed_queue_full = shed "queue_full" in
+  let shed_deadline = shed "deadline" in
+  let shed_draining = shed "draining" in
+  let shed_quota = shed "quota" in
+  let drain_cancelled =
+    Metrics.counter_in reg ~help:"In-flight statements cancelled by a drain."
+      "gapply_statements_drain_cancelled_total"
+  in
+  { accepted; closed; active; protocol_errors; idle_timeouts; admitted;
+    shed_queue_full; shed_deadline; shed_draining; shed_quota; drain_cancelled }
 
 let shed t = function
   | Queue_full -> Metrics.incr t.shed_queue_full
-  | Deadline -> Metrics.incr t.shed_timeout
+  | Deadline -> Metrics.incr t.shed_deadline
   | Draining -> Metrics.incr t.shed_draining
   | Quota -> Metrics.incr t.shed_quota
-
-let protocol_error t = Metrics.incr t.protocol_errors
-let idle_timeout t = Metrics.incr t.idle_timeouts
-let drain_cancelled t = Metrics.incr t.drain_cancelled
-
-type snapshot = {
-  accepted : int;
-  closed : int;
-  active : int;
-  admitted : int;
-  shed_queue_full : int;
-  shed_timeout : int;
-  shed_draining : int;
-  shed_quota : int;
-  protocol_errors : int;
-  idle_timeouts : int;
-  drain_cancelled : int;
-}
-
-let snapshot (t : t) =
-  {
-    accepted = Metrics.get t.accepted;
-    closed = Metrics.get t.closed;
-    active = Atomic.get t.active;
-    admitted = Metrics.get t.admitted;
-    shed_queue_full = Metrics.get t.shed_queue_full;
-    shed_timeout = Metrics.get t.shed_timeout;
-    shed_draining = Metrics.get t.shed_draining;
-    shed_quota = Metrics.get t.shed_quota;
-    protocol_errors = Metrics.get t.protocol_errors;
-    idle_timeouts = Metrics.get t.idle_timeouts;
-    drain_cancelled = Metrics.get t.drain_cancelled;
-  }
-
-let reset (t : t) =
-  Metrics.reset t.accepted;
-  Metrics.reset t.closed;
-  Metrics.reset t.admitted;
-  Metrics.reset t.shed_queue_full;
-  Metrics.reset t.shed_timeout;
-  Metrics.reset t.shed_draining;
-  Metrics.reset t.shed_quota;
-  Metrics.reset t.protocol_errors;
-  Metrics.reset t.idle_timeouts;
-  Metrics.reset t.drain_cancelled
-
-let sheds (s : snapshot) =
-  s.shed_queue_full + s.shed_timeout + s.shed_draining + s.shed_quota
-
-let pp ppf (s : snapshot) =
-  Format.fprintf ppf
-    "conns=%d/%d active=%d admitted=%d shed=%d (queue=%d deadline=%d \
-     drain=%d quota=%d) proto_err=%d idle=%d cancelled=%d"
-    s.accepted s.closed s.active s.admitted (sheds s) s.shed_queue_full
-    s.shed_timeout s.shed_draining s.shed_quota s.protocol_errors
-    s.idle_timeouts s.drain_cancelled

@@ -1,13 +1,14 @@
-(* Replication counters, Net_stats-style: atomics recorded from the
-   primary's sender threads and the replica's applier thread without
-   tearing, plus position gauges so lag is observable as (primary
-   durable position) minus (replica applied position).  One shared [t]
-   can serve both roles — a promoted replica keeps its applier counters
-   and starts bumping the primary-side ones. *)
+(* Replication counters and position gauges, registered as
+   gapply_repl_*: the primary's per-subscriber sender threads and the
+   replica's applier thread record without tearing.  Both roles
+   register in their engine's registry, so a replica's applier and the
+   hub of the server in front of it share one set — a promoted replica
+   keeps its applier counters and starts bumping the primary-side ones.
+   Lag is derived from the two positions when read. *)
 
 type t = {
   (* primary side *)
-  subscribers : int Atomic.t;          (* gauge: live replication streams *)
+  subscribers : Metrics.counter;       (* gauge: live replication streams *)
   batches_sent : Metrics.counter;
   bytes_sent : Metrics.counter;        (* raw WAL bytes shipped *)
   snapshots_sent : Metrics.counter;
@@ -22,110 +23,58 @@ type t = {
   reconnects : Metrics.counter;
   torn_detected : Metrics.counter;     (* CRC/framing faults in the stream *)
   (* position gauges *)
-  applied_epoch : int Atomic.t;
-  applied_offset : int Atomic.t;
-  primary_epoch : int Atomic.t;        (* last position heard from primary *)
-  primary_offset : int Atomic.t;
+  applied_epoch : Metrics.counter;
+  applied_offset : Metrics.counter;
+  primary_epoch : Metrics.counter;     (* last position heard from primary *)
+  primary_offset : Metrics.counter;
 }
-
-let create () =
-  {
-    subscribers = Atomic.make 0;
-    batches_sent = Metrics.counter ();
-    bytes_sent = Metrics.counter ();
-    snapshots_sent = Metrics.counter ();
-    heartbeats_sent = Metrics.counter ();
-    diverged_rejections = Metrics.counter ();
-    batches_applied = Metrics.counter ();
-    units_applied = Metrics.counter ();
-    snapshots_installed = Metrics.counter ();
-    reconnects = Metrics.counter ();
-    torn_detected = Metrics.counter ();
-    applied_epoch = Atomic.make 0;
-    applied_offset = Atomic.make 0;
-    primary_epoch = Atomic.make 0;
-    primary_offset = Atomic.make 0;
-  }
-
-let subscriber_connected t = Atomic.incr t.subscribers
-let subscriber_disconnected t = Atomic.decr t.subscribers
-
-let batch_sent t ~bytes =
-  Metrics.incr t.batches_sent;
-  Metrics.add t.bytes_sent bytes
-
-let snapshot_sent t = Metrics.incr t.snapshots_sent
-let heartbeat_sent t = Metrics.incr t.heartbeats_sent
-let diverged_rejected t = Metrics.incr t.diverged_rejections
-
-let batch_applied t ~units =
-  Metrics.incr t.batches_applied;
-  Metrics.add t.units_applied units
-
-let snapshot_installed t = Metrics.incr t.snapshots_installed
-let reconnected t = Metrics.incr t.reconnects
-let torn t = Metrics.incr t.torn_detected
-
-let set_applied t ~epoch ~offset =
-  Atomic.set t.applied_epoch epoch;
-  Atomic.set t.applied_offset offset
-
-let set_primary_position t ~epoch ~offset =
-  Atomic.set t.primary_epoch epoch;
-  Atomic.set t.primary_offset offset
-
-type snapshot = {
-  subscribers : int;
-  batches_sent : int;
-  bytes_sent : int;
-  snapshots_sent : int;
-  heartbeats_sent : int;
-  diverged_rejections : int;
-  batches_applied : int;
-  units_applied : int;
-  snapshots_installed : int;
-  reconnects : int;
-  torn_detected : int;
-  applied_epoch : int;
-  applied_offset : int;
-  primary_epoch : int;
-  primary_offset : int;
-}
-
-let snapshot (t : t) =
-  {
-    subscribers = Atomic.get t.subscribers;
-    batches_sent = Metrics.get t.batches_sent;
-    bytes_sent = Metrics.get t.bytes_sent;
-    snapshots_sent = Metrics.get t.snapshots_sent;
-    heartbeats_sent = Metrics.get t.heartbeats_sent;
-    diverged_rejections = Metrics.get t.diverged_rejections;
-    batches_applied = Metrics.get t.batches_applied;
-    units_applied = Metrics.get t.units_applied;
-    snapshots_installed = Metrics.get t.snapshots_installed;
-    reconnects = Metrics.get t.reconnects;
-    torn_detected = Metrics.get t.torn_detected;
-    applied_epoch = Atomic.get t.applied_epoch;
-    applied_offset = Atomic.get t.applied_offset;
-    primary_epoch = Atomic.get t.primary_epoch;
-    primary_offset = Atomic.get t.primary_offset;
-  }
 
 (* Within one epoch, lag is a plain byte difference.  Across a
    checkpoint the old epoch's remaining bytes are unknowable from here,
    so the new epoch's unapplied prefix is the best available lower
    bound. *)
-let lag_bytes (s : snapshot) =
-  if s.primary_epoch = s.applied_epoch then
-    max 0 (s.primary_offset - s.applied_offset)
-  else s.primary_offset
+let lag_bytes t =
+  let primary = Metrics.get t.primary_offset in
+  if Metrics.get t.primary_epoch = Metrics.get t.applied_epoch then
+    max 0 (primary - Metrics.get t.applied_offset)
+  else primary
 
-let pp ppf (s : snapshot) =
-  Format.fprintf ppf
-    "subs=%d sent=%d batches/%d B snap_sent=%d hb=%d diverged=%d | \
-     applied=%d batches/%d units snap_in=%d reconnects=%d torn=%d | \
-     pos applied=%d:%d primary=%d:%d lag=%dB"
-    s.subscribers s.batches_sent s.bytes_sent s.snapshots_sent
-    s.heartbeats_sent s.diverged_rejections s.batches_applied s.units_applied
-    s.snapshots_installed s.reconnects s.torn_detected s.applied_epoch
-    s.applied_offset s.primary_epoch s.primary_offset (lag_bytes s)
+let create reg =
+  let c name help = Metrics.counter_in reg ~help ("gapply_repl_" ^ name) in
+  let g name help = Metrics.gauge_in reg ~help ("gapply_repl_" ^ name) in
+  let subscribers = g "subscribers" "Replication streams served now." in
+  let batches_sent = c "batches_sent_total" "WAL batches shipped to replicas." in
+  let bytes_sent = c "bytes_sent_total" "Raw WAL bytes shipped to replicas." in
+  let snapshots_sent = c "snapshots_sent_total" "Snapshots shipped to replicas." in
+  let heartbeats_sent = c "heartbeats_sent_total" "Heartbeats sent to replicas." in
+  let diverged_rejections =
+    c "diverged_rejections_total" "Subscribers refused for a diverged history."
+  in
+  let batches_applied = c "batches_applied_total" "WAL batches applied here." in
+  let units_applied = c "units_applied_total" "Transactions and statements applied." in
+  let snapshots_installed =
+    c "snapshots_installed_total" "Primary snapshots installed here."
+  in
+  let reconnects = c "reconnects_total" "Applier reconnects to the primary." in
+  let torn_detected = c "torn_detected_total" "Torn or corrupt frames received." in
+  let applied_epoch = g "applied_epoch" "WAL epoch applied here." in
+  let applied_offset = g "applied_offset" "WAL offset applied here." in
+  let primary_epoch = g "primary_epoch" "Primary WAL epoch last heard." in
+  let primary_offset = g "primary_offset" "Primary WAL offset last heard." in
+  let t =
+    { subscribers; batches_sent; bytes_sent; snapshots_sent; heartbeats_sent;
+      diverged_rejections; batches_applied; units_applied; snapshots_installed;
+      reconnects; torn_detected; applied_epoch; applied_offset; primary_epoch;
+      primary_offset }
+  in
+  Metrics.derived reg ~help:"Bytes the applier trails the primary by."
+    "gapply_repl_lag_bytes" (fun () -> lag_bytes t);
+  t
+
+let set_applied t ~epoch ~offset =
+  Metrics.set t.applied_epoch epoch;
+  Metrics.set t.applied_offset offset
+
+let set_primary_position t ~epoch ~offset =
+  Metrics.set t.primary_epoch epoch;
+  Metrics.set t.primary_offset offset

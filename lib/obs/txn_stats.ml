@@ -1,66 +1,39 @@
-(* Transaction counters, Wal_stats-style: atomics, so sessions on pool
-   domains record begins/commits/aborts without tearing reads from
-   report renderers.
-
-   One instance per engine.  [active] is derived, not stored: begun
-   minus closed can never drift from the real number of open
-   transactions. *)
+(* Transaction counters, registered as gapply_txn_*: atomics, so
+   sessions on pool domains record begins and outcomes without tearing.
+   Every begun transaction closes exactly once — committed, rolled back,
+   aborted by a first-committer-wins conflict, or failed (a COMMIT that
+   raised, e.g. read-only or disk full) — so [open] is derived, not
+   stored, and can never drift. *)
 
 type t = {
   begun : Metrics.counter;
-  committed : Metrics.counter;      (* COMMITs that applied (incl. empty) *)
-  rolled_back : Metrics.counter;    (* explicit ROLLBACKs *)
-  conflicts : Metrics.counter;      (* first-committer-wins aborts *)
-  staged_stmts : Metrics.counter;   (* DML statements staged inside txns *)
+  committed : Metrics.counter;    (* COMMITs that applied (incl. empty) *)
+  rolled_back : Metrics.counter;  (* explicit ROLLBACKs *)
+  conflicts : Metrics.counter;    (* first-committer-wins aborts *)
+  failed : Metrics.counter;       (* COMMITs that raised *)
+  staged : Metrics.counter;       (* DML statements staged inside txns *)
 }
 
-let create () =
-  {
-    begun = Metrics.counter ();
-    committed = Metrics.counter ();
-    rolled_back = Metrics.counter ();
-    conflicts = Metrics.counter ();
-    staged_stmts = Metrics.counter ();
-  }
-
-let record_begin t = Metrics.incr t.begun
-let record_commit t = Metrics.incr t.committed
-let record_rollback t = Metrics.incr t.rolled_back
-let record_conflict t = Metrics.incr t.conflicts
-let record_staged t = Metrics.incr t.staged_stmts
-
-type snapshot = {
-  begun : int;
-  committed : int;
-  rolled_back : int;
-  conflicts : int;
-  staged_stmts : int;
-}
-
-let snapshot (t : t) =
-  {
-    begun = Metrics.get t.begun;
-    committed = Metrics.get t.committed;
-    rolled_back = Metrics.get t.rolled_back;
-    conflicts = Metrics.get t.conflicts;
-    staged_stmts = Metrics.get t.staged_stmts;
-  }
-
-let reset (t : t) =
-  Metrics.reset t.begun;
-  Metrics.reset t.committed;
-  Metrics.reset t.rolled_back;
-  Metrics.reset t.conflicts;
-  Metrics.reset t.staged_stmts
-
-(** Transactions currently open (aborted = rollbacks + conflicts). *)
-let active (s : snapshot) =
-  max 0 (s.begun - s.committed - s.rolled_back - s.conflicts)
-
-(** Any transaction traffic at all (gates the EXPLAIN ANALYZE footer). *)
-let seen (s : snapshot) = s.begun > 0
-
-let pp ppf (s : snapshot) =
-  Format.fprintf ppf
-    "active=%d begun=%d committed=%d rolled_back=%d conflicts=%d staged=%d"
-    (active s) s.begun s.committed s.rolled_back s.conflicts s.staged_stmts
+let create reg =
+  let closed outcome =
+    Metrics.counter_in reg ~label:("outcome", outcome)
+      ~help:"Transactions closed, by outcome." "gapply_txn_closed_total"
+  in
+  let begun =
+    Metrics.counter_in reg ~help:"Transactions begun." "gapply_txn_begun_total"
+  in
+  let committed = closed "committed" in
+  let rolled_back = closed "rolled_back" in
+  let conflicts = closed "conflict" in
+  let failed = closed "failed" in
+  let staged =
+    Metrics.counter_in reg ~help:"DML statements staged inside transactions."
+      "gapply_txn_staged_statements_total"
+  in
+  let t = { begun; committed; rolled_back; conflicts; failed; staged } in
+  Metrics.derived reg ~help:"Transactions currently open." "gapply_txn_open"
+    (fun () ->
+      max 0
+        (Metrics.get t.begun - Metrics.get t.committed - Metrics.get t.rolled_back
+        - Metrics.get t.conflicts - Metrics.get t.failed));
+  t

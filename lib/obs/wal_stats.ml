@@ -1,65 +1,49 @@
-(* Durability counters, Gov_stats-style: atomics, so appends recorded
-   under the engine's DDL lock and reads from report renderers never
-   tear, and the snapshot type gives benches/tests a stable view.
-
-   One instance rides inside each Store.t; engines without a data
-   directory still own a (permanently zero) instance so report code
-   has no option to thread. *)
+(* Durability counters, registered as gapply_wal_*: records and bytes
+   appended, fsyncs with their group-commit batch sizes, checkpoints,
+   and what recovery replayed, loaded and quarantined.  Atomics, so
+   appends recorded under the engine's commit lock and reads from
+   report renderers never tear.  Every engine registers them; one
+   without a data directory keeps them at zero. *)
 
 type t = {
-  appends : Metrics.counter;          (* records appended *)
-  bytes : Metrics.counter;            (* payload + header bytes appended *)
+  appends : Metrics.counter;
+  bytes : Metrics.counter;            (* header + payload bytes appended *)
   fsyncs : Metrics.counter;
   batched_records : Metrics.counter;  (* records covered by all fsyncs *)
-  max_batch : int Atomic.t;           (* largest single group commit *)
+  max_batch : Metrics.counter;        (* max gauge: largest group commit *)
   checkpoints : Metrics.counter;
   replayed : Metrics.counter;         (* records re-applied by recovery *)
   snapshot_loads : Metrics.counter;
   quarantined_bytes : Metrics.counter; (* torn-tail bytes truncated away *)
 }
 
-let create () =
-  {
-    appends = Metrics.counter ();
-    bytes = Metrics.counter ();
-    fsyncs = Metrics.counter ();
-    batched_records = Metrics.counter ();
-    max_batch = Atomic.make 0;
-    checkpoints = Metrics.counter ();
-    replayed = Metrics.counter ();
-    snapshot_loads = Metrics.counter ();
-    quarantined_bytes = Metrics.counter ();
-  }
+let create reg =
+  let c name help = Metrics.counter_in reg ~help ("gapply_wal_" ^ name) in
+  let appends = c "appends_total" "WAL records appended." in
+  let bytes = c "bytes_total" "WAL bytes appended." in
+  let fsyncs = c "fsyncs_total" "WAL fsyncs." in
+  let batched_records = c "batched_records_total" "Records made durable by fsyncs." in
+  let max_batch =
+    Metrics.gauge_in reg ~help:"Largest group commit (records per fsync)."
+      "gapply_wal_max_batch"
+  in
+  let checkpoints = c "checkpoints_total" "Snapshots written (WAL resets)." in
+  let replayed = c "replayed_total" "Records re-applied by recovery." in
+  let snapshot_loads = c "snapshot_loads_total" "Snapshots loaded by recovery." in
+  let quarantined_bytes =
+    c "quarantined_bytes_total" "Torn-tail bytes recovery truncated away."
+  in
+  { appends; bytes; fsyncs; batched_records; max_batch; checkpoints; replayed;
+    snapshot_loads; quarantined_bytes }
 
-let record_append t ~bytes =
-  Metrics.incr t.appends;
-  Metrics.add t.bytes bytes
-
-let rec note_max_batch t n =
-  let cur = Atomic.get t.max_batch in
-  if n > cur && not (Atomic.compare_and_set t.max_batch cur n) then
-    note_max_batch t n
-
-let record_fsync t ~batch =
-  Metrics.incr t.fsyncs;
-  Metrics.add t.batched_records batch;
-  note_max_batch t batch
-
-let record_checkpoint t = Metrics.incr t.checkpoints
-let record_replayed t n = Metrics.add t.replayed n
-let record_snapshot_load t = Metrics.incr t.snapshot_loads
-let record_quarantine t ~bytes = Metrics.add t.quarantined_bytes bytes
-
+(* The plain-int view [Engine.wal_stats] returns (the append and fsync
+   figures the benchmark and the durability tests read). *)
 type snapshot = {
   appends : int;
   bytes : int;
   fsyncs : int;
   batched_records : int;
   max_batch : int;
-  checkpoints : int;
-  replayed : int;
-  snapshot_loads : int;
-  quarantined_bytes : int;
 }
 
 let snapshot (t : t) =
@@ -68,37 +52,16 @@ let snapshot (t : t) =
     bytes = Metrics.get t.bytes;
     fsyncs = Metrics.get t.fsyncs;
     batched_records = Metrics.get t.batched_records;
-    max_batch = Atomic.get t.max_batch;
-    checkpoints = Metrics.get t.checkpoints;
-    replayed = Metrics.get t.replayed;
-    snapshot_loads = Metrics.get t.snapshot_loads;
-    quarantined_bytes = Metrics.get t.quarantined_bytes;
+    max_batch = Metrics.get t.max_batch;
   }
 
-let reset (t : t) =
-  Metrics.reset t.appends;
-  Metrics.reset t.bytes;
-  Metrics.reset t.fsyncs;
-  Metrics.reset t.batched_records;
-  Atomic.set t.max_batch 0;
-  Metrics.reset t.checkpoints;
-  Metrics.reset t.replayed;
-  Metrics.reset t.snapshot_loads;
-  Metrics.reset t.quarantined_bytes
-
-(** Has this store seen any durability traffic at all?  Gates the
-    EXPLAIN ANALYZE footer so WAL-less engines keep stable output. *)
-let active (s : snapshot) =
-  s.appends + s.fsyncs + s.checkpoints + s.replayed + s.snapshot_loads > 0
+(** Any durability traffic at all (gates the EXPLAIN ANALYZE footer, so
+    WAL-less engines keep stable output). *)
+let active (t : t) =
+  Metrics.get t.appends + Metrics.get t.fsyncs + Metrics.get t.checkpoints
+  + Metrics.get t.replayed + Metrics.get t.snapshot_loads
+  > 0
 
 (** Mean records per fsync — the observed group-commit batch size. *)
 let mean_batch (s : snapshot) =
   if s.fsyncs = 0 then 0. else float_of_int s.batched_records /. float_of_int s.fsyncs
-
-let pp ppf (s : snapshot) =
-  Format.fprintf ppf
-    "appends=%d bytes=%s fsyncs=%d batch(mean=%.1f max=%d) checkpoints=%d \
-     replayed=%d snapshots=%d quarantined=%s"
-    s.appends (Pretty.bytes s.bytes) s.fsyncs (mean_batch s) s.max_batch
-    s.checkpoints s.replayed s.snapshot_loads
-    (Pretty.bytes s.quarantined_bytes)

@@ -111,9 +111,8 @@ val has_foreign_key :
 val covers_primary_key : t -> table:string -> cols:string list -> bool
 (** Is [cols] a superset of [table]'s primary key? *)
 
-val dict_stats : t -> Dict_stats.t
-(** Dictionary-encoding statistics summed over every table
-    ({!Dict_stats.zero} when none carries a dictionary). *)
+val dicts : t -> Dict.t list
+(** The dictionaries of every dictionary-encoded table. *)
 
 val adopt : t -> from:t -> unit
 (** Replace this catalog's entire contents (tables, indexes, cached

@@ -70,17 +70,4 @@ let encode_row t (row : Tuple.t) : Tuple.t =
     t.positions;
   !out
 
-let stats (t : t) : Dict_stats.t =
-  Array.fold_left
-    (fun (acc : Dict_stats.t) pool ->
-      let c = Strpool.counters pool in
-      {
-        acc with
-        Dict_stats.entries = acc.Dict_stats.entries + Strpool.length pool;
-        bytes = acc.Dict_stats.bytes + Strpool.bytes pool;
-        encode_hits = acc.Dict_stats.encode_hits + c.Strpool.c_hits;
-        encode_misses = acc.Dict_stats.encode_misses + c.Strpool.c_misses;
-        decodes = acc.Dict_stats.decodes + c.Strpool.c_decodes;
-      })
-    { Dict_stats.zero with Dict_stats.tables = 1; shards = shard_count }
-    t.pools
+let total f (t : t) = Array.fold_left (fun acc pool -> acc + f pool) 0 t.pools

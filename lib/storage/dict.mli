@@ -27,5 +27,6 @@ val encode_row : t -> Tuple.t -> Tuple.t
 (** Intern the row's string values, returning a fresh tuple holding
     [Sym] handles (the input when nothing encodes). *)
 
-val stats : t -> Dict_stats.t
-(** One table's snapshot ([tables = 1]). *)
+val total : (Strpool.t -> int) -> t -> int
+(** [f] summed over the dictionary's shard pools (entries, bytes,
+    encode/decode counters — the registry's dictionary gauges). *)

@@ -97,7 +97,7 @@ let encode t row =
   match t.dict with None -> row | Some d -> Dict.encode_row d row
 
 let encode_row = encode
-let dict_stats t = Option.map Dict.stats t.dict
+let dict t = t.dict
 
 (* Readers load the watermark first (acquire), then the array refs: the
    writer's release on [published] orders its array writes before any

@@ -95,6 +95,6 @@ val to_relation : t -> Relation.t
 
 val iter : (Tuple.t -> unit) -> t -> unit
 
-val dict_stats : t -> Dict_stats.t option
-(** Dictionary snapshot, [None] when the table has no string columns or
+val dict : t -> Dict.t option
+(** The table's dictionary, [None] when it has no string columns or
     encoding was disabled when it was created. *)

@@ -68,7 +68,7 @@ let file_size path =
 
 (* copy everything from [from] aside, then cut the log back so the
    reopened WAL appends over clean ground *)
-let quarantine_tail ~stats ~dir ~epoch path ~from ~file_length =
+let quarantine_tail ~(stats : Wal_stats.t) ~dir ~epoch path ~from ~file_length =
   let tail_len = file_length - from in
   let ic = open_in_bin path in
   let tail =
@@ -86,7 +86,7 @@ let quarantine_tail ~stats ~dir ~epoch path ~from ~file_length =
   Unix.ftruncate fd from;
   Unix.fsync fd;
   Unix.close fd;
-  Wal_stats.record_quarantine stats ~bytes:tail_len
+  Metrics.add stats.Wal_stats.quarantined_bytes tail_len
 
 (* A transaction group whose commit marker never made it to disk is a
    crash artifact exactly like a torn record: the transaction was never
@@ -149,7 +149,7 @@ let replay_record catalog = function
          outcome, not applied *)
       ()
 
-let replay ~stats catalog records ~from_offset =
+let replay ~(stats : Wal_stats.t) catalog records ~from_offset =
   let n =
     List.fold_left
       (fun n (offset, record) ->
@@ -162,10 +162,10 @@ let replay ~stats catalog records ~from_offset =
               n + 1)
       0 records
   in
-  Wal_stats.record_replayed stats n;
+  Metrics.add stats.Wal_stats.replayed n;
   n
 
-let recover ?(stats = Wal_stats.create ()) dir =
+let recover ?(stats = Wal_stats.create (Metrics.registry ())) dir =
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
   let wal_file = wal_path dir in
   let snap_file = snapshot_path dir in
@@ -177,7 +177,7 @@ let recover ?(stats = Wal_stats.create ()) dir =
   let snapshot =
     if Sys.file_exists snap_file then begin
       let loaded = Snapshot.load snap_file in
-      Wal_stats.record_snapshot_load stats;
+      Metrics.incr stats.Wal_stats.snapshot_loads;
       Some loaded
     end
     else None

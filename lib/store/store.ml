@@ -54,7 +54,6 @@ type t = {
   dir : string;
   catalog : Catalog.t;
   wal : Wal.t;
-  stats : Wal_stats.t;
   mutable durability : durability;
   mutable group_commit : int;
   mutable checkpoint_bytes : int;
@@ -66,14 +65,12 @@ type t = {
 }
 
 let open_dir ?(durability = Strict) ?(group_commit = default_group_commit)
-    ?(checkpoint_bytes = default_checkpoint_bytes) dir =
-  let stats = Wal_stats.create () in
+    ?(checkpoint_bytes = default_checkpoint_bytes) ~stats dir =
   let catalog, wal, outcome = Recovery.recover ~stats dir in
   ( {
       dir;
       catalog;
       wal;
-      stats;
       durability;
       group_commit;
       checkpoint_bytes;
@@ -84,7 +81,6 @@ let open_dir ?(durability = Strict) ?(group_commit = default_group_commit)
 
 let dir t = t.dir
 let catalog t = t.catalog
-let stats t = t.stats
 let durability t = t.durability
 let group_commit t = t.group_commit
 let checkpoint_bytes t = t.checkpoint_bytes
@@ -131,7 +127,7 @@ let checkpoint t =
   in
   if Fault.crash_now Fault.Checkpoint then raise (Fault.Crash Fault.Checkpoint);
   Wal.reset t.wal ~epoch:(epoch + 1);
-  Wal_stats.record_checkpoint t.stats;
+  Metrics.incr (Wal.stats t.wal).Wal_stats.checkpoints;
   t.on_durable ();
   bytes
 

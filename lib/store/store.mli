@@ -23,16 +23,16 @@ val open_dir :
   ?durability:durability ->
   ?group_commit:int ->
   ?checkpoint_bytes:int ->
+  stats:Wal_stats.t ->
   string ->
   t * Recovery.outcome
 (** Recover (or initialise) the database in the directory and open its
-    WAL.  Defaults: [Strict], {!default_group_commit},
+    WAL, counting into [stats].  Defaults: [Strict], {!default_group_commit},
     {!default_checkpoint_bytes}.
     @raise Errors.Recovery_error on real corruption. *)
 
 val dir : t -> string
 val catalog : t -> Catalog.t
-val stats : t -> Wal_stats.t
 val durability : t -> durability
 val group_commit : t -> int
 val checkpoint_bytes : t -> int

@@ -251,7 +251,7 @@ let header_bytes ~epoch =
   put_u64 buf epoch;
   Buffer.contents buf
 
-let create ?(stats = Wal_stats.create ()) path ~epoch =
+let create ?(stats = Wal_stats.create (Metrics.registry ())) path ~epoch =
   let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
   write_all fd (header_bytes ~epoch) 0 header_len;
   fsync_fd fd;
@@ -269,7 +269,7 @@ let create ?(stats = Wal_stats.create ()) path ~epoch =
 (** Open an existing log for appending at [length] (the end of its
     valid prefix, as established by {!scan} — recovery truncates any
     quarantined tail first). *)
-let open_existing ?(stats = Wal_stats.create ()) path ~epoch ~length =
+let open_existing ?(stats = Wal_stats.create (Metrics.registry ())) path ~epoch ~length =
   let fd = Unix.openfile path [ Unix.O_RDWR ] 0o644 in
   ignore (Unix.lseek fd length Unix.SEEK_SET);
   {
@@ -284,6 +284,7 @@ let open_existing ?(stats = Wal_stats.create ()) path ~epoch ~length =
   }
 
 let epoch t = t.epoch
+let stats t = t.stats
 let length t = t.len
 let durable_length t = t.durable
 let pending t = t.pending
@@ -304,7 +305,8 @@ let append t r =
   write_all t.fd bytes 0 n;
   t.len <- t.len + n;
   t.pending <- t.pending + 1;
-  Wal_stats.record_append t.stats ~bytes:n;
+  Metrics.incr t.stats.Wal_stats.appends;
+  Metrics.add t.stats.Wal_stats.bytes n;
   offset
 
 let fsync t =
@@ -316,7 +318,9 @@ let fsync t =
       raise (Fault.Crash Fault.Fsync)
     end;
     fsync_fd t.fd;
-    Wal_stats.record_fsync t.stats ~batch:t.pending;
+    Metrics.incr t.stats.Wal_stats.fsyncs;
+    Metrics.add t.stats.Wal_stats.batched_records t.pending;
+    Metrics.raise_to t.stats.Wal_stats.max_batch t.pending;
     t.durable <- t.len;
     t.pending <- 0
   end

@@ -57,6 +57,7 @@ val open_existing : ?stats:Wal_stats.t -> string -> epoch:int -> length:int -> t
     calling this. *)
 
 val epoch : t -> int
+val stats : t -> Wal_stats.t
 val length : t -> int
 (** Current end offset (header included); the value a checkpoint stamps
     into its snapshot. *)

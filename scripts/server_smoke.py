@@ -218,6 +218,13 @@ def main():
     check("gapply_statements_admitted_total" in metrics
           and "gapply_connections_accepted_total" in metrics,
           "/metrics exports the admission counters")
+    # every engine subsystem reaches /metrics through the one registry
+    families = [line.split()[2] for line in metrics.splitlines()
+                if line.startswith("# TYPE ")]
+    for prefix in ("gapply_plan_cache_", "gapply_txn_", "gapply_wal_",
+                   "gapply_governor_"):
+        check(any(f.startswith(prefix) for f in families),
+              f"/metrics exports the {prefix}* families")
 
     # SIGTERM mid-statement: the in-flight statement must surface a
     # typed cancellation or a clean close — and the process must drain

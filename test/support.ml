@@ -137,3 +137,40 @@ let run_checked ?(msg = "exec vs reference") cat plan =
   check_rel (msg ^ " (hash partitioning)") reference hash;
   check_rel (msg ^ " (sort partitioning)") reference sort;
   reference
+
+(* ---------- metrics conservation ---------- *)
+
+(** The laws an engine's registry must satisfy at rest, as the list of
+    violated ones (empty when conserved): every query-path execution is
+    one plan-cache hit or miss ([executions], when given; none count
+    with the cache off); every begun transaction closed exactly once or
+    is still open; every accepted connection is closed or active. *)
+let conservation_failures ?executions db =
+  let m = Engine.metrics db in
+  let get ?label name = Metrics.read m ?label name in
+  let law name lhs rhs =
+    if lhs = rhs then None else Some (Printf.sprintf "%s: %d <> %d" name lhs rhs)
+  in
+  let closed o = get ~label:o "gapply_txn_closed_total" in
+  let has name = List.mem name (Metrics.names m) in
+  List.filter_map Fun.id
+    [
+      (match executions with
+      | Some n ->
+          law "hits + misses = executions"
+            (get "gapply_plan_cache_hits_total" + get "gapply_plan_cache_misses_total")
+            (if Engine.plan_cache_enabled db then n else 0)
+      | None -> None);
+      law "begun = committed + rolled back + conflicts + failed + open"
+        (get "gapply_txn_begun_total")
+        (closed "committed" + closed "rolled_back" + closed "conflict"
+       + closed "failed" + get "gapply_txn_open");
+      (if has "gapply_connections_accepted_total" then
+         law "accepted = closed + active"
+           (get "gapply_connections_accepted_total")
+           (get "gapply_connections_closed_total" + get "gapply_connections_active")
+       else None);
+    ]
+
+let check_conservation ?executions msg db =
+  Alcotest.(check (list string)) msg [] (conservation_failures ?executions db)

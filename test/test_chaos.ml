@@ -31,8 +31,7 @@ let sweep_width default =
 let queries =
   List.map (fun (name, gapply, _) -> (name, gapply)) Workloads.figure8_queries
 
-let cache_snap db = Cache_stats.snapshot (Plan_cache.stats (Engine.plan_cache db))
-let gov_snap db = Gov_stats.snapshot (Engine.gov_stats db)
+let misses db = Metrics.read (Engine.metrics db) "gapply_plan_cache_misses_total"
 
 (* conservation assertions only hold when the cache is live, not when
    CI replays the suite with GAPPLY_PLAN_CACHE=off *)
@@ -50,8 +49,8 @@ let run_sweep ~parallelism ~seeds () =
   let references =
     List.map (fun (name, q) -> (name, q, Engine.query db q)) queries
   in
-  let frozen_misses = (cache_snap db).Cache_stats.misses in
-  let executions = ref (Cache_stats.lookups (cache_snap db)) in
+  let frozen_misses = misses db in
+  let executions = ref (List.length references) in
   let expected_faults = ref 0 in
   let fired = ref 0 and survived = ref 0 in
   for seed = 1 to seeds do
@@ -86,19 +85,18 @@ let run_sweep ~parallelism ~seeds () =
           reference (Engine.query db q);
         incr executions)
       references;
-    if cache_on then begin
-      let s = cache_snap db in
+    if cache_on then
       Alcotest.(check int)
         (Printf.sprintf "seed %d: no cache poisoning (misses frozen)" seed)
-        frozen_misses s.Cache_stats.misses;
-      Alcotest.(check int)
-        (Printf.sprintf "seed %d: hits + misses = executions" seed)
-        !executions
-        (Cache_stats.lookups s)
-    end
+        frozen_misses (misses db);
+    Support.check_conservation ~executions:!executions
+      (Printf.sprintf "seed %d: registry conserved" seed)
+      db
   done;
   Alcotest.(check int) "injected_faults counter matches observed failures"
-    !expected_faults (gov_snap db).Gov_stats.injected_faults;
+    !expected_faults
+    (Metrics.read (Engine.metrics db) ~label:"injected"
+       "gapply_governor_violations_total");
   (* a sweep that never fires isn't exercising anything *)
   Alcotest.(check bool)
     (Printf.sprintf "sweep fired at least once (%d fired / %d survived)"

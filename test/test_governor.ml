@@ -4,13 +4,16 @@
    partitioning, and the prepared-statement failure paths.
 
    Budget trips are asserted three ways: the outcome is [Failed] with
-   the right [Errors.resource_kind], the engine's Gov_stats counters
+   the right [Errors.resource_kind], the engine's gapply_governor_* counters
    record it, and an immediate re-run (with the budget lifted) produces
    the reference rows — an aborted statement never poisons the engine. *)
 
 let check_rel = Alcotest.testable Relation.pp Relation.equal_as_list
 
-let gov_snap db = Gov_stats.snapshot (Engine.gov_stats db)
+let violations db kind =
+  Metrics.read (Engine.metrics db) ~label:kind "gapply_governor_violations_total"
+
+let gov db name = Metrics.read (Engine.metrics db) ("gapply_governor_" ^ name)
 let cache_snap db = Cache_stats.snapshot (Plan_cache.stats (Engine.plan_cache db))
 
 let tpch_db ?(partition = Compile.Hash_partition) ?(parallelism = 1)
@@ -79,8 +82,7 @@ let test_timeout_aborts_and_recovers () =
   (match failed_kind (Engine.exec db slow) with
   | Some Errors.Timeout -> ()
   | _ -> Alcotest.fail "expected a typed timeout failure");
-  let g = gov_snap db in
-  Alcotest.(check bool) "timeout counted" true (g.Gov_stats.timeouts >= 1);
+  Alcotest.(check bool) "timeout counted" true (violations db "timeout" >= 1);
   (* budget off again: immediate clean re-run, warm from the same cache
      entry the aborted execution used *)
   Engine.set_timeout_ms db None;
@@ -107,7 +109,7 @@ let test_row_limit_set_knob () =
   (match failed_kind (Engine.exec db q) with
   | Some Errors.Row_limit -> ()
   | _ -> Alcotest.fail "expected a typed row-limit failure");
-  Alcotest.(check int) "row limit counted" 1 (gov_snap db).Gov_stats.row_limits;
+  Alcotest.(check int) "row limit counted" 1 (violations db "row_limit");
   (* under the limit passes untouched *)
   (match Engine.exec db "select s_suppkey from supplier where s_suppkey < 5"
    with
@@ -147,7 +149,7 @@ let measured_peak ~partition q =
   (match Engine.exec db q with
   | Engine.Rows _ -> ()
   | _ -> Alcotest.fail "measurement run should succeed");
-  (gov_snap db).Gov_stats.peak_bytes
+  gov db "peak_bytes"
 
 let test_memory_trip_without_headroom () =
   (* already at sort partitioning, parallelism 1: nothing to degrade to,
@@ -157,9 +159,8 @@ let test_memory_trip_without_headroom () =
   (match failed_kind (Engine.exec db Workloads.q1_gapply) with
   | Some Errors.Memory_exceeded -> ()
   | _ -> Alcotest.fail "expected a typed memory failure");
-  let g = gov_snap db in
-  Alcotest.(check bool) "trip counted" true (g.Gov_stats.memory_trips >= 1);
-  Alcotest.(check int) "no downgrade recorded" 0 g.Gov_stats.downgrades
+  Alcotest.(check bool) "trip counted" true (violations db "memory" >= 1);
+  Alcotest.(check int) "no downgrade recorded" 0 (gov db "downgrades_total")
 
 let test_memory_downgrade_completes () =
   let q = Workloads.q1_gapply in
@@ -181,10 +182,9 @@ let test_memory_downgrade_completes () =
   | Engine.Rows rel ->
       Alcotest.check check_rel "degraded run reference-identical" reference rel
   | _ -> Alcotest.fail "expected the degraded retry to complete");
-  let g = gov_snap db in
-  Alcotest.(check int) "one downgrade" 1 g.Gov_stats.downgrades;
+  Alcotest.(check int) "one downgrade" 1 (gov db "downgrades_total");
   Alcotest.(check bool) "the trip is recorded too" true
-    (g.Gov_stats.memory_trips >= 1);
+    (violations db "memory" >= 1);
   (* the degraded plan is cached under its own key: a repeat downgrades
      again but hits the warm degraded entry *)
   let before = cache_snap db in
@@ -211,7 +211,7 @@ let test_memory_downgrade_visible_in_analyze () =
   Alcotest.(check bool) "EXPLAIN ANALYZE records the downgrade" true
     (contains ~needle:"== degraded:" report);
   Alcotest.(check bool) "downgrade counted" true
-    ((gov_snap db).Gov_stats.downgrades >= 1)
+    (gov db "downgrades_total" >= 1)
 
 (* ---------- prepared-statement failure paths ---------- *)
 

@@ -277,17 +277,39 @@ let test_txn_stats_and_footer () =
   msg_exn (Engine.exec_session sess "commit");
   msg_exn (Engine.exec_session sess "begin");
   msg_exn (Engine.exec_session sess "rollback");
-  let s = Txn_stats.snapshot (Engine.txn_stats db) in
-  Alcotest.(check int) "begun" 2 s.Txn_stats.begun;
-  Alcotest.(check int) "committed" 1 s.Txn_stats.committed;
-  Alcotest.(check int) "rolled back" 1 s.Txn_stats.rolled_back;
-  Alcotest.(check int) "staged" 1 s.Txn_stats.staged_stmts;
-  Alcotest.(check int) "active" 0 (Txn_stats.active s);
+  let m = Engine.metrics db in
+  let closed o = Metrics.read m ~label:o "gapply_txn_closed_total" in
+  Alcotest.(check int) "begun" 2 (Metrics.read m "gapply_txn_begun_total");
+  Alcotest.(check int) "committed" 1 (closed "committed");
+  Alcotest.(check int) "rolled back" 1 (closed "rolled_back");
+  Alcotest.(check int) "staged" 1
+    (Metrics.read m "gapply_txn_staged_statements_total");
+  Alcotest.(check int) "active" 0 (Metrics.read m "gapply_txn_open");
   let report = snd (Engine.analyze db "select t.a from t") in
   Alcotest.(check bool) "txn footer appears after traffic" true
     (contains ~affix:"== txn:" report);
   Alcotest.(check bool) "\\txn report mentions commits" true
-    (contains ~affix:"committed=1" (Engine.txn_report db))
+    (contains ~affix:"closed_committed=1" (Engine.txn_report db))
+
+(* A COMMIT that raises (here: the engine went read-only mid-
+   transaction) still closes the transaction — and must count it as
+   closed, or the open gauge reports it forever. *)
+let test_failed_commit_closes_txn () =
+  let db = fresh_with_table () in
+  let sess = Engine.new_session db in
+  msg_exn (Engine.exec_session sess "begin");
+  msg_exn (Engine.exec_session sess "insert into t values (1, 'x')");
+  Engine.set_read_only db (Some { Errors.primary = None; ro_detail = "test" });
+  (match Engine.exec_session sess "commit" with
+  | exception Errors.Read_only _ -> ()
+  | _ -> Alcotest.fail "COMMIT on a read-only engine must raise Read_only");
+  Alcotest.(check bool) "session left the transaction" false
+    (Engine.in_transaction sess);
+  let m = Engine.metrics db in
+  Alcotest.(check int) "counted as failed" 1
+    (Metrics.read m ~label:"failed" "gapply_txn_closed_total");
+  Alcotest.(check int) "nothing left open" 0 (Metrics.read m "gapply_txn_open");
+  Support.check_conservation "registry conserved after a failed COMMIT" db
 
 (* ---------- concurrent reader/writer smoke ---------- *)
 
@@ -504,6 +526,8 @@ let suite =
       test_mvcc_off_reads_latest_committed;
     Alcotest.test_case "txn counters and EXPLAIN ANALYZE footer" `Quick
       test_txn_stats_and_footer;
+    Alcotest.test_case "failed COMMIT closes and counts the transaction"
+      `Quick test_failed_commit_closes_txn;
     Alcotest.test_case "concurrent reader never sees a torn commit" `Quick
       test_concurrent_reader_never_sees_torn_commit;
   ]

@@ -62,8 +62,8 @@ let with_server ?tpch ?data_dir ?durability cfg f =
   Fault.disarm ();
   let db = Engine.create ?data_dir ?durability () in
   (match tpch with Some msf -> Engine.load_tpch db ~msf | None -> ());
-  let stats = Net_stats.create () in
-  let srv = Server.start ~stats cfg db in
+  let srv = Server.start cfg db in
+  let stats = Net_stats.create (Engine.metrics db) in
   Fun.protect
     ~finally:(fun () ->
       Fault.disarm ();
@@ -225,9 +225,10 @@ let hold adm release result =
     ()
 
 let test_admission_gate_queue_shed () =
-  let stats = Net_stats.create () in
+  let reg = Metrics.registry () in
+  let stats = Net_stats.create reg in
   let adm =
-    Admission.create ~stats
+    Admission.create reg
       { Admission.max_concurrent = 1; queue_depth = 1; admission_timeout_ms = 2000;
         per_client_cap = 0 }
   in
@@ -251,9 +252,8 @@ let test_admission_gate_queue_shed () =
   Alcotest.(check bool) "slot holder finished" true (!ra = `Done);
   Alcotest.(check bool) "queued statement ran after the slot freed" true
     (!rb = `Done);
-  let s = Net_stats.snapshot stats in
-  Alcotest.(check int) "two admitted" 2 s.Net_stats.admitted;
-  Alcotest.(check int) "one queue-full shed" 1 s.Net_stats.shed_queue_full;
+  Alcotest.(check int) "two admitted" 2 (Metrics.get stats.Net_stats.admitted);
+  Alcotest.(check int) "one queue-full shed" 1 (Metrics.get stats.shed_queue_full);
   Admission.begin_drain adm;
   Alcotest.(check bool) "draining" true (Admission.draining adm);
   (match Admission.admit adm (fun () -> ()) with
@@ -262,13 +262,13 @@ let test_admission_gate_queue_shed () =
   Alcotest.(check bool) "idle after drain" true
     (Admission.await_idle adm ~timeout_ms:1000);
   Admission.stop adm;
-  let s = Net_stats.snapshot stats in
-  Alcotest.(check int) "drain shed counted" 1 s.Net_stats.shed_draining
+  Alcotest.(check int) "drain shed counted" 1 (Metrics.get stats.shed_draining)
 
 let test_admission_deadline_shed () =
-  let stats = Net_stats.create () in
+  let reg = Metrics.registry () in
+  let stats = Net_stats.create reg in
   let adm =
-    Admission.create ~stats
+    Admission.create reg
       { Admission.max_concurrent = 1; queue_depth = 4; admission_timeout_ms = 30;
         per_client_cap = 0 }
   in
@@ -286,8 +286,8 @@ let test_admission_deadline_shed () =
     (waited_ms < 2000.);
   Atomic.set release true;
   Thread.join ta;
-  let s = Net_stats.snapshot stats in
-  Alcotest.(check int) "one deadline shed" 1 s.Net_stats.shed_timeout;
+  Alcotest.(check int) "one deadline shed" 1
+    (Metrics.get stats.Net_stats.shed_deadline);
   Admission.begin_drain adm;
   Admission.stop adm
 
@@ -466,9 +466,12 @@ let test_server_overload_shed () =
               (Net_client.query probe "select count(*) as n from orders")
           in
           Alcotest.(check int) "probe result" 1 count);
-      let s = Net_stats.snapshot stats in
-      Alcotest.(check bool) "sheds counted" true (Net_stats.sheds s >= 1);
-      Alcotest.(check bool) "admissions counted" true (s.Net_stats.admitted >= 2))
+      Alcotest.(check bool) "sheds counted" true
+        (List.exists
+           (fun c -> Metrics.get c >= 1)
+           [ stats.Net_stats.shed_queue_full; stats.shed_deadline; stats.shed_quota ]);
+      Alcotest.(check bool) "admissions counted" true
+        (Metrics.get stats.Net_stats.admitted >= 2))
 
 let test_server_connection_churn () =
   with_server (server_cfg ()) (fun db srv stats ->
@@ -496,11 +499,12 @@ let test_server_connection_churn () =
         if i mod 2 = 0 then ignore (Net_client.quit c) else Net_client.close c
       done;
       await "every churned connection reaped" (fun () ->
-          let s = Net_stats.snapshot stats in
-          s.Net_stats.active = 0 && s.Net_stats.closed = s.Net_stats.accepted);
-      let s = Net_stats.snapshot stats in
+          Metrics.get stats.Net_stats.active = 0);
+      Support.check_conservation "churned connections and transactions balance" db;
+      Alcotest.(check int) "abandoned transactions rolled back" 0
+        (Metrics.read (Engine.metrics db) "gapply_txn_open");
       Alcotest.(check bool) "all connections accounted" true
-        (s.Net_stats.accepted >= rounds);
+        (Metrics.get stats.accepted >= rounds);
       Alcotest.(check int) "no in-flight statements leak" 0
         (Engine.inflight_count db);
       (* abandoned transactions rolled back with their sessions: none of
@@ -610,7 +614,7 @@ let test_server_chaos_sweep () =
           Alcotest.(check bool) "sweep injected at least one fault" true
             (!fired + !survived = seeds);
           await "torn connections typed and reaped" (fun () ->
-              (Net_stats.snapshot stats).Net_stats.protocol_errors >= !torn);
+              Metrics.get stats.Net_stats.protocol_errors >= !torn);
           (* the server is still fully live after the sweep *)
           let q0 = List.nth queries 0 and ref0 = List.nth references 0 in
           let _, body = expect_rows "post-sweep" (Net_client.query c q0) in
@@ -623,8 +627,8 @@ let test_server_drain_under_load () =
   Fault.disarm ();
   let db = Engine.create ~data_dir:dir ~durability:Store.Strict () in
   Engine.load_tpch db ~msf:0.2;
-  let stats = Net_stats.create () in
-  let srv = Server.start ~stats (server_cfg ()) db in
+  let srv = Server.start (server_cfg ()) db in
+  let stats = Net_stats.create (Engine.metrics db) in
   let port = Server.port srv in
   (* durable write before the drain; it must survive recovery *)
   with_client srv (fun c ->
@@ -663,9 +667,8 @@ let test_server_drain_under_load () =
   | `Eof -> ()
   | `Rows -> Alcotest.fail "slow statement finished before the drain"
   | `Pending | `Other -> Alcotest.fail "in-flight statement not typed");
-  let s = Net_stats.snapshot stats in
   Alcotest.(check bool) "drain cancellation counted" true
-    (s.Net_stats.drain_cancelled >= 1);
+    (Metrics.get stats.Net_stats.drain_cancelled >= 1);
   (* the idle connection was woken and closed, not leaked *)
   (match Net_client.query idle "select 1 + 1 as two" with
   | Wire.Goodbye -> ()
@@ -707,7 +710,7 @@ let test_server_idle_timeout () =
       | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ());
       Net_client.close c;
       await "idle timeout counted" (fun () ->
-          (Net_stats.snapshot stats).Net_stats.idle_timeouts >= 1);
+          Metrics.get stats.Net_stats.idle_timeouts >= 1);
       (* a fresh, active connection is unaffected *)
       with_client srv (fun c2 ->
           ignore
@@ -739,6 +742,67 @@ let contains hay needle =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   nn = 0 || go 0
 
+let starts_with ~prefix s =
+  String.length s >= String.length prefix
+  && String.sub s 0 (String.length prefix) = prefix
+
+(* The /metrics body as Prometheus text: every sample is
+   [name value] or [name{label="v"} value]; each family has exactly one
+   HELP and one TYPE line, both before its samples; no series repeats;
+   and every family the engine registered is exported. *)
+let check_prometheus db response =
+  let body =
+    match String.index_opt response '#' with
+    | Some i -> String.sub response i (String.length response - i)
+    | None -> Alcotest.fail "no metric families in /metrics"
+  in
+  let help = Hashtbl.create 64 and typ = Hashtbl.create 64 in
+  let seen = Hashtbl.create 128 in
+  let bump h k = Hashtbl.replace h k (1 + Option.value ~default:0 (Hashtbl.find_opt h k)) in
+  let sample key value =
+    let name =
+      match String.index_opt key '{' with
+      | None -> key
+      | Some i ->
+          let lbl = String.sub key i (String.length key - i) in
+          let n = String.length lbl in
+          (match String.index_opt lbl '=' with
+          | Some j when j > 1 && n > j + 3 && lbl.[j + 1] = '"' && String.sub lbl (n - 2) 2 = "\"}"
+                        && not (String.contains (String.sub lbl (j + 2) (n - j - 4)) '"') -> ()
+          | _ -> Alcotest.failf "malformed label set %S" lbl);
+          String.sub key 0 i
+    in
+    Alcotest.(check bool) (key ^ " value is a number") true (float_of_string_opt value <> None);
+    Alcotest.(check bool) (name ^ " declared before its samples") true
+      (Hashtbl.mem help name && Hashtbl.mem typ name);
+    Alcotest.(check bool) (key ^ " appears once") false (Hashtbl.mem seen key);
+    Hashtbl.add seen key ()
+  in
+  List.iter
+    (fun line ->
+      match String.split_on_char ' ' line with
+      | "#" :: "HELP" :: name :: _ :: _ -> bump help name
+      | [ "#"; "TYPE"; name; ("counter" | "gauge") ] -> bump typ name
+      | [ key; value ] -> sample key value
+      | _ -> Alcotest.failf "malformed /metrics line %S" line)
+    (List.filter (( <> ) "") (String.split_on_char '\n' body));
+  Hashtbl.iter (fun n c -> Alcotest.(check int) (n ^ ": one HELP") 1 c) help;
+  Hashtbl.iter (fun n c -> Alcotest.(check int) (n ^ ": one TYPE") 1 c) typ;
+  let names = Metrics.names (Engine.metrics db) in
+  List.iter (fun n -> Alcotest.(check bool) (n ^ " exported") true (Hashtbl.mem help n)) names;
+  List.iter
+    (fun prefix ->
+      Alcotest.(check bool) (prefix ^ "* registered") true
+        (List.exists (starts_with ~prefix) names))
+    [
+      "gapply_plan_cache_"; "gapply_governor_"; "gapply_txn_"; "gapply_wal_";
+      "gapply_dict_"; "gapply_connections_"; "gapply_statements_";
+      "gapply_admission_"; "gapply_repl_";
+    ];
+  (* the open-loop benchmark scrapes this gauge as a bare two-token line *)
+  Alcotest.(check bool) "EWMA gauge is an unlabelled name-value line" true
+    (Hashtbl.mem seen "gapply_admission_ewma_service_ms")
+
 let test_server_health_and_metrics () =
   with_server (server_cfg ~http:0 ()) (fun db srv _stats ->
       ignore (Engine.exec db "create table ping (a int)");
@@ -753,17 +817,7 @@ let test_server_health_and_metrics () =
       let health = http_get hp "/health" in
       Alcotest.(check bool) "/health is 200" true (contains health "200");
       Alcotest.(check bool) "/health body ok" true (contains health "ok");
-      let metrics = http_get hp "/metrics" in
-      List.iter
-        (fun m ->
-          Alcotest.(check bool) (m ^ " exported") true (contains metrics m))
-        [
-          "gapply_connections_accepted_total";
-          "gapply_statements_admitted_total";
-          "gapply_statements_shed_total";
-          "gapply_admission_running";
-          "gapply_drain_cancelled_total";
-        ];
+      check_prometheus db (http_get hp "/metrics");
       let missing = http_get hp "/nope" in
       Alcotest.(check bool) "unknown path is 404" true (contains missing "404"))
 

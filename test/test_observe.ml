@@ -59,6 +59,35 @@ let test_timer_monotonic () =
   Metrics.reset_timer t;
   Alcotest.(check int) "reset_timer zeroes" 0 (Metrics.elapsed_ns t)
 
+let test_registry () =
+  let reg = Metrics.registry () in
+  let hits = Metrics.counter_in reg ~help:"Hits." "x_hits_total" in
+  Metrics.incr (Metrics.counter_in reg ~help:"Hits." "x_hits_total");
+  Alcotest.(check int) "re-registering returns the same handle" 1 (Metrics.get hits);
+  let shed r = Metrics.counter_in reg ~label:("reason", r) ~help:"Sheds." "x_shed_total" in
+  Metrics.add (shed "full") 2;
+  ignore (shed "quota");
+  Metrics.set (Metrics.gauge_in reg ~help:"Bytes." "x_peak_bytes") 2048;
+  Metrics.derived reg ~help:"Old reader." "x_open" (fun () -> 1);
+  Metrics.derived reg ~help:"Open." "x_open" (fun () -> 3);
+  Alcotest.(check int) "a derived gauge takes the newest reader" 3
+    (Metrics.read reg "x_open");
+  Alcotest.(check int) "labelled series read by value" 2
+    (Metrics.read reg ~label:"full" "x_shed_total");
+  Alcotest.(check string) "one-line form"
+    "hits=1 shed_full=2 shed_quota=0 peak=2.0KiB open=3"
+    (Metrics.line reg [ "x_" ]);
+  Alcotest.(check string) "Prometheus form"
+    "# HELP x_hits_total Hits.\n# TYPE x_hits_total counter\nx_hits_total 1\n\
+     # HELP x_shed_total Sheds.\n# TYPE x_shed_total counter\n\
+     x_shed_total{reason=\"full\"} 2\nx_shed_total{reason=\"quota\"} 0\n\
+     # HELP x_peak_bytes Bytes.\n# TYPE x_peak_bytes gauge\nx_peak_bytes 2048\n\
+     # HELP x_open Old reader.\n# TYPE x_open gauge\nx_open 3\n"
+    (Metrics.prometheus reg);
+  Alcotest.check_raises "a name keeps its type"
+    (Invalid_argument "Metrics: conflicting registration of x_hits_total")
+    (fun () -> ignore (Metrics.gauge_in reg ~help:"Hits." "x_hits_total"))
+
 (* ---------- sink semantics ---------- *)
 
 (* Strip what is legitimately nondeterministic from a report: the
@@ -455,6 +484,8 @@ let suite =
       test_counter_atomic;
     Alcotest.test_case "clock and timers are monotone, reset zeroes" `Quick
       test_timer_monotonic;
+    Alcotest.test_case "registry: shared handles, line and Prometheus forms"
+      `Quick test_registry;
     Alcotest.test_case "fresh sink per Engine.analyze" `Quick
       test_fresh_sink_per_exec;
     Alcotest.test_case "Obs.reset zeroes the live tree" `Quick

@@ -177,11 +177,6 @@ let gen_diff_op =
 
 let gen_diff_ops = Gen.list_size (Gen.int_range 1 12) gen_diff_op
 
-let cache_enabled_in_env =
-  match Sys.getenv_opt "GAPPLY_PLAN_CACHE" with
-  | Some ("off" | "0" | "false" | "no") -> false
-  | _ -> true
-
 let prop_cache_differential =
   QCheck2.Test.make ~count:100
     ~name:"cached/prepared execution = cold path = reference across DDL/DML"
@@ -238,16 +233,10 @@ let prop_cache_differential =
       in
       (* counter conservation: with the cache live, every query-path
          execution is accounted as exactly one hit or miss; the cold
-         twin accounts nothing *)
-      let warm_s = Cache_stats.snapshot (Plan_cache.stats (Engine.plan_cache warm)) in
-      let cold_s = Cache_stats.snapshot (Plan_cache.stats (Engine.plan_cache cold)) in
-      let conserved =
-        if cache_enabled_in_env then
-          Cache_stats.lookups warm_s = !executions
-          && Cache_stats.lookups cold_s = 0
-        else Cache_stats.lookups warm_s = 0
-      in
-      ok && conserved)
+         twin (and a GAPPLY_PLAN_CACHE=off replay) accounts nothing *)
+      ok
+      && Support.conservation_failures ~executions:!executions warm = []
+      && Support.conservation_failures ~executions:0 cold = [])
 
 let suite =
   List.map QCheck_alcotest.to_alcotest

@@ -143,9 +143,10 @@ let test_persistent_reconnect () =
 (* ---------- per-client admission quotas ---------- *)
 
 let test_quota_admission () =
-  let stats = Net_stats.create () in
+  let reg = Metrics.registry () in
+  let stats = Net_stats.create reg in
   let a =
-    Admission.create ~stats
+    Admission.create reg
       {
         Admission.max_concurrent = 4;
         queue_depth = 8;
@@ -188,7 +189,7 @@ let test_quota_admission () =
                detail;
              !has_cap));
       Alcotest.(check int) "quota shed counted" 1
-        (Net_stats.snapshot stats).Net_stats.shed_quota;
+        (Metrics.get stats.Net_stats.shed_quota);
       (* a different client sails through the idle gate *)
       Alcotest.(check string) "other client admitted" "ok"
         (Admission.admit ~client:"polite" a (fun () -> "ok")))
@@ -196,9 +197,9 @@ let test_quota_admission () =
 let test_quota_wire () =
   let db = Engine.create () in
   Engine.load_tpch db ~msf:0.2;
-  let stats = Net_stats.create () in
+  let stats = Net_stats.create (Engine.metrics db) in
   let srv =
-    Server.start ~stats
+    Server.start
       (server_cfg ~max_concurrent:2 ~per_client_cap:1 ~queue_depth:8
          ~admission_timeout_ms:150 ())
     db
@@ -235,7 +236,7 @@ let test_quota_wire () =
             ("second greedy statement must be shed, got "
             ^ String.make 1 (fst (Wire.encode_response r))));
       Alcotest.(check bool) "typed quota shed counted" true
-        ((Net_stats.snapshot stats).Net_stats.shed_quota >= 1);
+        (Metrics.get stats.Net_stats.shed_quota >= 1);
       (* an unrelated client still gets the gate's free slot *)
       let c3 = conn () in
       ignore (Net_client.request c3 (Wire.Auth "polite"));
@@ -369,8 +370,7 @@ let test_repl_restart_resume () =
                 "exactly-once apply across the restart" 5
                 (count rdb2 "select k from kv");
               Alcotest.(check int) "resume streamed, no snapshot" 0
-                (Repl_stats.snapshot (Repl.replica_stats rep2))
-                  .Repl_stats.snapshots_installed)))
+                (Metrics.get (Repl.replica_stats rep2).Repl_stats.snapshots_installed))))
 
 let test_repl_checkpoint_resync () =
   with_pair (fun ~pdir:_ ~rdir:_ ~pdb ~rdb ~srv:_ ~port ->
@@ -557,11 +557,11 @@ let test_repl_torn_stream () =
             exec_ok pdb (Printf.sprintf "insert into kv values (%d)" i)
           done;
           await_caught_up "recovery from the torn stream" pdb rep;
-          let s = Repl_stats.snapshot (Repl.replica_stats rep) in
+          let s = Repl.replica_stats rep in
           Alcotest.(check bool) "corruption detected" true
-            (s.Repl_stats.torn_detected >= 1);
+            (Metrics.get s.Repl_stats.torn_detected >= 1);
           Alcotest.(check bool) "stream re-established" true
-            (s.Repl_stats.reconnects >= 1);
+            (Metrics.get s.Repl_stats.reconnects >= 1);
           check_digest_parity "after the torn stream" pdb rdb;
           Alcotest.(check int) "no loss, no duplicates" 6
             (count rdb "select k from kv")))
@@ -598,8 +598,8 @@ let test_promote_rewind_rejected () =
                   Repl.replica_state repa = Repl.Diverged);
               Alcotest.(check bool) "refusal counted on the new primary"
                 true
-                ((Repl_stats.snapshot (Server.repl_stats bsrv))
-                   .Repl_stats.diverged_rejections
+                (Metrics.read (Engine.metrics rdb)
+                   "gapply_repl_diverged_rejections_total"
                 >= 1);
               Alcotest.(check string)
                 "new primary untouched by the rejected subscriber" before
