@@ -456,11 +456,22 @@ let streamed_form doc =
    so an empty document shows.  [runs] counts the ascending runs that
    reach the GApply plan's final ORDER BY, and [runs_bound] is 1 + its
    GApply branches (CI gates runs <= runs_bound).  [streamed_same] is
-   whether the buffer sink streamed [doc]'s bytes (CI gates it). *)
-let record_pipeline name ~msf ~presorted:(runs, runs_bound) ~streamed t_ou
-    t_ga same (doc : Xml.t) =
+   whether the buffer sink streamed [doc]'s bytes (CI gates it).
+   [gapplies] counts the GApply plan's GApply operators and
+   [group_local] those whose per-group query runs as the group-local
+   loop (CI gates which publishing plans take it). *)
+let record_pipeline name ~msf ~presorted:(runs, runs_bound) ~streamed
+    ~gapply_plan t_ou t_ga same (doc : Xml.t) =
   let parents =
     match doc with Xml.Element (_, _, cs) -> List.length cs | Xml.Text _ -> 0
+  in
+  let gapplies, group_local =
+    Plan.fold
+      (fun (n, local) -> function
+        | Plan.G_apply { var; pgq; _ } ->
+            (n + 1, if Compile.group_local ~var pgq then local + 1 else local)
+        | _ -> (n, local))
+      (0, 0) gapply_plan
   in
   record ~section:"pipeline" ~query:name
     [
@@ -472,6 +483,8 @@ let record_pipeline name ~msf ~presorted:(runs, runs_bound) ~streamed t_ou
       ("parents", Json.Int parents);
       ("runs", Json.Int runs);
       ("runs_bound", Json.Int runs_bound);
+      ("gapplies", Json.Int gapplies);
+      ("group_local", Json.Int group_local);
     ]
 
 (* The bytes the buffer sink streams for a publishing plan. *)
@@ -530,7 +543,7 @@ let bench_pipeline ~msf ~repeat () =
         (ms t_ga) (t_ou /. t_ga) same (fst presorted) (snd presorted);
       record_pipeline name ~msf ~presorted
         ~streamed:(stream cat (ga_plan, ga_enc))
-        t_ou t_ga same doc)
+        ~gapply_plan:ga_plan t_ou t_ga same doc)
     specs;
   (* the three-level customer -> order -> lineitem view with per-level
      aggregates (deep publisher) *)
@@ -553,7 +566,7 @@ let bench_pipeline ~msf ~repeat () =
     "3-level orders (3 aggs)" (ms t_ou) (ms t_ga) (t_ou /. t_ga) same
     (fst presorted) (snd presorted);
   record_pipeline "3-level orders (3 aggs)" ~msf ~presorted
-    ~streamed:(stream cat ga) t_ou t_ga same doc
+    ~streamed:(stream cat ga) ~gapply_plan:(fst ga) t_ou t_ga same doc
 
 (* ---------- number rendering at the output boundary ---------- *)
 

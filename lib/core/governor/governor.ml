@@ -19,7 +19,7 @@
 
    Memory accounting is deliberately simple: a monotonic count of bytes
    *materialized* during the statement (partition tables, hash/sort
-   buffers, group copies, cached inner results), estimated per tuple.
+   buffers, bound groups, cached inner results), estimated per tuple.
    It is a budget on how much a statement may buffer, not an RSS
    measurement — deterministic, cheap, and exactly the quantity the
    paper's GApply makes dangerous. *)

@@ -8,7 +8,7 @@
       cancellation token and the wall-clock deadline (and reports
       [Open]/[Next]/[Close] fault sites);
     - {!accountant}/{!charge} account bytes at materialization points —
-      GApply partition tables, hash/sort buffers, group copies, cached
+      GApply partition tables, hash/sort buffers, bound groups, cached
       Apply inners (and report the [Alloc] fault site);
     - {!wrap_root_batch} counts statement output rows against the row
       limit.

@@ -38,20 +38,23 @@ let iter f b =
 
 (* ---------- producers ---------- *)
 
-(** Chunk [arr] into windows of [size] rows — no copying, each batch is
-    a view over [arr]. *)
-let of_array ?(size = default_size) (arr : Tuple.t array) : cursor =
+(** Chunk the view [v] into windows of [size] rows — no copying, each
+    batch is a view over [v.rows]. *)
+let of_view ?(size = default_size) (v : t) : cursor =
   let size = max 1 size in
-  let n = Array.length arr in
-  let pos = ref 0 in
+  let stop = v.pos + v.len in
+  let pos = ref v.pos in
   fun () ->
-    if !pos >= n then None
+    if !pos >= stop then None
     else begin
       let p = !pos in
-      let len = min size (n - p) in
+      let len = min size (stop - p) in
       pos := p + len;
-      Some { rows = arr; pos = p; len }
+      Some { rows = v.rows; pos = p; len }
     end
+
+let of_array ?size (arr : Tuple.t array) : cursor =
+  of_view ?size { rows = arr; pos = 0; len = Array.length arr }
 
 (* ---------- consumers / adapters ---------- *)
 

@@ -32,6 +32,10 @@ val iter : (Tuple.t -> unit) -> t -> unit
 val of_array : ?size:int -> Tuple.t array -> cursor
 (** Chunk an array into batch views without copying. *)
 
+val of_view : ?size:int -> t -> cursor
+(** Chunk the rows of a view into batch views without copying; an
+    empty view yields no batch. *)
+
 val to_cursor : cursor -> Cursor.t
 (** Unbatch, row by row; holds one live batch at a time. *)
 

@@ -7,9 +7,12 @@
 
    GApply execution follows the paper's two phases (Section 3): a
    partition phase (by sorting or hashing, per [config]) over the outer
-   stream, then a nested-loops execution phase that binds each group to
-   the relation-valued variable and re-runs the compiled per-group
-   query.
+   stream, which lays the groups out as slices of one member array
+   ([groups]), then an execution phase over the groups.  A group-local
+   per-group query ([local_branches]: Project/Aggregate/Select chains
+   over the group) runs as one loop per group that filters, folds and
+   projects the slice directly; any other is compiled once and re-run
+   per group with the slice bound to the relation-valued variable.
 
    Execution is vectorized: every operator is a cursor over [Batch.t]
    row arrays of up to [config.batch_size] rows and consumes its
@@ -123,16 +126,99 @@ let sort_rows ?pool cmp (rows : 'a array) =
    partition phase cost more than they save *)
 let parallel_partition_threshold = 1024
 
-(* Group rows by a key function.  Group order is deterministic —
-   reverse of first-seen key order, as this engine has always produced —
-   and each group's rows stay in input order.
+(* ---------- the partition layout ---------- *)
 
-   With a pool, the partition phase runs per-domain partial tables over
-   contiguous input chunks and merges them in chunk order.  Each partial
-   is re-reversed into its chunk's first-seen order before merging, so
-   the global key-encounter order equals the sequential first-seen
-   order; listing the merged keys latest first then reproduces the
-   sequential output exactly.
+(* A partitioned input: every member row in one array (the input's
+   own, reordered in place), each group a contiguous slice of it.
+   Group [g] has key [keys.(g)] and members
+   [members.(starts.(g)) .. members.(starts.(g + 1) - 1)]; groups are
+   numbered in the partition's output order and members keep their
+   input order.  A group is bound to its variable as a view over the
+   array ([group_view]), so nothing is copied per group. *)
+type groups = {
+  members : Tuple.t array;
+  keys : Tuple.t array;
+  starts : int array;  (* one entry per group, then [Array.length members] *)
+}
+
+let group_count gs = Array.length gs.keys
+
+let group_view gs g : Batch.t =
+  let pos = gs.starts.(g) in
+  { Batch.rows = gs.members; pos; len = gs.starts.(g + 1) - pos }
+
+(* A hash bucket: its members latest first, and how many. *)
+type bucket = { mutable rows : Tuple.t list; mutable count : int }
+
+(* Hash rows [pos .. pos+len-1] into buckets, returned with their keys
+   in reverse first-seen key order. *)
+let hash_chunk ~(idxs : int array) (rows : Tuple.t array) pos len :
+    (Tuple.t * bucket) list =
+  let order = ref [] in
+  let add b row =
+    b.rows <- row :: b.rows;
+    b.count <- b.count + 1
+  in
+  (match idxs with
+  | [| i0 |] ->
+      (* single grouping column: hash the value itself — no per-row
+         key-tuple allocation; the key tuple is built once per group *)
+      let tbl : bucket Value.Tbl.t = Value.Tbl.create 64 in
+      for k = pos to pos + len - 1 do
+        let row = rows.(k) in
+        let v = Array.unsafe_get row i0 in
+        match Value.Tbl.find tbl v with
+        | b -> add b row
+        | exception Not_found ->
+            let b = { rows = [ row ]; count = 1 } in
+            Value.Tbl.add tbl v b;
+            order := ([| v |], b) :: !order
+      done
+  | _ ->
+      let tbl : bucket Tuple.Tbl.t = Tuple.Tbl.create 64 in
+      for k = pos to pos + len - 1 do
+        let row = rows.(k) in
+        let key = project_key idxs row in
+        match Tuple.Tbl.find tbl key with
+        | b -> add b row
+        | exception Not_found ->
+            let b = { rows = [ row ]; count = 1 } in
+            Tuple.Tbl.add tbl key b;
+            order := (key, b) :: !order
+      done);
+  !order
+
+(* Write the groups back into [rows], group after group: each group is
+   its key, its size and its members as lists that read latest first
+   when concatenated, so the slice is filled from its end.  Reusing the
+   input array keeps the partition to the one array it was
+   materialized into. *)
+let lay_out (rows : Tuple.t array)
+    (groups : (Tuple.t * int * Tuple.t list list) list) : groups =
+  let ng = List.length groups in
+  let keys = Array.make ng Tuple.empty and starts = Array.make (ng + 1) 0 in
+  List.iteri
+    (fun g (key, count, parts) ->
+      keys.(g) <- key;
+      let stop = starts.(g) + count in
+      starts.(g + 1) <- stop;
+      let i = ref stop in
+      List.iter
+        (List.iter (fun row ->
+             decr i;
+             rows.(!i) <- row))
+        parts)
+    groups;
+  { members = rows; keys; starts }
+
+(* Hash partitioning, in place.  Group order is deterministic — reverse
+   of first-seen key order — and each group's rows stay in input order.
+
+   With a pool, per-domain partial tables over contiguous input chunks
+   are merged in chunk order.  Walking each partial in its chunk's
+   first-seen order makes the global key-encounter order the
+   sequential first-seen order, so listing the merged keys latest first
+   reproduces the sequential layout exactly.
 
    Under a governor ([gov]), every chunk first passes a cancellation /
    deadline check and charges the hash table's per-row structure
@@ -140,79 +226,55 @@ let parallel_partition_threshold = 1024
    makes a hash-partition blow-up trip *during* partitioning, which the
    engine then retries sort-based (see Governor). *)
 let group_rows ?pool ?gov ~op ~(idxs : int array) (rows : Tuple.t array) :
-    (Tuple.t * Tuple.t list) list =
-  let chunk pos len : (Tuple.t * Tuple.t list) list =
+    groups =
+  let chunk (pos, len) =
     Governor.check gov ~op;
     Governor.charge gov ~op (len * Governor.hash_partition_overhead_per_row);
-    match idxs with
-    | [| i0 |] ->
-        (* single grouping column: hash the value itself — no per-row
-           key-tuple allocation; the key tuple is built once per group *)
-        let tbl : Tuple.t list ref Value.Tbl.t = Value.Tbl.create 64 in
-        let order = ref [] in
-        for k = pos to pos + len - 1 do
-          let row = rows.(k) in
-          let v = Array.unsafe_get row i0 in
-          match Value.Tbl.find_opt tbl v with
-          | Some bucket -> bucket := row :: !bucket
-          | None ->
-              Value.Tbl.add tbl v (ref [ row ]);
-              order := v :: !order
-        done;
-        List.map (fun v -> ([| v |], List.rev !(Value.Tbl.find tbl v))) !order
-    | _ ->
-        let tbl : Tuple.t list ref Tuple.Tbl.t = Tuple.Tbl.create 64 in
-        let order = ref [] in
-        for k = pos to pos + len - 1 do
-          let row = rows.(k) in
-          let key = project_key idxs row in
-          match Tuple.Tbl.find_opt tbl key with
-          | Some bucket -> bucket := row :: !bucket
-          | None ->
-              Tuple.Tbl.add tbl key (ref [ row ]);
-              order := key :: !order
-        done;
-        List.map (fun key -> (key, List.rev !(Tuple.Tbl.find tbl key))) !order
+    hash_chunk ~idxs rows pos len
   in
   let n = Array.length rows in
-  match pool with
-  | Some pool when n >= parallel_partition_threshold ->
-      let nchunks = Domain_pool.num_domains pool in
-      let size = (n + nchunks - 1) / nchunks in
-      let ranges =
-        Array.init nchunks (fun i -> (i * size, min size (n - (i * size))))
-        |> Array.to_list
-        |> List.filter (fun (_, len) -> len > 0)
-        |> Array.of_list
-      in
-      let partials =
-        Domain_pool.parallel_map_array pool
-          (fun (pos, len) -> chunk pos len)
-          ranges
-      in
-      (* the chunk-order merge re-reads every partial into one table:
-         charge its structure overhead too (the parallel hash path
-         really does hold partials + merged table at once) *)
-      Governor.charge gov ~op
-        (n * Governor.hash_partition_merge_overhead_per_row);
-      let tbl : Tuple.t list list ref Tuple.Tbl.t = Tuple.Tbl.create 64 in
-      let order = ref [] in
-      Array.iter
-        (fun partial ->
-          (* chunk output is reverse-first-seen; walk it first-seen *)
-          List.iter
-            (fun (key, members) ->
-              match Tuple.Tbl.find_opt tbl key with
-              | Some parts -> parts := members :: !parts
-              | None ->
-                  Tuple.Tbl.add tbl key (ref [ members ]);
-                  order := key :: !order)
-            (List.rev partial))
-        partials;
-      List.map
-        (fun key -> (key, List.concat (List.rev !(Tuple.Tbl.find tbl key))))
-        !order
-  | _ -> chunk 0 n
+  lay_out rows
+    (match pool with
+    | Some pool when n >= parallel_partition_threshold ->
+        let nchunks = Domain_pool.num_domains pool in
+        let size = (n + nchunks - 1) / nchunks in
+        let ranges =
+          Array.init nchunks (fun i -> (i * size, min size (n - (i * size))))
+          |> Array.to_list
+          |> List.filter (fun (_, len) -> len > 0)
+          |> Array.of_list
+        in
+        let partials = Domain_pool.parallel_map_array pool chunk ranges in
+        (* the chunk-order merge re-reads every partial into one table:
+           charge its structure overhead too (the parallel hash path
+           really does hold partials + merged table at once) *)
+        Governor.charge gov ~op
+          (n * Governor.hash_partition_merge_overhead_per_row);
+        (* per key: its size and its chunks' member lists, latest
+           chunk first *)
+        let tbl : (int ref * Tuple.t list list ref) Tuple.Tbl.t =
+          Tuple.Tbl.create 64
+        in
+        let order = ref [] in
+        Array.iter
+          (fun partial ->
+            List.iter
+              (fun (key, b) ->
+                match Tuple.Tbl.find tbl key with
+                | count, parts ->
+                    count := !count + b.count;
+                    parts := b.rows :: !parts
+                | exception Not_found ->
+                    Tuple.Tbl.add tbl key (ref b.count, ref [ b.rows ]);
+                    order := key :: !order)
+              (List.rev partial))
+          partials;
+        List.map
+          (fun key ->
+            let count, parts = Tuple.Tbl.find tbl key in
+            (key, !count, !parts))
+          !order
+    | _ -> List.map (fun (key, b) -> (key, b.count, [ b.rows ])) (chunk (0, n)))
 
 (* Aggregate accumulators live in arrays so the per-row step is an
    indexed loop, not a List.iter2 closure pair. *)
@@ -229,13 +291,6 @@ let agg_add (specs : (Expr.agg * Eval.compiled option) array) states frames
     Agg_state.add (Array.unsafe_get states j) v
   done
 
-(* Aggregate a row sequence into one output row of finished values. *)
-let run_aggregates specs (frames : Eval.frames) (rows : Tuple.t list) :
-    Tuple.t =
-  let states = agg_states specs in
-  List.iter (fun row -> agg_add specs states frames row) rows;
-  Array.map Agg_state.finish states
-
 let compile_agg_args schema (aggs : (Expr.agg * string) list) =
   Array.of_list
     (List.map
@@ -243,23 +298,17 @@ let compile_agg_args schema (aggs : (Expr.agg * string) list) =
          (a, Option.map (Eval.compile schema) a.Expr.arg))
        aggs)
 
-(* Nested-loops expansion, shared by every join form and by Apply: each
-   left row is paired with the rows [matches lrow] yields (push-style,
-   in match order) and the joined rows passing [keep] are packed into
-   output batches of exactly [size] rows (the last one may be short).
-   Left rows are expanded one at a time, only until a batch is full, so
-   a large expansion — a cross product, an inner returning thousands of
-   rows per outer row — streams in [size]-row batches instead of
-   materializing a whole left batch's product; one left row expanding
-   past [size] spills into further batches queued for the next pulls.
-   Keeping every batch at [size] rows also keeps its array on OCaml's
-   minor heap (see [Batch.default_size]). *)
-let expand ~size ~keep (matches : Tuple.t -> (Tuple.t -> unit) -> unit)
-    (lbc : Batch.cursor) : Batch.cursor =
-  let left = ref { Batch.rows = [||]; pos = 0; len = 0 } and li = ref 0 in
-  let exhausted = ref false in
+(* Pack the rows a producer pushes into batches of exactly [size] rows
+   (the last one may be short).  Each [step push] call produces the next
+   piece of output — any number of rows, possibly none — and returns
+   [false] once there is nothing left.  Pieces are produced only until a
+   batch is full, so the output streams in [size]-row batches; a piece
+   spilling past [size] rows fills further batches, queued for the next
+   pulls.  Keeping every batch at [size] rows also keeps its array on
+   OCaml's minor heap (see [Batch.default_size]). *)
+let pack ~size (step : (Tuple.t -> unit) -> bool) : Batch.cursor =
   let ready = Queue.create () in
-  let out = ref [||] and n = ref 0 in
+  let out = ref [||] and n = ref 0 and exhausted = ref false in
   let flush () =
     if !n > 0 then begin
       Queue.push { Batch.rows = !out; pos = 0; len = !n } ready;
@@ -274,32 +323,294 @@ let expand ~size ~keep (matches : Tuple.t -> (Tuple.t -> unit) -> unit)
   in
   let rec next () =
     if not (Queue.is_empty ready) then Some (Queue.pop ready)
-    else if !li < !left.Batch.len then begin
-      let b = !left in
-      while Queue.is_empty ready && !li < b.Batch.len do
-        let lrow = Batch.get b !li in
-        incr li;
-        matches lrow (fun rrow ->
-            let joined = Tuple.concat lrow rrow in
-            if keep joined then push joined)
-      done;
+    else if !exhausted then None
+    else begin
+      if not (step push) then begin
+        exhausted := true;
+        flush ()
+      end;
       next ()
     end
-    else if !exhausted then None
-    else
-      match lbc () with
-      | Some b ->
-          left := b;
-          li := 0;
-          next ()
-      | None ->
-          exhausted := true;
-          flush ();
-          next ()
   in
   next
 
+(* Nested-loops expansion, shared by every join form and by Apply: each
+   left row is paired with the rows [matches lrow] yields (push-style,
+   in match order) and the joined rows passing [keep] are packed into
+   [size]-row batches.  Left rows are expanded one at a time, only until
+   a batch is full, so a large expansion — a cross product, an inner
+   returning thousands of rows per outer row — streams instead of
+   materializing a whole left batch's product. *)
+let expand ~size ~keep (matches : Tuple.t -> (Tuple.t -> unit) -> unit)
+    (lbc : Batch.cursor) : Batch.cursor =
+  let left = ref { Batch.rows = [||]; pos = 0; len = 0 } and li = ref 0 in
+  pack ~size (fun push ->
+      if !li < !left.Batch.len then begin
+        let lrow = Batch.get !left !li in
+        incr li;
+        matches lrow (fun rrow ->
+            let joined = Tuple.concat lrow rrow in
+            if keep joined then push joined);
+        true
+      end
+      else
+        match lbc () with
+        | Some b ->
+            left := b;
+            li := 0;
+            true
+        | None -> false)
+
 let keep_all (_ : Tuple.t) = true
+
+(* The execution phase of GApply / Group_by over a partition's groups,
+   taken in [order]: [emit g push] pushes group [g]'s output rows.
+   Every group first passes a cancellation / deadline check.
+   Sequentially the rows are packed into [size]-row batches as they are
+   pulled.  With a pool, groups share no state (the per-group semantics
+   are order-independent), so each group's rows are collected on the
+   pool ([account] charges them) and concatenated in group order: the
+   same rows in the same order as the sequential path. *)
+let run_groups ~size ?pool ?gov ~op ?account (order : int array) emit :
+    Batch.cursor =
+  let n = Array.length order in
+  match pool with
+  | Some pool when n >= 2 ->
+      let collect g =
+        Governor.check gov ~op;
+        let acc = ref [] in
+        emit g (fun row -> acc := row :: !acc);
+        let rows = Array.of_list (List.rev !acc) in
+        Option.iter (fun f -> f rows 0 (Array.length rows)) account;
+        rows
+      in
+      Batch.of_array ~size
+        (Array.concat
+           (Array.to_list
+              (Domain_pool.parallel_map_array pool collect order)))
+  | _ ->
+      let i = ref 0 in
+      pack ~size (fun push ->
+          !i < n
+          && begin
+               Governor.check gov ~op;
+               emit order.(!i) push;
+               incr i;
+               true
+             end)
+
+(* ---------- group-local per-group queries ---------- *)
+
+(* The branches of a group-local PGQ over [var]: a UNION ALL (or one
+   branch) of [Project? (Aggregate? (Select* (Group_scan var)))]
+   chains. *)
+let local_branches ~var (pgq : Plan.t) : Plan.t list option =
+  let rec selects = function
+    | Plan.Select { input; _ } -> selects input
+    | Plan.Group_scan { var = v; _ } -> String.equal v var
+    | _ -> false
+  in
+  let below_project = function
+    | Plan.Aggregate { input; _ } -> selects input
+    | p -> selects p
+  in
+  let branch = function
+    | Plan.Project { input; _ } -> below_project input
+    | p -> below_project p
+  in
+  let branches = match pgq with Plan.Union_all bs -> bs | p -> [ p ] in
+  if List.for_all branch branches then Some branches else None
+
+let group_local ~var pgq = Option.is_some (local_branches ~var pgq)
+
+(* One compiled branch, with the Obs node of each of its operators when
+   observed. *)
+type local_branch = {
+  preds : (Eval.frames -> Tuple.t -> bool) array;  (* innermost first *)
+  aggs : (Expr.agg * Eval.compiled option) array option;
+  items : Eval.compiled array option;  (* None: no Project *)
+  scan_node : Obs.node option;
+  select_nodes : Obs.node option array;  (* like [preds] *)
+  agg_node : Obs.node option;
+  project_node : Obs.node option;
+}
+
+(* How many of [preds] a row passes, innermost first, counting from
+   [k]: all of them (= [Array.length preds]) keeps it.  Top-level, so
+   the per-row call allocates no closure. *)
+let rec level preds frames row k =
+  if k < Array.length preds && (Array.unsafe_get preds k) frames row then
+    level preds frames row (k + 1)
+  else k
+
+(* [key] followed by the branch's projection of [row] (or [row] itself
+   without a Project), written into one fresh row. *)
+let branch_row b key frames row =
+  match b.items with
+  | None -> Tuple.concat key row
+  | Some items ->
+      let k = Array.length key in
+      let out = Array.make (k + Array.length items) Value.Null in
+      Array.blit key 0 out 0 k;
+      for j = 0 to Array.length items - 1 do
+        Array.unsafe_set out (k + j) ((Array.unsafe_get items j) frames row)
+      done;
+      out
+
+(* One group through one branch: filter, fold and project the group's
+   slice [v] in one loop, pushing [key ++ values] rows in the order the
+   branch's cursor chain yields them.  An Aggregate charges the rows it
+   folds under "aggregate.input", as its cursor does. *)
+let run_branch b gov frames key (v : Batch.t) push =
+  let np = Array.length b.preds in
+  let stop = v.Batch.pos + v.Batch.len in
+  match b.aggs with
+  | None ->
+      for i = v.Batch.pos to stop - 1 do
+        let row = Array.unsafe_get v.Batch.rows i in
+        if level b.preds frames row 0 = np then
+          push (branch_row b key frames row)
+      done
+  | Some specs ->
+      let states = agg_states specs in
+      let governed = Option.is_some gov and bytes = ref 0 in
+      for i = v.Batch.pos to stop - 1 do
+        let row = Array.unsafe_get v.Batch.rows i in
+        if level b.preds frames row 0 = np then begin
+          agg_add specs states frames row;
+          if governed then bytes := !bytes + Governor.tuple_bytes row
+        end
+      done;
+      Governor.charge gov ~op:"aggregate.input" !bytes;
+      push (branch_row b key frames (Array.map Agg_state.finish states))
+
+(* Record on the branch's Obs nodes the rows and batches its cursor
+   chain would count for group [v]: the Group_scan yields [size]-row
+   chunks, each Select one batch per chunk with a survivor, an
+   Aggregate one row, a Project what it reads.  Returns the branch's
+   (rows, batches). *)
+let observe_branch sink ~size b frames (v : Batch.t) ~time_ns =
+  let np = Array.length b.preds in
+  (* [rows.(k)], [batches.(k)]: output of the scan (k = 0) and of the
+     k-th Select *)
+  let rows = Array.make (np + 1) 0 and batches = Array.make (np + 1) 0 in
+  let survivors = Array.make (np + 1) 0 in
+  let stop = v.Batch.pos + v.Batch.len in
+  let lo = ref v.Batch.pos in
+  while !lo < stop do
+    let hi = min stop (!lo + size) in
+    Array.fill survivors 0 (np + 1) 0;
+    for i = !lo to hi - 1 do
+      for k = 0 to level b.preds frames v.Batch.rows.(i) 0 do
+        survivors.(k) <- survivors.(k) + 1
+      done
+    done;
+    Array.iteri
+      (fun k n ->
+        if n > 0 then begin
+          rows.(k) <- rows.(k) + n;
+          batches.(k) <- batches.(k) + 1
+        end)
+      survivors;
+    lo := hi
+  done;
+  let record node (rows, batches) =
+    Option.iter (fun n -> Obs.record sink n ~rows ~batches ~time_ns) node
+  in
+  record b.scan_node (rows.(0), batches.(0));
+  Array.iteri
+    (fun k n -> record n (rows.(k + 1), batches.(k + 1)))
+    b.select_nodes;
+  let out =
+    if Option.is_some b.aggs then (1, 1) else (rows.(np), batches.(np))
+  in
+  record b.agg_node (1, 1);
+  record b.project_node out;
+  out
+
+(* Compile one branch of a group-local PGQ, registering the Obs node of
+   each operator around its input's, as [plan] does.  Returns the
+   branch and its output schema. *)
+let rec compile_branch ~config ~outer p : local_branch * Schema.t =
+  let compile node =
+    let input () =
+      compile_branch ~config ~outer (List.hd (Plan.children p))
+    in
+    match p with
+    | Plan.Select { pred; _ } ->
+        let b, schema = input () in
+        ( {
+            b with
+            preds = Array.append b.preds [| Eval.compile_pred schema pred |];
+            select_nodes = Array.append b.select_nodes [| node |];
+          },
+          schema )
+    | Plan.Aggregate { aggs; _ } ->
+        let b, schema = input () in
+        ( {
+            b with
+            aggs = Some (compile_agg_args schema aggs);
+            agg_node = node;
+          },
+          Props.schema_of ~outer p )
+    | Plan.Project { items; _ } ->
+        let b, schema = input () in
+        let items = List.map (fun (e, _) -> Eval.compile schema e) items in
+        ( { b with items = Some (Array.of_list items); project_node = node },
+          Props.schema_of ~outer p )
+    | _ ->
+        ( {
+            preds = [||]; aggs = None; items = None; scan_node = node;
+            select_nodes = [||]; agg_node = None; project_node = None;
+          },
+          Props.schema_of ~outer p )
+  in
+  match config.observe with
+  | None -> compile None
+  | Some sink ->
+      Obs.enter sink ~op:(Plan.op_name p) (fun n -> compile (Some n))
+
+(* Compile a group-local PGQ (its [branches] from [local_branches]) into
+   [run gov frames key view push], which runs one group through every
+   branch in turn.  With a metrics sink it registers the Obs nodes that
+   compiling the PGQ's cursor chain would, in the same tree, and records
+   on them per group what that chain would count ([observe_branch]). *)
+let compile_local ~config ~outer pgq branches =
+  let compile_all () =
+    Array.of_list
+      (List.map (fun p -> fst (compile_branch ~config ~outer p)) branches)
+  in
+  match config.observe with
+  | None ->
+      let branches = compile_all () in
+      fun gov frames key v push ->
+        Array.iter (fun b -> run_branch b gov frames key v push) branches
+  | Some sink ->
+      let union, branches =
+        match pgq with
+        | Plan.Union_all _ ->
+            Obs.enter sink ~op:(Plan.op_name pgq) (fun n ->
+                (Some n, compile_all ()))
+        | _ -> (None, compile_all ())
+      in
+      fun gov frames key v push ->
+        let rows = ref 0 and batches = ref 0 and time = ref 0 in
+        Array.iter
+          (fun b ->
+            let t0 = Metrics.now_ns () in
+            run_branch b gov frames key v push;
+            let time_ns = Metrics.now_ns () - t0 in
+            let r, n =
+              observe_branch sink ~size:config.batch_size b frames v ~time_ns
+            in
+            rows := !rows + r;
+            batches := !batches + n;
+            time := !time + time_ns)
+          branches;
+        Option.iter
+          (fun n ->
+            Obs.record sink n ~rows:!rows ~batches:!batches ~time_ns:!time)
+          union
 
 (* ---------- the compiler ---------- *)
 
@@ -359,9 +670,7 @@ and compile ~config ~(outer : Schema.t list) (p : Plan.t) :
             | Some snap -> Mvcc.visible_rows snap t) )
   | Plan.Group_scan { var; _ } ->
       ( schema,
-        fun env ->
-          Batch.of_array ~size (Relation.rows_array (Env.find_group env var))
-      )
+        fun env -> Batch.of_view ~size (Env.find_group env var) )
   | Plan.Select { pred; input } ->
       let c = plan ~config ~outer input in
       let test = Eval.compile_pred c.schema pred in
@@ -394,9 +703,17 @@ and compile ~config ~(outer : Schema.t list) (p : Plan.t) :
   | Plan.Join { pred; left; right; _ } -> compile_join ~config ~outer pred left right
   | Plan.Alias { input; _ } -> (schema, (plan ~config ~outer input).brun)
   | Plan.Group_by { keys; aggs; input } ->
+      (* the group-local loop over [Aggregate (Group_scan)]: fold each
+         group's slice into one [key ++ aggregates] row *)
       let c = plan ~config ~outer input in
       let idxs = key_indexes c.schema keys in
-      let specs = compile_agg_args c.schema aggs in
+      let fold =
+        {
+          preds = [||]; aggs = Some (compile_agg_args c.schema aggs);
+          items = None; scan_node = None; select_nodes = [||];
+          agg_node = None; project_node = None;
+        }
+      in
       let obs_node = obs_current config in
       ( schema,
         fun env ->
@@ -408,23 +725,19 @@ and compile ~config ~(outer : Schema.t list) (p : Plan.t) :
                   ?account:(Governor.batch_accountant gov ~op:"groupby.input")
                   (c.brun env)
               in
-              let groups =
+              let gs =
                 group_rows ?pool ?gov ~op:"groupby.partition" ~idxs rows
               in
-              Option.iter
-                (fun n -> Obs.add_partitions n (List.length groups))
-                obs_node;
-              let finish (key, members) =
-                Tuple.concat key (run_aggregates specs env.Env.frames members)
-              in
-              Batch.of_array ~size
-                (match (pool, groups) with
-                | Some pool, _ :: _ :: _ ->
-                    (* groups are independent: aggregate each on the
-                       pool, emitting results in group order *)
-                    Domain_pool.parallel_map_array pool finish
-                      (Array.of_list groups)
-                | _ -> Array.of_list (List.map finish groups))) )
+              let ngroups = group_count gs in
+              Option.iter (fun n -> Obs.add_partitions n ngroups) obs_node;
+              let frames = env.Env.frames in
+              (* the input was charged as it was materialized; the
+                 fold charges nothing more *)
+              run_groups ~size ?pool ?gov ~op:"groupby.exec"
+                (Array.init ngroups Fun.id)
+                (fun g push ->
+                  run_branch fold None frames gs.keys.(g) (group_view gs g)
+                    push)) )
   | Plan.Aggregate { aggs; input } ->
       let c = plan ~config ~outer input in
       let specs = compile_agg_args c.schema aggs in
@@ -568,28 +881,14 @@ and compile ~config ~(outer : Schema.t list) (p : Plan.t) :
                 (if nonempty <> negated then [| Tuple.empty |] else [||])) )
   | Plan.G_apply { gcols; var; outer = outer_plan; pgq; cluster } ->
       let co = plan ~config ~outer outer_plan in
-      let cp = plan ~config ~outer pgq in
       let idxs = key_indexes co.schema gcols in
       let obs_node = obs_current config in
-      (* each group is materialised as a temporary relation (rows are
-         copied into it, as the paper's execution phase describes) — so
-         the width of the outer input is a real cost and the
-         projection-before-GApply rule matters *)
-      let make_bind env gov =
-        let group_account = Governor.accountant gov ~op:"gapply.group" in
-        fun (key, members) ->
-          let arr = Array.of_list members in
-          (match group_account with
-          | None ->
-              for i = 0 to Array.length arr - 1 do
-                arr.(i) <- Tuple.copy arr.(i)
-              done
-          | Some account ->
-              for i = 0 to Array.length arr - 1 do
-                account arr.(i);
-                arr.(i) <- Tuple.copy arr.(i)
-              done);
-          (key, Env.bind_group var (Relation.of_array co.schema arr) env)
+      (* a group-local PGQ runs as one loop per group; any other PGQ
+         runs its cursor chain once per group, over the group's view *)
+      let exec =
+        match local_branches ~var pgq with
+        | Some branches -> `Loop (compile_local ~config ~outer pgq branches)
+        | None -> `Chain (plan ~config ~outer pgq)
       in
       ( schema,
         fun env ->
@@ -602,61 +901,69 @@ and compile ~config ~(outer : Schema.t list) (p : Plan.t) :
                     (Governor.batch_accountant gov ~op:"gapply.materialize")
                   (co.brun env)
               in
-              let groups = partition ~config ?pool ?gov ~idxs rows in
+              let gs = partition ~config ?pool ?gov ~idxs rows in
               Option.iter
-                (fun n -> Obs.add_partitions n (List.length groups))
+                (fun n -> Obs.add_partitions n (group_count gs))
                 obs_node;
               (* the Section 3.1 clustering guarantee: emit groups in key
                  order; sort partitioning already provides it, hash
-                 partitioning orders the (small) group list *)
-              let groups =
-                if cluster && config.partition = Hash_partition then
-                  List.sort (fun (a, _) (b, _) -> Tuple.compare a b) groups
-                else groups
+                 partitioning orders the (small) array of group numbers *)
+              let order = Array.init (group_count gs) Fun.id in
+              if cluster && config.partition = Hash_partition then
+                Array.stable_sort
+                  (fun a b -> Tuple.compare gs.keys.(a) gs.keys.(b))
+                  order;
+              (* binding a group charges its members as materialized *)
+              let group_account =
+                Governor.batch_accountant gov ~op:"gapply.group"
               in
-              let bind = make_bind env gov in
-              let run_group g =
-                let key, env' = bind g in
-                Batch.map (Tuple.concat key) (cp.brun env')
+              let view g =
+                let v = group_view gs g in
+                Option.iter
+                  (fun f -> f v.Batch.rows v.Batch.pos v.Batch.len)
+                  group_account;
+                v
               in
-              match (pool, groups) with
-              | Some pool, _ :: _ :: _ ->
-                  (* parallel execution phase: groups share no state (the
-                     per-group semantics are order-independent), so each
-                     group's compiled PGQ runs on the pool against its
-                     own immutable Env.  Results are materialised per
-                     group and concatenated in group order, keeping the
-                     output tuple-identical to the sequential path —
-                     including the clustering guarantee above. *)
-                  let exec_account =
-                    Governor.batch_accountant gov ~op:"gapply.exec"
+              let account =
+                Governor.batch_accountant gov ~op:"gapply.exec"
+              in
+              let run_groups =
+                run_groups ~size ?pool ?gov ~op:"gapply.exec" ?account order
+              in
+              match exec with
+              | `Loop run ->
+                  let run = run gov env.Env.frames in
+                  run_groups (fun g push -> run gs.keys.(g) (view g) push)
+              | `Chain cp -> (
+                  let run_group g =
+                    Governor.check gov ~op:"gapply.exec";
+                    let env' = Env.bind_view var (view g) env in
+                    Batch.map (Tuple.concat gs.keys.(g)) (cp.brun env')
                   in
-                  let per_group =
-                    Domain_pool.parallel_map_array pool
-                      (fun g -> Batch.to_array ?account:exec_account (run_group g))
-                      (Array.of_list groups)
-                  in
-                  Batch.concat
-                    (List.map
-                       (fun rows () -> Batch.of_array ~size rows)
-                       (Array.to_list per_group))
-              | _ -> Batch.concat (List.map (fun g () -> run_group g) groups))
+                  match pool with
+                  | Some _ when Array.length order >= 2 ->
+                      run_groups (fun g push ->
+                          Batch.drain_iter push (run_group g))
+                  | _ ->
+                      (* streams: one group's batches at a time *)
+                      Batch.concat
+                        (Array.to_list
+                           (Array.map (fun g () -> run_group g) order))))
       )
 
 (* Partition phase of GApply.  Hash partitioning returns groups in
    reverse first-seen key order; sort partitioning returns them in key
    order, clustering the output (the property the constant-space tagger
-   needs).  With a pool, hashing merges per-domain partial partitions
-   and sorting becomes a parallel merge sort; both orderings are
-   identical to the sequential result.
+   needs).  With a pool, hashing numbers the rows per domain and merges
+   the numberings, and sorting becomes a parallel merge sort; both
+   layouts are identical to the sequential result.
 
    Memory accounting mirrors the real structures: hashing pays per-row
    table overhead (plus a merge pass when parallel) through
    [group_rows]; sorting only pays the merge buffer and the group
-   lists.  The governor's graceful degradation leans on exactly this
+   slices.  The governor's graceful degradation leans on exactly this
    asymmetry. *)
-and partition ~config ?pool ?gov ~idxs (rows : Tuple.t array) :
-    (Tuple.t * Tuple.t list) list =
+and partition ~config ?pool ?gov ~idxs (rows : Tuple.t array) : groups =
   match config.partition with
   | Hash_partition ->
       group_rows ?pool ?gov ~op:"gapply.partition(hash)" ~idxs rows
@@ -664,19 +971,23 @@ and partition ~config ?pool ?gov ~idxs (rows : Tuple.t array) :
       Governor.check gov ~op:"gapply.partition(sort)";
       Governor.charge gov ~op:"gapply.partition(sort)"
         (Array.length rows * Governor.sort_partition_overhead_per_row);
-      (* sort the rows on the key columns, then cut a group wherever
-         adjacent keys differ; each group's key is projected once *)
+      (* sort the rows in place on the key columns, then start a group
+         wherever adjacent keys differ; each key is projected once *)
       let cmp = compare_on idxs (Array.make (Array.length idxs) false) in
       sort_rows ?pool cmp rows;
-      let groups = ref [] and members = ref [] in
-      for i = Array.length rows - 1 downto 0 do
-        members := rows.(i) :: !members;
+      let n = Array.length rows in
+      let starts = ref [ n ] and keys = ref [] in
+      for i = n - 1 downto 0 do
         if i = 0 || cmp rows.(i - 1) rows.(i) <> 0 then begin
-          groups := (project_key idxs rows.(i), !members) :: !groups;
-          members := []
+          starts := i :: !starts;
+          keys := project_key idxs rows.(i) :: !keys
         end
       done;
-      !groups
+      {
+        members = rows;
+        keys = Array.of_list !keys;
+        starts = Array.of_list !starts;
+      }
 
 (* Joins: hash join on extracted equi-pairs when possible, nested loops
    otherwise.  NULL join keys never match (SQL semantics), so rows with a

@@ -6,10 +6,12 @@
     GApply (per group) do.
 
     GApply follows the paper's two phases (Section 3): a partition phase
-    (sorting or hashing, per {!config}) over the outer stream, then a
-    nested-loops execution phase that materialises each group as a
-    temporary relation, binds it to the relation-valued variable, and
-    re-runs the compiled per-group query. *)
+    (sorting or hashing, per {!config}) over the outer stream, which
+    lays every group out as a slice of one member array, then an
+    execution phase over the groups.  A {!group_local} per-group query
+    runs as one loop per group over its slice; any other is compiled
+    once into its cursor chain and re-run per group with the group's
+    slice bound to the relation-valued variable. *)
 
 type partition_strategy = Sort_partition | Hash_partition
 
@@ -67,6 +69,14 @@ type compiled = {
 val plan : ?config:config -> ?outer:Schema.t list -> Plan.t -> compiled
 (** [outer] carries enclosing Apply outer schemas (for schema
     derivation of correlated subplans). *)
+
+val group_local : var:string -> Plan.t -> bool
+(** Whether a per-group query over [var] runs as the group-local loop:
+    a UNION ALL (or one branch) of
+    [Project? (Aggregate? (Select* (Group_scan var)))] chains.  Such a
+    PGQ filters, folds and projects each group's slice directly and
+    writes [key ++ values] rows, in the order its cursor chain would
+    yield them (groups, then branches, then members). *)
 
 val sort_rows : ?pool:Domain_pool.t -> ('a -> 'a -> int) -> 'a array -> unit
 (** The row sort behind ORDER BY and sort partitioning: stable and in

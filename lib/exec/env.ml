@@ -3,12 +3,13 @@
    [frames] carries the current rows of enclosing Apply outer inputs
    (innermost first) for correlated expression evaluation; [groups] binds
    relation-valued variables — the paper's $group parameters — for
-   Group_scan leaves inside a per-group query. *)
+   Group_scan leaves inside a per-group query.  A group is a view over
+   its partition's member array, so binding one copies nothing. *)
 
 type t = {
   catalog : Catalog.t;
   frames : Eval.frames;
-  groups : (string * Relation.t) list;
+  groups : (string * Batch.t) list;
   governor : Governor.t option;
       (* the running statement's resource governor; derived envs (Apply
          frames, GApply group bindings) inherit it, so budget checks
@@ -25,8 +26,11 @@ let make ?governor ?snapshot catalog =
 let push_frame schema tuple env =
   { env with frames = (schema, tuple) :: env.frames }
 
+let bind_view var view env = { env with groups = (var, view) :: env.groups }
+
 let bind_group var relation env =
-  { env with groups = (var, relation) :: env.groups }
+  let rows = Relation.rows_array relation in
+  bind_view var { Batch.rows; pos = 0; len = Array.length rows } env
 
 let find_group env var =
   match List.assoc_opt var env.groups with

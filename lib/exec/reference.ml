@@ -20,7 +20,8 @@ let rec eval (env : Env.t) (p : Plan.t) : Relation.t =
       let t = Catalog.find_table env.Env.catalog table in
       Relation.of_array schema (Relation.rows_array (Table.to_relation t))
   | Plan.Group_scan { var; _ } ->
-      Relation.of_array schema (Relation.rows_array (Env.find_group env var))
+      let g = Env.find_group env var in
+      Relation.of_array schema (Array.sub g.Batch.rows g.Batch.pos g.Batch.len)
   | Plan.Select { pred; input } ->
       let rel = eval env input in
       Relation.filter_rows

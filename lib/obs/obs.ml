@@ -97,6 +97,21 @@ let instrument_batch t node ~len (pull : unit -> 'a option) : unit -> 'a option
     | None -> emit t node Close);
     r
 
+let record t node ~rows ~batches ~time_ns =
+  Metrics.incr node.invocations;
+  Metrics.add node.rows rows;
+  Metrics.add node.batches batches;
+  Metrics.add_span node.time time_ns;
+  if rows > 0 then Metrics.add_span node.ttft time_ns;
+  match t.hook with
+  | None -> ()
+  | Some _ ->
+      emit t node Open;
+      for _ = 1 to rows do
+        emit t node Next
+      done;
+      emit t node Close
+
 let add_partitions node n = Metrics.add node.partitions n
 
 type stat = {

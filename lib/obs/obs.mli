@@ -62,6 +62,14 @@ val instrument_batch :
     yields [len batch] rows, counted into [rows], with [batches]
     counting the pulls.  Trace hooks still receive one [Next] per row. *)
 
+val record : t -> node -> rows:int -> batches:int -> time_ns:int -> unit
+(** Record one invocation evaluated outside a cursor (a group-local
+    per-group query node run inside its GApply's loop): the same
+    invocation, row and batch counts and [Open]/[Next]/[Close] events
+    that {!instrument_batch} records for a cursor yielding [rows] rows
+    in [batches] pulls, with [time_ns] as both its time and, when it
+    yields a row, its time to first tuple. *)
+
 val add_partitions : node -> int -> unit
 (** Record groups formed by a partition phase (GApply / Group_by). *)
 

@@ -8,10 +8,12 @@ let arity (t : t) = Array.length t
 let get (t : t) i = t.(i)
 let empty : t = [||]
 
-let concat (a : t) (b : t) : t = Array.append a b
+(* rows are immutable, so an empty side lets the other be shared *)
+let concat (a : t) (b : t) : t =
+  if Array.length a = 0 then b
+  else if Array.length b = 0 then a
+  else Array.append a b
 
-(** Shallow copy, used when an operator materialises rows into a
-    temporary relation (e.g. GApply's partition phase). *)
 let copy (t : t) : t = Array.copy t
 
 let project idxs (t : t) : t =

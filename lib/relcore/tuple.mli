@@ -9,10 +9,14 @@ val get : t -> int -> Value.t
 val empty : t
 
 val concat : t -> t -> t
+(** [a] followed by [b].  When one side is empty the result is the
+    other side itself, not a copy: rows are never written after they
+    are built. *)
 
 val copy : t -> t
-(** Shallow copy, used when an operator materialises rows into a
-    temporary relation (e.g. GApply's partition phase). *)
+(** Shallow copy, for a caller that is about to write into a row it
+    does not own (copy-on-write in dictionary encoding, the client
+    simulation's temporary relation). *)
 
 val project : int list -> t -> t
 

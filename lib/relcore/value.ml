@@ -197,11 +197,22 @@ let compare_total a b =
 let equal_total a b = compare_total a b = 0
 
 (** Hash compatible with [equal_total]: ints and equal-valued floats hash
-    alike so hash partitioning groups them together. *)
+    alike so hash partitioning groups them together.  A number whose
+    float value is integral and strictly inside +-2^53 hashes as that
+    int, so the common [Int] key boxes no float; every other number
+    (where [float_of_int] may round, so distinct ints can equal one
+    float) hashes as its float. *)
+let two_53 = 9007199254740992 (* 2^53 *)
+
 let hash = function
   | Null -> 17
-  | Int i -> Hashtbl.hash (float_of_int i)
-  | Float f -> Hashtbl.hash f
+  | Int i ->
+      if i > -two_53 && i < two_53 then Hashtbl.hash i
+      else Hashtbl.hash (float_of_int i)
+  | Float f ->
+      if Float.is_integer f && Float.abs f < 0x1p53 then
+        Hashtbl.hash (int_of_float f)
+      else Hashtbl.hash f
   | Str s -> Hashtbl.hash s
   | Sym (pool, id) -> Strpool.hash pool id  (* = Hashtbl.hash of the string *)
   | Bool b -> if b then 3 else 5

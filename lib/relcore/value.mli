@@ -60,7 +60,9 @@ val equal_total : t -> t -> bool
 
 val hash : t -> int
 (** Compatible with {!equal_total}: equal values (including [Int]/[Float]
-    with the same numeric value) hash alike. *)
+    with the same numeric value) hash alike.  A number that is integral
+    and strictly inside +-2^53 hashes as an int, without boxing a
+    float. *)
 
 (** {1 SQL (null-propagating) comparison} *)
 

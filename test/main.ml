@@ -23,6 +23,7 @@ let () =
       ("parallel", Test_parallel.suite);
       ("observe", Test_observe.suite);
       ("vectorized", Test_vectorized.suite);
+      ("group-local", Test_group_local.suite);
       ("plan-cache", Test_plan_cache.suite);
       ("governor", Test_governor.suite);
       ("chaos", Test_chaos.suite);

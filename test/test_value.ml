@@ -19,6 +19,64 @@ let test_hash_consistent_with_equality () =
   Alcotest.(check bool) "equal_total 7 = 7.0" true
     (Value.equal_total (vi 7) (vf 7.))
 
+(* Mixed Int/Float cells around the edges of the unboxed int hash:
+   +-2^53 and +-(2^53+1) (which round onto 2^53 as floats), the int
+   extremes, signed zeros and nan. *)
+let gen_hash_cell =
+  let two_53 = 1 lsl 53 in
+  QCheck.Gen.(
+    let edge_ints =
+      [ two_53; -two_53; two_53 + 1; -two_53 - 1; two_53 - 1; 1 - two_53;
+        min_int; max_int; 0; 1; -1 ]
+    in
+    let around_int =
+      map2 (fun i d -> i + d) (oneofl edge_ints) (int_range (-2) 2)
+    in
+    let as_float = map float_of_int (oneof [ around_int; small_signed_int ]) in
+    oneof
+      [
+        map vi (oneof [ around_int; small_signed_int; int ]);
+        map vf
+          (oneof
+             [ as_float; float;
+               oneofl [ 0.; -0.; nan; infinity; neg_infinity; 0.5; -2.5;
+                        0x1p53; -0x1p53; 0x1p62; -0x1p62; 0x1p63 ] ]);
+      ])
+
+let prop_hash_compatible =
+  QCheck.Test.make ~count:5000
+    ~name:"Value.equal_total a b => Value.hash a = Value.hash b (Int/Float)"
+    (QCheck.make
+       ~print:(fun (a, b) -> Value.to_string a ^ " " ^ Value.to_string b)
+       QCheck.Gen.(
+         (* half the pairs are numerically equal by construction *)
+         oneof
+           [
+             pair gen_hash_cell gen_hash_cell;
+             map
+               (fun v ->
+                 match v with
+                 | Value.Int i -> (v, vf (float_of_int i))
+                 | Value.Float f
+                   when Float.is_integer f && Float.abs f < 0x1p62 ->
+                     (v, vi (int_of_float f))
+                 | _ -> (v, v))
+               gen_hash_cell;
+           ]))
+    (fun (a, b) ->
+      (not (Value.equal_total a b)) || Value.hash a = Value.hash b)
+
+let test_concat_shares_empty_side () =
+  let row = Tuple.of_list [ vi 1; vs "x" ] in
+  Alcotest.(check bool) "empty ++ row is row" true
+    (Tuple.concat Tuple.empty row == row);
+  Alcotest.(check bool) "row ++ empty is row" true
+    (Tuple.concat row Tuple.empty == row);
+  let both = Tuple.concat row row in
+  Alcotest.(check bool) "row ++ row is fresh" true
+    (both != row
+    && Tuple.equal both (Tuple.of_list [ vi 1; vs "x"; vi 1; vs "x" ]))
+
 let test_sql_compare_null () =
   Alcotest.(check bool) "null = 1 is unknown" true
     (Value.sql_compare vnull (vi 1) = None);
@@ -145,6 +203,9 @@ let suite =
       test_compare_total_numeric;
     Alcotest.test_case "hash consistent with equal_total" `Quick
       test_hash_consistent_with_equality;
+    QCheck_alcotest.to_alcotest prop_hash_compatible;
+    Alcotest.test_case "Tuple.concat shares an empty side's partner" `Quick
+      test_concat_shares_empty_side;
     Alcotest.test_case "sql_compare with nulls" `Quick test_sql_compare_null;
     Alcotest.test_case "sql_compare values" `Quick test_sql_compare_values;
     Alcotest.test_case "incomparable types raise" `Quick
