@@ -11,8 +11,7 @@
      partitioning  sort- vs hash-partitioned GApply on Q1-Q4 (the
                    Section 5.2 "impact is comparable" remark)
      parallel      multicore GApply: sweep --parallelism 1/2/4/8 on
-                   Q1-Q4 (domain-pool execution phase), verifying the
-                   parallel output is tuple-identical to sequential
+                   Q1-Q4 (domain-pool execution phase)
      clientsim     native GApply vs. the Section 5.1 client-side
                    simulation on Q4 (the paper measured ~20% overhead)
      pipeline      XML publishing end-to-end: sorted outer union vs. one
@@ -25,9 +24,8 @@
      throughput    plan-cache hit rates and concurrent-session
                    throughput through the workload driver
      transactions  snapshot-isolated reader latency (p50/p99) solo vs
-                   under a concurrent committing writer, MVCC on vs the
-                   GAPPLY_MVCC=off baseline, plus two-writer conflict
-                   accounting
+                   under a concurrent committing writer, plus two-writer
+                   conflict accounting
      governor      resource-governor overhead and enforcement
                    (timeouts, row/memory ceilings, degraded modes)
      durability    WAL logging overhead (off/lazy/strict vs in-memory),
@@ -295,8 +293,8 @@ let bench_partitioning ~msf ~repeat () =
   let cat = Tpch_gen.catalog ~msf () in
   (* the paper's claim is that the *speedup over the baseline* is
      comparable whichever way GApply partitions *)
-  Format.printf "%-4s %12s %12s %12s %16s %16s %6s@." "" "baseline"
-    "sort (ms)" "hash (ms)" "speedup (sort)" "speedup (hash)" "same?";
+  Format.printf "%-4s %12s %12s %12s %16s %16s@." "" "baseline"
+    "sort (ms)" "hash (ms)" "speedup (sort)" "speedup (hash)";
   List.iter
     (fun (name, gapply_src, baseline_src) ->
       let plan = optimize cat (bind cat gapply_src) in
@@ -316,26 +314,14 @@ let bench_partitioning ~msf ~repeat () =
               ~config:(Compile.config_with ~partition:Compile.Hash_partition ())
               cat plan)
       in
-      (* the strategies may emit groups in different orders, so the
-         results are compared as multisets *)
-      let identical =
-        Relation.equal_as_multiset
-          (Executor.run
-             ~config:(Compile.config_with ~partition:Compile.Sort_partition ())
-             cat plan)
-          (Executor.run
-             ~config:(Compile.config_with ~partition:Compile.Hash_partition ())
-             cat plan)
-      in
-      Format.printf "%-4s %12.1f %12.1f %12.1f %15.2fx %15.2fx %6b@." name
+      Format.printf "%-4s %12.1f %12.1f %12.1f %15.2fx %15.2fx@." name
         (ms t_base) (ms t_sort) (ms t_hash) (t_base /. t_sort)
-        (t_base /. t_hash) identical;
+        (t_base /. t_hash);
       record ~section:"partitioning" ~query:name
         [
           ("baseline_ms", Json.Float (ms t_base));
           ("sort_ms", Json.Float (ms t_sort));
           ("hash_ms", Json.Float (ms t_hash));
-          ("identical", Json.Bool identical);
         ])
     Workloads.figure8_queries
 
@@ -354,7 +340,7 @@ let bench_parallel ~msf ~repeat () =
   Format.printf "%-4s" "";
   List.iter (fun p -> Format.printf " %9s" (Printf.sprintf "p=%d (ms)" p))
     parallel_levels;
-  Format.printf " %10s %10s@." "speedup@4" "identical";
+  Format.printf " %10s@." "speedup@4";
   List.iter
     (fun (name, gapply_src, _) ->
       let plan = optimize cat (bind cat gapply_src) in
@@ -369,32 +355,15 @@ let bench_parallel ~msf ~repeat () =
       in
       let t1 = List.assoc 1 times in
       let t4 = List.assoc 4 times in
-      (* the headline claim: parallel output is tuple-identical (order
-         included) to sequential output, clustering guarantee and all *)
-      let sequential =
-        Executor.run ~config:(Compile.config_with ~parallelism:1 ()) cat plan
-      in
-      let identical =
-        List.for_all
-          (fun p ->
-            Relation.equal_as_list sequential
-              (Executor.run
-                 ~config:(Compile.config_with ~parallelism:p ())
-                 cat plan))
-          parallel_levels
-      in
       Format.printf "%-4s" name;
       List.iter (fun (_, t) -> Format.printf " %9.1f" (ms t)) times;
-      Format.printf " %9.2fx %10b@." (t1 /. t4) identical;
+      Format.printf " %9.2fx@." (t1 /. t4);
       record ~section:"parallel" ~query:name
         (List.map
            (fun (p, t) ->
              (Printf.sprintf "p%d_ms" p, Json.Float (ms t)))
            times
-        @ [
-            ("speedup_at_4", Json.Float (t1 /. t4));
-            ("identical_output", Json.Bool identical);
-          ]))
+        @ [ ("speedup_at_4", Json.Float (t1 /. t4)) ]))
     Workloads.figure8_queries;
   Format.printf
     "@.(speedup@4 = parallelism-1 elapsed / parallelism-4 elapsed; the \
@@ -441,57 +410,15 @@ let bench_clientsim ~msf ~repeat () =
 
 (* ---------- XML publishing pipeline ---------- *)
 
-(* [Xml.to_string] of [doc], except that an element without content is
-   written open-and-close, as the tagger's buffer sink streams it. *)
-let streamed_form doc =
-  let rec open_empty = function
-    | Xml.Element (tag, attrs, []) -> Xml.Element (tag, attrs, [ Xml.text "" ])
-    | Xml.Element (tag, attrs, cs) ->
-        Xml.Element (tag, attrs, List.map open_empty cs)
-    | t -> t
-  in
-  Xml.to_string (open_empty doc)
-
-(* [parents] counts the published parent elements (the root's children),
-   so an empty document shows.  [runs] counts the ascending runs that
-   reach the GApply plan's final ORDER BY, and [runs_bound] is 1 + its
-   GApply branches (CI gates runs <= runs_bound).  [streamed_same] is
-   whether the buffer sink streamed [doc]'s bytes (CI gates it).
-   [gapplies] counts the GApply plan's GApply operators and
-   [group_local] those whose per-group query runs as the group-local
-   loop (CI gates which publishing plans take it). *)
-let record_pipeline name ~msf ~presorted:(runs, runs_bound) ~streamed
-    ~gapply_plan t_ou t_ga same (doc : Xml.t) =
-  let parents =
-    match doc with Xml.Element (_, _, cs) -> List.length cs | Xml.Text _ -> 0
-  in
-  let gapplies, group_local =
-    Plan.fold
-      (fun (n, local) -> function
-        | Plan.G_apply { var; pgq; _ } ->
-            (n + 1, if Compile.group_local ~var pgq then local + 1 else local)
-        | _ -> (n, local))
-      (0, 0) gapply_plan
-  in
+let record_pipeline name ~msf t_ou t_ga =
+  Format.printf "%-28s %16.1f %14.1f %9.2fx@." name (ms t_ou) (ms t_ga)
+    (t_ou /. t_ga);
   record ~section:"pipeline" ~query:name
     [
       ("msf", Json.Float msf);
       ("outer_union_ms", Json.Float (ms t_ou));
       ("gapply_ms", Json.Float (ms t_ga));
-      ("same", Json.Bool same);
-      ("streamed_same", Json.Bool (String.equal streamed (streamed_form doc)));
-      ("parents", Json.Int parents);
-      ("runs", Json.Int runs);
-      ("runs_bound", Json.Int runs_bound);
-      ("gapplies", Json.Int gapplies);
-      ("group_local", Json.Int group_local);
     ]
-
-(* The bytes the buffer sink streams for a publishing plan. *)
-let stream cat (plan, enc) =
-  let buf = Buffer.create 65536 in
-  Tagger.tag_to_buffer enc ((Compile.plan plan).Compile.run (Env.make cat)) buf;
-  Buffer.contents buf
 
 (* The group selections use the publish workload's bounds, which keep
    suppliers only from msf 0.5 up (37 and 33 of 50 there), so they run
@@ -518,32 +445,19 @@ let bench_pipeline ~msf ~repeat () =
         Flwr.compile (Flwr.high_average_suppliers 1400.) );
     ]
   in
-  Format.printf "%-28s %16s %14s %10s %6s %8s@." "query" "outer union (ms)"
-    "gapply (ms)" "speedup" "same?" "runs";
+  Format.printf "%-28s %16s %14s %10s@." "query" "outer union (ms)"
+    "gapply (ms)" "speedup";
   List.iter
     (fun (name, msf, cat, spec) ->
-      let ou_plan, ou_enc = Publish.outer_union_plan cat spec in
-      let ga_plan, ga_enc = Publish.gapply_plan cat spec in
-      let run plan enc () =
+      let run (plan, enc) () =
         let compiled = Compile.plan plan in
         let buf = Buffer.create 65536 in
         Tagger.tag_to_buffer enc (compiled.Compile.run (Env.make cat)) buf;
         Buffer.length buf
       in
-      let t_ou = time_runs ~repeat (run ou_plan ou_enc) in
-      let t_ga = time_runs ~repeat (run ga_plan ga_enc) in
-      let doc = Tagger.publish ~strategy:Tagger.Gapply_pass cat spec in
-      let same =
-        Xml.equal_unordered
-          (Tagger.publish ~strategy:Tagger.Sorted_outer_union cat spec)
-          doc
-      in
-      let presorted = Publish.presorted_runs cat ga_plan in
-      Format.printf "%-28s %16.1f %14.1f %9.2fx %6b %5d/%d@." name (ms t_ou)
-        (ms t_ga) (t_ou /. t_ga) same (fst presorted) (snd presorted);
-      record_pipeline name ~msf ~presorted
-        ~streamed:(stream cat (ga_plan, ga_enc))
-        ~gapply_plan:ga_plan t_ou t_ga same doc)
+      let t_ou = time_runs ~repeat (run (Publish.outer_union_plan cat spec)) in
+      let t_ga = time_runs ~repeat (run (Publish.gapply_plan cat spec)) in
+      record_pipeline name ~msf t_ou t_ga)
     specs;
   (* the three-level customer -> order -> lineitem view with per-level
      aggregates (deep publisher) *)
@@ -553,20 +467,7 @@ let bench_pipeline ~msf ~repeat () =
   in
   let t_ou = time_runs ~repeat (run Deep_publish.Sorted_outer_union) in
   let t_ga = time_runs ~repeat (run Deep_publish.Gapply_pass) in
-  let doc = Deep_publish.publish ~strategy:Deep_publish.Gapply_pass cat deep in
-  let same =
-    Xml.equal_unordered
-      (Deep_publish.publish ~strategy:Deep_publish.Sorted_outer_union cat
-         deep)
-      doc
-  in
-  let ga = Deep_publish.gapply_plan cat deep in
-  let presorted = Publish.presorted_runs cat (fst ga) in
-  Format.printf "%-28s %16.1f %14.1f %9.2fx %6b %5d/%d@."
-    "3-level orders (3 aggs)" (ms t_ou) (ms t_ga) (t_ou /. t_ga) same
-    (fst presorted) (snd presorted);
-  record_pipeline "3-level orders (3 aggs)" ~msf ~presorted
-    ~streamed:(stream cat ga) ~gapply_plan:(fst ga) t_ou t_ga same doc
+  record_pipeline "3-level orders (3 aggs)" ~msf t_ou t_ga
 
 (* ---------- number rendering at the output boundary ---------- *)
 
@@ -596,9 +497,9 @@ let short_decimal f =
 (* Every Int and Float cell of the Figure 8 Q1-Q4 result tables (the
    serve workload's replies, msf >= 0.25) and of the five Figure-1
    tagger streams (the publish workload's, msf >= 0.5), rendered by
-   [Value.to_string] and by the Printf rule: ns per cell for each, the
-   share of floats on the exact path, and whether every cell is
-   byte-equal (CI gates [identical]). *)
+   [Value.to_string] and by the Printf rule: ns per cell for each, and
+   the share of floats on the exact path (the byte equality of the two
+   is a test). *)
 let bench_render ~msf ~repeat () =
   let table_msf = Float.max msf 0.25 and stream_msf = Float.max msf 0.5 in
   header
@@ -630,8 +531,8 @@ let bench_render ~msf ~repeat () =
         ("avg_1400", Flwr.compile (Flwr.high_average_suppliers 1400.));
       ]
   in
-  Format.printf "%-12s %8s %8s %10s %12s %12s %10s@." "query" "numeric"
-    "floats" "fast share" "to_string ns" "printf ns" "identical";
+  Format.printf "%-12s %8s %8s %10s %12s %12s@." "query" "numeric"
+    "floats" "fast share" "to_string ns" "printf ns";
   List.iter
     (fun (name, rows) ->
       let cells =
@@ -653,11 +554,6 @@ let bench_render ~msf ~repeat () =
           float_of_int (List.length (List.filter short_decimal floats))
           /. float_of_int nfloats
       in
-      let identical =
-        Array.for_all
-          (fun v -> String.equal (Value.to_string v) (printf_number v))
-          cells
-      in
       (* ten passes per sample keep a sample well above the clock's grain *)
       let ns_per_cell render =
         let t =
@@ -672,8 +568,8 @@ let bench_render ~msf ~repeat () =
       in
       let t_value = ns_per_cell Value.to_string in
       let t_printf = ns_per_cell printf_number in
-      Format.printf "%-12s %8d %8d %10.3f %12.1f %12.1f %10b@." name n nfloats
-        fast_share t_value t_printf identical;
+      Format.printf "%-12s %8d %8d %10.3f %12.1f %12.1f@." name n nfloats
+        fast_share t_value t_printf;
       record ~section:"render" ~query:name
         [
           ("numeric_cells", Json.Int n);
@@ -681,7 +577,6 @@ let bench_render ~msf ~repeat () =
           ("fast_share", Json.Float fast_share);
           ("value_ns_per_cell", Json.Float t_value);
           ("printf_ns_per_cell", Json.Float t_printf);
-          ("identical", Json.Bool identical);
         ])
     (tables @ streams)
 
@@ -1137,27 +1032,16 @@ let bench_transactions ~msf:_ ~repeat:_ () =
          (fun acc (r : Session.session_result) -> acc + r.Session.errors)
          0
   in
-  let run_pair ~mvcc =
-    let solo =
-      Session.run ~concurrent:true (fresh ()) ~sessions:readers
-        ~script:(fun _ -> reader_trace)
-    in
-    let db = if mvcc then Engine.create () else Engine.create ~mvcc:false () in
-    (match Engine.exec db "create table acct (a int, b int)" with
-    | Engine.Failed e -> raise e
-    | _ -> ());
-    for i = 0 to 15 do
-      let row j = Printf.sprintf "(%d, %d)" ((16 * i) + j) i in
-      let values = String.concat ", " (List.init 16 row) in
-      ignore (Engine.exec db ("insert into acct values " ^ values))
-    done;
-    let mixed =
-      Session.run ~concurrent:true db ~sessions:(readers + 1)
-        ~script:(fun i -> if i = 0 then writer_trace else reader_trace)
-    in
-    (solo, mixed, Engine.metrics db)
+  let solo =
+    Session.run ~concurrent:true (fresh ()) ~sessions:readers
+      ~script:(fun _ -> reader_trace)
   in
-  let solo, mixed, stats = run_pair ~mvcc:true in
+  let db = fresh () in
+  let mixed =
+    Session.run ~concurrent:true db ~sessions:(readers + 1)
+      ~script:(fun i -> if i = 0 then writer_trace else reader_trace)
+  in
+  let stats = Engine.metrics db in
   let solo_p50 = percentile 0.50 solo ~skip_writer:false
   and solo_p99 = percentile 0.99 solo ~skip_writer:false
   and with_p50 = percentile 0.50 mixed ~skip_writer:true
@@ -1189,21 +1073,6 @@ let bench_transactions ~msf:_ ~repeat:_ () =
         Json.Float (if solo_p99 > 0. then with_p99 /. solo_p99 else 0.) );
       ("writer_committed", Json.Int (closed stats "committed"));
       ("writer_conflicts", Json.Int (closed stats "conflict"));
-      ("mvcc", Json.Bool true);
-    ];
-  (* the same mixed workload with the kill-switch thrown: reads resolve
-     against latest-committed instead of a pinned snapshot — recorded so
-     the JSON trail shows the baseline never silently becomes the
-     default *)
-  let _, mixed_off, _ = run_pair ~mvcc:false in
-  let off_p99 = percentile 0.99 mixed_off ~skip_writer:true in
-  Format.printf "  GAPPLY_MVCC=off baseline: reader p99 %.3f ms@." off_p99;
-  record ~section:"transactions" ~query:"readers-writer-mvcc-off"
-    [
-      ("p99_ms", Json.Float off_p99);
-      ( "reader_errors",
-        Json.Int (reader_errors mixed_off ~skip_writer:true) );
-      ("mvcc", Json.Bool false);
     ];
   (* two writers race on one table: first-committer-wins means begun
      transactions partition exactly into committed + conflicted *)

@@ -45,8 +45,6 @@ type t = {
   wal_stats : Wal_stats.t;  (* registered even without a data directory *)
   store : Store.t option;  (* durability layer, when a data_dir is given *)
   recovery : Recovery.outcome option;  (* what opening the store found *)
-  mvcc : bool;  (* snapshot-isolated reads (kill-switch: GAPPLY_MVCC=off
-                   reads latest-committed, as before this existed) *)
   txn_stats : Txn_stats.t;
   txn_seq : int Atomic.t;  (* transaction ids, engine-wide *)
   mutable read_only : Errors.read_only_info option;
@@ -101,31 +99,6 @@ type outcome =
          injected fault, unknown prepared handle, stale re-prepare...);
          the engine itself is untouched and siblings keep running *)
 
-(* The cache can be force-disabled from the environment so the whole
-   test suite can be replayed over the cold path (CI runs it once with
-   GAPPLY_PLAN_CACHE=off). *)
-let cache_enabled_from_env () =
-  match Sys.getenv_opt "GAPPLY_PLAN_CACHE" with
-  | Some ("off" | "0" | "false" | "no") -> false
-  | _ -> true
-
-(* Cost-based optimization can likewise be force-disabled so CI can
-   replay the whole suite over the fixed heuristics (GAPPLY_CBO=off). *)
-let cbo_enabled_from_env () =
-  match Sys.getenv_opt "GAPPLY_CBO" with
-  | Some ("off" | "0" | "false" | "no") -> false
-  | _ -> true
-
-(* Snapshot isolation can be force-disabled the same way: under
-   GAPPLY_MVCC=off every read resolves against latest-committed state
-   (the pre-MVCC behavior) while transactions keep their staging and
-   conflict semantics, so CI replays the whole suite over both
-   visibility paths. *)
-let mvcc_enabled_from_env () =
-  match Sys.getenv_opt "GAPPLY_MVCC" with
-  | Some ("off" | "0" | "false" | "no") -> false
-  | _ -> true
-
 (* Dictionary totals over the catalog, summed when read. *)
 let register_dict_gauges reg cat =
   let over_pools name help f =
@@ -147,15 +120,12 @@ let register_dict_gauges reg cat =
 let create ?(partition = Compile.Hash_partition) ?(optimize = true) ?cbo
     ?(parallelism = 1) ?plan_cache ?(cache_capacity = 128) ?timeout_ms
     ?row_limit ?mem_limit ?data_dir ?durability ?wal_group_commit
-    ?checkpoint_wal_bytes ?mvcc () =
+    ?checkpoint_wal_bytes () =
   (* re-read the fault/crash environment on every engine, not only at
      module init: chaos harnesses create many engines per process, each
      wanting a freshly armed countdown *)
   Fault.arm_from_env ();
-  let cache_enabled =
-    (match plan_cache with Some b -> b | None -> true)
-    && cache_enabled_from_env ()
-  in
+  let cache_enabled = Option.value plan_cache ~default:true in
   let metrics = Metrics.registry () in
   let wal_stats = Wal_stats.create metrics in
   let store, recovery =
@@ -178,8 +148,7 @@ let create ?(partition = Compile.Hash_partition) ?(optimize = true) ?cbo
     catalog;
     partition;
     optimize;
-    cbo =
-      (match cbo with Some b -> b | None -> true) && cbo_enabled_from_env ();
+    cbo = Option.value cbo ~default:true;
     parallelism;
     cache = Plan_cache.create ~capacity:cache_capacity metrics;
     cache_enabled;
@@ -199,8 +168,6 @@ let create ?(partition = Compile.Hash_partition) ?(optimize = true) ?cbo
     wal_stats;
     store;
     recovery;
-    mvcc =
-      (match mvcc with Some b -> b | None -> true) && mvcc_enabled_from_env ();
     txn_stats = Txn_stats.create metrics;
     txn_seq = Atomic.make 1;
     read_only = None;
@@ -216,7 +183,6 @@ let check_writable db =
   | Some info -> raise (Errors.Read_only info)
 
 let catalog db = db.catalog
-let mvcc_enabled db = db.mvcc
 let metrics db = db.metrics
 
 (* A backslash report: the families under [prefix], one line. *)
@@ -227,9 +193,7 @@ let footer db name prefix = Printf.sprintf "== %s ==\n" (report db name prefix)
 
 let txn_report db =
   report db "txn" "gapply_txn_"
-  ^ (if db.mvcc then
-       Printf.sprintf " mvcc=on ts=%d" (Catalog.current_ts db.catalog)
-     else " mvcc=off")
+  ^ Printf.sprintf " ts=%d" (Catalog.current_ts db.catalog)
 
 (* ---------- sessions ---------- *)
 
@@ -273,25 +237,19 @@ let close_session sess =
 
 (* Visibility for a statement: inside a transaction, the snapshot pinned
    at BEGIN plus the transaction's own staged rows (read-your-own-writes);
-   otherwise a fresh snapshot of latest-committed state.  [None] (the
-   kill-switch) means every scan reads the live table. *)
+   otherwise a fresh snapshot of latest-committed state. *)
 let session_snapshot sess =
-  let db = sess.sdb in
-  if not db.mvcc then None
-  else
-    match sess.txn with
-    | Some tx ->
-        Some
-          (Mvcc.with_staged ~at:tx.snap_at
-             (List.map
-                (fun (n, st) -> (n, Array.of_list (List.rev st.st_rows)))
-                tx.writes))
-    | None -> Some (Catalog.snapshot db.catalog)
+  match sess.txn with
+  | Some tx ->
+      Mvcc.with_staged ~at:tx.snap_at
+        (List.map
+           (fun (n, st) -> (n, Array.of_list (List.rev st.st_rows)))
+           tx.writes)
+  | None -> Catalog.snapshot sess.sdb.catalog
 
 (* Snapshot for session-less entry points (run_plan, analyze, prepared
    handles driven through the public API). *)
-let engine_snapshot db =
-  if db.mvcc then Some (Catalog.snapshot db.catalog) else None
+let engine_snapshot db = Catalog.snapshot db.catalog
 
 (* ---------- durability ---------- *)
 
@@ -640,7 +598,7 @@ let effective_plan db src =
 (** Run a logical plan directly (against a fresh snapshot of
     latest-committed state). *)
 let run_plan db plan =
-  Executor.run ~config:(config db) ?snapshot:(engine_snapshot db) db.catalog
+  Executor.run ~config:(config db) ~snapshot:(engine_snapshot db) db.catalog
     plan
 
 (* ---------- plan cache ---------- *)
@@ -759,17 +717,17 @@ let is_mem_trip = function
    Compiled plans are snapshot-agnostic (visibility resolves per-run
    from the environment), so the same cache entry serves every session
    and transaction — the snapshot rides alongside. *)
-let run_entry_governed ?snapshot ?budget db (e : Plan_cache.entry) :
+let run_entry_governed ~snapshot ?budget db (e : Plan_cache.entry) :
     Relation.t =
   try
     governed_attempt ?budget db (fun gov ->
-        Executor.run_compiled ?governor:gov ?snapshot db.catalog
+        Executor.run_compiled ?governor:gov ~snapshot db.catalog
           e.Plan_cache.compiled)
   with ex when is_mem_trip ex && can_downgrade e.Plan_cache.key ->
     Metrics.incr db.gov_stats.downgrades;
     governed_attempt ?budget db (fun gov ->
         let d = lookup_or_prepare_key db (downgraded_key e.Plan_cache.key) in
-        Executor.run_compiled ?governor:gov ?snapshot db.catalog
+        Executor.run_compiled ?governor:gov ~snapshot db.catalog
           d.Plan_cache.compiled)
 
 let cached_plan db src =
@@ -794,22 +752,22 @@ let prepared_plan h = h.p_entry.Plan_cache.plan
     and catalog versions, run it directly (counted as a hit); otherwise
     transparently re-prepare (via the cache, so a handle re-validating
     after unrelated knob flips can still hit an older entry). *)
-let exec_prepared_snap ?snapshot ?budget db h =
+let exec_prepared_snap ~snapshot ?budget db h =
   let e = h.p_entry in
   if
     e.Plan_cache.key = cache_key db h.p_sql
     && Plan_cache.is_valid db.catalog e
   then begin
     if db.cache_enabled then Plan_cache.note_hit db.cache e;
-    run_entry_governed ?snapshot ?budget db e
+    run_entry_governed ~snapshot ?budget db e
   end
   else begin
     let e = lookup_or_prepare db h.p_sql in
     h.p_entry <- e;
-    run_entry_governed ?snapshot ?budget db e
+    run_entry_governed ~snapshot ?budget db e
   end
 
-let exec_prepared db h = exec_prepared_snap ?snapshot:(engine_snapshot db) db h
+let exec_prepared db h = exec_prepared_snap ~snapshot:(engine_snapshot db) db h
 
 (* ---------- EXPLAIN ANALYZE ---------- *)
 
@@ -860,7 +818,7 @@ let analyze_report cat plan sink rel =
    engine's cache has seen traffic, a summary line is appended (kept
    silent on untouched engines so plain EXPLAIN ANALYZE output is
    stable). *)
-let analyze_plan ?snapshot db plan =
+let analyze_plan ~snapshot db plan =
   let plan =
     if db.optimize then
       (Optimizer.optimize ~cbo:db.cbo db.catalog plan).Optimizer.plan
@@ -874,7 +832,7 @@ let analyze_plan ?snapshot db plan =
     in
     governed_attempt db (fun gov ->
         let rel =
-          Executor.run ~config:cfg ?governor:gov ?snapshot db.catalog plan
+          Executor.run ~config:cfg ?governor:gov ~snapshot db.catalog plan
         in
         (rel, sink))
   in
@@ -908,7 +866,7 @@ let analyze_plan ?snapshot db plan =
   (* subsystem footers, each only once its subsystem has seen traffic,
      so untouched engines keep the historical output byte-for-byte:
      plan-cache lookups, WAL traffic, a dictionary-encoded table (none
-     without string columns or with GAPPLY_DICT=off), a transaction *)
+     without string columns or with encoding disabled), a transaction *)
   let c = Plan_cache.stats db.cache in
   let footers =
     [
@@ -932,7 +890,7 @@ let analyze db src =
   | Sql_binder.Bound_query plan
   | Sql_binder.Bound_explain plan
   | Sql_binder.Bound_explain_analyze plan ->
-      analyze_plan ?snapshot:(engine_snapshot db) db plan
+      analyze_plan ~snapshot:(engine_snapshot db) db plan
   | Sql_binder.Bound_ddl _ | Sql_binder.Bound_prepare _
   | Sql_binder.Bound_execute _ | Sql_binder.Bound_deallocate _
   | Sql_binder.Bound_set _ ->
@@ -961,7 +919,7 @@ let analyze_profile db src =
   let rel =
     governed_attempt db (fun gov ->
         Executor.run ~config:cfg ?governor:gov
-          ?snapshot:(engine_snapshot db) db.catalog plan)
+          ~snapshot:(engine_snapshot db) db.catalog plan)
   in
   let stats =
     match Obs.snapshot sink with Some s -> Obs.flatten s | None -> []
@@ -1225,7 +1183,7 @@ let exec_stmt sess ~sql (stmt : Sql_ast.statement) : outcome =
       try
         Rows
           (run_entry_governed
-             ?snapshot:(session_snapshot sess)
+             ~snapshot:(session_snapshot sess)
              ~budget:(session_budget sess) db e)
       with Errors.Resource_error _ as ex -> Failed ex)
   | Sql_ast.Stmt_prepare (name, q) -> (
@@ -1246,7 +1204,7 @@ let exec_stmt sess ~sql (stmt : Sql_ast.statement) : outcome =
           try
             Rows
               (exec_prepared_snap
-                 ?snapshot:(session_snapshot sess)
+                 ~snapshot:(session_snapshot sess)
                  ~budget:(session_budget sess) db h)
           with ex when Errors.is_engine_error ex -> Failed ex)
       | None ->
@@ -1267,7 +1225,7 @@ let exec_stmt sess ~sql (stmt : Sql_ast.statement) : outcome =
       Explanation (render_explain db (Sql_binder.bind_query db.catalog q))
   | Sql_ast.Stmt_explain_analyze q ->
       let _rel, report =
-        analyze_plan ?snapshot:(session_snapshot sess) db
+        analyze_plan ~snapshot:(session_snapshot sess) db
           (Sql_binder.bind_query db.catalog q)
       in
       Explanation report
@@ -1408,7 +1366,7 @@ let exec_session sess src : outcome =
       try
         Rows
           (run_entry_governed
-             ?snapshot:(session_snapshot sess)
+             ~snapshot:(session_snapshot sess)
              ~budget:(session_budget sess) db e)
       with Errors.Resource_error _ as ex -> Failed ex)
   | None -> (

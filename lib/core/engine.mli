@@ -59,7 +59,6 @@ val create :
   ?durability:Store.durability ->
   ?wal_group_commit:int ->
   ?checkpoint_wal_bytes:int ->
-  ?mvcc:bool ->
   unit ->
   t
 (** A fresh engine with an empty catalog.  Defaults: hash-partitioned
@@ -68,9 +67,6 @@ val create :
 
     The plan cache is on by default with a 128-entry LRU capacity; pass
     [~plan_cache:false] to force every execution down the cold path.
-    The environment variable [GAPPLY_PLAN_CACHE=off] (or [0] / [false] /
-    [no]) disables it globally — CI replays the whole test suite that
-    way to prove warm and cold paths agree.
 
     [timeout_ms] / [row_limit] / [mem_limit] seed the per-statement
     resource budget (see {!set_timeout_ms}); all default to
@@ -85,20 +81,14 @@ val create :
     [checkpoint_wal_bytes].  Without [data_dir] the engine is purely
     in-memory and the durability arguments are ignored.
 
-    [mvcc] (default on) enables snapshot-isolated reads: every
-    statement — and every transaction, for its whole lifetime —
-    resolves row visibility against an immutable commit-timestamp
-    snapshot, so readers never block on (or observe half of) a
-    concurrent writer.  The environment variable [GAPPLY_MVCC=off] (or
-    [0] / [false] / [no]) disables it globally; reads then see
-    latest-committed state as before snapshots existed, while BEGIN /
-    COMMIT / ROLLBACK keep their staging and first-committer-wins
-    semantics.  CI replays the full test suite that way.
+    Reads are snapshot-isolated: every statement — and every
+    transaction, for its whole lifetime — resolves row visibility
+    against an immutable commit-timestamp snapshot, so readers never
+    block on (or observe half of) a concurrent writer.
     @raise Errors.Recovery_error when the directory holds real
     corruption (a torn WAL tail is quarantined, not raised). *)
 
 val catalog : t -> Catalog.t
-val mvcc_enabled : t -> bool
 
 val set_partition_strategy : t -> Compile.partition_strategy -> unit
 val set_optimize : t -> bool -> unit
@@ -107,10 +97,8 @@ val set_cbo : t -> bool -> unit
 (** Cost-based optimization (default on): statistics-gated
     GApply-to-group-by, join reordering, and the costed sort-vs-hash
     partition choice.  Off reproduces the fixed heuristics.  Also
-    settable per session with [SET cbo = ON | OFF | DEFAULT]; the
-    environment variable [GAPPLY_CBO=off] (or [0] / [false] / [no])
-    disables it engine-wide at creation — CI replays the full test
-    suite that way.  Part of the plan-cache key. *)
+    settable per session with [SET cbo = ON | OFF | DEFAULT].  Part of
+    the plan-cache key. *)
 
 val cbo_enabled : t -> bool
 val set_parallelism : t -> int -> unit
@@ -435,8 +423,8 @@ val close_session : session -> unit
     back) — for a connection that ends mid-transaction. *)
 
 val txn_report : t -> string
-(** One-line transaction summary with the MVCC mode and current commit
-    timestamp (the CLI's [\txn] meta-command). *)
+(** One-line transaction summary with the current commit timestamp
+    (the CLI's [\txn] meta-command). *)
 
 val query : t -> string -> Relation.t
 (** Like {!exec} but raises {!Errors.Plan_error} unless the statement is

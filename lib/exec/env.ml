@@ -17,7 +17,7 @@ type t = {
   snapshot : Mvcc.t option;
       (* the session's MVCC snapshot; table scans and index probes
          resolve visibility against it.  None = latest-committed reads
-         (kill-switch / recovery replay). *)
+         (callers outside the engine, recovery replay). *)
 }
 
 let make ?governor ?snapshot catalog =

@@ -183,9 +183,18 @@ let decode_request tag payload =
   | 'X' -> Quit
   | c -> raise (Protocol_error (Printf.sprintf "unknown request tag %C" c))
 
+(* A payload must hold the fixed fields that open it. *)
+let fixed payload n =
+  if String.length payload < n then
+    raise
+      (Protocol_error
+         (Printf.sprintf "payload of %d byte(s) lacks its %d-byte header"
+            (String.length payload) n))
+
 let decode_response tag payload =
   match tag with
   | 'R' ->
+      fixed payload 4;
       let count = get_u32 payload 0 in
       Rows
         { count; body = String.sub payload 4 (String.length payload - 4) }
@@ -202,6 +211,7 @@ let decode_response tag payload =
           message = String.sub payload (1 + n) (String.length payload - 1 - n);
         }
   | 'O' ->
+      fixed payload 8;
       Overloaded
         {
           queue_depth = get_u32 payload 0;
@@ -209,6 +219,7 @@ let decode_response tag payload =
           message = String.sub payload 8 (String.length payload - 8);
         }
   | 's' ->
+      fixed payload 16;
       Repl_snapshot
         {
           epoch = get_u64 payload 0;
@@ -216,13 +227,16 @@ let decode_response tag payload =
           body = String.sub payload 16 (String.length payload - 16);
         }
   | 'b' ->
+      fixed payload 16;
       Repl_batch
         {
           epoch = get_u64 payload 0;
           offset = get_u64 payload 8;
           data = String.sub payload 16 (String.length payload - 16);
         }
-  | 'h' -> Repl_heartbeat { epoch = get_u64 payload 0; offset = get_u64 payload 8 }
+  | 'h' ->
+      fixed payload 16;
+      Repl_heartbeat { epoch = get_u64 payload 0; offset = get_u64 payload 8 }
   | 'G' -> Goodbye
   | c -> raise (Protocol_error (Printf.sprintf "unknown response tag %C" c))
 

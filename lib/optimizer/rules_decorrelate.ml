@@ -25,6 +25,8 @@
    The null-rejection condition is what makes the inner join sound: an
    outer row with an empty group would have received a NULL aggregate
    from Apply and been rejected by P; the join simply drops it earlier.
+   COUNT is excluded: over an empty group it is 0, not NULL, so P may
+   keep the row the join would drop (the "COUNT bug").
    With this rule the engine executes the paper's verbatim correlated
    formulations with the same asymptotics as the hand-decorrelated
    baselines. *)
@@ -88,6 +90,9 @@ let decorrelate_scalar_agg =
                 };
           }
         when Plan.outer_refs t = []
+             && (match agg.Expr.fn with
+                | Expr.Count | Expr.Count_star -> false
+                | _ -> true)
              && (match agg.Expr.arg with
                 | None -> true
                 | Some e -> not (Expr.references_outer e))

@@ -131,14 +131,12 @@ let build_join_back ~gcols ~keys_plan ~keys_schema ~outer_plan =
        on it and streams the big outer query past it *)
     Some (Plan.join pred outer_plan renamed_keys, lookup)
 
-(* Final projection items that reproduce the original GApply output:
-   first the grouping columns (taken from the renamed key side), then
-   [tail_items]. *)
-let restore_gcols ~gcols ~lookup =
-  List.map
-    (fun (r : Expr.col_ref) ->
-      (Expr.column (Option.get (lookup r.Expr.name)), r.Expr.name))
-    gcols
+(* The grouping columns of the original GApply output, taken from the T
+   side of the join-back (equal to the key side's, NULLs included): a
+   pass-through keeps their qualifiers, so an enclosing ORDER BY on
+   [t.c] still resolves. *)
+let restore_gcols gcols =
+  List.map (fun (r : Expr.col_ref) -> (Expr.Col r, r.Expr.name)) gcols
 
 let outer_passthrough_items outer_schema =
   List.map
@@ -208,9 +206,9 @@ let group_selection_exists =
                      ~outer_plan:outer
                  with
                 | None -> None
-                | Some (joined, lookup) ->
+                | Some (joined, _) ->
                     let items =
-                      restore_gcols ~gcols ~lookup
+                      restore_gcols gcols
                       @ outer_passthrough_items outer_schema
                     in
                     Some (Plan.project items joined)))
@@ -349,8 +347,7 @@ let group_selection_aggregate =
                         if not !tail_ok then None
                         else
                           let items =
-                            restore_gcols ~gcols ~lookup
-                            @ tail_items @ agg_tail
+                            restore_gcols gcols @ tail_items @ agg_tail
                           in
                           Some (Plan.project items joined)))
           | _ -> None)

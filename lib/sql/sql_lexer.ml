@@ -74,6 +74,16 @@ let rec skip_trivia st =
 
 let lex_number st =
   let start = st.pos in
+  (* a literal the conversion refuses ("1.5e", an int past max_int) is
+     reported at its first character *)
+  let literal kind of_string =
+    let text = String.sub st.src start (st.pos - start) in
+    match of_string text with
+    | Some v -> v
+    | None ->
+        st.pos <- start;
+        errorf st "bad %s literal %s" kind text
+  in
   while (match peek st with Some c -> is_digit c | None -> false) do
     advance st
   done;
@@ -97,9 +107,9 @@ let lex_number st =
           advance st
         done
     | _ -> ());
-    Sql_token.Float_lit (float_of_string (String.sub st.src start (st.pos - start)))
+    Sql_token.Float_lit (literal "float" float_of_string_opt)
   end
-  else Sql_token.Int_lit (int_of_string (String.sub st.src start (st.pos - start)))
+  else Sql_token.Int_lit (literal "integer" int_of_string_opt)
 
 let lex_string st =
   advance st;

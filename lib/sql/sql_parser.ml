@@ -684,4 +684,4 @@ let parse_script (src : string) : Sql_ast.statement list =
 let parse_query_string (src : string) : Sql_ast.query =
   match parse_statement src with
   | Sql_ast.Stmt_select q -> q
-  | _ -> Errors.parse_errorf "expected a SELECT query"
+  | _ -> errorf (make (Sql_lexer.tokenize src)) "expected a SELECT query"

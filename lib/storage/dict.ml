@@ -14,18 +14,13 @@
    shard and therefore always receive the same (pool, id) handle: the
    id-equality fast path covers every same-column comparison.
 
-   The [GAPPLY_DICT=off] environment switch (read once at startup) and
-   [set_enabled] (for A/B benchmarks) gate encoding for tables created
-   afterwards; existing tables keep whatever encoding they were built
+   [set_enabled] (for A/B benchmarks and the differential tests) gates
+   encoding for tables created afterwards; existing tables keep whatever encoding they were built
    with — a table's rows are never mixed. *)
 
 let shard_count = 8
 
-let enabled_flag =
-  Atomic.make
-    (match Sys.getenv_opt "GAPPLY_DICT" with
-    | Some ("off" | "0" | "false" | "no") -> false
-    | _ -> true)
+let enabled_flag = Atomic.make true
 
 let enabled () = Atomic.get enabled_flag
 let set_enabled b = Atomic.set enabled_flag b

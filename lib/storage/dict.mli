@@ -11,8 +11,7 @@
 val shard_count : int
 
 val enabled : unit -> bool
-(** Global gate, initialized from [GAPPLY_DICT] ([off] disables) and
-    checked at table creation. *)
+(** Global gate (on at startup), checked at table creation. *)
 
 val set_enabled : bool -> unit
 (** Flip the gate for tables created afterwards (A/B benchmarks). *)

@@ -167,8 +167,19 @@ let get_str cur =
   cur.pos <- cur.pos + n;
   s
 
-let get_str_list cur =
+(* A count of items of at least [each] bytes apiece, bounded by the
+   bytes that remain: a forged count fails here, before anything is
+   allocated for it. *)
+let get_count cur ~each what =
   let n = get_u32 cur in
+  let left = String.length cur.data - cur.pos in
+  if n * each > left then
+    Errors.recovery_errorf ~at_offset:cur.pos Errors.Snapshot_corrupt
+      "%d %s cannot fit in the %d byte(s) left" n what left;
+  n
+
+let get_str_list cur =
+  let n = get_count cur ~each:4 "strings" in
   List.init n (fun _ -> get_str cur)
 
 let get_value cur =
@@ -182,14 +193,23 @@ let get_value cur =
       Errors.recovery_errorf ~at_offset:cur.pos Errors.Snapshot_corrupt
         "bad value tag %d" t
 
+(* A forged body can name a column, table or type the catalog refuses:
+   that is a corrupt body too. *)
+let rebuild cur f =
+  try f () with
+  | Errors.Recovery_error _ as e -> raise e
+  | e when Errors.is_engine_error e ->
+      Errors.recovery_errorf ~at_offset:cur.pos Errors.Snapshot_corrupt "%s"
+        (Errors.to_string e)
+
 let decode_body data =
   let cur = { data; pos = 0 } in
   let catalog = Catalog.create () in
-  let ntables = get_u32 cur in
+  let ntables = get_count cur ~each:20 "tables" in
   for _ = 1 to ntables do
     let name = get_str cur in
     let primary_key = get_str_list cur in
-    let nfks = get_u32 cur in
+    let nfks = get_count cur ~each:12 "foreign keys" in
     let foreign_keys =
       List.init nfks (fun _ ->
           let fk_columns = get_str_list cur in
@@ -197,28 +217,35 @@ let decode_body data =
           let fk_ref_columns = get_str_list cur in
           { Table.fk_columns; fk_table; fk_ref_columns })
     in
-    let ncols = get_u32 cur in
+    let ncols = get_count cur ~each:5 "columns" in
     let columns =
       List.init ncols (fun _ ->
           let cname = get_str cur in
           (cname, type_of_tag (get_byte cur)))
     in
-    let table = Table.create ~primary_key ~foreign_keys name columns in
-    let nrows = get_u32 cur in
+    let table =
+      rebuild cur (fun () -> Table.create ~primary_key ~foreign_keys name columns)
+    in
+    (* every value takes at least its tag byte *)
     let arity = List.length columns in
+    let nrows = get_count cur ~each:(max arity 1) "rows" in
+    if arity = 0 && nrows > 0 then
+      Errors.recovery_errorf ~at_offset:cur.pos Errors.Snapshot_corrupt
+        "zero-arity table %s with %d row(s)" name nrows;
     let rows =
       List.init nrows (fun _ ->
           Tuple.of_list (List.init arity (fun _ -> get_value cur)))
     in
-    Table.insert_all table rows;
-    Catalog.add_table catalog table
+    rebuild cur (fun () ->
+        Table.insert_all table rows;
+        Catalog.add_table catalog table)
   done;
-  let nindexes = get_u32 cur in
+  let nindexes = get_count cur ~each:12 "indexes" in
   for _ = 1 to nindexes do
     let name = get_str cur in
     let table = get_str cur in
     let columns = get_str_list cur in
-    Catalog.create_index catalog ~name ~table ~columns
+    rebuild cur (fun () -> Catalog.create_index catalog ~name ~table ~columns)
   done;
   if cur.pos <> String.length data then
     Errors.recovery_errorf ~at_offset:cur.pos Errors.Snapshot_corrupt

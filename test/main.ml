@@ -34,4 +34,6 @@ let () =
       ("mvcc", Test_mvcc.suite);
       ("net", Test_net.suite);
       ("repl", Test_repl.suite);
+      ("differential", Test_differential.suite);
+      ("decoders", Test_decoders.suite);
     ]

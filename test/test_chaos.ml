@@ -33,13 +33,6 @@ let queries =
 
 let misses db = Metrics.read (Engine.metrics db) "gapply_plan_cache_misses_total"
 
-(* conservation assertions only hold when the cache is live, not when
-   CI replays the suite with GAPPLY_PLAN_CACHE=off *)
-let cache_on =
-  match Sys.getenv_opt "GAPPLY_PLAN_CACHE" with
-  | Some ("off" | "0" | "false" | "no") -> false
-  | _ -> true
-
 let run_sweep ~parallelism ~seeds () =
   Fault.disarm ();
   let db = Engine.create ~parallelism () in
@@ -85,10 +78,9 @@ let run_sweep ~parallelism ~seeds () =
           reference (Engine.query db q);
         incr executions)
       references;
-    if cache_on then
-      Alcotest.(check int)
-        (Printf.sprintf "seed %d: no cache poisoning (misses frozen)" seed)
-        frozen_misses (misses db);
+    Alcotest.(check int)
+      (Printf.sprintf "seed %d: no cache poisoning (misses frozen)" seed)
+      frozen_misses (misses db);
     Support.check_conservation ~executions:!executions
       (Printf.sprintf "seed %d: registry conserved" seed)
       db

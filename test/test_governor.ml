@@ -26,13 +26,6 @@ let failed_kind = function
   | Engine.Failed (Errors.Resource_error v) -> Some v.Errors.kind
   | _ -> None
 
-(* warm-hit assertions only make sense when the suite isn't being
-   replayed down the cold path (GAPPLY_PLAN_CACHE=off in CI) *)
-let cache_on =
-  match Sys.getenv_opt "GAPPLY_PLAN_CACHE" with
-  | Some ("off" | "0" | "false" | "no") -> false
-  | _ -> true
-
 (* ---------- governor unit level ---------- *)
 
 let test_unit_budgets () =
@@ -90,12 +83,10 @@ let test_timeout_aborts_and_recovers () =
   Alcotest.check check_rel "re-run reference-identical" reference
     (Engine.query db slow);
   let after = cache_snap db in
-  if cache_on then begin
-    Alcotest.(check int) "re-run is a warm hit" 1
-      (after.Cache_stats.hits - before.Cache_stats.hits);
-    Alcotest.(check int) "no recompile after abort" 0
-      (after.Cache_stats.misses - before.Cache_stats.misses)
-  end
+  Alcotest.(check int) "re-run is a warm hit" 1
+    (after.Cache_stats.hits - before.Cache_stats.hits);
+  Alcotest.(check int) "no recompile after abort" 0
+    (after.Cache_stats.misses - before.Cache_stats.misses)
 
 (* ---------- row limit (via SQL SET) ---------- *)
 

@@ -3,8 +3,7 @@
    Unit layer: read-your-own-writes, repeatable reads, rollback leaving
    no trace (version, statistics, rows), typed first-committer-wins
    conflicts, DDL rejection inside transactions, the atomic multi-row
-   INSERT regression inside an explicit transaction, the GAPPLY_MVCC
-   kill-switch semantics, and a two-domain reader/writer smoke test
+   INSERT regression inside an explicit transaction, and a two-domain reader/writer smoke test
    proving a snapshot reader never observes half of a multi-table
    commit.
 
@@ -59,9 +58,8 @@ let test_read_your_own_writes () =
   msg_exn (Engine.exec_session sess "begin");
   msg_exn (Engine.exec_session sess "insert into t values (2, 'mine')");
   msg_exn (Engine.exec_session sess "insert into t values (3, 'mine')");
-  if Engine.mvcc_enabled db then
-    Alcotest.(check int) "the transaction sees its own staged rows" 3
-      (count_sess sess "t");
+  Alcotest.(check int) "the transaction sees its own staged rows" 3
+    (count_sess sess "t");
   Alcotest.(check int) "other statements do not see staged rows" 1
     (count db "t");
   msg_exn (Engine.exec_session sess "commit");
@@ -77,13 +75,11 @@ let test_repeatable_reads () =
   msg_exn (Engine.exec_session reader "begin");
   Alcotest.(check int) "first read" 1 (count_sess reader "t");
   msg_exn (Engine.exec db "insert into t values (2, 'later')");
-  if Engine.mvcc_enabled db then begin
-    Alcotest.(check int)
-      "the snapshot pinned at BEGIN does not see the later commit" 1
-      (count_sess reader "t");
-    Alcotest.(check int) "read-only repeat stays stable" 1
-      (count_sess reader "t")
-  end;
+  Alcotest.(check int)
+    "the snapshot pinned at BEGIN does not see the later commit" 1
+    (count_sess reader "t");
+  Alcotest.(check int) "read-only repeat stays stable" 1
+    (count_sess reader "t");
   msg_exn (Engine.exec_session reader "commit");
   Alcotest.(check int) "a fresh statement sees the new row" 2
     (count_sess reader "t")
@@ -219,12 +215,11 @@ let test_failed_multirow_insert_in_txn () =
   | Engine.Failed _ -> ()
   | exception e when Errors.is_engine_error e -> ()
   | _ -> Alcotest.fail "expected the malformed insert to fail");
-  if Engine.mvcc_enabled db then
-    Alcotest.(check int)
-      "the failed statement staged nothing (read-your-own-writes sees only \
-       the valid row)"
-      1
-      (count_sess sess "t");
+  Alcotest.(check int)
+    "the failed statement staged nothing (read-your-own-writes sees only \
+     the valid row)"
+    1
+    (count_sess sess "t");
   msg_exn (Engine.exec_session sess "commit");
   Alcotest.(check int)
     "only the valid statement's row committed (no stranded versions)" 1
@@ -239,29 +234,6 @@ let test_failed_multirow_insert_in_txn () =
   msg_exn (Engine.exec_session sess "insert into t values (4, 'ok')");
   msg_exn (Engine.exec_session sess "commit");
   Alcotest.(check int) "the failed bind stranded nothing" 2 (count db "t")
-
-(* ---------- kill-switch semantics ---------- *)
-
-let test_mvcc_off_reads_latest_committed () =
-  let db = Engine.create ~mvcc:false () in
-  Alcotest.(check bool) "switch honored" false (Engine.mvcc_enabled db);
-  msg_exn (Engine.exec db "create table t (a int, b text)");
-  msg_exn (Engine.exec db "insert into t values (1, 'base')");
-  let sess = Engine.new_session db in
-  msg_exn (Engine.exec_session sess "begin");
-  Alcotest.(check int) "first read" 1 (count_sess sess "t");
-  msg_exn (Engine.exec db "insert into t values (2, 'later')");
-  Alcotest.(check int)
-    "without MVCC the read is not repeatable (latest-committed)" 2
-    (count_sess sess "t");
-  (* staging and conflicts still work *)
-  msg_exn (Engine.exec_session sess "insert into t values (3, 'mine')");
-  (match Engine.exec_session sess "commit" with
-  | Engine.Failed (Errors.Txn_conflict _) -> ()
-  | _ ->
-      Alcotest.fail
-        "first-committer-wins stays on without MVCC (t moved after BEGIN)");
-  Alcotest.(check int) "aborted txn leaked nothing" 2 (count db "t")
 
 (* ---------- observability ---------- *)
 
@@ -323,50 +295,48 @@ let test_concurrent_reader_never_sees_torn_commit () =
   let db = Engine.create () in
   msg_exn (Engine.exec db "create table left_t (a int)");
   msg_exn (Engine.exec db "create table right_t (a int)");
-  if Engine.mvcc_enabled db then begin
-    let commits = 60 in
-    let writer =
-      Domain.spawn (fun () ->
-          let sess = Engine.new_session db in
-          for i = 1 to commits do
-            msg_exn (Engine.exec_session sess "begin");
-            msg_exn
-              (Engine.exec_session sess
-                 (Printf.sprintf "insert into left_t values (%d)" i));
-            msg_exn
-              (Engine.exec_session sess
-                 (Printf.sprintf "insert into right_t values (%d)" i));
-            msg_exn (Engine.exec_session sess "commit")
-          done)
-    in
-    let reader () =
-      let sess = Engine.new_session db in
-      let torn = ref 0 and seen = ref (-1) and regressed = ref 0 in
-      for _ = 1 to 200 do
-        msg_exn (Engine.exec_session sess "begin");
-        let l = count_sess sess "left_t" in
-        let r = count_sess sess "right_t" in
-        msg_exn (Engine.exec_session sess "commit");
-        if l <> r then incr torn;
-        if l < !seen then incr regressed;
-        seen := max !seen l
-      done;
-      (!torn, !regressed)
-    in
-    let readers = List.init 2 (fun _ -> Domain.spawn reader) in
-    let results = List.map Domain.join readers in
-    Domain.join writer;
-    List.iter
-      (fun (torn, regressed) ->
-        Alcotest.(check int) "no reader ever saw a torn commit" 0 torn;
-        Alcotest.(check int) "snapshots never travel back in time" 0
-          regressed)
-      results;
-    Alcotest.(check int) "all commits landed (left)" commits
-      (count db "left_t");
-    Alcotest.(check int) "all commits landed (right)" commits
-      (count db "right_t")
-  end
+  let commits = 60 in
+  let writer =
+    Domain.spawn (fun () ->
+        let sess = Engine.new_session db in
+        for i = 1 to commits do
+          msg_exn (Engine.exec_session sess "begin");
+          msg_exn
+            (Engine.exec_session sess
+               (Printf.sprintf "insert into left_t values (%d)" i));
+          msg_exn
+            (Engine.exec_session sess
+               (Printf.sprintf "insert into right_t values (%d)" i));
+          msg_exn (Engine.exec_session sess "commit")
+        done)
+  in
+  let reader () =
+    let sess = Engine.new_session db in
+    let torn = ref 0 and seen = ref (-1) and regressed = ref 0 in
+    for _ = 1 to 200 do
+      msg_exn (Engine.exec_session sess "begin");
+      let l = count_sess sess "left_t" in
+      let r = count_sess sess "right_t" in
+      msg_exn (Engine.exec_session sess "commit");
+      if l <> r then incr torn;
+      if l < !seen then incr regressed;
+      seen := max !seen l
+    done;
+    (!torn, !regressed)
+  in
+  let readers = List.init 2 (fun _ -> Domain.spawn reader) in
+  let results = List.map Domain.join readers in
+  Domain.join writer;
+  List.iter
+    (fun (torn, regressed) ->
+      Alcotest.(check int) "no reader ever saw a torn commit" 0 torn;
+      Alcotest.(check int) "snapshots never travel back in time" 0
+        regressed)
+    results;
+  Alcotest.(check int) "all commits landed (left)" commits
+    (count db "left_t");
+  Alcotest.(check int) "all commits landed (right)" commits
+    (count db "right_t")
 
 (* ---------- serializability-lite property ---------- *)
 
@@ -522,8 +492,6 @@ let suite =
     Alcotest.test_case
       "regression: failed multi-row INSERT strands no versions" `Quick
       test_failed_multirow_insert_in_txn;
-    Alcotest.test_case "GAPPLY_MVCC off reads latest-committed" `Quick
-      test_mvcc_off_reads_latest_committed;
     Alcotest.test_case "txn counters and EXPLAIN ANALYZE footer" `Quick
       test_txn_stats_and_footer;
     Alcotest.test_case "failed COMMIT closes and counts the transaction"

@@ -232,9 +232,8 @@ let q1_explain_golden =
 
 let test_q1_explain_golden () =
   (* cbo off: under cost-based optimization EXPLAIN appends the costed
-     partition-choice line, and CI replays the suite with GAPPLY_CBO=off
-     anyway — pinning it off keeps the golden stable both ways (the plan
-     and trace are identical for Q1 under either setting) *)
+     partition-choice line; the plan and trace are identical for Q1
+     under either setting *)
   let db = tpch_db () in
   Engine.set_cbo db false;
   Alcotest.(check string) "EXPLAIN Q1 text" q1_explain_golden
@@ -267,17 +266,12 @@ let q1_analyze_golden =
    batches=5 time=_ first=_)\n\
    == actual rows: 405  estimated: 405 ==\n"
 
-(* the dict footer appears only while encoding is enabled, so the
-   GAPPLY_DICT=off replay still matches the golden *)
 let q1_analyze_dict_footer =
   "== dict: tables=4 shards=32 entries=431 bytes=10.5KiB \
    encode_hits=266 encode_misses=431 decodes=0 ==\n"
 
 let test_q1_analyze_golden () =
-  let expected =
-    if Dict.enabled () then q1_analyze_golden ^ q1_analyze_dict_footer
-    else q1_analyze_golden
-  in
+  let expected = q1_analyze_golden ^ q1_analyze_dict_footer in
   let db = tpch_db () in
   (* the golden covers a group-local PGQ: Q1's runs as one loop per
      group, and its operator lines still count the cursor chain's rows
@@ -301,9 +295,7 @@ let test_batches_reported () =
     explanation (tpch_db ()) ("explain analyze " ^ Workloads.q1_gapply)
   in
   Alcotest.(check bool) "batches= reported" true (contains report "batches=");
-  Alcotest.(check bool) "dict footer iff encoding enabled"
-    (Dict.enabled ())
-    (contains report "== dict: ")
+  Alcotest.(check bool) "dict footer" true (contains report "== dict: ")
 
 (* the footer's actual row count, e.g. "== actual rows: 405  ..." *)
 let actual_rows_of report =

@@ -242,6 +242,29 @@ let test_large_input_partition_phase () =
         [ Compile.Hash_partition; Compile.Sort_partition ])
     plans
 
+(* Figure 8's Q1-Q4, optimized, at msf 0.05: parallel output is
+   tuple-identical (order included) to sequential output at every level
+   (the differential harness checks each against the reference as a
+   multiset, under both partitionings). *)
+let test_figure8_parallel_equals_sequential () =
+  let db = Engine.create () in
+  Engine.load_tpch db ~msf:0.05;
+  let cat = Engine.catalog db in
+  List.iter
+    (fun (name, sql, _) ->
+      let plan = Engine.effective_plan db sql in
+      let at parallelism =
+        run_with ~partition:Compile.Hash_partition ~parallelism cat plan
+      in
+      let sequential = at 1 in
+      List.iter
+        (fun p ->
+          Alcotest.check relation_ordered_testable
+            (Printf.sprintf "%s at parallelism %d" name p)
+            sequential (at p))
+        [ 2; 4; 8 ])
+    Workloads.figure8_queries
+
 (* ---------- governed execution on pool domains ---------- *)
 
 (* A resource violation raised by the governor from inside a pool
@@ -267,11 +290,6 @@ let test_governed_parallel_abort () =
     (Engine.query db Workloads.q1_gapply)
 
 (* ---------- concurrent sessions over the shared plan cache ---------- *)
-
-let cache_enabled_in_env =
-  match Sys.getenv_opt "GAPPLY_PLAN_CACHE" with
-  | Some ("off" | "0" | "false" | "no") -> false
-  | _ -> true
 
 (* N sessions x M iterations of the paper queries with interleaved
    inserts.  Shared TPC-H tables stay read-only; each session writes a
@@ -324,13 +342,11 @@ let test_concurrent_sessions_stress () =
     concurrent.Session.statements;
   Support.check_conservation ~executions:(sessions * iterations * 4)
     "no counter tears: the registry balances" db;
-  if cache_enabled_in_env then begin
-    let s = concurrent.Session.cache in
-    Alcotest.(check bool) "concurrent sessions shared warm plans" true
-      (s.Cache_stats.hits > 0);
-    Alcotest.(check bool) "interleaved DML invalidated dependents" true
-      (s.Cache_stats.invalidations > 0)
-  end
+  let s = concurrent.Session.cache in
+  Alcotest.(check bool) "concurrent sessions shared warm plans" true
+    (s.Cache_stats.hits > 0);
+  Alcotest.(check bool) "interleaved DML invalidated dependents" true
+    (s.Cache_stats.invalidations > 0)
 
 let suite =
   [
@@ -346,6 +362,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_parallel_clustered_gapply_equals_sequential;
     QCheck_alcotest.to_alcotest prop_parallel_group_by_equals_sequential;
     QCheck_alcotest.to_alcotest prop_parallel_metrics_agree;
+    Alcotest.test_case "Q1-Q4: parallel = sequential, row for row" `Quick
+      test_figure8_parallel_equals_sequential;
     Alcotest.test_case "governed abort on pool domains, pool reusable" `Quick
       test_governed_parallel_abort;
     Alcotest.test_case "concurrent sessions = sequential replay" `Quick

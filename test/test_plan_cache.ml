@@ -259,23 +259,7 @@ let test_disabled_cache_counts_nothing () =
     (Engine.exec_prepared db h);
   Alcotest.(check int) "still no counters" 0 (snap db).Cache_stats.hits
 
-(* When CI replays the suite with GAPPLY_PLAN_CACHE=off, every engine
-   runs the cold path: counter- and occupancy-based assertions would be
-   vacuous or wrong, so only the cache-independent cases run. *)
-let cache_enabled_in_env =
-  match Sys.getenv_opt "GAPPLY_PLAN_CACHE" with
-  | Some ("off" | "0" | "false" | "no") -> false
-  | _ -> true
-
-let cold_suite =
-  [
-    Alcotest.test_case "SQL PREPARE / EXECUTE / DEALLOCATE" `Quick
-      test_sql_prepare_execute_deallocate;
-    Alcotest.test_case "disabled cache: cold path, zero counters" `Quick
-      test_disabled_cache_counts_nothing;
-  ]
-
-let warm_suite =
+let suite =
   [
     Alcotest.test_case "warm hit: identical rows, counted once" `Quick
       test_warm_hit_identity;
@@ -299,5 +283,3 @@ let warm_suite =
     Alcotest.test_case "disabled cache: cold path, zero counters" `Quick
       test_disabled_cache_counts_nothing;
   ]
-
-let suite = if cache_enabled_in_env then warm_suite else cold_suite

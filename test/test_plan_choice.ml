@@ -63,14 +63,6 @@ let mk_table cat name ?primary_key ?foreign_keys cols mk n =
   done;
   Catalog.add_table cat t
 
-(* The plan-choice observables only exist with cost-based optimization
-   on, so the fixture forces it regardless of the GAPPLY_CBO
-   environment (the CI replay runs this suite under GAPPLY_CBO=off). *)
-let fresh_db () =
-  let db = Engine.create () in
-  Engine.set_cbo db true;
-  db
-
 (* ---------- flip 1: sort vs hash partitioning ---------- *)
 
 (* Near-unique group keys make the hash partition pay one table entry
@@ -78,7 +70,7 @@ let fresh_db () =
    partition pays one comparison sort — sort wins.  A handful of groups
    makes the hash side a single cheap pass — hash wins. *)
 let test_partition_flip () =
-  let db = fresh_db () in
+  let db = Engine.create () in
   let cat = Engine.catalog db in
   mk_table cat "uniq"
     [ ("uk", Datatype.Int); ("uv", Datatype.Int) ]
@@ -116,7 +108,7 @@ let test_partition_flip () =
    GApply stays; when the inner key is genuinely low-NDV the flat
    group-by is cheaper and the rewrite fires. *)
 let test_gapply_to_groupby_flip () =
-  let db = fresh_db () in
+  let db = Engine.create () in
   let cat = Engine.catalog db in
   mk_table cat "corr"
     [ ("ck1", Datatype.Int); ("ck2", Datatype.Int); ("cv", Datatype.Int) ]
@@ -166,7 +158,7 @@ let test_gapply_to_groupby_flip () =
    selective, a pure loss (one extra projection pass) when it keeps
    every row. *)
 let invariant_db () =
-  let db = fresh_db () in
+  let db = Engine.create () in
   let cat = Engine.catalog db in
   mk_table cat "s" ~primary_key:[ "sk" ]
     [ ("sk", Datatype.Int); ("sname", Datatype.Str) ]
@@ -218,7 +210,7 @@ let test_invariant_grouping_flip () =
    first builds on the big one, and the costed commute swaps the sides;
    writing it big-first is already optimal and must be left alone. *)
 let test_join_order_flip () =
-  let db = fresh_db () in
+  let db = Engine.create () in
   let cat = Engine.catalog db in
   mk_table cat "big"
     [ ("bk", Datatype.Int); ("bv", Datatype.Str) ]

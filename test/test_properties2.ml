@@ -233,7 +233,7 @@ let prop_cache_differential =
       in
       (* counter conservation: with the cache live, every query-path
          execution is accounted as exactly one hit or miss; the cold
-         twin (and a GAPPLY_PLAN_CACHE=off replay) accounts nothing *)
+         twin accounts nothing *)
       ok
       && Support.conservation_failures ~executions:!executions warm = []
       && Support.conservation_failures ~executions:0 cold = [])

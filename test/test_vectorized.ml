@@ -413,16 +413,14 @@ let test_dict_roundtrip () =
   let t = Table.create "d" [ ("k", Datatype.Int); ("s", Datatype.Str) ] in
   List.iteri (fun i s -> Table.insert t (row [ vi i; vs s ])) dict_fixture_strings;
   let stored = Table.rows t in
-  (* handles in the store when the gate is on ... *)
-  if Dict.enabled () then
-    List.iter
-      (fun r ->
-        match Tuple.get r 1 with
-        | Value.Sym _ -> ()
-        | v ->
-            Alcotest.failf "expected interned handle, got %s"
-              (Value.to_string v))
-      stored;
+  (* handles in the store ... *)
+  List.iter
+    (fun r ->
+      match Tuple.get r 1 with
+      | Value.Sym _ -> ()
+      | v ->
+          Alcotest.failf "expected interned handle, got %s" (Value.to_string v))
+    stored;
   (* ... and the original strings at the decode boundary *)
   List.iteri
     (fun i s ->
@@ -442,7 +440,7 @@ let test_dict_roundtrip () =
 let test_dict_concurrent_shards () =
   let schema = Schema.of_list [ Schema.column "s" Datatype.Str ] in
   match Dict.create schema with
-  | None -> () (* GAPPLY_DICT=off: nothing to stress *)
+  | None -> Alcotest.fail "a string column gets a dictionary"
   | Some dict ->
       let n = 500 in
       let strings = Array.init n (fun i -> Printf.sprintf "str-%d" (i mod 97)) in

@@ -191,6 +191,84 @@ let test_figure1_presorted_runs () =
           bound)
     figure1_digests
 
+(* The five Figure-1 specs and the 3-level view at the publish
+   workload's scale: both strategies publish the same document, and
+   every GApply runs its per-group query as the group-local loop except
+   the selecting GApply of a group selection, which stays on the cursor
+   chain.  Each group selection keeps some suppliers, so no case
+   compares empty documents.  (Streamed bytes = tree bytes and the
+   presorted runs are pinned by the tests above and in deep-publish.) *)
+let test_pipeline_invariants () =
+  let cat = Lazy.force tpch_half in
+  let deep = Deep_view.customer_orders in
+  let cases =
+    List.map
+      (fun (label, spec, _) ->
+        ( label,
+          fst (Publish.gapply_plan cat spec),
+          Tagger.publish ~strategy:Tagger.Sorted_outer_union cat spec,
+          Tagger.publish ~strategy:Tagger.Gapply_pass cat spec ))
+      figure1_digests
+    @ [
+        ( "3-level",
+          fst (Deep_publish.gapply_plan cat deep),
+          Deep_publish.publish ~strategy:Deep_publish.Sorted_outer_union cat deep,
+          Deep_publish.publish ~strategy:Deep_publish.Gapply_pass cat deep );
+      ]
+  in
+  List.iter
+    (fun (label, plan, outer_union_doc, doc) ->
+      Alcotest.(check bool) (label ^ ": outer union = GApply document") true
+        (Xml.equal_unordered outer_union_doc doc);
+      let gapplies, group_local =
+        Plan.fold
+          (fun (n, local) -> function
+            | Plan.G_apply { var; pgq; _ } ->
+                (n + 1, if Compile.group_local ~var pgq then local + 1 else local)
+            | _ -> (n, local))
+          (0, 0) plan
+      in
+      let selection = List.mem label [ "exists_1890"; "avg_1400" ] in
+      Alcotest.(check bool) (label ^ ": has a GApply") true (gapplies > 0);
+      Alcotest.(check int) (label ^ ": GApplies on the cursor chain")
+        (if selection then 1 else 0)
+        (gapplies - group_local);
+      if selection then
+        Alcotest.(check bool) (label ^ ": some suppliers published") true
+          (count_elements "supplier" doc > 0))
+    cases
+
+(* Every Int and Float cell of Q1-Q4 and of the five Figure-1 tagger
+   streams at the publish workload's scale: [Value.to_string] renders
+   it as [Printf]'s %.12g rule and [string_of_int] do. *)
+let test_number_cells_render_like_printf () =
+  let cat = Lazy.force tpch_half in
+  let rows plan = Cursor.to_array ((Compile.plan plan).Compile.run (Env.make cat)) in
+  let tables =
+    List.map
+      (fun (name, sql, _) ->
+        (name, rows (Sql_binder.bind_query cat (Sql_parser.parse_query_string sql))))
+      Workloads.figure8_queries
+    @ List.map
+        (fun (label, spec, _) -> (label, rows (fst (Publish.gapply_plan cat spec))))
+        figure1_digests
+  in
+  List.iter
+    (fun (name, rows) ->
+      Array.iter
+        (Array.iter (fun v ->
+             let expected =
+               match v with
+               | Value.Float f -> Some (Test_value.printf_float_rule f)
+               | Value.Int i -> Some (string_of_int i)
+               | _ -> None
+             in
+             Option.iter
+               (fun e -> Alcotest.(check string) (name ^ ": number cell") e (Value.to_string v))
+               expected))
+        rows)
+    tables
+
 (* ---------- group selection in the GApply plan ---------- *)
 
 (* Section 4.2's "Return $s": select suppliers by their parts without
@@ -447,6 +525,10 @@ let suite =
       test_pipelines_on_tpch;
     Alcotest.test_case "GApply branches reach the ORDER BY presorted" `Quick
       test_figure1_presorted_runs;
+    Alcotest.test_case "pipeline: same documents, group-local GApplies"
+      `Quick test_pipeline_invariants;
+    Alcotest.test_case "number cells render like Printf" `Quick
+      test_number_cells_render_like_printf;
     Alcotest.test_case "selection by an unpublished child" `Quick
       test_parent_only_selection;
     Alcotest.test_case "group selection scans the child query once" `Quick
