@@ -19,8 +19,8 @@
      ablation      engine design-choice ablations (Apply caching,
                    clustering guarantee, parallel execution phase)
      analyze       per-operator breakdown of Q1-Q4 through the EXPLAIN
-                   ANALYZE instrumentation (Obs sinks + trace hooks),
-                   including the tracing-off overhead check
+                   ANALYZE instrumentation (Obs sinks), including the
+                   tracing-off overhead check
      throughput    plan-cache hit rates and concurrent-session
                    throughput through the workload driver
      transactions  snapshot-isolated reader latency (p50/p99) solo vs
@@ -702,8 +702,8 @@ let bench_analyze ~msf ~repeat () =
     (Printf.sprintf
        "Per-operator breakdown via the Obs instrumentation (msf %g)" msf);
   let cat = Tpch_gen.catalog ~msf () in
-  Format.printf "%-4s %12s %14s %10s %8s %24s@." "" "plain (ms)"
-    "observed (ms)" "overhead" "rows ok" "trace open/next/close";
+  Format.printf "%-4s %12s %14s %10s@." "" "plain (ms)" "observed (ms)"
+    "overhead";
   List.iter
     (fun (name, gapply_src, _) ->
       let plan = optimize cat (bind cat gapply_src) in
@@ -723,49 +723,23 @@ let bench_analyze ~msf ~repeat () =
         time_runs ~repeat (fun () ->
             Cursor.length (observed.Compile.run (env ())))
       in
-      (* one clean run for the per-operator numbers *)
+      (* one clean run for the per-operator numbers (their consistency
+         is checked by test/test_observe.ml) *)
       Obs.reset sink;
-      let root_rows = Cursor.length (observed.Compile.run (env ())) in
+      ignore (Cursor.length (observed.Compile.run (env ())));
       let stats =
         match Obs.snapshot sink with
         | Some s -> Obs.flatten s
         | None -> []
       in
-      let root_rows_match =
-        match stats with (_, s) :: _ -> s.Obs.rows = root_rows | [] -> false
-      in
-      (* trace hook: count events from a separately-instrumented run
-         (the hook fires from pool domains, hence the atomics) *)
-      let opens = Atomic.make 0
-      and nexts = Atomic.make 0
-      and closes = Atomic.make 0 in
-      let hook (e : Obs.event) =
-        Atomic.incr
-          (match e.Obs.kind with
-          | Obs.Open -> opens
-          | Obs.Next -> nexts
-          | Obs.Close -> closes)
-      in
-      let traced =
-        Compile.plan
-          ~config:(Compile.config_with ~observe:(Obs.make ~hook ()) ())
-          plan
-      in
-      ignore (Cursor.length (traced.Compile.run (env ())));
       let overhead_pct = 100. *. ((t_obs /. t_plain) -. 1.) in
-      Format.printf "%-4s %12.1f %14.1f %+9.1f%% %8b %10d/%d/%d@." name
-        (ms t_plain) (ms t_obs) overhead_pct root_rows_match
-        (Atomic.get opens) (Atomic.get nexts) (Atomic.get closes);
+      Format.printf "%-4s %12.1f %14.1f %+9.1f%%@." name (ms t_plain)
+        (ms t_obs) overhead_pct;
       record ~section:"analyze" ~query:name
         [
           ("plain_ms", Json.Float (ms t_plain));
           ("observed_ms", Json.Float (ms t_obs));
           ("overhead_pct", Json.Float overhead_pct);
-          ("root_rows", Json.Int root_rows);
-          ("root_rows_match", Json.Bool root_rows_match);
-          ("trace_opens", Json.Int (Atomic.get opens));
-          ("trace_nexts", Json.Int (Atomic.get nexts));
-          ("trace_closes", Json.Int (Atomic.get closes));
           ( "operators",
             Json.List
               (List.map
@@ -787,8 +761,7 @@ let bench_analyze ~msf ~repeat () =
     Workloads.figure8_queries;
   Format.printf
     "@.(overhead = metrics-on / metrics-off elapsed on the same compiled \
-     plan; trace counts come from a hook-instrumented run: one open per \
-     operator invocation, one next per yielded tuple)@.";
+     plan)@.";
   (* estimation quality + cost-based-vs-heuristic latency A/B, recorded
      under a separate section for the CI estimation gates.  Per-group
      operators report rows summed across invocations while the cost

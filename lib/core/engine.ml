@@ -42,6 +42,7 @@ type t = {
   inflight_seq : int Atomic.t;
   metrics : Metrics.registry;  (* every subsystem's counters and gauges *)
   gov_stats : Gov_stats.t;
+  groups : Compile.gapply_groups;  (* GApply groups by loop / chain path *)
   wal_stats : Wal_stats.t;  (* registered even without a data directory *)
   store : Store.t option;  (* durability layer, when a data_dir is given *)
   recovery : Recovery.outcome option;  (* what opening the store found *)
@@ -165,6 +166,7 @@ let create ?(partition = Compile.Hash_partition) ?(optimize = true) ?cbo
     inflight_seq = Atomic.make 0;
     metrics;
     gov_stats = Gov_stats.create metrics;
+    groups = Compile.gapply_groups metrics;
     wal_stats;
     store;
     recovery;
@@ -573,7 +575,7 @@ let load_tpch ?seed db ~msf =
 
 let config ?observe db =
   Compile.config_with ~partition:db.partition ~parallelism:db.parallelism
-    ?observe ()
+    ?observe ~groups:db.groups ()
 
 (** Parse a SQL query string into an (unoptimized) logical plan. *)
 let plan_of_sql db src =
@@ -635,11 +637,11 @@ let choose_partition db ~cbo partition plan =
 (* The compile configuration is derived from the cache key (not from
    the engine's current knobs): the graceful-degradation retry prepares
    entries under a key whose knobs differ from the engine's. *)
-let config_of_key ?partition (key : Plan_cache.key) =
+let config_of_key ?partition db (key : Plan_cache.key) =
   Compile.config_with
     ~partition:
       (match partition with Some p -> p | None -> key.Plan_cache.partition)
-    ~parallelism:key.Plan_cache.parallelism ()
+    ~parallelism:key.Plan_cache.parallelism ~groups:db.groups ()
 
 (* Cold path: parse + bind + optimize + compile, timed, fingerprinted
    against the catalog as of just before the parse (a concurrent DDL
@@ -657,7 +659,7 @@ let prepare_entry db (key : Plan_cache.key) =
   let partition, _ =
     choose_partition db ~cbo:key.Plan_cache.cbo key.Plan_cache.partition plan
   in
-  let compiled = Compile.plan ~config:(config_of_key ~partition key) plan in
+  let compiled = Compile.plan ~config:(config_of_key ~partition db key) plan in
   let prepare_ns = Metrics.now_ns () - t0 in
   if db.cache_enabled then
     Metrics.add (Plan_cache.stats db.cache).prepare_ns prepare_ns;
@@ -828,7 +830,8 @@ let analyze_plan ~snapshot db plan =
   let attempt ~partition ~parallelism =
     let sink = Obs.make () in
     let cfg =
-      Compile.config_with ~partition ~parallelism ~observe:sink ()
+      Compile.config_with ~partition ~parallelism ~observe:sink
+        ~groups:db.groups ()
     in
     governed_attempt db (fun gov ->
         let rel =
@@ -912,10 +915,7 @@ type op_profile = {
 let analyze_profile db src =
   let plan = effective_plan db src in
   let sink = Obs.make () in
-  let cfg =
-    Compile.config_with ~partition:db.partition ~parallelism:db.parallelism
-      ~observe:sink ()
-  in
+  let cfg = config ~observe:sink db in
   let rel =
     governed_attempt db (fun gov ->
         Executor.run ~config:cfg ?governor:gov

@@ -10,9 +10,12 @@
    stream, which lays the groups out as slices of one member array
    ([groups]), then an execution phase over the groups.  A group-local
    per-group query ([local_branches]: Project/Aggregate/Select chains
-   over the group) runs as one loop per group that filters, folds and
-   projects the slice directly; any other is compiled once and re-run
-   per group with the slice bound to the relation-valued variable.
+   over the group, or over an Apply pairing the group's members with
+   an uncorrelated scalar aggregate or EXISTS over the group) runs as
+   one loop per group that filters, folds and projects the slice
+   directly, running an Apply's inner once per group; any other is
+   compiled once and re-run per group with the slice bound to the
+   relation-valued variable.
 
    Execution is vectorized: every operator is a cursor over [Batch.t]
    row arrays of up to [config.batch_size] rows and consumes its
@@ -21,6 +24,18 @@
    [brun] through [Batch.to_cursor]. *)
 
 type partition_strategy = Sort_partition | Hash_partition
+
+(* The gapply_groups_total family: groups each GApply execution ran
+   through the group-local loop or through its PGQ's cursor chain. *)
+type gapply_groups = { loop : Metrics.counter; chain : Metrics.counter }
+
+let gapply_groups reg =
+  let path p =
+    Metrics.counter_in reg ~label:("path", p)
+      ~help:"GApply groups run as the group-local loop or as a cursor chain."
+      "gapply_groups_total"
+  in
+  { loop = path "loop"; chain = path "chain" }
 
 type config = {
   partition : partition_strategy;
@@ -39,6 +54,7 @@ type config = {
       (* per-operator metrics sink (EXPLAIN ANALYZE / --analyze).  None
          compiles exactly the uninstrumented operators — zero overhead
          on the per-batch path when tracing is off. *)
+  groups : gapply_groups option;  (* where GApply counts its groups *)
 }
 
 let default_config =
@@ -49,15 +65,19 @@ let default_config =
     parallelism = 1;
     batch_size = Batch.default_size;
     observe = None;
+    groups = None;
   }
 
 let config_with ?(partition = Hash_partition) ?(apply_cache = true)
     ?(use_indexes = true) ?(parallelism = 1)
-    ?(batch_size = Batch.default_size) ?observe () =
+    ?(batch_size = Batch.default_size) ?observe ?groups () =
   if batch_size < 1 then
     invalid_arg
       (Printf.sprintf "Compile.config_with: batch_size %d < 1" batch_size);
-  { partition; apply_cache; use_indexes; parallelism; batch_size; observe }
+  {
+    partition; apply_cache; use_indexes; parallelism; batch_size; observe;
+    groups;
+  }
 
 (* the Obs node of the operator currently being compiled (used by the
    GApply / Group_by cases to report their partition phase) *)
@@ -401,18 +421,41 @@ let run_groups ~size ?pool ?gov ~op ?account (order : int array) emit :
 
 (* ---------- group-local per-group queries ---------- *)
 
+(* Whether an outer reference of [inner] binds to the row of an Apply
+   whose outer input has [schema] — then the inner is re-run per outer
+   row; otherwise it is constant across them. *)
+let correlated ~schema inner =
+  List.exists
+    (fun (r : Expr.col_ref) ->
+      Schema.find_all ?qual:r.Expr.qual r.Expr.name schema <> [])
+    (Plan.outer_refs inner)
+
 (* The branches of a group-local PGQ over [var]: a UNION ALL (or one
-   branch) of [Project? (Aggregate? (Select* (Group_scan var)))]
-   chains. *)
-let local_branches ~var (pgq : Plan.t) : Plan.t list option =
+   branch) of [Project? (Aggregate? (Select* source))] chains, where the
+   source is [Group_scan var] or — when [apply] (the Apply cache is on)
+   — [Apply (Select* (Group_scan var), inner)] with an uncorrelated
+   inner [Aggregate (Select* (Group_scan var))] or
+   [Exists (Select* (Group_scan var))]. *)
+let local_branches ?(apply = true) ~var (pgq : Plan.t) : Plan.t list option =
   let rec selects = function
     | Plan.Select { input; _ } -> selects input
     | Plan.Group_scan { var = v; _ } -> String.equal v var
     | _ -> false
   in
-  let below_project = function
-    | Plan.Aggregate { input; _ } -> selects input
+  let rec source = function
+    | Plan.Select { input; _ } -> source input
+    | Plan.Apply
+        {
+          outer = o;
+          inner = (Plan.Aggregate { input; _ } | Plan.Exists { input; _ }) as i;
+        } ->
+        apply && selects o && selects input
+        && not (correlated ~schema:(Props.schema_of o) i)
     | p -> selects p
+  in
+  let below_project = function
+    | Plan.Aggregate { input; _ } -> source input
+    | p -> source p
   in
   let branch = function
     | Plan.Project { input; _ } -> below_project input
@@ -426,14 +469,41 @@ let group_local ~var pgq = Option.is_some (local_branches ~var pgq)
 (* One compiled branch, with the Obs node of each of its operators when
    observed. *)
 type local_branch = {
+  source : source;
   preds : (Eval.frames -> Tuple.t -> bool) array;  (* innermost first *)
   aggs : (Expr.agg * Eval.compiled option) array option;
   items : Eval.compiled array option;  (* None: no Project *)
-  scan_node : Obs.node option;
   select_nodes : Obs.node option array;  (* like [preds] *)
   agg_node : Obs.node option;
   project_node : Obs.node option;
 }
+
+(* The rows a branch's Selects read: the group's members, or an Apply's
+   output — each member passing [outer]'s Selects followed by [inner]'s
+   values.  [outer] and [inner] are branches over the group themselves:
+   Selects only, and Selects with [aggs] for an Aggregate inner. *)
+and source = Scan of Obs.node option | Apply of local_apply
+
+and local_apply = {
+  outer : local_branch;
+  width : int;  (* the members' arity *)
+  inner : local_branch;
+  exists : bool option;  (* [Some negated]: an Exists inner *)
+  exists_node : Obs.node option;
+  apply_node : Obs.node option;
+}
+
+let scan_branch node =
+  {
+    source = Scan node; preds = [||]; aggs = None; items = None;
+    select_nodes = [||]; agg_node = None; project_node = None;
+  }
+
+(* What an Apply pairs each of one group's outer members with: no row
+   (it emits nothing), the empty row (the member passes unchanged), or
+   the inner's values, held in the tail of one scratch row per group
+   that each member is copied into. *)
+type pairing = Nothing | Unchanged | Widened of Tuple.t
 
 (* How many of [preds] a row passes, innermost first, counting from
    [k]: all of them (= [Array.length preds]) keeps it.  Top-level, so
@@ -442,6 +512,17 @@ let rec level preds frames row k =
   if k < Array.length preds && (Array.unsafe_get preds k) frames row then
     level preds frames row (k + 1)
   else k
+
+(* The offset in [v] of the first member passing every Select of [b]. *)
+let first_row b frames (v : Batch.t) =
+  let np = Array.length b.preds and stop = v.Batch.pos + v.Batch.len in
+  let rec go i =
+    if i >= stop then None
+    else if level b.preds frames (Array.unsafe_get v.Batch.rows i) 0 = np
+    then Some (i - v.Batch.pos)
+    else go (i + 1)
+  in
+  go v.Batch.pos
 
 (* [key] followed by the branch's projection of [row] (or [row] itself
    without a Project), written into one fresh row. *)
@@ -457,67 +538,139 @@ let branch_row b key frames row =
       done;
       out
 
-(* One group through one branch: filter, fold and project the group's
-   slice [v] in one loop, pushing [key ++ values] rows in the order the
-   branch's cursor chain yields them.  An Aggregate charges the rows it
-   folds under "aggregate.input", as its cursor does. *)
-let run_branch b gov frames key (v : Batch.t) push =
+(* One group through one branch: filter, fold and project the rows of
+   its source over the group's slice [v] in one loop, pushing
+   [key ++ values] rows in the order the branch's cursor chain yields
+   them.  An Aggregate charges the rows it folds under
+   "aggregate.input", as its cursor does. *)
+let rec run_branch b gov frames key (v : Batch.t) push =
   let np = Array.length b.preds in
-  let stop = v.Batch.pos + v.Batch.len in
   match b.aggs with
   | None ->
-      for i = v.Batch.pos to stop - 1 do
-        let row = Array.unsafe_get v.Batch.rows i in
-        if level b.preds frames row 0 = np then
-          push (branch_row b key frames row)
-      done
+      each_row b gov frames v (fun row ->
+          if level b.preds frames row 0 = np then
+            push (branch_row b key frames row))
   | Some specs ->
       let states = agg_states specs in
       let governed = Option.is_some gov and bytes = ref 0 in
-      for i = v.Batch.pos to stop - 1 do
-        let row = Array.unsafe_get v.Batch.rows i in
-        if level b.preds frames row 0 = np then begin
-          agg_add specs states frames row;
-          if governed then bytes := !bytes + Governor.tuple_bytes row
-        end
-      done;
+      each_row b gov frames v (fun row ->
+          if level b.preds frames row 0 = np then begin
+            agg_add specs states frames row;
+            if governed then bytes := !bytes + Governor.tuple_bytes row
+          end);
       Governor.charge gov ~op:"aggregate.input" !bytes;
       push (branch_row b key frames (Array.map Agg_state.finish states))
 
+(* [f] on every row of [b]'s source over [v], in order.  An Apply runs
+   its inner once per group, when the first member passes its outer
+   Selects (the cursor chain's cached inner is as lazy), and hands [f]
+   its scratch row: [f] must not keep the row it is given. *)
+and each_row b gov frames (v : Batch.t) f =
+  let stop = v.Batch.pos + v.Batch.len in
+  match b.source with
+  | Scan _ ->
+      for i = v.Batch.pos to stop - 1 do
+        f (Array.unsafe_get v.Batch.rows i)
+      done
+  | Apply a ->
+      let nop = Array.length a.outer.preds in
+      let pairing = ref None in
+      for i = v.Batch.pos to stop - 1 do
+        let row = Array.unsafe_get v.Batch.rows i in
+        if level a.outer.preds frames row 0 = nop then
+          let p =
+            match !pairing with
+            | Some p -> p
+            | None ->
+                let p = pair a gov frames v in
+                pairing := Some p;
+                p
+          in
+          match p with
+          | Nothing -> ()
+          | Unchanged -> f row
+          | Widened scratch ->
+              Array.blit row 0 scratch 0 a.width;
+              f scratch
+      done
+
+(* Apply [a]'s inner over group [v]: Exists's test, or the folded
+   values (charged under "apply.cache", as the cached inner is). *)
+and pair a gov frames (v : Batch.t) =
+  match a.exists with
+  | Some negated ->
+      if Option.is_some (first_row a.inner frames v) <> negated then Unchanged
+      else Nothing
+  | None ->
+      let values = ref Tuple.empty in
+      run_branch a.inner gov frames Tuple.empty v (fun row -> values := row);
+      if Option.is_some gov then
+        Governor.charge gov ~op:"apply.cache" (Governor.tuple_bytes !values);
+      let k = Array.length !values in
+      let scratch = Array.make (a.width + k) Value.Null in
+      Array.blit !values 0 scratch a.width k;
+      Widened scratch
+
+(* Per level of [preds] (0 = the input, k = past the k-th Select), the
+   rows and batches the cursor chain counts when the rows [iter] yields
+   arrive in [size]-row batches, as a Group_scan's slice chunks and an
+   Apply's packed output do: each Select yields one batch per input
+   batch with a survivor. *)
+let tally ~size preds frames iter =
+  let np = Array.length preds in
+  let rows = Array.make (np + 1) 0 and batches = Array.make (np + 1) 0 in
+  let seen = Array.make (np + 1) false and n = ref 0 in
+  iter (fun row ->
+      if !n = size then begin
+        n := 0;
+        Array.fill seen 0 (np + 1) false
+      end;
+      incr n;
+      for k = 0 to level preds frames row 0 do
+        rows.(k) <- rows.(k) + 1;
+        if not seen.(k) then begin
+          seen.(k) <- true;
+          batches.(k) <- batches.(k) + 1
+        end
+      done);
+  (rows, batches)
+
 (* Record on the branch's Obs nodes the rows and batches its cursor
    chain would count for group [v]: the Group_scan yields [size]-row
-   chunks, each Select one batch per chunk with a survivor, an
-   Aggregate one row, a Project what it reads.  Returns the branch's
-   (rows, batches). *)
-let observe_branch sink ~size b frames (v : Batch.t) ~time_ns =
-  let np = Array.length b.preds in
-  (* [rows.(k)], [batches.(k)]: output of the scan (k = 0) and of the
-     k-th Select *)
-  let rows = Array.make (np + 1) 0 and batches = Array.make (np + 1) 0 in
-  let survivors = Array.make (np + 1) 0 in
-  let stop = v.Batch.pos + v.Batch.len in
-  let lo = ref v.Batch.pos in
-  while !lo < stop do
-    let hi = min stop (!lo + size) in
-    Array.fill survivors 0 (np + 1) 0;
-    for i = !lo to hi - 1 do
-      for k = 0 to level b.preds frames v.Batch.rows.(i) 0 do
-        survivors.(k) <- survivors.(k) + 1
-      done
-    done;
-    Array.iteri
-      (fun k n ->
-        if n > 0 then begin
-          rows.(k) <- rows.(k) + n;
-          batches.(k) <- batches.(k) + 1
-        end)
-      survivors;
-    lo := hi
-  done;
+   chunks, each Select one batch per input batch with a survivor, an
+   Aggregate one row, a Project what it reads.  An Apply packs its
+   output into [size]-row batches; its inner is invoked only when an
+   outer member survives, and an Exists probe stops after the first
+   batch with a survivor.  Returns the branch's (rows, batches). *)
+let rec observe_branch sink ~size b frames (v : Batch.t) ~time_ns =
   let record node (rows, batches) =
     Option.iter (fun n -> Obs.record sink n ~rows ~batches ~time_ns) node
   in
-  record b.scan_node (rows.(0), batches.(0));
+  let np = Array.length b.preds in
+  let rows, batches = tally ~size b.preds frames (each_row b None frames v) in
+  let source_node =
+    match b.source with
+    | Scan node -> node
+    | Apply a ->
+        let outer_rows, _ = observe_branch sink ~size a.outer frames v ~time_ns in
+        (if outer_rows > 0 then
+           match a.exists with
+           | None -> ignore (observe_branch sink ~size a.inner frames v ~time_ns)
+           | Some negated ->
+               let first = first_row a.inner frames v in
+               let len =
+                 match first with
+                 | Some i -> min v.Batch.len (((i / size) + 1) * size)
+                 | None -> v.Batch.len
+               in
+               ignore
+                 (observe_branch sink ~size a.inner frames { v with Batch.len }
+                    ~time_ns);
+               let n = if Option.is_some first <> negated then 1 else 0 in
+               record a.exists_node (n, n));
+        a.apply_node
+  in
+  record source_node (rows.(0), batches.(0));
   Array.iteri
     (fun k n -> record n (rows.(k + 1), batches.(k + 1)))
     b.select_nodes;
@@ -528,47 +681,62 @@ let observe_branch sink ~size b frames (v : Batch.t) ~time_ns =
   record b.project_node out;
   out
 
-(* Compile one branch of a group-local PGQ, registering the Obs node of
-   each operator around its input's, as [plan] does.  Returns the
-   branch and its output schema. *)
-let rec compile_branch ~config ~outer p : local_branch * Schema.t =
-  let compile node =
-    let input () =
-      compile_branch ~config ~outer (List.hd (Plan.children p))
-    in
-    match p with
-    | Plan.Select { pred; _ } ->
-        let b, schema = input () in
-        ( {
-            b with
-            preds = Array.append b.preds [| Eval.compile_pred schema pred |];
-            select_nodes = Array.append b.select_nodes [| node |];
-          },
-          schema )
-    | Plan.Aggregate { aggs; _ } ->
-        let b, schema = input () in
-        ( {
-            b with
-            aggs = Some (compile_agg_args schema aggs);
-            agg_node = node;
-          },
-          Props.schema_of ~outer p )
-    | Plan.Project { items; _ } ->
-        let b, schema = input () in
-        let items = List.map (fun (e, _) -> Eval.compile schema e) items in
-        ( { b with items = Some (Array.of_list items); project_node = node },
-          Props.schema_of ~outer p )
-    | _ ->
-        ( {
-            preds = [||]; aggs = None; items = None; scan_node = node;
-            select_nodes = [||]; agg_node = None; project_node = None;
-          },
-          Props.schema_of ~outer p )
-  in
+(* [f] with the Obs node of operator [p] when observed, registered under
+   the node being compiled, as [plan] does. *)
+let observed config p f =
   match config.observe with
-  | None -> compile None
-  | Some sink ->
-      Obs.enter sink ~op:(Plan.op_name p) (fun n -> compile (Some n))
+  | None -> f None
+  | Some sink -> Obs.enter sink ~op:(Plan.op_name p) (fun n -> f (Some n))
+
+(* Compile one branch of a group-local PGQ, registering the Obs node of
+   each operator around its inputs', as [plan] does.  Returns the branch
+   and its output schema. *)
+let rec compile_branch ~config ~outer p : local_branch * Schema.t =
+  observed config p @@ fun node ->
+  let input () = compile_branch ~config ~outer (List.hd (Plan.children p)) in
+  match p with
+  | Plan.Select { pred; _ } ->
+      let b, schema = input () in
+      ( {
+          b with
+          preds = Array.append b.preds [| Eval.compile_pred schema pred |];
+          select_nodes = Array.append b.select_nodes [| node |];
+        },
+        schema )
+  | Plan.Aggregate { aggs; _ } ->
+      let b, schema = input () in
+      ( { b with aggs = Some (compile_agg_args schema aggs); agg_node = node },
+        Props.schema_of ~outer p )
+  | Plan.Project { items; _ } ->
+      let b, schema = input () in
+      let items = List.map (fun (e, _) -> Eval.compile schema e) items in
+      ( { b with items = Some (Array.of_list items); project_node = node },
+        Props.schema_of ~outer p )
+  | Plan.Apply { outer = o; inner } ->
+      let ob, oschema = compile_branch ~config ~outer o in
+      let inner_outer = oschema :: outer in
+      let ib, exists, exists_node =
+        match inner with
+        | Plan.Exists { input; negated } ->
+            observed config inner (fun n ->
+                ( fst (compile_branch ~config ~outer:inner_outer input),
+                  Some negated,
+                  n ))
+        | _ -> (fst (compile_branch ~config ~outer:inner_outer inner), None, None)
+      in
+      let source =
+        Apply
+          {
+            outer = ob;
+            width = Schema.arity oschema;
+            inner = ib;
+            exists;
+            exists_node;
+            apply_node = node;
+          }
+      in
+      ({ (scan_branch None) with source }, Props.schema_of ~outer p)
+  | _ -> (scan_branch node, Props.schema_of ~outer p)
 
 (* Compile a group-local PGQ (its [branches] from [local_branches]) into
    [run gov frames key view push], which runs one group through every
@@ -708,11 +876,7 @@ and compile ~config ~(outer : Schema.t list) (p : Plan.t) :
       let c = plan ~config ~outer input in
       let idxs = key_indexes c.schema keys in
       let fold =
-        {
-          preds = [||]; aggs = Some (compile_agg_args c.schema aggs);
-          items = None; scan_node = None; select_nodes = [||];
-          agg_node = None; project_node = None;
-        }
+        { (scan_branch None) with aggs = Some (compile_agg_args c.schema aggs) }
       in
       let obs_node = obs_current config in
       ( schema,
@@ -846,14 +1010,9 @@ and compile ~config ~(outer : Schema.t list) (p : Plan.t) :
          This matters enormously for per-group queries like Q2, where
          the inner is an aggregate of the whole group.  The cached inner
          is lazy: an empty outer never runs it. *)
-      let correlated =
-        List.exists
-          (fun (r : Expr.col_ref) ->
-            Schema.find_all ?qual:r.Expr.qual r.Expr.name co.schema <> [])
-          (Plan.outer_refs inner)
-      in
       let matches =
-        if correlated || not config.apply_cache then fun env orow yield ->
+        if correlated ~schema:co.schema inner || not config.apply_cache then
+          fun env orow yield ->
           Batch.drain_iter yield
             (ci.brun (Env.push_frame co.schema orow env))
         else fun env ->
@@ -884,11 +1043,18 @@ and compile ~config ~(outer : Schema.t list) (p : Plan.t) :
       let idxs = key_indexes co.schema gcols in
       let obs_node = obs_current config in
       (* a group-local PGQ runs as one loop per group; any other PGQ
-         runs its cursor chain once per group, over the group's view *)
+         runs its cursor chain once per group, over the group's view.
+         Without the Apply cache an Apply's inner re-runs per member,
+         which only the chain does. *)
       let exec =
-        match local_branches ~var pgq with
+        match local_branches ~apply:config.apply_cache ~var pgq with
         | Some branches -> `Loop (compile_local ~config ~outer pgq branches)
         | None -> `Chain (plan ~config ~outer pgq)
+      in
+      let path_groups =
+        Option.map
+          (fun c -> match exec with `Loop _ -> c.loop | `Chain _ -> c.chain)
+          config.groups
       in
       ( schema,
         fun env ->
@@ -905,6 +1071,7 @@ and compile ~config ~(outer : Schema.t list) (p : Plan.t) :
               Option.iter
                 (fun n -> Obs.add_partitions n (group_count gs))
                 obs_node;
+              Option.iter (fun c -> Metrics.add c (group_count gs)) path_groups;
               (* the Section 3.1 clustering guarantee: emit groups in key
                  order; sort partitioning already provides it, hash
                  partitioning orders the (small) array of group numbers *)

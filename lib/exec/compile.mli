@@ -15,6 +15,13 @@
 
 type partition_strategy = Sort_partition | Hash_partition
 
+type gapply_groups = { loop : Metrics.counter; chain : Metrics.counter }
+(** The [gapply_groups_total{path="loop"|"chain"}] counters: every GApply
+    execution adds its group count to the path its PGQ takes. *)
+
+val gapply_groups : Metrics.registry -> gapply_groups
+(** Register (or look up) the family in a registry. *)
+
 type config = {
   partition : partition_strategy;
   apply_cache : bool;
@@ -40,11 +47,14 @@ type config = {
           exact uninstrumented operators — zero per-batch overhead when
           tracing is off.  A sink observes one compilation; use a fresh
           sink per compiled plan. *)
+  groups : gapply_groups option;
+      (** where GApply counts the groups it runs through the loop or the
+          chain; [None] counts nothing *)
 }
 
 val default_config : config
 (** Hash partitioning, Apply caching on, indexes on, sequential,
-    {!Batch.default_size}-row batches, unobserved. *)
+    {!Batch.default_size}-row batches, unobserved, uncounted. *)
 
 val config_with :
   ?partition:partition_strategy ->
@@ -53,6 +63,7 @@ val config_with :
   ?parallelism:int ->
   ?batch_size:int ->
   ?observe:Obs.t ->
+  ?groups:gapply_groups ->
   unit ->
   config
 (** @raise Invalid_argument when [batch_size < 1]. *)
@@ -73,10 +84,16 @@ val plan : ?config:config -> ?outer:Schema.t list -> Plan.t -> compiled
 val group_local : var:string -> Plan.t -> bool
 (** Whether a per-group query over [var] runs as the group-local loop:
     a UNION ALL (or one branch) of
-    [Project? (Aggregate? (Select* (Group_scan var)))] chains.  Such a
-    PGQ filters, folds and projects each group's slice directly and
-    writes [key ++ values] rows, in the order its cursor chain would
-    yield them (groups, then branches, then members). *)
+    [Project? (Aggregate? (Select* source))] chains, the source being
+    [Group_scan var] or [Apply (Select* (Group_scan var), inner)] with
+    inner [Aggregate (Select* (Group_scan var))] or
+    [Exists (Select* (Group_scan var))] (negated or not) that does not
+    reference the Apply's row.  Such a PGQ filters, folds and projects
+    each group's slice directly — an Apply's inner once per group, its
+    members seen as [member ++ inner values] — and writes
+    [key ++ values] rows, in the order its cursor chain would yield
+    them (groups, then branches, then members).  With
+    [config.apply_cache] off an Apply takes the chain. *)
 
 val sort_rows : ?pool:Domain_pool.t -> ('a -> 'a -> int) -> 'a array -> unit
 (** The row sort behind ORDER BY and sort partitioning: stable and in

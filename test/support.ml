@@ -14,6 +14,12 @@ let schema cols =
 
 let rel cols rows = Relation.make (schema cols) (List.map row rows)
 
+(* Whether [sub] occurs in [s]. *)
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
 (* ---------- alcotest testables ---------- *)
 
 let value_testable = Alcotest.testable Value.pp Value.equal_total

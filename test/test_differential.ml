@@ -748,6 +748,41 @@ let test_grammar_coverage () =
       "correlated exists"; "in subquery"; "case"; "join"; "group by"; "order by";
     ]
 
+(* The harness reaches the group-local loop's Apply shape, not just its
+   syntax: some generated query optimizes, under the default knobs and
+   under CBO off alike, to a GApply whose PGQ is group-local and holds
+   an Apply (a row compared with its group's aggregate, or an EXISTS
+   over the group). *)
+let test_reaches_loop_apply () =
+  let db = (world false).db in
+  let loop_apply plan =
+    Plan.fold
+      (fun found -> function
+        | Plan.G_apply { var; pgq; _ } ->
+            found
+            || Compile.group_local ~var pgq
+               && Plan.fold
+                    (fun a p -> a || match p with Plan.Apply _ -> true | _ -> false)
+                    false pgq
+        | _ -> found)
+      false plan
+  in
+  let reaches sql =
+    List.for_all
+      (fun cbo ->
+        Engine.set_optimize db true;
+        Engine.set_cbo db cbo;
+        loop_apply (Engine.effective_plan db sql))
+      [ true; false ]
+  in
+  let queries =
+    Gen.generate ~rand:(Random.State.make [| 21 |]) ~n:200 gen_query
+  in
+  let found = List.exists (fun q -> reaches (query_to_string q)) queries in
+  Engine.set_cbo db true;
+  if not found then
+    Alcotest.fail "no generated query runs an Apply in the group-local loop"
+
 let prop_random_sql =
   QCheck2.Test.make ~count:40 ~long_factor:25
     ~name:"random SQL = Reference under every covering configuration"
@@ -767,5 +802,7 @@ let suite =
       test_publishing_plans;
     Alcotest.test_case "the grammar reaches every construct" `Quick
       test_grammar_coverage;
+    Alcotest.test_case "random queries reach the loop's Apply shape" `Quick
+      test_reaches_loop_apply;
     QCheck_alcotest.to_alcotest prop_random_sql;
   ]

@@ -1,14 +1,17 @@
 (* The group-local GApply loop.
 
    A per-group query that is a UNION ALL of Project/Aggregate/Select
-   chains over the group runs as one loop per group instead of a cursor
-   chain.  The loop must be invisible: on random such PGQs it returns
-   the reference evaluator's rows (as multisets) and exactly the rows,
-   in exactly the order, of the same PGQ forced through the cursor chain
-   (wrapped in an Alias, which the shape test rejects) — at every batch
-   size, parallelism, partitioning and clustering.  The governor still
-   reaches it: a cancellation or a deadline that trips while the loop
-   runs aborts at the next group with a typed error. *)
+   chains over the group — or over an Apply pairing the group's members
+   with an uncorrelated aggregate or EXISTS over the group — runs as one
+   loop per group instead of a cursor chain.  The loop must be
+   invisible: on random such PGQs it returns the reference evaluator's
+   rows (as multisets) and exactly the rows, in exactly the order, and
+   the EXPLAIN ANALYZE counts of the same PGQ forced through the cursor
+   chain (wrapped in an Alias, which the shape test rejects) — at every
+   batch size, parallelism, partitioning and clustering.  The governor
+   still reaches it: a cancellation or a deadline that trips while the
+   loop runs aborts at the next group with a typed error.  The
+   gapply_groups_total counters say which path each group took. *)
 
 open Support
 open Expr
@@ -44,11 +47,12 @@ let gen_relation : Relation.t Gen.t =
        (Gen.oneof [ Gen.int_range 0 30; Gen.int_range 150 400 ])
        gen_row)
 
-(* [s < 3] empties every group but the first rows' *)
+(* [s < 3] empties every group but the first rows'; [b > 3] empties
+   every group *)
 let gen_pred =
   Gen.oneofl
     [ column "a" >^ int 1; column "b" ==^ int 0; column "s" <^ int 3;
-      column "b" <=^ int 2; Unary (Is_null, column "a") ]
+      column "b" <=^ int 2; Unary (Is_null, column "a"); column "b" >^ int 3 ]
 
 let gen_agg =
   Gen.oneofl
@@ -59,13 +63,58 @@ let gen_item =
   Gen.oneofl
     [ column "a"; column "s"; column "b" +^ int 1; null; column "k" ]
 
+let selects preds input =
+  List.fold_left (fun p pred -> Plan.select pred p) input preds
+
+(* A branch's source, and the inner value columns it adds to each
+   member: the group itself, or an Apply pairing the members passing
+   0-2 Selects with an inner over the group (0-2 Selects of its own) —
+   1-2 aggregates ([m1], [m2]; an empty selection folds to NULL or 0)
+   or an [EXISTS] / [NOT EXISTS] test. *)
+let gen_source : (Plan.t * Expr.t list) Gen.t =
+  let open Gen in
+  let* outer_preds = list_size (int_range 0 2) gen_pred in
+  let* inner_preds = list_size (int_range 0 2) gen_pred in
+  let* aggs = list_size (int_range 1 2) gen_agg in
+  let* negated = bool in
+  let outer = selects outer_preds g and inner = selects inner_preds g in
+  let names = List.mapi (fun i a -> (a, Printf.sprintf "m%d" (i + 1))) aggs in
+  oneofl
+    [
+      (g, []);
+      ( Plan.apply outer (Plan.aggregate names inner),
+        List.map (fun (_, m) -> column m) names );
+      (Plan.apply outer (Plan.exists ~negated inner), []);
+    ]
+
+(* a Select over a source: a member test, or one comparing the member
+   with an inner value *)
+let gen_source_pred values =
+  match values with
+  | [] -> gen_pred
+  | _ ->
+      Gen.oneof
+        [
+          gen_pred;
+          Gen.map2
+            (fun m f -> f m)
+            (Gen.oneofl values)
+            (Gen.oneofl
+               [
+                 (fun m -> column "a" >=^ m); (fun m -> column "s" <^ m);
+                 (fun m -> m >^ int 1); (fun m -> Unary (Is_null, m));
+               ]);
+        ]
+
 (* one branch, two output columns *)
 let gen_branch : Plan.t Gen.t =
   let open Gen in
-  let* preds = list_size (int_range 0 2) gen_pred in
-  let base = List.fold_left (fun p pred -> Plan.select pred p) g preds in
+  let* source, values = gen_source in
+  let* preds = list_size (int_range 0 2) (gen_source_pred values) in
+  let base = selects preds source in
   let* a1 = gen_agg and* a2 = gen_agg in
-  let* e1 = gen_item and* e2 = gen_item in
+  let* e1 = if values = [] then gen_item else oneof [ gen_item; oneofl values ]
+  and* e2 = gen_item in
   oneofl
     [
       Plan.project [ (e1, "x"); (e2, "y") ] base;
@@ -75,15 +124,16 @@ let gen_branch : Plan.t Gen.t =
         (Plan.aggregate [ (a1, "x"); (a2, "y") ] base);
     ]
 
-(* 1-3 branches, or a bare Select chain *)
+(* 1-3 branches, or a bare Select chain over a source *)
 let gen_pgq : Plan.t Gen.t =
   let open Gen in
   oneof
     [
       map Plan.union_all (list_size (int_range 1 3) gen_branch);
-      map
-        (List.fold_left (fun p pred -> Plan.select pred p) g)
-        (list_size (int_range 0 2) gen_pred);
+      (let* source, values = gen_source in
+       map
+         (fun preds -> selects preds source)
+         (list_size (int_range 0 2) (gen_source_pred values)));
     ]
 
 let gen_gcols =
@@ -121,12 +171,41 @@ let gapply ~cluster ~gcols pgq =
 
 let bind rel = Env.bind_group "src" rel (Env.make (Catalog.create ()))
 
-let run st env plan =
+let run ?observe st env plan =
   Executor.run_in
     ~config:
       (Compile.config_with ~batch_size:st.batch_size
-         ~parallelism:st.parallelism ~partition:st.partition ())
+         ~parallelism:st.parallelism ~partition:st.partition ?observe ())
     env plan
+
+(* the metric tree of an observed run *)
+let analyze st env plan =
+  let sink = Obs.make () in
+  ignore (run ~observe:sink st env plan);
+  match Obs.snapshot sink with
+  | Some stat -> stat
+  | None -> Alcotest.fail "no metric tree"
+
+(* Every counter EXPLAIN ANALYZE prints but time, node for node. *)
+let rec same_counts (a : Obs.stat) (b : Obs.stat) =
+  a.Obs.op = b.Obs.op
+  && a.Obs.invocations = b.Obs.invocations
+  && a.Obs.rows = b.Obs.rows
+  && a.Obs.batches = b.Obs.batches
+  && a.Obs.partitions = b.Obs.partitions
+  && List.length a.Obs.children = List.length b.Obs.children
+  && List.for_all2 same_counts a.Obs.children b.Obs.children
+
+(* The loop's operator lines count what the chain's do: the GApply's
+   groups and rows, its outer input, and the PGQ below the chain's
+   Alias.  Only the GApply's own batches (packed output) may differ. *)
+let same_analyze (loop : Obs.stat) (chain : Obs.stat) =
+  match (loop.Obs.children, chain.Obs.children) with
+  | [ lo; lp ], [ co; { Obs.children = [ cp ]; _ } ] ->
+      loop.Obs.rows = chain.Obs.rows
+      && loop.Obs.partitions = chain.Obs.partitions
+      && same_counts lo co && same_counts lp cp
+  | _ -> false
 
 (* cell for cell, representation included (Int 1 and Float 1. differ) *)
 let same_rows a b =
@@ -139,8 +218,9 @@ let same_rows a b =
 let prop_loop_matches_reference_and_chain =
   QCheck2.Test.make ~count:300
     ~name:
-      "group-local loop = Reference (multiset) = cursor chain (in order), \
-       sizes 1/7/128, parallelism 1/4, hash/sort, clustered or not"
+      "group-local loop = Reference (multiset) = cursor chain (in order, \
+       same EXPLAIN ANALYZE counts), sizes 1/7/128, parallelism 1/4, \
+       hash/sort, clustered or not"
     ~print:print_case
     (Gen.no_shrink (Gen.quad gen_relation gen_gcols gen_pgq gen_setup))
     (fun (rel, gcols, pgq, st) ->
@@ -150,17 +230,23 @@ let prop_loop_matches_reference_and_chain =
       if Compile.group_local ~var:"g" chained then
         QCheck2.Test.fail_report "an Alias-wrapped PGQ must take the chain";
       let env = bind rel in
-      let loop = run st env (gapply ~cluster:st.cluster ~gcols pgq) in
-      let chain = run st env (gapply ~cluster:st.cluster ~gcols chained) in
+      let loop = gapply ~cluster:st.cluster ~gcols pgq
+      and chain = gapply ~cluster:st.cluster ~gcols chained in
+      let rows = run st env loop in
       Relation.equal_as_multiset
         (Reference.eval env (gapply ~cluster:false ~gcols pgq))
-        loop
-      && same_rows loop chain)
+        rows
+      && same_rows rows (run st env chain)
+      && same_analyze (analyze st env loop) (analyze st env chain))
 
 (* ---------- shape test ---------- *)
 
 let test_shape () =
   let agg = Plan.aggregate [ (count_star, "n") ] g in
+  let above_avg inner =
+    Plan.select (column "a" >=^ column "m") (Plan.apply g inner)
+  in
+  let avg_of input = Plan.aggregate [ (avg (column "a"), "m") ] input in
   let local =
     [
       g;
@@ -170,6 +256,14 @@ let test_shape () =
       Plan.union_all
         [ Plan.project [ (column "a", "x") ] g;
           Plan.project [ (column "n", "x") ] agg ];
+      (* Q2-Q4 and the Table 1 families *)
+      Plan.project [ (column "s", "s") ] (above_avg (avg_of g));
+      Plan.aggregate [ (count_star, "n") ]
+        (above_avg (avg_of (Plan.select (column "b" >^ int 0) g)));
+      Plan.select (column "m" >^ int 1)
+        (Plan.apply (Plan.select (column "a" <^ int 2) g) (avg_of g));
+      Plan.apply g (Plan.exists (Plan.select (column "a" >^ int 1) g));
+      Plan.apply g (Plan.exists ~negated:true g);
     ]
   and chained =
     [
@@ -182,6 +276,19 @@ let test_shape () =
       Plan.aggregate [ (count_star, "n") ]
         (Plan.aggregate [ (count_star, "m") ] g);
       Plan.union_all [ g; Plan.alias "t" g ];
+      (* an inner that references the Apply's row *)
+      above_avg (avg_of (Plan.select (column "b" ==^ outer "b") g));
+      Plan.apply g (Plan.exists (Plan.select (column "s" >^ outer "s") g));
+      (* an inner over another variable *)
+      above_avg (avg_of (Plan.group_scan ~var:"other" src_schema));
+      (* an inner Aggregate over a join *)
+      above_avg
+        (avg_of (Plan.join (column "b" ==^ column "k") g (Plan.alias "h" g)));
+      (* an inner that is not an Aggregate or Exists over the group *)
+      above_avg (Plan.project [ (column "m", "m") ] (avg_of g));
+      Plan.apply g g;
+      (* an Apply whose outer input is not the group *)
+      Plan.apply (Plan.alias "t" g) (avg_of g);
     ]
   in
   let check expected p =
@@ -193,29 +300,33 @@ let test_shape () =
 
 (* ---------- the governor inside the loop ---------- *)
 
-(* 40 rows in 8 groups through a two-branch group-local PGQ *)
-let governed_case () =
-  let rel =
-    Relation.make src_schema
-      (List.init 40 (fun i -> Tuple.of_list [ vi (i mod 8); vi i; vi 0; vi i ]))
-  in
-  let pgq =
+(* Group-local PGQs the governor must reach: two branches over the
+   group, and Q2-Q4's shape (members above their group's average). *)
+let governed_pgqs =
+  [
     Plan.union_all
       [
         Plan.project [ (column "a", "x") ] g;
         Plan.aggregate [ (sum (column "a"), "x") ] g;
-      ]
-  in
-  (rel, gapply ~cluster:true ~gcols:[ Expr.col "k" ] pgq)
+      ];
+    Plan.project
+      [ (column "a", "x") ]
+      (Plan.select
+         (column "a" >=^ column "m")
+         (Plan.apply g (Plan.aggregate [ (avg (column "a"), "m") ] g)));
+  ]
 
-(* Run [plan] under [gov]; [on_first_group] fires from the trace hook
-   when the loop records its first group (on the PGQ's group scan). *)
-let trip_inside_loop ~gov ~on_first_group =
-  let rel, plan = governed_case () in
+(* Run [pgq] over 40 rows in 8 groups under [gov]; [on_first_group]
+   fires from the trace hook when the loop records its first group (on
+   the PGQ's group scan). *)
+let trip_inside_loop ~gov ~on_first_group pgq =
+  let rel =
+    Relation.make src_schema
+      (List.init 40 (fun i -> Tuple.of_list [ vi (i mod 8); vi i; vi 0; vi i ]))
+  in
+  let plan = gapply ~cluster:true ~gcols:[ Expr.col "k" ] pgq in
   Alcotest.(check bool) "case is group-local" true
-    (match plan with
-    | Plan.G_apply { var; pgq; _ } -> Compile.group_local ~var pgq
-    | _ -> false);
+    (Compile.group_local ~var:"g" pgq);
   let fired = ref false in
   let hook (e : Obs.event) =
     if (not !fired) && e.Obs.op = "group_scan($g)" && e.Obs.kind = Obs.Open
@@ -237,28 +348,115 @@ let trip_inside_loop ~gov ~on_first_group =
       Alcotest.(check bool) "tripped after the first group" true !fired;
       v
 
-let test_cancel_inside_loop () =
-  let gov = Governor.start Governor.unlimited in
-  let v =
-    trip_inside_loop ~gov ~on_first_group:(fun () -> Governor.cancel gov)
-  in
-  Alcotest.(check string) "kind" "cancelled"
+let check_tripped kind (v : Errors.resource_violation) =
+  Alcotest.(check string) "kind" kind
     (Errors.resource_kind_to_string v.Errors.kind);
   Alcotest.(check (option string)) "checked per group" (Some "gapply.exec")
     v.Errors.operator
 
+let test_cancel_inside_loop () =
+  List.iter
+    (fun pgq ->
+      let gov = Governor.start Governor.unlimited in
+      check_tripped "cancelled"
+        (trip_inside_loop ~gov ~on_first_group:(fun () -> Governor.cancel gov) pgq))
+    governed_pgqs
+
 let test_deadline_inside_loop () =
-  let gov =
-    Governor.start
-      { Governor.unlimited with Governor.timeout_ns = Some 50_000_000 }
+  List.iter
+    (fun pgq ->
+      let gov =
+        Governor.start
+          { Governor.unlimited with Governor.timeout_ns = Some 50_000_000 }
+      in
+      check_tripped "timeout"
+        (trip_inside_loop ~gov ~on_first_group:(fun () -> Unix.sleepf 0.1) pgq))
+    governed_pgqs
+
+(* ---------- the loop / chain group counters ---------- *)
+
+let path_count db path =
+  Metrics.read (Engine.metrics db) ~label:path "gapply_groups_total"
+
+(* (loop, chain) groups of [plan]'s GApplies, from its metric tree *)
+let rec path_groups (p : Plan.t) (s : Obs.stat) =
+  let here =
+    match p with
+    | Plan.G_apply { var; pgq; _ } when Compile.group_local ~var pgq ->
+        (s.Obs.partitions, 0)
+    | Plan.G_apply _ -> (0, s.Obs.partitions)
+    | _ -> (0, 0)
   in
-  let v =
-    trip_inside_loop ~gov ~on_first_group:(fun () -> Unix.sleepf 0.1)
+  List.fold_left2
+    (fun (l, c) p s ->
+      let l', c' = path_groups p s in
+      (l + l', c + c'))
+    here (Plan.children p) s.Obs.children
+
+(* Counter deltas of [f ()], as (loop, chain). *)
+let deltas db f =
+  let l0 = path_count db "loop" and c0 = path_count db "chain" in
+  f ();
+  (path_count db "loop" - l0, path_count db "chain" - c0)
+
+let test_group_counters () =
+  let db = Engine.create () in
+  Engine.load_tpch db ~msf:0.05;
+  let counts = Alcotest.(pair int int) in
+  (* Q1-Q4 and the Table 1 invariant family run every group through
+     the loop *)
+  let loop, chain =
+    deltas db (fun () ->
+        List.iter
+          (fun src -> ignore (Engine.query db src))
+          (List.map (fun (_, src, _) -> src) Workloads.figure8_queries
+          @ List.map
+              (fun b -> Workloads.rule_invariant_query ~price_bound:b)
+              [ 1000.; 1500.; 2200. ]))
   in
-  Alcotest.(check string) "kind" "timeout"
-    (Errors.resource_kind_to_string v.Errors.kind);
-  Alcotest.(check (option string)) "checked per group" (Some "gapply.exec")
-    v.Errors.operator
+  Alcotest.(check int) "Q1-Q4, invariant family: no chain groups" 0 chain;
+  Alcotest.(check bool) "Q1-Q4, invariant family: loop groups" true (loop > 0);
+  let exported = Metrics.prometheus (Engine.metrics db) in
+  List.iter
+    (fun sample ->
+      Alcotest.(check bool) ("/metrics has " ^ sample) true
+        (contains exported sample))
+    [
+      "gapply_groups_total{path=\"chain\"} 0";
+      Printf.sprintf "gapply_groups_total{path=\"loop\"} %d" loop;
+    ];
+  (* an Alias-wrapped PGQ runs, and counts, its groups on the chain *)
+  let q4 = Engine.effective_plan db Workloads.q4_gapply in
+  let chained =
+    match q4 with
+    | Plan.G_apply r -> Plan.G_apply { r with pgq = Plan.alias "chain" r.pgq }
+    | _ -> Alcotest.fail "Q4 is a GApply"
+  in
+  let groups, _ = deltas db (fun () -> ignore (Engine.run_plan db q4)) in
+  Alcotest.check counts "Alias-wrapped Q4: chain groups" (0, groups)
+    (deltas db (fun () -> ignore (Engine.run_plan db chained)));
+  (* a Figure-1 group selection: exactly its selecting GApply's groups
+     on the chain *)
+  let cat = Engine.catalog db in
+  List.iter
+    (fun (label, spec) ->
+      let plan = fst (Publish.gapply_plan cat (Flwr.compile spec)) in
+      let sink = Obs.make () in
+      ignore
+        (Executor.run ~config:(Compile.config_with ~observe:sink ()) cat plan);
+      let expected =
+        match Obs.snapshot sink with
+        | Some stat -> path_groups plan stat
+        | None -> Alcotest.fail "no metric tree"
+      in
+      Alcotest.(check bool) (label ^ ": some chain groups") true
+        (snd expected > 0);
+      Alcotest.check counts (label ^ ": (loop, chain) groups") expected
+        (deltas db (fun () -> ignore (Engine.run_plan db plan))))
+    [
+      ("exists", Flwr.expensive_part_suppliers 930.);
+      ("avg", Flwr.high_average_suppliers 920.5);
+    ]
 
 let suite =
   [
@@ -268,4 +466,6 @@ let suite =
       test_cancel_inside_loop;
     Alcotest.test_case "deadline trips inside the loop" `Quick
       test_deadline_inside_loop;
+    Alcotest.test_case "gapply_groups_total counts loop and chain groups"
+      `Quick test_group_counters;
   ]

@@ -284,6 +284,101 @@ let test_q1_analyze_golden () =
     expected
     (normalize (explanation db ("explain analyze " ^ Workloads.q1_gapply)))
 
+let q2_analyze_golden =
+  "== explain analyze ==\n\
+   gapply[ps_suppkey : $tmpsupp]  (est rows=10) (rows=10 loops=1 \
+   groups=5 batches=1 time=_ first=_)\n\
+  \  project[partsupp.ps_suppkey as ps_suppkey, part.p_retailprice \
+   as p_retailprice]  (est rows=400) (rows=400 loops=1 batches=4 \
+   time=_ first=_)\n\
+  \    join(fk->)[(partsupp.ps_partkey = part.p_partkey)]  (est \
+   rows=400) (rows=400 loops=1 batches=4 time=_ first=_)\n\
+  \      scan(partsupp)  (est rows=400) (rows=400 loops=1 batches=4 \
+   time=_ first=_)\n\
+  \      scan(part)  (est rows=100) (rows=100 loops=1 batches=1 \
+   time=_ first=_)\n\
+  \  union all  (est rows=2) (rows=10 loops=5 batches=10 time=_ \
+   first=_)\n\
+  \    project[__agg_ as cnt_above, NULL as cnt_below]  (est \
+   rows=1) (rows=5 loops=5 batches=5 time=_ first=_)\n\
+  \      aggregate[count(*) as __agg_]  (est rows=1) (rows=5 \
+   loops=5 batches=5 time=_ first=_)\n\
+  \        select[(p_retailprice >= __sq_)]  (est rows=27) \
+   (rows=200 loops=5 batches=5 time=_ first=_)\n\
+  \          apply  (est rows=80) (rows=400 loops=5 batches=5 \
+   time=_ first=_)\n\
+  \            group_scan($tmpsupp)  (est rows=80) (rows=400 \
+   loops=5 batches=5 time=_ first=_)\n\
+  \            aggregate[avg(p_retailprice) as __sq_]  (est rows=1) \
+   (rows=5 loops=5 batches=5 time=_ first=_)\n\
+  \              group_scan($tmpsupp)  (est rows=80) (rows=400 \
+   loops=5 batches=5 time=_ first=_)\n\
+  \    project[NULL as col1, __agg_]  (est rows=1) (rows=5 loops=5 \
+   batches=5 time=_ first=_)\n\
+  \      aggregate[count(*) as __agg_]  (est rows=1) (rows=5 \
+   loops=5 batches=5 time=_ first=_)\n\
+  \        select[(p_retailprice < __sq_)]  (est rows=27) (rows=200 \
+   loops=5 batches=5 time=_ first=_)\n\
+  \          apply  (est rows=80) (rows=400 loops=5 batches=5 \
+   time=_ first=_)\n\
+  \            group_scan($tmpsupp)  (est rows=80) (rows=400 \
+   loops=5 batches=5 time=_ first=_)\n\
+  \            aggregate[avg(p_retailprice) as __sq_]  (est rows=1) \
+   (rows=5 loops=5 batches=5 time=_ first=_)\n\
+  \              group_scan($tmpsupp)  (est rows=80) (rows=400 \
+   loops=5 batches=5 time=_ first=_)\n\
+   == actual rows: 10  estimated: 10 ==\n"
+
+let q4_analyze_golden =
+  "== explain analyze ==\n\
+   gapply[ps_suppkey, p_size : $tmpsupp]  (est rows=195) (rows=155 \
+   loops=1 groups=178 batches=2 time=_ first=_)\n\
+  \  project[partsupp.ps_suppkey as ps_suppkey, part.p_name as \
+   p_name, part.p_size as p_size, part.p_retailprice as \
+   p_retailprice]  (est rows=400) (rows=400 loops=1 batches=4 time=_ \
+   first=_)\n\
+  \    join(fk->)[(partsupp.ps_partkey = part.p_partkey)]  (est \
+   rows=400) (rows=400 loops=1 batches=4 time=_ first=_)\n\
+  \      scan(partsupp)  (est rows=400) (rows=400 loops=1 batches=4 \
+   time=_ first=_)\n\
+  \      scan(part)  (est rows=100) (rows=100 loops=1 batches=1 \
+   time=_ first=_)\n\
+  \  project[p_name, p_retailprice]  (est rows=1) (rows=155 \
+   loops=178 batches=96 time=_ first=_)\n\
+  \    select[(p_retailprice > __sq_)]  (est rows=1) (rows=155 \
+   loops=178 batches=96 time=_ first=_)\n\
+  \      apply  (est rows=2) (rows=400 loops=178 batches=178 time=_ \
+   first=_)\n\
+  \        group_scan($tmpsupp)  (est rows=2) (rows=400 loops=178 \
+   batches=178 time=_ first=_)\n\
+  \        aggregate[avg(p_retailprice) as __sq_]  (est rows=1) \
+   (rows=178 loops=178 batches=178 time=_ first=_)\n\
+  \          group_scan($tmpsupp)  (est rows=2) (rows=400 loops=178 \
+   batches=178 time=_ first=_)\n\
+   == actual rows: 155  estimated: 195 ==\n"
+
+(* Q2 and Q4 compare each member with a scalar subquery over its group:
+   their PGQs run as the group-local loop, and every operator line —
+   the Apply, its inner Aggregate and both group scans included — still
+   counts the cursor chain's rows, loops and batches.  Only the GApply's
+   own batches= reflects the packed output. *)
+let test_q2_q4_analyze_golden () =
+  List.iter
+    (fun (name, src, golden) ->
+      let db = tpch_db () in
+      Alcotest.(check bool) (name ^ "'s PGQ is group-local") true
+        (match Engine.effective_plan db src with
+        | Plan.G_apply { var; pgq; _ } -> Compile.group_local ~var pgq
+        | _ -> false);
+      Alcotest.(check string)
+        ("EXPLAIN ANALYZE " ^ name ^ " text (timings normalized)")
+        (golden ^ q1_analyze_dict_footer)
+        (normalize (explanation db ("explain analyze " ^ src))))
+    [
+      ("Q2", Workloads.q2_gapply, q2_analyze_golden);
+      ("Q4", Workloads.q4_gapply, q4_analyze_golden);
+    ]
+
 (* batch counters ride the EXPLAIN ANALYZE operator lines *)
 let test_batches_reported () =
   let contains s sub =
@@ -317,6 +412,27 @@ let actual_rows_of report =
 (* Q2-Q4 regression checks: stable across runs, every operator line
    carries counters, and the footer agrees with actually running the
    query *)
+(* Every operator line of an EXPLAIN ANALYZE report carries its
+   estimate, rows, loops and times, and a GApply line its groups. *)
+let check_operator_lines name report =
+  let op_lines =
+    List.filter
+      (fun l -> l <> "" && not (String.starts_with ~prefix:"==" l))
+      (String.split_on_char '\n' report)
+  in
+  Alcotest.(check bool) (name ^ ": has operator lines") true (op_lines <> []);
+  List.iter
+    (fun l ->
+      let has = Support.contains l in
+      Alcotest.(check bool)
+        (name ^ ": line has est/rows/loops/time: " ^ l)
+        true
+        (has "(est rows=" && has "(rows=" && has "loops=" && has "time="
+         && has "first=");
+      if has "gapply[" then
+        Alcotest.(check bool) (name ^ ": groups on " ^ l) true (has "groups="))
+    op_lines
+
 let check_analyze_report name src =
   let db = tpch_db () in
   let report = explanation db ("explain analyze " ^ src) in
@@ -324,27 +440,7 @@ let check_analyze_report name src =
   Alcotest.(check string)
     (name ^ ": counters stable across runs")
     (normalize report) (normalize report2);
-  let lines = String.split_on_char '\n' report in
-  let op_lines =
-    List.filter
-      (fun l -> String.length l > 0 && not (String.length l >= 2
-                                            && String.sub l 0 2 = "=="))
-      lines
-  in
-  Alcotest.(check bool) (name ^ ": has operator lines") true (op_lines <> []);
-  List.iter
-    (fun l ->
-      let has sub =
-        let n = String.length l and m = String.length sub in
-        let rec go i = i + m <= n && (String.sub l i m = sub || go (i + 1)) in
-        go 0
-      in
-      Alcotest.(check bool)
-        (name ^ ": line has est/rows/loops/time: " ^ l)
-        true
-        (has "(est rows=" && has "(rows=" && has "loops=" && has "time="
-         && has "first="))
-    op_lines;
+  check_operator_lines name report;
   Alcotest.(check int)
     (name ^ ": footer = result cardinality")
     (Relation.cardinality (Engine.query (tpch_db ()) src))
@@ -368,6 +464,64 @@ let test_q2_q4_explain_stable () =
       ("Q3", Workloads.q3_gapply ());
       ("Q4", Workloads.q4_gapply);
     ]
+
+(* The per-operator records of Q1-Q4, as the bench's analyze section
+   reports them: the root operator's rows are the result's cardinality,
+   every operator of the plan has a record and ran, every report line
+   carries rows/loops/time (and groups= on a GApply), and a trace hook
+   sees every opened cursor that closes (abandoned ones may not) and one
+   next per tuple per operator. *)
+let test_analyze_records () =
+  let db = tpch_db () in
+  let cat = Engine.catalog db in
+  List.iter
+    (fun (name, src, _) ->
+      let plan = Engine.effective_plan db src in
+      let sink = Obs.make () in
+      let c = Compile.plan ~config:(Compile.config_with ~observe:sink ()) plan in
+      let root_rows = Cursor.length (c.Compile.run (Env.make cat)) in
+      Alcotest.(check int) (name ^ ": root rows = result cardinality")
+        (Relation.cardinality (Engine.query db src))
+        root_rows;
+      let stats =
+        match Obs.snapshot sink with
+        | Some s -> Obs.flatten s
+        | None -> Alcotest.fail "no metric tree"
+      in
+      (match stats with
+      | (0, root) :: _ ->
+          Alcotest.(check int) (name ^ ": root operator rows") root_rows
+            root.Obs.rows
+      | _ -> Alcotest.fail (name ^ ": no root operator"));
+      Alcotest.(check int) (name ^ ": one record per operator")
+        (Plan.node_count plan) (List.length stats);
+      List.iter
+        (fun (_, (st : Obs.stat)) ->
+          Alcotest.(check bool) (name ^ ": " ^ st.Obs.op ^ " ran") true
+            (st.Obs.invocations > 0))
+        stats;
+      check_operator_lines name (explanation db ("explain analyze " ^ src));
+      let opens = Atomic.make 0
+      and nexts = Atomic.make 0
+      and closes = Atomic.make 0 in
+      let hook (e : Obs.event) =
+        Atomic.incr
+          (match e.Obs.kind with
+          | Obs.Open -> opens
+          | Obs.Next -> nexts
+          | Obs.Close -> closes)
+      in
+      let traced =
+        Compile.plan
+          ~config:(Compile.config_with ~observe:(Obs.make ~hook ()) ())
+          plan
+      in
+      ignore (Cursor.length (traced.Compile.run (Env.make cat)));
+      Alcotest.(check bool) (name ^ ": trace opens >= closes > 0") true
+        (Atomic.get opens >= Atomic.get closes && Atomic.get closes > 0);
+      Alcotest.(check bool) (name ^ ": trace nexts >= root rows") true
+        (Atomic.get nexts >= root_rows))
+    Workloads.figure8_queries
 
 (* ---------- qcheck: counters are internally consistent ---------- *)
 
@@ -494,11 +648,15 @@ let suite =
     Alcotest.test_case "golden: EXPLAIN Q1" `Quick test_q1_explain_golden;
     Alcotest.test_case "golden: EXPLAIN ANALYZE Q1 (normalized)" `Quick
       test_q1_analyze_golden;
+    Alcotest.test_case "golden: EXPLAIN ANALYZE Q2 and Q4 (normalized)" `Quick
+      test_q2_q4_analyze_golden;
     Alcotest.test_case "batches reported iff vectorized" `Quick
       test_batches_reported;
     Alcotest.test_case "EXPLAIN deterministic on Q2-Q4" `Quick
       test_q2_q4_explain_stable;
     Alcotest.test_case "EXPLAIN ANALYZE regression on Q2-Q4" `Quick
       test_q2_q4_analyze;
+    Alcotest.test_case "per-operator analyze records on Q1-Q4" `Quick
+      test_analyze_records;
     QCheck_alcotest.to_alcotest prop_counters_consistent;
   ]
