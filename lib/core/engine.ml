@@ -1173,19 +1173,24 @@ let commit_txn db tx =
               Store.log_txn s ~id:tx.txn_id (List.rev tx.wstmts)));
       Catalog.publish_commit_ts db.catalog ts)
 
+(* A query's engine errors — binding or optimizing it (unknown column,
+   type error), a re-prepare on the downgrade retry, or a budget
+   violation — fail the statement, not the session or the script. *)
+let run_select sess (entry : unit -> Plan_cache.entry) : outcome =
+  try
+    Rows
+      (run_entry_governed
+         ~snapshot:(session_snapshot sess)
+         ~budget:(session_budget sess) sess.sdb (entry ()))
+  with ex when Errors.is_engine_error ex -> Failed ex
+
 (* Execute one parsed statement on a session; [sql] is the normalized
    source text used as the cache key for plain queries. *)
 let exec_stmt sess ~sql (stmt : Sql_ast.statement) : outcome =
   let db = sess.sdb in
   match stmt with
-  | Sql_ast.Stmt_select _ -> (
-      let e = lookup_or_prepare db sql in
-      try
-        Rows
-          (run_entry_governed
-             ~snapshot:(session_snapshot sess)
-             ~budget:(session_budget sess) db e)
-      with Errors.Resource_error _ as ex -> Failed ex)
+  | Sql_ast.Stmt_select _ ->
+      run_select sess (fun () -> lookup_or_prepare db sql)
   | Sql_ast.Stmt_prepare (name, q) -> (
       (* prepared-statement misuse (unknown table, bad binding...) fails
          the statement, not the session.  Handles are session state: a
@@ -1362,13 +1367,7 @@ let exec_session sess src : outcome =
     else None
   in
   match fast with
-  | Some e -> (
-      try
-        Rows
-          (run_entry_governed
-             ~snapshot:(session_snapshot sess)
-             ~budget:(session_budget sess) db e)
-      with Errors.Resource_error _ as ex -> Failed ex)
+  | Some e -> run_select sess (fun () -> e)
   | None -> (
       match Sql_parser.parse_statement sql with
       | stmt -> exec_stmt sess ~sql stmt

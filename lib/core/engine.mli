@@ -38,12 +38,13 @@ type outcome =
   | Message of string           (** DDL/DML confirmation *)
   | Explanation of string       (** EXPLAIN output *)
   | Failed of exn
-      (** the statement failed with a typed engine error — a budget
-          violation ({!Errors.Resource_error}), an injected fault, an
-          unknown prepared handle, a stale re-prepare over dropped
-          tables.  The engine is untouched: sibling statements, cached
-          entries and catalog state are exactly as if the statement had
-          never run. *)
+      (** the statement failed with a typed engine error — a query
+          that does not bind or optimize (unknown column, type error),
+          a budget violation ({!Errors.Resource_error}), an injected
+          fault, an unknown prepared handle, a stale re-prepare over
+          dropped tables.  The engine is untouched: sibling statements,
+          cached entries and catalog state are exactly as if the
+          statement had never run. *)
 
 val create :
   ?partition:Compile.partition_strategy ->
@@ -370,7 +371,8 @@ val exec : t -> string -> outcome
 
 val exec_script : t -> string -> outcome list
 (** Execute a ';'-separated script (on the default session, so a script
-    can BEGIN ... COMMIT across its statements). *)
+    can BEGIN ... COMMIT across its statements).  A statement that fails
+    is a {!Failed} outcome, and the statements after it still run. *)
 
 (** {1 Sessions and transactions}
 

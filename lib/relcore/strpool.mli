@@ -6,8 +6,9 @@
     precomputed hashes on the hot path and decodes only at the output
     boundary.
 
-    [intern] is mutex-guarded; [get] / [hash] are lock-free (the arrays
-    are published through [Atomic] and grown copy-on-write). *)
+    [intern] is mutex-guarded; [get] / [hash] / [markup_free] are
+    lock-free (the arrays are published through [Atomic] and grown
+    copy-on-write). *)
 
 type t
 
@@ -25,6 +26,19 @@ val unsafe_get : t -> int -> string
 
 val hash : t -> int -> int
 (** Precomputed [Hashtbl.hash] of the string behind an id. *)
+
+val markup_free : t -> int -> bool
+(** Whether the string behind an id holds none of the four bytes XML
+    escapes ([<], [>], [&] or a double quote), so the tagger can write
+    it as is.  The string is scanned on the first ask and the answer
+    cached in a byte per id, grown with the other arrays; [intern] never
+    scans.  Not a decode.
+
+    Concurrent askers store the flag without synchronisation.  That is
+    safe because the store is idempotent: racing askers of one id write
+    the same answer, and an answer written into an array that a
+    concurrent [intern] is replacing may be lost, in which case the next
+    ask scans the string again.  The answer itself is always exact. *)
 
 val length : t -> int
 (** Interned entries. *)

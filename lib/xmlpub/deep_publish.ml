@@ -453,15 +453,12 @@ type tree = {
    Figure-1 documents. *)
 type sink = Markup of Buffer.t | Tree of tree
 
-let open_tag buf tag =
-  Buffer.add_char buf '<';
-  Buffer.add_string buf tag;
-  Buffer.add_char buf '>'
+(* A tag with its markup, rendered once per document: the markup sink
+   writes an element's opening or closing tag with one [add_string]. *)
+type tag = { t_name : string; t_open : string; t_close : string }
 
-let close_tag buf tag =
-  Buffer.add_string buf "</";
-  Buffer.add_string buf tag;
-  Buffer.add_char buf '>'
+let render_tag name =
+  { t_name = name; t_open = "<" ^ name ^ ">"; t_close = "</" ^ name ^ ">" }
 
 let add_child t child =
   let d = t.t_depth - 1 in
@@ -471,28 +468,39 @@ let add_child t child =
 (* an element opens *)
 let start sink tag =
   match sink with
-  | Markup buf -> open_tag buf tag
+  | Markup buf -> Buffer.add_string buf tag.t_open
   | Tree t -> t.t_depth <- t.t_depth + 1
 
-(* a field element with its text *)
-let field sink tag text =
+(* A field element with the text of [v] (not NULL).  The markup sink
+   escapes only what can hold markup: a dictionary string goes out as
+   is when its pool has found it free of markup (a scan once per pool,
+   not per document), a plain string through the escape kernel, and a
+   number or boolean, whose rendering never holds markup, unscanned. *)
+let field sink tag (v : Value.t) =
   match sink with
   | Markup buf ->
-      open_tag buf tag;
-      Xml.escape_into buf text;
-      close_tag buf tag
-  | Tree t -> add_child t (Xml.element tag [ Xml.text text ])
+      Buffer.add_string buf tag.t_open;
+      (match v with
+      | Value.Sym (pool, id) ->
+          let s = Strpool.get pool id in
+          if Strpool.markup_free pool id then Buffer.add_string buf s
+          else Xml.escape_into buf s
+      | Value.Str s -> Xml.escape_into buf s
+      | v -> Buffer.add_string buf (Value.to_string v));
+      Buffer.add_string buf tag.t_close
+  | Tree t ->
+      add_child t (Xml.element tag.t_name [ Xml.text (Value.to_string v) ])
 
 (* the innermost open element closes *)
 let finish sink tag =
   match sink with
-  | Markup buf -> close_tag buf tag
+  | Markup buf -> Buffer.add_string buf tag.t_close
   | Tree t ->
       let d = t.t_depth - 1 in
       let children = t.t_children.(d) in
       t.t_children.(d) <- [];
       t.t_depth <- d;
-      add_child t (Xml.element tag (List.rev children))
+      add_child t (Xml.element tag.t_name (List.rev children))
 
 let max_depth (enc : encoding) =
   List.fold_left (fun m b -> max m (Array.length b.b_chain)) 0 enc.e_branches
@@ -501,13 +509,25 @@ let max_depth (enc : encoding) =
    kept per level in arrays with a depth counter: each open element's
    node id and the row that opened it.  A row extends the longest
    prefix of the open chain whose node ids and key slots it shares;
-   memory is bounded by that chain. *)
+   memory is bounded by that chain.  Every tag is rendered once per
+   walk, per node id, so a field costs the markup sink two
+   [add_string]s around its text. *)
 let walk (enc : encoding) (sink : sink) (cursor : Cursor.t) =
   let table = Array.of_list enc.e_branches in
   let max_depth = max_depth enc in
-  (* per node id: the element tag, and the levels that must be open (an
-     element's ancestors, a derived value's whole chain) *)
-  let tag_of = Array.map (fun b -> Option.value b.b_tag ~default:"") table in
+  (* per node id: the element tag, its fields (tag and column), and the
+     levels that must be open (an element's ancestors, a derived
+     value's whole chain) *)
+  let tag_of =
+    Array.map (fun b -> render_tag (Option.value b.b_tag ~default:"")) table
+  in
+  let fields_of =
+    Array.map
+      (fun b ->
+        Array.of_list
+          (List.map (fun (tag, idx) -> (render_tag tag, idx)) b.b_fields))
+      table
+  in
   let need_of =
     Array.map
       (fun b ->
@@ -533,16 +553,16 @@ let walk (enc : encoding) (sink : sink) (cursor : Cursor.t) =
     finish sink tag_of.(open_node.(!depth))
   in
   (* The tagger is the engine's decode boundary for dictionary-encoded
-     strings: [Value.to_string] resolves a [Sym] handle back to its
-     interned text here, so queries that never reach output (joins,
-     grouping, predicates) compare integer ids and pay no decode. *)
-  let fields (b : branch) row =
-    List.iter
+     strings: [field] resolves a [Sym] handle back to its interned text
+     here, so queries that never reach output (joins, grouping,
+     predicates) compare integer ids and pay no decode. *)
+  let fields id row =
+    Array.iter
       (fun (tag, idx) ->
         match Tuple.get row idx with
         | Value.Null -> ()
-        | v -> field sink tag (Value.to_string v))
-      b.b_fields
+        | v -> field sink tag v)
+      fields_of.(id)
   in
   (* whether the open element at [level] is [l]'s node with [row]'s keys *)
   let is_open row level l =
@@ -573,7 +593,8 @@ let walk (enc : encoding) (sink : sink) (cursor : Cursor.t) =
     in
     go 0
   in
-  start sink enc.e_root_tag;
+  let root = render_tag enc.e_root_tag in
+  start sink root;
   Cursor.iter
     (fun row ->
       let b =
@@ -606,24 +627,24 @@ let walk (enc : encoding) (sink : sink) (cursor : Cursor.t) =
             while !depth > need do
               pop ()
             done;
-            start sink tag;
+            start sink tag_of.(b.b_id);
             open_node.(need) <- b.b_id;
             (* an element without keys is never compared *)
             if upto > need then open_row.(need) <- row;
             depth := need + 1;
-            fields b row
+            fields b.b_id row
         | None ->
             if need = 0 then
               Errors.exec_errorf "deep tagger: derived values at the root";
             while !depth > need do
               pop ()
             done;
-            fields b row)
+            fields b.b_id row)
     cursor;
   while !depth > 0 do
     pop ()
   done;
-  finish sink enc.e_root_tag
+  finish sink root
 
 (** The {!Xml.t} sink: build the document tree. *)
 let tag (enc : encoding) (cursor : Cursor.t) : Xml.t =

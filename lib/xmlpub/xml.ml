@@ -14,32 +14,44 @@ type t =
 let element ?(attrs = []) tag children = Element (tag, attrs, children)
 let text s = Text s
 
-let entity = function
-  | '<' -> Some "&lt;"
-  | '>' -> Some "&gt;"
-  | '&' -> Some "&amp;"
-  | '"' -> Some "&quot;"
-  | _ -> None
+(* The escape kernel: one pass that matches the four special bytes
+   inline.  Runs of plain bytes are blitted whole; only the special
+   characters are written one at a time.  [Strpool.markup_free] tests
+   for the same four bytes: a dictionary string it passes is written
+   unescaped. *)
 
-(* Runs of plain bytes are blitted whole; only the four special
-   characters are written one at a time. *)
-let escape_into buf s =
-  let start = ref 0 in
-  for i = 0 to String.length s - 1 do
-    match entity (String.unsafe_get s i) with
-    | None -> ()
-    | Some e ->
-        Buffer.add_substring buf s !start (i - !start);
-        Buffer.add_string buf e;
-        start := i + 1
-  done;
-  Buffer.add_substring buf s !start (String.length s - !start)
+(* index of the first byte at or after [i] that needs an entity, or
+   the length of [s] *)
+let rec next_special s i =
+  if i = String.length s then i
+  else
+    match String.unsafe_get s i with
+    | '<' | '>' | '&' | '"' -> i
+    | _ -> next_special s (i + 1)
+
+(* [s] from [i] on, escaped *)
+let rec escape_from buf s i =
+  let j = next_special s i in
+  Buffer.add_substring buf s i (j - i);
+  if j < String.length s then begin
+    Buffer.add_string buf
+      (match String.unsafe_get s j with
+      | '<' -> "&lt;"
+      | '>' -> "&gt;"
+      | '&' -> "&amp;"
+      | _ -> "&quot;");
+    escape_from buf s (j + 1)
+  end
+
+let escape_into buf s = escape_from buf s 0
 
 let escape s =
-  if not (String.exists (fun c -> Option.is_some (entity c)) s) then s
+  let i = next_special s 0 in
+  if i = String.length s then s
   else begin
     let buf = Buffer.create (String.length s + 16) in
-    escape_into buf s;
+    Buffer.add_substring buf s 0 i;
+    escape_from buf s i;
     Buffer.contents buf
   end
 

@@ -15,7 +15,8 @@ val escape : string -> string
     A string with none of them is returned as is, unallocated. *)
 
 val escape_into : Buffer.t -> string -> unit
-(** [escape] appended straight to a buffer. *)
+(** [escape] appended straight to a buffer, in one pass over [s]: the
+    kernel behind {!escape}, {!to_string} and the markup tagger. *)
 
 val to_string : t -> string
 (** Compact one-line serialization (self-closing empty elements). *)

@@ -46,6 +46,23 @@ let check_rows msg expected_rows actual =
 
 (* ---------- XML ---------- *)
 
+(* Short text that at times holds bytes XML escapes, for string fields
+   of generated publishing cases. *)
+let gen_markup_text =
+  QCheck2.Gen.(
+    string_size ~gen:(oneofl [ 'a'; 'b'; ' '; '<'; '>'; '&'; '"' ])
+      (int_range 0 4))
+
+(* [f ()] with tables created under the dictionary gate set to [on]:
+   string columns then store [Value.Sym] handles, else [Value.Str]. *)
+let with_dict on f =
+  let was = Dict.enabled () in
+  Fun.protect
+    ~finally:(fun () -> Dict.set_enabled was)
+    (fun () ->
+      Dict.set_enabled on;
+      f ())
+
 (* A tree whose [Xml.to_string] writes an element without content
    open-and-close, as [Deep_publish.tag_to_buffer] streams it. *)
 let rec open_empty = function

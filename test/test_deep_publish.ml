@@ -288,10 +288,13 @@ let test_presorted_runs () =
    drawn from two, leaves with or without keys, aggregates on any node
    below the top, and at times a selection on the top node.  Each node
    reads its own table: the ancestors' keys a0.., its own key k (unique
-   in the table) when it has one, and a field v (NULL at times, else a
-   multiple of 0.25, so sums and averages are exact in any order).  A
-   row links to a random element of its parent, and each link column is
-   NULL at times: such a row belongs to no element. *)
+   in the table) when it has one, a field v (NULL at times, else a
+   multiple of 0.25, so sums and averages are exact in any order) and a
+   string field s (NULL at times, and at times holding bytes XML
+   escapes).  A row links to a random element of its parent, and each
+   link column is NULL at times: such a row belongs to no element.  The
+   tables are dictionary-encoded in some cases, so string fields reach
+   the tagger both as [Sym] handles and as plain [Str]. *)
 
 module Gen = QCheck2.Gen
 
@@ -306,6 +309,7 @@ type shape = {
 type view_case = {
   view : Deep_view.t;
   tables : (string * string list * Value.t list list) list;
+  dict : bool;  (* string columns dictionary-encoded *)
 }
 
 let table_name path =
@@ -347,20 +351,26 @@ let rec gen_tables sh parents =
     flatten_l
       (List.map
          (fun _ ->
-           frequency
-             [
-               (1, pure Support.vnull);
-               ( 5,
-                 map
-                   (fun q -> Support.vf (float_of_int q *. 0.25))
-                   (int_range 0 40) );
-             ])
+           pair
+             (frequency
+                [
+                  (1, pure Support.vnull);
+                  ( 5,
+                    map
+                      (fun q -> Support.vf (float_of_int q *. 0.25))
+                      (int_range 0 40) );
+                ])
+             (frequency
+                [
+                  (1, pure Support.vnull);
+                  (4, map Support.vs Support.gen_markup_text);
+                ]))
          ancestors)
   in
   let rows =
     List.mapi
-      (fun i (anc, v) ->
-        anc @ (if sh.keyed then [ Support.vi (i + 1) ] else []) @ [ v ])
+      (fun i (anc, (v, s)) ->
+        anc @ (if sh.keyed then [ Support.vi (i + 1) ] else []) @ [ v; s ])
       (List.combine ancestors values)
   in
   let paths =
@@ -369,7 +379,7 @@ let rec gen_tables sh parents =
   let cols =
     List.init depth (Printf.sprintf "a%d")
     @ (if sh.keyed then [ "k" ] else [])
-    @ [ "v" ]
+    @ [ "v"; "s" ]
   in
   let+ below = flatten_l (List.map (fun kid -> gen_tables kid paths) sh.kids) in
   (table_name sh.path, cols, rows) :: List.concat below
@@ -383,11 +393,12 @@ let rec node_of sh =
     Deep_view.n_tag = sh.tag;
     n_query =
       Printf.sprintf "select %s from %s"
-        (String.concat ", " (keys @ [ "v" ]))
+        (String.concat ", " (keys @ [ "v"; "s" ]))
         (table_name sh.path);
     n_path = keys;
     n_own_keys = (if sh.keyed then 1 else 0);
-    n_fields = (if sh.keyed then [ ("k", "k") ] else []) @ [ ("v", "v") ];
+    n_fields =
+      (if sh.keyed then [ ("k", "k") ] else []) @ [ ("v", "v"); ("s", "s") ];
     n_aggregates =
       List.mapi
         (fun i fn ->
@@ -431,10 +442,12 @@ let gen_view_case =
                    }) );
           ]
   in
+  let* dict = bool in
   return
     {
       view = Deep_view.validate { Deep_view.root_tag = "r"; top; select };
       tables;
+      dict;
     }
 
 let rec print_node indent (n : Deep_view.node) =
@@ -445,7 +458,8 @@ let rec print_node indent (n : Deep_view.node) =
        (List.map (print_node (indent ^ "  ")) n.Deep_view.n_children))
 
 let print_view_case c =
-  print_node "" c.view.Deep_view.top
+  (if c.dict then "dictionary-encoded\n" else "")
+  ^ print_node "" c.view.Deep_view.top
   ^ (match c.view.Deep_view.select with
     | None -> ""
     | Some s -> Printf.sprintf "selected by %s\n" s.Deep_view.s_query)
@@ -455,24 +469,24 @@ let print_view_case c =
            Printf.sprintf "%s(%s): %s\n" name (String.concat ", " cols)
              (String.concat "; "
                 (List.map
-                   (fun r -> String.concat "," (List.map Value.to_string r))
+                   (fun r -> String.concat "," (List.map Value.to_literal r))
                    rows)))
          c.tables)
 
 let view_catalog c =
   let cat = Catalog.create () in
-  List.iter
-    (fun (name, cols, rows) ->
-      let t =
-        Table.create name
-          (List.map
-             (fun col ->
-               (col, if col = "v" then Datatype.Float else Datatype.Int))
-             cols)
-      in
-      Table.insert_all t (List.map Support.row rows);
-      Catalog.add_table cat t)
-    c.tables;
+  let ty = function
+    | "v" -> Datatype.Float
+    | "s" -> Datatype.Str
+    | _ -> Datatype.Int
+  in
+  Support.with_dict c.dict (fun () ->
+      List.iter
+        (fun (name, cols, rows) ->
+          let t = Table.create name (List.map (fun col -> (col, ty col)) cols) in
+          Table.insert_all t (List.map Support.row rows);
+          Catalog.add_table cat t)
+        c.tables);
   cat
 
 (* The document of a row stream nested without regard to its order: a

@@ -186,6 +186,57 @@ let test_stats_report_smoke () =
        false
      with Errors.Name_error _ -> true)
 
+(* ---------- statements that fail ---------- *)
+
+let test_unknown_column_is_failed () =
+  let db = Lazy.force db_small in
+  (match Engine.exec db "select nosuch from supplier" with
+  | Engine.Failed (Errors.Name_error _) -> ()
+  | _ -> Alcotest.fail "expected Failed (Name_error _)");
+  (* again, now that the plan cache has seen the text *)
+  match Engine.exec db "select nosuch from supplier" with
+  | Engine.Failed (Errors.Name_error _) -> ()
+  | _ -> Alcotest.fail "expected Failed (Name_error _) on the second run"
+
+let test_script_continues_after_failure () =
+  let db = Lazy.force db_small in
+  match
+    Engine.exec_script db
+      "select nosuch from supplier; select count(*) as n from supplier"
+  with
+  | [ Engine.Failed (Errors.Name_error _); Engine.Rows r ] ->
+      Alcotest.(check int) "the next statement ran" 1 (Relation.cardinality r)
+  | _ -> Alcotest.fail "expected [Failed (Name_error _); Rows _]"
+
+(* The shell's script mode prints the error and runs the rest. *)
+let test_cli_script_continues () =
+  let exe =
+    Filename.concat
+      (Filename.dirname Sys.executable_name)
+      (Filename.concat Filename.parent_dir_name "bin/gapply_cli.exe")
+  in
+  if not (Sys.file_exists exe) then Alcotest.failf "%s is not built" exe;
+  let script = Filename.temp_file "gapply_cli" ".sql" in
+  let out = Filename.temp_file "gapply_cli" ".out" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove script; Sys.remove out)
+    (fun () ->
+      Out_channel.with_open_text script (fun oc ->
+          output_string oc
+            "select nosuch from supplier;\n\
+             select count(*) as n from supplier;\n");
+      let code =
+        Sys.command
+          (Printf.sprintf "%s --tpch 0.02 -f %s > %s 2>&1"
+             (Filename.quote exe) (Filename.quote script) (Filename.quote out))
+      in
+      let text = In_channel.with_open_text out In_channel.input_all in
+      Alcotest.(check int) ("exit code; output:\n" ^ text) 0 code;
+      Alcotest.(check bool) "prints the error" true
+        (contains text "error: name error: unknown column nosuch");
+      Alcotest.(check bool) "runs the next statement" true
+        (contains text "(1 row(s))"))
+
 (* ---------- client-side simulation ---------- *)
 
 let test_client_sim_matches_native () =
@@ -229,6 +280,12 @@ let suite =
     Alcotest.test_case "table-1 sweeps fire and preserve results" `Quick
       test_rule_sweep_queries_run;
     Alcotest.test_case "stats report smoke" `Quick test_stats_report_smoke;
+    Alcotest.test_case "unknown column is a Failed outcome" `Quick
+      test_unknown_column_is_failed;
+    Alcotest.test_case "script runs on after a failed statement" `Quick
+      test_script_continues_after_failure;
+    Alcotest.test_case "shell script mode runs on after an error" `Quick
+      test_cli_script_continues;
     Alcotest.test_case "client-side simulation matches native" `Quick
       test_client_sim_matches_native;
     Alcotest.test_case "client-side simulation rejects non-gapply" `Quick

@@ -259,6 +259,48 @@ let test_disabled_cache_counts_nothing () =
     (Engine.exec_prepared db h);
   Alcotest.(check int) "still no counters" 0 (snap db).Cache_stats.hits
 
+(* ---------- session driver over Q1-Q4 ---------- *)
+
+(* Figure 8's Q1-Q4, 12 times each, per session *)
+let figure8_trace _ =
+  List.concat
+    (List.init 12 (fun _ ->
+         List.map (fun (_, src, _) -> src) Workloads.figure8_queries))
+
+let tpch_db () =
+  let db = Engine.create () in
+  Engine.load_tpch db ~msf:0.05;
+  db
+
+(* One session repeating Q1-Q4: every statement is one cache lookup,
+   and only the first run of each query misses (44 hits of 48). *)
+let test_repeat_sweep_hit_rate () =
+  let r = Session.run ~concurrent:false (tpch_db ()) ~sessions:1
+      ~script:figure8_trace
+  in
+  let c = r.Session.cache in
+  Alcotest.(check int) "hits + misses = statements" r.Session.statements
+    (c.Cache_stats.hits + c.Cache_stats.misses);
+  let rate = Cache_stats.hit_rate c in
+  if rate < 0.9 then Alcotest.failf "repeat-sweep hit rate %.3f below 0.9" rate
+
+(* Four concurrent sessions over one shared cache give the results of
+   a sequential replay of the same traces on a fresh engine. *)
+let test_concurrent_sessions_match_replay () =
+  let concurrent =
+    Session.run ~concurrent:true (tpch_db ()) ~sessions:4
+      ~script:figure8_trace
+  in
+  let sequential =
+    Session.run ~concurrent:false (tpch_db ()) ~sessions:4
+      ~script:figure8_trace
+  in
+  Alcotest.(check bool) "identical to the sequential replay" true
+    (Session.equal_results concurrent.Session.results
+       sequential.Session.results);
+  if Cache_stats.hit_rate concurrent.Session.cache <= 0. then
+    Alcotest.fail "concurrent run never hit the cache"
+
 let suite =
   [
     Alcotest.test_case "warm hit: identical rows, counted once" `Quick
@@ -280,6 +322,10 @@ let suite =
       test_prepared_reuse_and_reprepare;
     Alcotest.test_case "SQL PREPARE / EXECUTE / DEALLOCATE" `Quick
       test_sql_prepare_execute_deallocate;
+    Alcotest.test_case "repeat sweep: lookups balance, hit rate >= 0.9"
+      `Quick test_repeat_sweep_hit_rate;
+    Alcotest.test_case "concurrent sessions = sequential replay" `Quick
+      test_concurrent_sessions_match_replay;
     Alcotest.test_case "disabled cache: cold path, zero counters" `Quick
       test_disabled_cache_counts_nothing;
   ]

@@ -479,6 +479,47 @@ let test_dict_concurrent_shards () =
         results;
       Alcotest.(check int) "distinct entries" 97 (Dict.total Strpool.length dict)
 
+(* Two domains intern into one pool past several growths while asking
+   for markup flags, of their own new ids and of ids the other domain
+   published: a flag lost to a growth is scanned again, so every answer
+   must equal a direct scan of the string. *)
+let test_markup_flags_concurrent () =
+  let pool = Strpool.create () in
+  let n = 2000 in
+  let strings =
+    Array.init n (fun i ->
+        match i mod 6 with
+        | 0 -> Printf.sprintf "a<%d" i
+        | 1 -> Printf.sprintf "%d>b" i
+        | 2 -> Printf.sprintf "c&%d\"" i
+        | _ -> Printf.sprintf "plain-%d" i)
+  in
+  let scan s =
+    not (String.exists (function '<' | '>' | '&' | '"' -> true | _ -> false) s)
+  in
+  let work offset () =
+    let wrong = ref 0 in
+    let rng = Random.State.make [| offset |] in
+    for k = 0 to n - 1 do
+      let s = strings.((k + offset) mod n) in
+      let id = Strpool.intern pool s in
+      if Strpool.markup_free pool id <> scan s then incr wrong;
+      let other = Random.State.int rng (Strpool.length pool) in
+      if Strpool.markup_free pool other <> scan (Strpool.unsafe_get pool other)
+      then incr wrong
+    done;
+    !wrong
+  in
+  let domains = [ Domain.spawn (work 0); Domain.spawn (work (n / 2)) ] in
+  let wrong = List.fold_left (fun acc d -> acc + Domain.join d) 0 domains in
+  Alcotest.(check int) "answers that differ from a scan" 0 wrong;
+  Alcotest.(check int) "every string interned once" n (Strpool.length pool);
+  (* cached or scanned again, every flag still equals a scan *)
+  for id = 0 to n - 1 do
+    if Strpool.markup_free pool id <> scan (Strpool.unsafe_get pool id) then
+      Alcotest.failf "flag of id %d differs from a scan" id
+  done
+
 (* ---------- TPC-H Q1-Q4: executor = reference, encoded = plain ---------- *)
 
 let tpch_engine () =
@@ -552,6 +593,8 @@ let suite =
       test_dict_roundtrip;
     Alcotest.test_case "concurrent interning agrees across domains" `Quick
       test_dict_concurrent_shards;
+    Alcotest.test_case "markup flags under concurrent interning" `Quick
+      test_markup_flags_concurrent;
     Alcotest.test_case "TPC-H Q1-Q4 = Reference at sizes 7/128" `Quick
       test_tpch_matches_reference;
     Alcotest.test_case "TPC-H digest: encoded = plain" `Quick

@@ -29,6 +29,34 @@ let test_escape () =
   Xml.escape_into buf "&";
   Alcotest.(check string) "escape_into appends" "[x&lt;y&amp;" (Buffer.contents buf)
 
+(* The escape kernel against a per-character escaper, on arbitrary
+   bytes with the four special ones over-represented. *)
+let prop_escape_matches_reference =
+  let reference s =
+    String.concat ""
+      (List.map
+         (function
+           | '<' -> "&lt;"
+           | '>' -> "&gt;"
+           | '&' -> "&amp;"
+           | '"' -> "&quot;"
+           | c -> String.make 1 c)
+         (List.of_seq (String.to_seq s)))
+  in
+  QCheck2.Test.make ~count:1000 ~name:"escape = per-character reference"
+    ~print:String.escaped
+    QCheck2.Gen.(
+      string_of
+        (frequency [ (3, char); (1, oneofl [ '<'; '>'; '&'; '"' ]) ]))
+    (fun s ->
+      let want = reference s in
+      let buf = Buffer.create 8 in
+      Buffer.add_string buf "pre";
+      Xml.escape_into buf s;
+      Xml.escape s = want
+      && Buffer.contents buf = "pre" ^ want
+      && (want <> s || Xml.escape s == s))
+
 let test_canonicalize_unordered () =
   let d1 = Xml.element "a" [ Xml.element "b" []; Xml.element "c" [] ] in
   let d2 = Xml.element "a" [ Xml.element "c" []; Xml.element "b" [] ] in
@@ -335,19 +363,24 @@ let test_group_selection_plan_shape () =
    evaluator, on random suppliers with two children: parts (through
    partsupp) and lineitems.  Either child may carry the predicate, be
    published or not, and have rows whose link is NULL.  Prices are
-   multiples of 0.25, so sums and averages are exact in any order. *)
+   multiples of 0.25, so sums and averages are exact in any order.
+   Supplier and part names at times hold bytes XML escapes, and in some
+   cases the tables are dictionary-encoded, so names reach the tagger
+   both as [Sym] handles and as plain [Str]. *)
 
 module Gen = QCheck2.Gen
 
 type selection_case = {
-  nsupp : int;
+  snames : string list;  (* supplier k's name is element k - 1 *)
   prices : float list;  (* part k's price is element k - 1 *)
+  pnames : string list;  (* and its name *)
   partsupp : (int option * int) list;
   lineitems : (int option * int * float) list;
   where : Flwr.predicate;
   publish_parts : bool;
   publish_lineitems : bool;
   derived : bool;
+  dict : bool;  (* string columns dictionary-encoded *)
 }
 
 let lineitem_child =
@@ -370,21 +403,20 @@ let two_child_view =
 let selection_catalog c =
   let cat = Catalog.create () in
   let table name cols rows =
-    let t = Table.create name cols in
+    let t = with_dict c.dict (fun () -> Table.create name cols) in
     Table.insert_all t rows;
     Catalog.add_table cat t
   in
   let link = function Some k -> vi k | None -> vnull in
   table "supplier"
     [ ("s_suppkey", Datatype.Int); ("s_name", Datatype.Str) ]
-    (List.init c.nsupp (fun i ->
-         row [ vi (i + 1); vs (Printf.sprintf "s%d" (i + 1)) ]));
+    (List.mapi (fun i name -> row [ vi (i + 1); vs name ]) c.snames);
   table "part"
     [ ("p_partkey", Datatype.Int); ("p_name", Datatype.Str);
       ("p_retailprice", Datatype.Float) ]
     (List.mapi
-       (fun i p -> row [ vi (i + 1); vs (Printf.sprintf "p%d" (i + 1)); vf p ])
-       c.prices);
+       (fun i (p, name) -> row [ vi (i + 1); vs name; vf p ])
+       (List.combine c.prices c.pnames));
   table "partsupp"
     [ ("ps_suppkey", Datatype.Int); ("ps_partkey", Datatype.Int) ]
     (List.map (fun (s, p) -> row [ link s; vi p ]) c.partsupp);
@@ -415,9 +447,11 @@ let selection_query c =
 let gen_selection_case =
   let open Gen in
   let price = map (fun q -> float_of_int q *. 0.25) (int_range 4 80) in
-  let* nsupp = int_range 1 4 in
+  let* snames = list_size (int_range 1 4) gen_markup_text in
+  let nsupp = List.length snames in
   let* prices = list_size (int_range 1 4) price in
   let nparts = List.length prices in
+  let* pnames = list_repeat nparts gen_markup_text in
   let link =
     frequency [ (1, pure None); (5, map Option.some (int_range 1 nsupp)) ]
   in
@@ -458,17 +492,22 @@ let gen_selection_case =
   let* publish_parts = bool in
   let* publish_lineitems = bool in
   let* derived = bool in
+  let* dict = bool in
   return
-    { nsupp; prices; partsupp; lineitems; where; publish_parts;
-      publish_lineitems; derived }
+    { snames; prices; pnames; partsupp; lineitems; where; publish_parts;
+      publish_lineitems; derived; dict }
 
 let print_selection_case c =
   let link = function Some k -> string_of_int k | None -> "NULL" in
+  let names l = String.concat "; " (List.map (Printf.sprintf "%S") l) in
   Printf.sprintf
-    "%s\nsuppliers 1..%d, prices [%s]\npartsupp [%s]\nlineitem [%s]"
+    "%s\n%ssuppliers [%s], prices [%s], part names [%s]\npartsupp \
+     [%s]\nlineitem [%s]"
     (Flwr.to_xquery (selection_query c))
-    c.nsupp
+    (if c.dict then "dictionary-encoded\n" else "")
+    (names c.snames)
     (String.concat "; " (List.map string_of_float c.prices))
+    (names c.pnames)
     (String.concat "; "
        (List.map
           (fun (s, p) -> Printf.sprintf "(%s,%d)" (link s) p)
@@ -505,6 +544,7 @@ let suite =
   [
     Alcotest.test_case "serializer + escaping" `Quick test_serializer;
     Alcotest.test_case "escape allocates only when it must" `Quick test_escape;
+    QCheck_alcotest.to_alcotest prop_escape_matches_reference;
     Alcotest.test_case "Figure-1 documents match pinned digests" `Quick
       test_figure1_documents_pinned;
     Alcotest.test_case "unordered canonical comparison" `Quick
