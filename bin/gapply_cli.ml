@@ -214,9 +214,11 @@ let main tpch_msf partition no_optimize parallelism analyze
       close_in ic;
       if analyze then
         List.iter
-          (fun stmt ->
-            run_statement db ~timing:false ~analyze:true
-              (Sql_ast.statement_to_string stmt))
+          (function
+            | Ok stmt ->
+                run_statement db ~timing:false ~analyze:true
+                  (Sql_ast.statement_to_string stmt)
+            | Error e -> print_outcome false 0. (Engine.Failed e))
           (Sql_parser.parse_script src)
       else List.iter (print_outcome false 0.) (Engine.exec_script db src)
   | None -> repl db ~analyze);

@@ -1387,12 +1387,14 @@ let exec db src : outcome = exec_session (session db) src
 let exec_script db src : outcome list =
   let sess = session db in
   List.map
-    (fun stmt ->
-      match stmt with
-      | Sql_ast.Stmt_explain q ->
+    (function
+      | Error e -> Failed e
+      | Ok (Sql_ast.Stmt_explain q) -> (
           (* scripts keep the historical terse EXPLAIN rendering *)
-          Explanation (Plan.to_string (Sql_binder.bind_query db.catalog q))
-      | _ -> exec_stmt sess ~sql:(Sql_ast.statement_to_string stmt) stmt)
+          match Sql_binder.bind_query db.catalog q with
+          | plan -> Explanation (Plan.to_string plan)
+          | exception e when Errors.is_engine_error e -> Failed e)
+      | Ok stmt -> exec_stmt sess ~sql:(Sql_ast.statement_to_string stmt) stmt)
     (Sql_parser.parse_script src)
 
 (** Run a query and return the relation (raises on DDL). *)

@@ -372,7 +372,9 @@ val exec : t -> string -> outcome
 val exec_script : t -> string -> outcome list
 (** Execute a ';'-separated script (on the default session, so a script
     can BEGIN ... COMMIT across its statements).  A statement that fails
-    is a {!Failed} outcome, and the statements after it still run. *)
+    is a {!Failed} outcome, and the statements after it still run: that
+    includes one that does not parse (its {!Errors.Parse_error}; parsing
+    resumes after its [';']) and an EXPLAIN that does not bind. *)
 
 (** {1 Sessions and transactions}
 

@@ -10,12 +10,13 @@
    stream, which lays the groups out as slices of one member array
    ([groups]), then an execution phase over the groups.  A group-local
    per-group query ([local_branches]: Project/Aggregate/Select chains
-   over the group, or over an Apply pairing the group's members with
-   an uncorrelated scalar aggregate or EXISTS over the group) runs as
-   one loop per group that filters, folds and projects the slice
-   directly, running an Apply's inner once per group; any other is
-   compiled once and re-run per group with the slice bound to the
-   relation-valued variable.
+   over the group, over a Distinct projection of it, or over an Apply
+   pairing the group's members with an uncorrelated scalar aggregate or
+   EXISTS over the group; possibly kept or dropped whole by an EXISTS
+   guard) runs as one loop per group that tests the guard, then
+   filters, folds and projects the slice directly, running an Apply's
+   inner once per group; any other is compiled once and re-run per
+   group with the slice bound to the relation-valued variable.
 
    Execution is vectorized: every operator is a cursor over [Batch.t]
    row arrays of up to [config.batch_size] rows and consumes its
@@ -430,26 +431,49 @@ let correlated ~schema inner =
       Schema.find_all ?qual:r.Expr.qual r.Expr.name schema <> [])
     (Plan.outer_refs inner)
 
-(* The branches of a group-local PGQ over [var]: a UNION ALL (or one
-   branch) of [Project? (Aggregate? (Select* source))] chains, where the
-   source is [Group_scan var] or — when [apply] (the Apply cache is on)
-   — [Apply (Select* (Group_scan var), inner)] with an uncorrelated
-   inner [Aggregate (Select* (Group_scan var))] or
-   [Exists (Select* (Group_scan var))]. *)
-let local_branches ?(apply = true) ~var (pgq : Plan.t) : Plan.t list option =
+(* A group-local PGQ: its [branches], the operands of [body] (a UNION
+   ALL, or the one branch), and the [Exists] that keeps or drops the
+   whole group when the PGQ is [Apply (guard, body)]. *)
+type local_pgq = {
+  guard : Plan.t option;
+  body : Plan.t;
+  branches : Plan.t list;
+}
+
+(* The shape of a group-local PGQ over [var]: a UNION ALL (or one
+   branch) of [Project? (Aggregate? (Select* source))] chains, possibly
+   guarded as [Apply (Exists test, _)].  A source is [Group_scan var],
+   [Distinct (Project? (Select* (Group_scan var)))] or — when [apply]
+   (the Apply cache is on) — [Apply (Select* (Group_scan var), inner)]
+   with an uncorrelated inner [Aggregate (Select* (Group_scan var))] or
+   [Exists test]; a [test] is
+   [Select* (Aggregate? (Select* (Group_scan var)))]. *)
+let local_branches ?(apply = true) ~var (pgq : Plan.t) : local_pgq option =
   let rec selects = function
     | Plan.Select { input; _ } -> selects input
     | Plan.Group_scan { var = v; _ } -> String.equal v var
     | _ -> false
   in
+  let rec test = function
+    | Plan.Select { input; _ } -> test input
+    | Plan.Aggregate { input; _ } -> selects input
+    | p -> selects p
+  in
+  let projected = function
+    | Plan.Project { input; _ } -> selects input
+    | p -> selects p
+  in
   let rec source = function
     | Plan.Select { input; _ } -> source input
+    | Plan.Distinct input -> projected input
     | Plan.Apply
         {
           outer = o;
-          inner = (Plan.Aggregate { input; _ } | Plan.Exists { input; _ }) as i;
+          inner =
+            (Plan.Aggregate { input; _ } | Plan.Exists { input; _ }) as i;
         } ->
-        apply && selects o && selects input
+        apply && selects o
+        && (match i with Plan.Exists _ -> test input | _ -> selects input)
         && not (correlated ~schema:(Props.schema_of o) i)
     | p -> selects p
   in
@@ -461,8 +485,16 @@ let local_branches ?(apply = true) ~var (pgq : Plan.t) : Plan.t list option =
     | Plan.Project { input; _ } -> below_project input
     | p -> below_project p
   in
-  let branches = match pgq with Plan.Union_all bs -> bs | p -> [ p ] in
-  if List.for_all branch branches then Some branches else None
+  let local guard body =
+    let branches = match body with Plan.Union_all bs -> bs | p -> [ p ] in
+    if List.for_all branch branches then Some { guard; body; branches }
+    else None
+  in
+  match pgq with
+  | Plan.Apply { outer = Plan.Exists { input; _ } as guard; inner }
+    when test input ->
+      local (Some guard) inner
+  | p -> local None p
 
 let group_local ~var pgq = Option.is_some (local_branches ~var pgq)
 
@@ -478,19 +510,41 @@ type local_branch = {
   project_node : Obs.node option;
 }
 
-(* The rows a branch's Selects read: the group's members, or an Apply's
-   output — each member passing [outer]'s Selects followed by [inner]'s
-   values.  [outer] and [inner] are branches over the group themselves:
-   Selects only, and Selects with [aggs] for an Aggregate inner. *)
-and source = Scan of Obs.node option | Apply of local_apply
+(* The rows a branch's Selects read: the group's members; the
+   first-seen rows of a Distinct's input ([projected], a branch of
+   Selects and a Project over the members); or an Apply's output — each
+   member passing [outer]'s Selects, followed by the values of an
+   Aggregate inner or alone when an EXISTS inner holds.  [outer] and an
+   Aggregate inner are branches over the group themselves: Selects
+   only, and Selects with [aggs]. *)
+and source =
+  | Scan of Obs.node option
+  | Distinct of local_distinct
+  | Apply of local_apply
+
+and local_distinct = {
+  projected : local_branch;
+  distinct_node : Obs.node option;
+}
 
 and local_apply = {
   outer : local_branch;
   width : int;  (* the members' arity *)
-  inner : local_branch;
-  exists : bool option;  (* [Some negated]: an Exists inner *)
-  exists_node : Obs.node option;
+  inner : local_inner;
   apply_node : Obs.node option;
+}
+
+and local_inner = Values of local_branch | Test of local_exists
+
+(* [EXISTS probe] over the group, or [NOT EXISTS]: [probe] is Selects
+   over the members, or Selects and [aggs] for an Aggregate, whose
+   folded row must then pass [having], the Selects over the Aggregate. *)
+and local_exists = {
+  probe : local_branch;
+  having : (Eval.frames -> Tuple.t -> bool) array;  (* innermost first *)
+  having_nodes : Obs.node option array;  (* like [having] *)
+  negated : bool;
+  exists_node : Obs.node option;
 }
 
 let scan_branch node =
@@ -537,6 +591,62 @@ let branch_row b key frames row =
         Array.unsafe_set out (k + j) ((Array.unsafe_get items j) frames row)
       done;
       out
+
+(* Apply [a]'s pairing with an Aggregate inner's [values] (charged under
+   "apply.cache", as the cached inner is). *)
+let widened a gov values =
+  if Option.is_some gov then
+    Governor.charge gov ~op:"apply.cache" (Governor.tuple_bytes values);
+  let k = Array.length values in
+  let scratch = Array.make (a.width + k) Value.Null in
+  Array.blit values 0 scratch a.width k;
+  Widened scratch
+
+(* A group's seen-set for a Distinct source, with the row it kept last
+   and the governor's charge for each row it keeps (as the Distinct
+   cursor's hash set is charged).  One per group and call, so groups
+   run in parallel share none. *)
+type seen_set = {
+  seen : unit Tuple.Tbl.t;
+  mutable last : Tuple.t option;
+  charge : (Tuple.t -> unit) option;
+}
+
+let seen_set gov =
+  {
+    seen = Tuple.Tbl.create 16;
+    last = None;
+    charge = Governor.accountant gov ~op:"distinct.hash";
+  }
+
+(* Add [row] to [s]; whether it was new. *)
+let first_seen s row =
+  (not (Tuple.Tbl.mem s.seen row))
+  && begin
+       Option.iter (fun charge -> charge row) s.charge;
+       Tuple.Tbl.add s.seen row ();
+       s.last <- Some row;
+       true
+     end
+
+(* Whether [items] over [row] equal [last]'s cells from [j] on.
+   Top-level, so the per-member call allocates no closure. *)
+let rec same_cells items frames row (last : Tuple.t) j =
+  j = Array.length items
+  || Value.equal_total (Array.unsafe_get last j)
+       ((Array.unsafe_get items j) frames row)
+     && same_cells items frames row last (j + 1)
+
+(* Whether branch [b]'s projection of [row] equals the row [s] kept
+   last, and so is no new row: known without a hash or a fresh row, the
+   common case of a Distinct over columns the group shares. *)
+let repeats_last s b frames row =
+  match s.last with
+  | None -> false
+  | Some last -> (
+      match b.items with
+      | None -> Tuple.equal last row
+      | Some items -> same_cells items frames row last 0)
 
 (* One group through one branch: filter, fold and project the rows of
    its source over the group's slice [v] in one loop, pushing
@@ -593,93 +703,211 @@ and each_row b gov frames (v : Batch.t) f =
               Array.blit row 0 scratch 0 a.width;
               f scratch
       done
+  | Distinct d ->
+      let seen = seen_set gov and np = Array.length d.projected.preds in
+      for i = v.Batch.pos to stop - 1 do
+        let row = Array.unsafe_get v.Batch.rows i in
+        if
+          level d.projected.preds frames row 0 = np
+          && not (repeats_last seen d.projected frames row)
+        then begin
+          let out = branch_row d.projected Tuple.empty frames row in
+          if first_seen seen out then f out
+        end
+      done
 
 (* Apply [a]'s inner over group [v]: Exists's test, or the folded
-   values (charged under "apply.cache", as the cached inner is). *)
+   values. *)
 and pair a gov frames (v : Batch.t) =
-  match a.exists with
-  | Some negated ->
-      if Option.is_some (first_row a.inner frames v) <> negated then Unchanged
-      else Nothing
-  | None ->
+  match a.inner with
+  | Test e -> if holds e gov frames v then Unchanged else Nothing
+  | Values inner ->
       let values = ref Tuple.empty in
-      run_branch a.inner gov frames Tuple.empty v (fun row -> values := row);
-      if Option.is_some gov then
-        Governor.charge gov ~op:"apply.cache" (Governor.tuple_bytes !values);
-      let k = Array.length !values in
-      let scratch = Array.make (a.width + k) Value.Null in
-      Array.blit !values 0 scratch a.width k;
-      Widened scratch
+      run_branch inner gov frames Tuple.empty v (fun row -> values := row);
+      widened a gov !values
 
-(* Per level of [preds] (0 = the input, k = past the k-th Select), the
-   rows and batches the cursor chain counts when the rows [iter] yields
-   arrive in [size]-row batches, as a Group_scan's slice chunks and an
-   Apply's packed output do: each Select yields one batch per input
-   batch with a survivor. *)
-let tally ~size preds frames iter =
-  let np = Array.length preds in
-  let rows = Array.make (np + 1) 0 and batches = Array.make (np + 1) 0 in
-  let seen = Array.make (np + 1) false and n = ref 0 in
-  iter (fun row ->
-      if !n = size then begin
-        n := 0;
-        Array.fill seen 0 (np + 1) false
-      end;
-      incr n;
-      for k = 0 to level preds frames row 0 do
-        rows.(k) <- rows.(k) + 1;
-        if not seen.(k) then begin
-          seen.(k) <- true;
-          batches.(k) <- batches.(k) + 1
-        end
-      done);
-  (rows, batches)
+(* Whether EXISTS [e] (or NOT EXISTS) holds for group [v]: some member
+   passes its probe's Selects — the scan stops there — or the folded row
+   passes its [having]. *)
+and holds e gov frames (v : Batch.t) =
+  let b = e.probe in
+  let found =
+    match b.aggs with
+    | None -> Option.is_some (first_row b frames v)
+    | Some _ ->
+        let hit = ref false in
+        run_branch b gov frames Tuple.empty v (fun row ->
+            hit := level e.having frames row 0 = Array.length e.having);
+        !hit
+  in
+  found <> e.negated
 
-(* Record on the branch's Obs nodes the rows and batches its cursor
-   chain would count for group [v]: the Group_scan yields [size]-row
-   chunks, each Select one batch per input batch with a survivor, an
-   Aggregate one row, a Project what it reads.  An Apply packs its
-   output into [size]-row batches; its inner is invoked only when an
-   outer member survives, and an Exists probe stops after the first
-   batch with a survivor.  Returns the branch's (rows, batches). *)
-let rec observe_branch sink ~size b frames (v : Batch.t) ~time_ns =
-  let record node (rows, batches) =
-    Option.iter (fun n -> Obs.record sink n ~rows ~batches ~time_ns) node
-  in
-  let np = Array.length b.preds in
-  let rows, batches = tally ~size b.preds frames (each_row b None frames v) in
-  let source_node =
-    match b.source with
-    | Scan node -> node
-    | Apply a ->
-        let outer_rows, _ = observe_branch sink ~size a.outer frames v ~time_ns in
-        (if outer_rows > 0 then
-           match a.exists with
-           | None -> ignore (observe_branch sink ~size a.inner frames v ~time_ns)
-           | Some negated ->
-               let first = first_row a.inner frames v in
-               let len =
-                 match first with
-                 | Some i -> min v.Batch.len (((i / size) + 1) * size)
-                 | None -> v.Batch.len
-               in
-               ignore
-                 (observe_branch sink ~size a.inner frames { v with Batch.len }
-                    ~time_ns);
-               let n = if Option.is_some first <> negated then 1 else 0 in
-               record a.exists_node (n, n));
-        a.apply_node
-  in
-  record source_node (rows.(0), batches.(0));
+(* ---------- observing the loop ---------- *)
+
+(* Per level of a branch's Selects (0 = its source's rows, k = past the
+   k-th Select), the rows that reach it and the batches they come in,
+   as the cursor chain counts them: each Select yields one batch per
+   input batch with a survivor.  [last] is each level's latest batch. *)
+type tally = { rows : int array; batches : int array; last : int array }
+
+let tally n =
+  { rows = Array.make n 0; batches = Array.make n 0; last = Array.make n (-1) }
+
+(* Count one row of source batch [batch] that passes [depth] Selects. *)
+let count t ~batch depth =
+  for k = 0 to depth do
+    t.rows.(k) <- t.rows.(k) + 1;
+    if t.last.(k) <> batch then begin
+      t.last.(k) <- batch;
+      t.batches.(k) <- t.batches.(k) + 1
+    end
+  done
+
+(* Record the counts of [b]'s Selects from [t]. *)
+let record_selects ~record b t =
   Array.iteri
-    (fun k n -> record n (rows.(k + 1), batches.(k + 1)))
-    b.select_nodes;
-  let out =
-    if Option.is_some b.aggs then (1, 1) else (rows.(np), batches.(np))
+    (fun k n -> record n (t.rows.(k + 1), t.batches.(k + 1)))
+    b.select_nodes
+
+(* The observed [run_branch]: one pass that pushes the same rows in the
+   same order — each with the batch of the branch's output it leaves in
+   — and counts what the branch's cursor chain would: the source and
+   each Select from the rows' batches (a Group_scan yields [size]-row
+   chunks of the slice, an Apply packs its output into [size]-row
+   batches, a Distinct keeps its input's batches), an Aggregate one row,
+   a Project what it reads.  [record node (rows, batches)] takes every operator's counts;
+   returns the branch's. *)
+let rec observe_branch ~size ~record b gov frames key (v : Batch.t) push =
+  let np = Array.length b.preds in
+  let t = tally (np + 1) in
+  let fold = Option.map (fun specs -> (specs, agg_states specs)) b.aggs in
+  let governed = Option.is_some gov and bytes = ref 0 in
+  let source_node =
+    observe_rows ~size ~record b gov frames v (fun ~batch row ->
+        let depth = level b.preds frames row 0 in
+        count t ~batch depth;
+        if depth = np then
+          match fold with
+          | None -> push ~batch (branch_row b key frames row)
+          | Some (specs, states) ->
+              agg_add specs states frames row;
+              if governed then bytes := !bytes + Governor.tuple_bytes row)
   in
-  record b.agg_node (1, 1);
+  record source_node (t.rows.(0), t.batches.(0));
+  record_selects ~record b t;
+  let out =
+    match fold with
+    | None -> (t.rows.(np), t.batches.(np))
+    | Some (_, states) ->
+        Governor.charge gov ~op:"aggregate.input" !bytes;
+        record b.agg_node (1, 1);
+        push ~batch:0
+          (branch_row b key frames (Array.map Agg_state.finish states));
+        (1, 1)
+  in
   record b.project_node out;
   out
+
+(* [f ~batch row] on every row of [b]'s source over [v], in order, with
+   the source's output batch it is in; records the counts of the
+   operators below the source and returns the source's own node. *)
+and observe_rows ~size ~record b gov frames (v : Batch.t) f =
+  match b.source with
+  | Scan node ->
+      for i = 0 to v.Batch.len - 1 do
+        f ~batch:(i / size) (Array.unsafe_get v.Batch.rows (v.Batch.pos + i))
+      done;
+      node
+  | Distinct d ->
+      let seen = seen_set gov in
+      ignore
+        (observe_branch ~size ~record d.projected gov frames Tuple.empty v
+           (fun ~batch row -> if first_seen seen row then f ~batch row));
+      d.distinct_node
+  | Apply a ->
+      (* the outer branch is Selects over the members, counted here;
+         each member passing them is paired as in [each_row] *)
+      let ob = a.outer in
+      let nop = Array.length ob.preds in
+      let t = tally (nop + 1) in
+      let pairing = ref None and k = ref 0 in
+      for i = 0 to v.Batch.len - 1 do
+        let row = Array.unsafe_get v.Batch.rows (v.Batch.pos + i) in
+        let depth = level ob.preds frames row 0 in
+        count t ~batch:(i / size) depth;
+        if depth = nop then begin
+          let p =
+            match !pairing with
+            | Some p -> p
+            | None ->
+                let p = observe_pair ~size ~record a gov frames v in
+                pairing := Some p;
+                p
+          in
+          match p with
+          | Nothing -> ()
+          | Unchanged ->
+              f ~batch:(!k / size) row;
+              incr k
+          | Widened scratch ->
+              Array.blit row 0 scratch 0 a.width;
+              f ~batch:(!k / size) scratch;
+              incr k
+        end
+      done;
+      (match ob.source with
+      | Scan node -> record node (t.rows.(0), t.batches.(0))
+      | Distinct _ | Apply _ -> ());
+      record_selects ~record ob t;
+      a.apply_node
+
+and observe_pair ~size ~record a gov frames v =
+  match a.inner with
+  | Test e ->
+      if observe_holds ~size ~record e gov frames v then Unchanged else Nothing
+  | Values inner ->
+      let values = ref Tuple.empty in
+      ignore
+        (observe_branch ~size ~record inner gov frames Tuple.empty v
+           (fun ~batch:_ row -> values := row));
+      widened a gov !values
+
+(* The observed [holds]: an Exists yields one row when it holds.  Its
+   probe without an Aggregate stops after the batch of the first member
+   that passes, as the probing cursor does: [first_row] finds that
+   member, then the batches up to it are counted.  A Select over an
+   Aggregate yields the folded row if it passes. *)
+and observe_holds ~size ~record e gov frames (v : Batch.t) =
+  let b = e.probe in
+  let found =
+    match b.aggs with
+    | None ->
+        let first = first_row b frames v in
+        let len =
+          match first with
+          | Some i -> min v.Batch.len (((i / size) + 1) * size)
+          | None -> v.Batch.len
+        in
+        ignore
+          (observe_branch ~size ~record b gov frames Tuple.empty
+             { v with Batch.len } (fun ~batch:_ _ -> ()));
+        Option.is_some first
+    | Some _ ->
+        let folded = ref Tuple.empty in
+        ignore
+          (observe_branch ~size ~record b gov frames Tuple.empty v
+             (fun ~batch:_ row -> folded := row));
+        let depth = level e.having frames !folded 0 in
+        Array.iteri
+          (fun k n -> record n (if k < depth then (1, 1) else (0, 0)))
+          e.having_nodes;
+        depth = Array.length e.having
+  in
+  let n = if found <> e.negated then 1 else 0 in
+  record e.exists_node (n, n);
+  n = 1
+
+(* ---------- compiling the loop ---------- *)
 
 (* [f] with the Obs node of operator [p] when observed, registered under
    the node being compiled, as [plan] does. *)
@@ -712,64 +940,108 @@ let rec compile_branch ~config ~outer p : local_branch * Schema.t =
       let items = List.map (fun (e, _) -> Eval.compile schema e) items in
       ( { b with items = Some (Array.of_list items); project_node = node },
         Props.schema_of ~outer p )
+  | Plan.Distinct _ ->
+      let b, schema = input () in
+      let source = Distinct { projected = b; distinct_node = node } in
+      ({ (scan_branch None) with source }, schema)
   | Plan.Apply { outer = o; inner } ->
       let ob, oschema = compile_branch ~config ~outer o in
       let inner_outer = oschema :: outer in
-      let ib, exists, exists_node =
+      let inner =
         match inner with
-        | Plan.Exists { input; negated } ->
-            observed config inner (fun n ->
-                ( fst (compile_branch ~config ~outer:inner_outer input),
-                  Some negated,
-                  n ))
-        | _ -> (fst (compile_branch ~config ~outer:inner_outer inner), None, None)
+        | Plan.Exists _ -> Test (compile_exists ~config ~outer:inner_outer inner)
+        | _ -> Values (fst (compile_branch ~config ~outer:inner_outer inner))
       in
       let source =
         Apply
-          {
-            outer = ob;
-            width = Schema.arity oschema;
-            inner = ib;
-            exists;
-            exists_node;
-            apply_node = node;
-          }
+          { outer = ob; width = Schema.arity oschema; inner; apply_node = node }
       in
       ({ (scan_branch None) with source }, Props.schema_of ~outer p)
   | _ -> (scan_branch node, Props.schema_of ~outer p)
 
-(* Compile a group-local PGQ (its [branches] from [local_branches]) into
+and compile_exists ~config ~outer p =
+  observed config p @@ fun exists_node ->
+  (* the Selects over an Aggregate probe, compiled around it *)
+  let rec having_over = function
+    | Plan.Select { input; _ } -> having_over input
+    | Plan.Aggregate _ -> true
+    | _ -> false
+  in
+  let rec compile_probe p =
+    match p with
+    | Plan.Select { input; pred } when having_over input ->
+        observed config p @@ fun node ->
+        let b, schema, having, having_nodes = compile_probe input in
+        ( b,
+          schema,
+          Array.append having [| Eval.compile_pred schema pred |],
+          Array.append having_nodes [| node |] )
+    | p ->
+        let b, schema = compile_branch ~config ~outer p in
+        (b, schema, [||], [||])
+  in
+  match p with
+  | Plan.Exists { input; negated } ->
+      let probe, _, having, having_nodes = compile_probe input in
+      { probe; having; having_nodes; negated; exists_node }
+  | _ -> invalid_arg "Compile.compile_exists: not an Exists"
+
+(* Compile a group-local PGQ (its shape [l] from [local_branches]) into
    [run gov frames key view push], which runs one group through every
-   branch in turn.  With a metrics sink it registers the Obs nodes that
-   compiling the PGQ's cursor chain would, in the same tree, and records
-   on them per group what that chain would count ([observe_branch]). *)
-let compile_local ~config ~outer pgq branches =
+   branch in turn — once its guard holds, when it has one.  With a
+   metrics sink it registers the Obs nodes that compiling the PGQ's
+   cursor chain would, in the same tree, and records on them per group
+   what that chain would count ([observe_branch]), in the same pass
+   that produces the rows. *)
+let compile_local ~config ~outer pgq (l : local_pgq) =
   let compile_all () =
     Array.of_list
-      (List.map (fun p -> fst (compile_branch ~config ~outer p)) branches)
+      (List.map (fun p -> fst (compile_branch ~config ~outer p)) l.branches)
   in
   match config.observe with
-  | None ->
+  | None -> (
       let branches = compile_all () in
-      fun gov frames key v push ->
+      let run gov frames key v push =
         Array.iter (fun b -> run_branch b gov frames key v push) branches
-  | Some sink ->
-      let union, branches =
-        match pgq with
+      in
+      match l.guard with
+      | None -> run
+      | Some guard ->
+          let e = compile_exists ~config ~outer guard in
+          fun gov frames key v push ->
+            if holds e gov frames v then run gov frames key v push)
+  | Some sink -> (
+      let size = config.batch_size in
+      (* [f record], with the counts it records timed as its whole run *)
+      let timed f =
+        let pending = ref [] in
+        let t0 = Metrics.now_ns () in
+        let r =
+          f (fun node counts ->
+              Option.iter (fun n -> pending := (n, counts) :: !pending) node)
+        in
+        let time_ns = Metrics.now_ns () - t0 in
+        List.iter
+          (fun (n, (rows, batches)) -> Obs.record sink n ~rows ~batches ~time_ns)
+          (List.rev !pending);
+        (r, time_ns)
+      in
+      let compile_body () =
+        match l.body with
         | Plan.Union_all _ ->
-            Obs.enter sink ~op:(Plan.op_name pgq) (fun n ->
+            Obs.enter sink ~op:(Plan.op_name l.body) (fun n ->
                 (Some n, compile_all ()))
         | _ -> (None, compile_all ())
       in
-      fun gov frames key v push ->
+      (* one group through the body; returns its rows and time *)
+      let run_body (union, branches) gov frames key v push =
         let rows = ref 0 and batches = ref 0 and time = ref 0 in
         Array.iter
           (fun b ->
-            let t0 = Metrics.now_ns () in
-            run_branch b gov frames key v push;
-            let time_ns = Metrics.now_ns () - t0 in
-            let r, n =
-              observe_branch sink ~size:config.batch_size b frames v ~time_ns
+            let (r, n), time_ns =
+              timed (fun record ->
+                  observe_branch ~size ~record b gov frames key v
+                    (fun ~batch:_ row -> push row))
             in
             rows := !rows + r;
             batches := !batches + n;
@@ -778,7 +1050,30 @@ let compile_local ~config ~outer pgq branches =
         Option.iter
           (fun n ->
             Obs.record sink n ~rows:!rows ~batches:!batches ~time_ns:!time)
-          union
+          union;
+        (!rows, !time)
+      in
+      match l.guard with
+      | None ->
+          let body = compile_body () in
+          fun gov frames key v push ->
+            ignore (run_body body gov frames key v push)
+      | Some guard ->
+          (* the Apply yields the body's rows, packed into [size]-row
+             batches, when its Exists outer yields a row *)
+          Obs.enter sink ~op:(Plan.op_name pgq) @@ fun apply_node ->
+          let e = compile_exists ~config ~outer guard in
+          let body = compile_body () in
+          fun gov frames key v push ->
+            let passes, guard_ns =
+              timed (fun record -> observe_holds ~size ~record e gov frames v)
+            in
+            let rows, body_ns =
+              if passes then run_body body gov frames key v push else (0, 0)
+            in
+            Obs.record sink apply_node ~rows
+              ~batches:((rows + size - 1) / size)
+              ~time_ns:(guard_ns + body_ns))
 
 (* ---------- the compiler ---------- *)
 
@@ -1048,7 +1343,7 @@ and compile ~config ~(outer : Schema.t list) (p : Plan.t) :
          which only the chain does. *)
       let exec =
         match local_branches ~apply:config.apply_cache ~var pgq with
-        | Some branches -> `Loop (compile_local ~config ~outer pgq branches)
+        | Some l -> `Loop (compile_local ~config ~outer pgq l)
         | None -> `Chain (plan ~config ~outer pgq)
       in
       let path_groups =

@@ -84,16 +84,21 @@ val plan : ?config:config -> ?outer:Schema.t list -> Plan.t -> compiled
 val group_local : var:string -> Plan.t -> bool
 (** Whether a per-group query over [var] runs as the group-local loop:
     a UNION ALL (or one branch) of
-    [Project? (Aggregate? (Select* source))] chains, the source being
-    [Group_scan var] or [Apply (Select* (Group_scan var), inner)] with
-    inner [Aggregate (Select* (Group_scan var))] or
-    [Exists (Select* (Group_scan var))] (negated or not) that does not
-    reference the Apply's row.  Such a PGQ filters, folds and projects
-    each group's slice directly — an Apply's inner once per group, its
-    members seen as [member ++ inner values] — and writes
-    [key ++ values] rows, in the order its cursor chain would yield
-    them (groups, then branches, then members).  With
-    [config.apply_cache] off an Apply takes the chain. *)
+    [Project? (Aggregate? (Select* source))] chains, possibly guarded as
+    [Apply (Exists test, _)] (negated or not).  A source is
+    [Group_scan var]; [Distinct (Project? (Select* (Group_scan var)))];
+    or [Apply (Select* (Group_scan var), inner)] with inner
+    [Aggregate (Select* (Group_scan var))] or [Exists test] that does
+    not reference the Apply's row.  A [test] is
+    [Select* (Aggregate? (Select* (Group_scan var)))].  Such a PGQ tests
+    its guard once per group on the slice — a group that fails emits
+    nothing — then filters, folds and projects each group's slice
+    directly: an Apply's inner once per group, its members seen as
+    [member ++ inner values]; a Distinct through a seen-set of the
+    group's own.  It writes [key ++ values] rows, in the order its
+    cursor chain would yield them (groups, then branches, then
+    members).  With [config.apply_cache] off a member-level Apply takes
+    the chain. *)
 
 val sort_rows : ?pool:Domain_pool.t -> ('a -> 'a -> int) -> 'a array -> unit
 (** The row sort behind ORDER BY and sort partitioning: stable and in

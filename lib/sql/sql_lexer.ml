@@ -216,3 +216,30 @@ let tokenize src : Sql_token.positioned list =
     | _ -> go (t :: acc)
   in
   go []
+
+(** Tokenise a ';'-separated script statement by statement: each item is
+    one statement's tokens up to and including its ';' (the last ends
+    with [Eof] instead), or the lexical error met in it, after which
+    lexing resumes past the next ';' character. *)
+let statements src : (Sql_token.positioned list, exn) result list =
+  let st = make src in
+  let rec skip_to_semicolon () =
+    match peek st with
+    | None -> ()
+    | Some ';' -> advance st
+    | Some _ ->
+        advance st;
+        skip_to_semicolon ()
+  in
+  let rec go stmt acc =
+    match next_token st with
+    | { Sql_token.token = Sql_token.Eof; _ } as t ->
+        List.rev (Ok (List.rev (t :: stmt)) :: acc)
+    | { Sql_token.token = Sql_token.Semicolon; _ } as t ->
+        go [] (Ok (List.rev (t :: stmt)) :: acc)
+    | t -> go (t :: stmt) acc
+    | exception (Errors.Parse_error _ as e) ->
+        skip_to_semicolon ();
+        go [] (Error e :: acc)
+  in
+  go [] []

@@ -667,18 +667,29 @@ let parse_statement (src : string) : Sql_ast.statement =
   if peek st <> Sql_token.Eof then errorf st "trailing input after statement";
   stmt
 
-(** Parse a ';'-separated script. *)
-let parse_script (src : string) : Sql_ast.statement list =
-  let st = make (Sql_lexer.tokenize src) in
-  let rec go acc =
-    if peek st = Sql_token.Eof then List.rev acc
-    else begin
-      let stmt = parse_statement_inner st in
-      (if peek st = Sql_token.Semicolon then advance st);
-      go (stmt :: acc)
-    end
-  in
-  go []
+(** Parse a ';'-separated script statement by statement: each item is a
+    statement, or the [Errors.Parse_error] of a statement that does not
+    lex or parse (trailing input included) — the rest of the text up to
+    its ';' is skipped and parsing resumes after it. *)
+let parse_script (src : string) : (Sql_ast.statement, exn) result list =
+  List.filter_map
+    (function
+      | Error e -> Some (Error e)
+      | Ok tokens -> (
+          let st = make tokens in
+          match peek st with
+          | Sql_token.Eof | Sql_token.Semicolon -> None
+          | _ -> (
+              match
+                let stmt = parse_statement_inner st in
+                (match peek st with
+                | Sql_token.Eof | Sql_token.Semicolon -> ()
+                | _ -> errorf st "trailing input after statement");
+                stmt
+              with
+              | stmt -> Some (Ok stmt)
+              | exception (Errors.Parse_error _ as e) -> Some (Error e))))
+    (Sql_lexer.statements src)
 
 (** Parse just a query. *)
 let parse_query_string (src : string) : Sql_ast.query =

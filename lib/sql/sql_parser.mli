@@ -15,8 +15,11 @@
 val parse_statement : string -> Sql_ast.statement
 (** Parse one statement (an optional trailing ';' is consumed). *)
 
-val parse_script : string -> Sql_ast.statement list
-(** Parse a ';'-separated script. *)
+val parse_script : string -> (Sql_ast.statement, exn) result list
+(** Parse a ';'-separated script statement by statement: each item is a
+    statement, or the {!Errors.Parse_error} of a statement that does not
+    lex or parse, in which case the text up to the next [';'] is skipped
+    and parsing resumes after it.  Empty statements are skipped. *)
 
 val parse_query_string : string -> Sql_ast.query
 (** Parse a SELECT query. *)

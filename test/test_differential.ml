@@ -284,6 +284,15 @@ let test_publishing_plans () =
   List.iter
     (fun (name, build) ->
       let plan w = build (Engine.catalog w.db) in
+      (* every GApply of a publishing plan, a group selection's selecting
+         one included, runs as the group-local loop *)
+      Plan.fold
+        (fun () -> function
+          | Plan.G_apply { var; pgq; _ } when not (Compile.group_local ~var pgq)
+            ->
+              Alcotest.failf "%s: a GApply takes the cursor chain" name
+          | _ -> ())
+        () (plan (world false));
       match
         first_failure
           ~reference:(fun w -> Reference.run (Engine.catalog w.db) (plan w))

@@ -208,6 +208,60 @@ let test_script_continues_after_failure () =
       Alcotest.(check int) "the next statement ran" 1 (Relation.cardinality r)
   | _ -> Alcotest.fail "expected [Failed (Name_error _); Rows _]"
 
+(* A statement that does not lex or parse fails alone: parsing resumes
+   after its ';'. *)
+let test_script_survives_syntax_error () =
+  let db = Lazy.force db_small in
+  List.iter
+    (fun bad ->
+      match
+        Engine.exec_script db
+          (Printf.sprintf
+             "select count(*) as n from supplier; %s; select count(*) as m \
+              from partsupp;"
+             bad)
+      with
+      | [ Engine.Rows _; Engine.Failed (Errors.Parse_error _); Engine.Rows r ] ->
+          Alcotest.(check int) (bad ^ ": the next statement ran") 1
+            (Relation.cardinality r)
+      | outcomes ->
+          Alcotest.failf
+            "%s: expected [Rows; Failed (Parse_error _); Rows], got %d outcomes"
+            bad (List.length outcomes))
+    [ "selec oops"; "select @ from supplier"; "select (1 from supplier" ];
+  (* A statement with trailing input fails whole: none of it runs. *)
+  let db = Engine.create () in
+  ignore
+    (Engine.exec_script db
+       "create table t (a int); insert into t values (7);");
+  List.iter
+    (fun bad ->
+      (match Engine.exec_script db (bad ^ "; select a from t;") with
+      | [ Engine.Failed (Errors.Parse_error _); Engine.Rows _ ] -> ()
+      | outcomes ->
+          Alcotest.failf "%s: expected [Failed (Parse_error _); Rows], got %d \
+                          outcomes"
+            bad (List.length outcomes));
+      let r = Engine.query db "select a from t" in
+      Alcotest.(check (list string))
+        (bad ^ ": t and its rows are unchanged")
+        [ "7" ]
+        (List.map
+           (fun row -> Value.to_string (Tuple.get row 0))
+           (Relation.rows r)))
+    [ "drop table t cascade"; "insert into t values (1) (2)" ]
+
+(* An EXPLAIN that does not bind is a Failed outcome too. *)
+let test_script_survives_explain_bind_error () =
+  let db = Lazy.force db_small in
+  match
+    Engine.exec_script db
+      "explain select nosuch from supplier; select count(*) as n from supplier"
+  with
+  | [ Engine.Failed (Errors.Name_error _); Engine.Rows r ] ->
+      Alcotest.(check int) "the next statement ran" 1 (Relation.cardinality r)
+  | _ -> Alcotest.fail "expected [Failed (Name_error _); Rows _]"
+
 (* The shell's script mode prints the error and runs the rest. *)
 let test_cli_script_continues () =
   let exe =
@@ -224,7 +278,9 @@ let test_cli_script_continues () =
       Out_channel.with_open_text script (fun oc ->
           output_string oc
             "select nosuch from supplier;\n\
-             select count(*) as n from supplier;\n");
+             select count(*) as n from supplier;\n\
+             selec oops;\n\
+             select 1 as x from supplier;\n");
       let code =
         Sys.command
           (Printf.sprintf "%s --tpch 0.02 -f %s > %s 2>&1"
@@ -235,7 +291,11 @@ let test_cli_script_continues () =
       Alcotest.(check bool) "prints the error" true
         (contains text "error: name error: unknown column nosuch");
       Alcotest.(check bool) "runs the next statement" true
-        (contains text "(1 row(s))"))
+        (contains text "(1 row(s))");
+      Alcotest.(check bool) "prints the syntax error" true
+        (contains text "expected SELECT");
+      Alcotest.(check bool) "runs the statement after it" true
+        (contains text "| x |" && contains text "(2 row(s))"))
 
 (* ---------- client-side simulation ---------- *)
 
@@ -284,6 +344,10 @@ let suite =
       test_unknown_column_is_failed;
     Alcotest.test_case "script runs on after a failed statement" `Quick
       test_script_continues_after_failure;
+    Alcotest.test_case "script runs on after a syntax error" `Quick
+      test_script_survives_syntax_error;
+    Alcotest.test_case "script runs on after an EXPLAIN bind error" `Quick
+      test_script_survives_explain_bind_error;
     Alcotest.test_case "shell script mode runs on after an error" `Quick
       test_cli_script_continues;
     Alcotest.test_case "client-side simulation matches native" `Quick

@@ -5,7 +5,9 @@
    conflicts, DDL rejection inside transactions, the atomic multi-row
    INSERT regression inside an explicit transaction, and a two-domain reader/writer smoke test
    proving a snapshot reader never observes half of a multi-table
-   commit.
+   commit.  Pooled sessions on domains: snapshot readers beside a
+   committing writer never fail, and a two-writer race accounts every
+   transaction begun as committed, conflicted or rolled back.
 
    Property layer (qcheck): serializability-lite.  Random multi-session
    programs — each session a list of transactions, each transaction a
@@ -472,6 +474,82 @@ let serializability_prop =
       let final_digest, serial_digest = run_history program picks in
       final_digest = serial_digest)
 
+(* ---------- pooled sessions on one table ---------- *)
+
+(* A 256-row [acct] table, as the bench's transactions section loads. *)
+let acct_db () =
+  let db = Engine.create () in
+  msg_exn (Engine.exec db "create table acct (a int, b int)");
+  for i = 0 to 15 do
+    let row j = Printf.sprintf "(%d, %d)" ((16 * i) + j) i in
+    msg_exn
+      (Engine.exec db
+         ("insert into acct values " ^ String.concat ", " (List.init 16 row)))
+  done;
+  db
+
+let closed db outcome =
+  Metrics.read (Engine.metrics db) ~label:outcome "gapply_txn_closed_total"
+
+(* Three snapshot readers beside a committing writer, on domains: no
+   reader statement fails, and the writer's every commit lands. *)
+let test_readers_beside_writer () =
+  let db = acct_db () and rounds = 20 in
+  let reader =
+    List.concat
+      (List.init rounds (fun _ ->
+           [ "begin"; "select acct.a from acct";
+             "select acct.b from acct where acct.b > 4"; "commit" ]))
+  and writer =
+    List.concat
+      (List.init rounds (fun i ->
+           [
+             "begin";
+             Printf.sprintf "insert into acct values (%d, %d)"
+               (10_000 + (2 * i)) i;
+             Printf.sprintf "insert into acct values (%d, %d)"
+               (10_001 + (2 * i)) i;
+             "commit";
+           ]))
+  in
+  let report =
+    Session.run ~concurrent:true db ~sessions:4 ~script:(fun i ->
+        if i = 0 then writer else reader)
+  in
+  Array.iter
+    (fun (r : Session.session_result) ->
+      Alcotest.(check int)
+        (Printf.sprintf "session %d: failed statements" r.Session.id)
+        0 r.Session.errors)
+    report.Session.results;
+  Alcotest.(check bool) "the writer committed" true (closed db "committed" > 0);
+  Alcotest.(check int) "every committed row is visible" (256 + (2 * rounds))
+    (count db "acct")
+
+(* Two writers racing on one table under first-committer-wins: every
+   transaction begun is committed, conflicted or rolled back. *)
+let test_two_writer_race_accounting () =
+  let db = acct_db () and rounds = 20 in
+  let writer i =
+    List.concat
+      (List.init rounds (fun k ->
+           [
+             "begin";
+             Printf.sprintf "insert into acct values (%d, %d)"
+               (50_000 + (1000 * i) + k) i;
+             "commit";
+           ]))
+  in
+  ignore (Session.run ~concurrent:true db ~sessions:2 ~script:writer);
+  let begun = Metrics.read (Engine.metrics db) "gapply_txn_begun_total" in
+  let committed = closed db "committed" and conflicts = closed db "conflict" in
+  Alcotest.(check int) "begun = committed + conflicts + rolled back" begun
+    (committed + conflicts + closed db "rolled_back");
+  Alcotest.(check bool) "some transaction committed or conflicted" true
+    (committed + conflicts > 0);
+  Alcotest.(check int) "committed rows are visible" (256 + committed)
+    (count db "acct")
+
 let suite =
   [
     Alcotest.test_case "read-your-own-writes" `Quick test_read_your_own_writes;
@@ -498,5 +576,9 @@ let suite =
       `Quick test_failed_commit_closes_txn;
     Alcotest.test_case "concurrent reader never sees a torn commit" `Quick
       test_concurrent_reader_never_sees_torn_commit;
+    Alcotest.test_case "snapshot readers beside a writer: no failures" `Quick
+      test_readers_beside_writer;
+    Alcotest.test_case "two-writer race: begun = committed + conflicts" `Quick
+      test_two_writer_race_accounting;
   ]
   @ List.map QCheck_alcotest.to_alcotest [ serializability_prop ]

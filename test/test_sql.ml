@@ -134,7 +134,8 @@ let test_parse_script () =
       "create table t (a int); insert into t values (1), (2); select a \
        from t;"
   in
-  Alcotest.(check int) "3 statements" 3 (List.length stmts)
+  Alcotest.(check bool) "3 statements, all parsed" true
+    (List.length stmts = 3 && List.for_all Result.is_ok stmts)
 
 (* ---------- binder basics ---------- *)
 
