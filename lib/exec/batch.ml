@@ -78,34 +78,36 @@ let to_cursor (bc : cursor) : Cursor.t =
   in
   next
 
-(** Drain into a fresh array, blitting batch by batch.  [account] (if
+(** Drain into a fresh array, blitting batch by batch into a buffer of
+    at least 64 rows that doubles as it fills.  The buffer is allocated
+    at the first batch, so an empty result allocates nothing, and a
+    first batch of 64 rows or more that is also the last is copied
+    once.  [account] (if
     given) is called once per batch with [(rows, pos, len)] — the
     governor charges materialization this way without a per-row
     callback. *)
 let to_array ?account (bc : cursor) : Tuple.t array =
-  let buf = ref (Array.make 64 Tuple.empty) in
-  let n = ref 0 in
-  let ensure extra =
-    let cap = Array.length !buf in
-    if !n + extra > cap then begin
-      let cap' = max (!n + extra) (2 * cap) in
-      let buf' = Array.make cap' Tuple.empty in
-      Array.blit !buf 0 buf' 0 !n;
-      buf := buf'
-    end
-  in
-  let rec drain () =
+  let rec drain buf n =
     match bc () with
-    | None -> ()
+    | None -> if n = Array.length buf then buf else Array.sub buf 0 n
     | Some b ->
         (match account with None -> () | Some f -> f b.rows b.pos b.len);
-        ensure b.len;
-        Array.blit b.rows b.pos !buf !n b.len;
-        n := !n + b.len;
-        drain ()
+        let buf =
+          if n + b.len <= Array.length buf then buf
+          else begin
+            let grown =
+              Array.make
+                (max (n + b.len) (max 64 (2 * Array.length buf)))
+                Tuple.empty
+            in
+            Array.blit buf 0 grown 0 n;
+            grown
+          end
+        in
+        Array.blit b.rows b.pos buf n b.len;
+        drain buf (n + b.len)
   in
-  drain ();
-  if !n = Array.length !buf then !buf else Array.sub !buf 0 !n
+  drain [||] 0
 
 let drain_iter f (bc : cursor) =
   let rec go () =

@@ -356,22 +356,24 @@ let pack ~size (step : (Tuple.t -> unit) -> bool) : Batch.cursor =
   next
 
 (* Nested-loops expansion, shared by every join form and by Apply: each
-   left row is paired with the rows [matches lrow] yields (push-style,
-   in match order) and the joined rows passing [keep] are packed into
-   [size]-row batches.  Left rows are expanded one at a time, only until
-   a batch is full, so a large expansion — a cross product, an inner
-   returning thousands of rows per outer row — streams instead of
-   materializing a whole left batch's product. *)
-let expand ~size ~keep (matches : Tuple.t -> (Tuple.t -> unit) -> unit)
-    (lbc : Batch.cursor) : Batch.cursor =
+   left row's matches come as one array (a hash bucket, an index probe's
+   visible rows, the materialized right side, an Apply inner's rows), and
+   [emit push lrow rrow] writes the output row of each match, in match
+   order, into [size]-row batches.  Left rows are expanded one at a time,
+   only until a batch is full, so a large expansion — a cross product,
+   an inner returning thousands of rows per outer row — streams instead
+   of materializing a whole left batch's product. *)
+let expand ~size ~(emit : (Tuple.t -> unit) -> Tuple.t -> Tuple.t -> unit)
+    (matches : Tuple.t -> Tuple.t array) (lbc : Batch.cursor) : Batch.cursor =
   let left = ref { Batch.rows = [||]; pos = 0; len = 0 } and li = ref 0 in
   pack ~size (fun push ->
       if !li < !left.Batch.len then begin
         let lrow = Batch.get !left !li in
         incr li;
-        matches lrow (fun rrow ->
-            let joined = Tuple.concat lrow rrow in
-            if keep joined then push joined);
+        let ms = matches lrow in
+        for i = 0 to Array.length ms - 1 do
+          emit push lrow (Array.unsafe_get ms i)
+        done;
         true
       end
       else
@@ -382,7 +384,55 @@ let expand ~size ~keep (matches : Tuple.t -> (Tuple.t -> unit) -> unit)
             true
         | None -> false)
 
-let keep_all (_ : Tuple.t) = true
+(* A join's hash build in one pass: a key's first row goes in as a
+   one-row bucket, and only the rows of keys that repeat are collected
+   on the side and appended to their bucket once the build side is
+   drained.  A key-unique build side (an FK join's referenced table; its
+   key is not enforced unique, so this is never assumed) fills one table
+   and finalizes nothing.  Buckets keep insertion order.  Returns the
+   probe: a key's bucket, [[||]] when none. *)
+let hash_build (type k) (module H : Hashtbl.S with type key = k)
+    (fill : (k -> Tuple.t -> unit) -> unit) : k -> Tuple.t array =
+  let tbl = H.create 256 and more = H.create 16 in
+  fill (fun key row ->
+      if H.mem tbl key then
+        match H.find_opt more key with
+        | Some rows -> rows := row :: !rows
+        | None -> H.add more key (ref [ row ])
+      else H.add tbl key [| row |]);
+  H.iter
+    (fun key rows ->
+      H.replace tbl key
+        (Array.append (H.find tbl key) (Array.of_list (List.rev !rows))))
+    more;
+  fun key -> match H.find tbl key with b -> b | exception Not_found -> [||]
+
+let emit_concat push lrow rrow = push (Tuple.concat lrow rrow)
+
+(* A join's output row for a match.  With [cols] (the bare-column map of
+   a Project right above, as indexes into [lrow ++ rrow]) only the kept
+   cells are written, straight from the two rows.  A residual predicate
+   is tested on the concatenated row first. *)
+let join_emit ~nl ~(cols : int array option) ~residual =
+  match (cols, residual) with
+  | None, None -> emit_concat
+  | None, Some test ->
+      fun push lrow rrow ->
+        let joined = Tuple.concat lrow rrow in
+        if test joined then push joined
+  | Some cols, None ->
+      let k = Array.length cols in
+      fun push (lrow : Tuple.t) (rrow : Tuple.t) ->
+        let out = Array.make k Value.Null in
+        for j = 0 to k - 1 do
+          let c = Array.unsafe_get cols j in
+          Array.unsafe_set out j (if c < nl then lrow.(c) else rrow.(c - nl))
+        done;
+        push (out : Tuple.t)
+  | Some cols, Some test ->
+      fun push lrow rrow ->
+        let joined = Tuple.concat lrow rrow in
+        if test joined then push (Array.map (Array.get joined) cols)
 
 (* The execution phase of GApply / Group_by over a partition's groups,
    taken in [order]: [emit g push] pushes group [g]'s output rows.
@@ -1091,7 +1141,7 @@ let compile_local ~config ~outer pgq (l : local_pgq) =
 
    The row-at-a-time [run] is derived here, once, from the wrapped
    [brun]. *)
-let rec plan ?(config = default_config) ?(outer : Schema.t list = [])
+let rec plan ?(config = default_config) ?(outer : Schema.t list = []) ?cols
     (p : Plan.t) : compiled =
   let op = Plan.op_name p in
   let finish node (schema, b) =
@@ -1110,12 +1160,13 @@ let rec plan ?(config = default_config) ?(outer : Schema.t list = [])
     { schema; brun; run = (fun env -> Batch.to_cursor (brun env)) }
   in
   match config.observe with
-  | None -> finish None (compile ~config ~outer p)
+  | None -> finish None (compile ~config ~outer ?cols p)
   | Some sink ->
       Obs.enter sink ~op (fun node ->
-          finish (Some (sink, node)) (compile ~config ~outer p))
+          finish (Some (sink, node)) (compile ~config ~outer ?cols p))
 
-and compile ~config ~(outer : Schema.t list) (p : Plan.t) :
+(* [cols] is only ever passed for a [Join]: see the [Project] case *)
+and compile ~config ~(outer : Schema.t list) ?cols (p : Plan.t) :
     Schema.t * (Env.t -> Batch.cursor) =
   let schema = Props.schema_of ~outer p in
   let size = config.batch_size in
@@ -1138,6 +1189,20 @@ and compile ~config ~(outer : Schema.t list) (p : Plan.t) :
       let c = plan ~config ~outer input in
       let test = Eval.compile_pred c.schema pred in
       (schema, fun env -> Batch.filter (test env.Env.frames) (c.brun env))
+  | Plan.Project { items; input = Plan.Join _ as join }
+    when List.for_all (function Expr.Col _, _ -> true | _ -> false) items ->
+      (* bare columns of a join (repeats allowed): the join writes only
+         these cells, and the projection passes its batches through *)
+      let joined = Props.schema_of ~outer join in
+      let cols =
+        List.filter_map
+          (function
+            | Expr.Col r, _ ->
+                Some (Schema.find ?qual:r.Expr.qual r.Expr.name joined)
+            | _ -> None)
+          items
+      in
+      (schema, (plan ~config ~outer ~cols:(Array.of_list cols) join).brun)
   | Plan.Project { items; input } ->
       let c = plan ~config ~outer input in
       let compiled_items =
@@ -1163,7 +1228,8 @@ and compile ~config ~(outer : Schema.t list) (p : Plan.t) :
          && List.for_all Fun.id (List.mapi input_col items)
       then (schema, c.brun)
       else (schema, fun env -> Batch.map (project env.Env.frames) (c.brun env))
-  | Plan.Join { pred; left; right; _ } -> compile_join ~config ~outer pred left right
+  | Plan.Join { pred; left; right; _ } ->
+      compile_join ~config ~outer ?cols pred left right
   | Plan.Alias { input; _ } -> (schema, (plan ~config ~outer input).brun)
   | Plan.Group_by { keys; aggs; input } ->
       (* the group-local loop over [Aggregate (Group_scan)]: fold each
@@ -1307,9 +1373,8 @@ and compile ~config ~(outer : Schema.t list) (p : Plan.t) :
          is lazy: an empty outer never runs it. *)
       let matches =
         if correlated ~schema:co.schema inner || not config.apply_cache then
-          fun env orow yield ->
-          Batch.drain_iter yield
-            (ci.brun (Env.push_frame co.schema orow env))
+          fun env orow ->
+          Batch.to_array (ci.brun (Env.push_frame co.schema orow env))
         else fun env ->
           let inner_rows =
             lazy
@@ -1319,12 +1384,12 @@ and compile ~config ~(outer : Schema.t list) (p : Plan.t) :
                       ~op:"apply.cache")
                  (ci.brun env))
           in
-          fun _ yield -> Array.iter yield (Lazy.force inner_rows)
+          fun _ -> Lazy.force inner_rows
       in
       ( schema,
         fun env ->
           Batch.deferred (fun () ->
-              expand ~size ~keep:keep_all (matches env) (co.brun env)) )
+              expand ~size ~emit:emit_concat (matches env) (co.brun env)) )
   | Plan.Exists { input; negated } ->
       let c = plan ~config ~outer input in
       ( schema,
@@ -1457,15 +1522,26 @@ and partition ~config ?pool ?gov ~idxs (rows : Tuple.t array) : groups =
    join.
 
    Every form consumes the left side batch-wise through [expand]; they
-   differ only in the match source.  Nested loops iterate the
-   materialized right side; a single-component key probes a [Value.Tbl]
+   differ only in the match source, which returns a left row's matches
+   as an array.  Nested loops return the materialized right side; a hash
+   probe returns its bucket; an index probe returns the rows of its
+   bucket's visible prefix.  A single-component key probes a [Value.Tbl]
    (hash build) or the index's [Value]-keyed bucket directly, with no
-   per-row key tuple. *)
-and compile_join ~config ~outer pred left right :
+   per-row key tuple.
+
+   With [cols] (passed down by a bare-column Project right above) each
+   match writes only the kept cells, and the compiled schema is the
+   projected one; see [join_emit]. *)
+and compile_join ~config ~outer ?cols pred left right :
     Schema.t * (Env.t -> Batch.cursor) =
   let cl = plan ~config ~outer left in
   let cr = plan ~config ~outer right in
-  let schema = Schema.concat cl.schema cr.schema in
+  let joined = Schema.concat cl.schema cr.schema in
+  let schema =
+    match cols with
+    | None -> joined
+    | Some cols -> Schema.project (Array.to_list cols) joined
+  in
   let size = config.batch_size in
   let { Join_analysis.equi; residual } =
     Join_analysis.split ~left:cl.schema ~right:cr.schema pred
@@ -1473,12 +1549,12 @@ and compile_join ~config ~outer pred left right :
   let residual_test =
     match residual with
     | [] -> None
-    | ps -> Some (Eval.compile_pred schema (Expr.conjoin ps))
+    | ps -> Some (Eval.compile_pred joined (Expr.conjoin ps))
   in
-  let keep env =
-    match residual_test with
-    | None -> keep_all
-    | Some test -> test env.Env.frames
+  let nl = Schema.arity cl.schema in
+  let emit env =
+    join_emit ~nl ~cols
+      ~residual:(Option.map (fun test -> test env.Env.frames) residual_test)
   in
   if equi = [] then
     ( schema,
@@ -1491,9 +1567,7 @@ and compile_join ~config ~outer pred left right :
                      ~op:"join.materialize")
                 (cr.brun env)
             in
-            expand ~size ~keep:(keep env)
-              (fun _ yield -> Array.iter yield right_rows)
-              (cl.brun env)) )
+            expand ~size ~emit:(emit env) (fun _ -> right_rows) (cl.brun env)) )
   else
     let left_keys =
       List.map (fun (a, _, _) -> Eval.compile cl.schema a) equi
@@ -1555,14 +1629,33 @@ and compile_join ~config ~outer pred left right :
                    even if a writer commits mid-probe. *)
                 Index.refresh index base;
                 let iview = Index.view index in
-                (* offsets at or beyond the snapshot horizon belong to
-                   transactions committed after this session's snapshot:
-                   filter them out (the captured build may be fresher
-                   than the snapshot, never staler) *)
-                let visible =
+                (* the table's published rows, captured once per cursor
+                   after the refresh, so they cover every offset of the
+                   build; offsets at or beyond the snapshot horizon
+                   belong to transactions committed after this session's
+                   snapshot and are cut off (the captured build may be
+                   fresher than the snapshot, never staler) *)
+                let rows, published = Table.published base in
+                let limit =
                   match env.Env.snapshot with
-                  | None -> max_int
-                  | Some snap -> Mvcc.visible_count snap base
+                  | None -> published
+                  | Some snap -> min published (Mvcc.visible_count snap base)
+                in
+                (* a bucket's offsets ascend, so its visible rows are
+                   the prefix below [limit] *)
+                let fetch (offs : int array) : Tuple.t array =
+                  let k = ref (Array.length offs) in
+                  while !k > 0 && offs.(!k - 1) >= limit do
+                    decr k
+                  done;
+                  if !k = 0 then [||]
+                  else begin
+                    let out = Array.make !k Tuple.empty in
+                    for i = 0 to !k - 1 do
+                      Array.unsafe_set out i rows.(offs.(i))
+                    done;
+                    out
+                  end
                 in
                 (* re-order the probe to the index's column order *)
                 let by_col =
@@ -1580,105 +1673,82 @@ and compile_join ~config ~outer pred left right :
                   (match probe with
                   | [ (ce, strict) ] ->
                       (* single-component key: no per-probe part list *)
-                      fun lrow yield ->
+                      fun lrow ->
                         let v = ce frames lrow in
-                        if not (strict && Value.is_null v) then
-                          Index.view_iter_single iview v (fun off ->
-                              if off < visible then
-                                yield (Table.get_row base off))
+                        if strict && Value.is_null v then [||]
+                        else fetch (Index.view_find_single iview v)
                   | probe ->
-                      fun lrow yield ->
+                      fun lrow ->
                         let parts =
                           List.map
                             (fun (ce, strict) -> (ce frames lrow, strict))
                             probe
                         in
                         if
-                          not
-                            (List.exists
-                               (fun (v, strict) -> strict && Value.is_null v)
-                               parts)
-                        then
-                          let key = Tuple.of_list (List.map fst parts) in
-                          Index.view_iter_bucket iview key (fun off ->
-                              if off < visible then
-                                yield (Table.get_row base off))))
+                          List.exists
+                            (fun (v, strict) -> strict && Value.is_null v)
+                            parts
+                        then [||]
+                        else
+                          fetch
+                            (Index.view_find iview
+                               (Tuple.of_list (List.map fst parts)))))
     in
-    (* build the hash table from the right side; buckets are finalized
-       into insertion-order arrays once the build drain finishes, so the
-       per-row probe yields matches without allocating (no [List.rev]
-       per probe) *)
+    (* build the hash table from the right side in one pass, probed for
+       a left row's bucket array (see [hash_build]) *)
     let build_lookup env (drain : (Tuple.t -> unit) -> unit) :
-        Tuple.t -> (Tuple.t -> unit) -> unit =
+        Tuple.t -> Tuple.t array =
       let frames = env.Env.frames in
       let build_account =
         Governor.accountant env.Env.governor ~op:"join.build"
       in
-      let finalize bucket = Array.of_list (List.rev !bucket) in
       match (left_keys, right_keys) with
       | [ lk ], [ rk ] ->
           (* single-component key: hash the value itself *)
           let strict0 = strict.(0) in
-          let acc : Tuple.t list ref Value.Tbl.t = Value.Tbl.create 256 in
-          drain (fun rrow ->
-              let v = rk frames rrow in
-              if not (strict0 && Value.is_null v) then begin
-                Option.iter (fun f -> f rrow) build_account;
-                match Value.Tbl.find_opt acc v with
-                | Some bucket -> bucket := rrow :: !bucket
-                | None -> Value.Tbl.add acc v (ref [ rrow ])
-              end);
-          let tbl : Tuple.t array Value.Tbl.t =
-            Value.Tbl.create (2 * Value.Tbl.length acc)
+          let find =
+            hash_build (module Value.Tbl) (fun add ->
+                drain (fun rrow ->
+                    let v = rk frames rrow in
+                    if not (strict0 && Value.is_null v) then begin
+                      Option.iter (fun f -> f rrow) build_account;
+                      add v rrow
+                    end))
           in
-          Value.Tbl.iter
-            (fun v bucket -> Value.Tbl.replace tbl v (finalize bucket))
-            acc;
-          fun lrow yield ->
+          fun lrow ->
             let v = lk frames lrow in
-            if not (strict0 && Value.is_null v) then
-              match Value.Tbl.find_opt tbl v with
-              | None -> ()
-              | Some bucket -> Array.iter yield bucket
-            else ()
+            if strict0 && Value.is_null v then [||] else find v
       | _ ->
           let lks = Array.of_list left_keys in
           let rks = Array.of_list right_keys in
           let key_of ks row =
             (Array.map (fun ce -> ce frames row) ks : Tuple.t)
           in
-          let acc : Tuple.t list ref Tuple.Tbl.t = Tuple.Tbl.create 256 in
-          drain (fun rrow ->
-              let key = key_of rks rrow in
-              if not (key_rejected key) then begin
-                Option.iter (fun f -> f rrow) build_account;
-                match Tuple.Tbl.find_opt acc key with
-                | Some bucket -> bucket := rrow :: !bucket
-                | None -> Tuple.Tbl.add acc key (ref [ rrow ])
-              end);
-          let tbl : Tuple.t array Tuple.Tbl.t =
-            Tuple.Tbl.create (2 * Tuple.Tbl.length acc)
+          let find =
+            hash_build (module Tuple.Tbl) (fun add ->
+                drain (fun rrow ->
+                    let key = key_of rks rrow in
+                    if not (key_rejected key) then begin
+                      Option.iter (fun f -> f rrow) build_account;
+                      add key rrow
+                    end))
           in
-          Tuple.Tbl.iter
-            (fun key bucket -> Tuple.Tbl.replace tbl key (finalize bucket))
-            acc;
-          fun lrow yield ->
+          fun lrow ->
             let key = key_of lks lrow in
-            if not (key_rejected key) then
-              match Tuple.Tbl.find_opt tbl key with
-              | None -> ()
-              | Some bucket -> Array.iter yield bucket
-            else ()
+            if key_rejected key then [||] else find key
     in
     ( schema,
       fun env ->
         match index_probe env with
         | Some probe ->
             Batch.deferred (fun () ->
-                expand ~size ~keep:(keep env) probe (cl.brun env))
+                expand ~size ~emit:(emit env) probe (cl.brun env))
         | None ->
             Batch.deferred (fun () ->
                 let lookup =
                   build_lookup env (fun f -> Batch.drain_iter f (cr.brun env))
                 in
-                expand ~size ~keep:(keep env) lookup (cl.brun env)) )
+                expand ~size ~emit:(emit env) lookup (cl.brun env)) )
+
+(* [cols] stays internal: only a Project passes it to its join *)
+let plan ?config ?outer p = plan ?config ?outer p

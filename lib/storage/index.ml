@@ -6,7 +6,7 @@
    the per-query hash-build (index nested-loop join).
 
    Buckets are finalized into insertion-order arrays at build time, so
-   probes iterate matches without allocating; a single-column index
+   a probe returns its matches without allocating; a single-column index
    keys its table by the bare [Value.t], so the probe hot path builds
    no key tuple at all.
 
@@ -122,40 +122,34 @@ let refresh (t : t) (table : Table.t) =
 
 let view (t : t) : view = Atomic.get t.store
 
-let view_find_bucket (s : view) (key : Tuple.t) : int array option =
-  match s with
-  | By_value tbl -> Value.Tbl.find_opt tbl (Tuple.get key 0)
-  | By_tuple tbl -> Tuple.Tbl.find_opt tbl key
-
-(** Allocation-free probe against a captured view: call [f] on each
-    matching offset in insertion order — the join's per-row hot path. *)
-let view_iter_bucket (s : view) (key : Tuple.t) (f : int -> unit) : unit =
-  match view_find_bucket s key with
-  | Some offsets -> Array.iter f offsets
-  | None -> ()
-
-(** [view_iter_single] is {!view_iter_bucket} for a single-column index,
-    probing with the bare value — no key tuple on the hot path.
-    @raise Invalid_argument on a multi-column index. *)
-let view_iter_single (s : view) (v : Value.t) (f : int -> unit) : unit =
+(** Offsets matching [key], in insertion order (ascending); [[||]] when
+    none.  Allocation-free: the bucket is the view's own array, which
+    callers must not mutate — the join's per-row hot path. *)
+let view_find (s : view) (key : Tuple.t) : int array =
   match s with
   | By_value tbl -> (
-      match Value.Tbl.find_opt tbl v with
-      | Some offsets -> Array.iter f offsets
-      | None -> ())
-  | By_tuple _ -> invalid_arg "Index.iter_single: multi-column index"
+      match Value.Tbl.find tbl (Tuple.get key 0) with
+      | offsets -> offsets
+      | exception Not_found -> [||])
+  | By_tuple tbl -> (
+      match Tuple.Tbl.find tbl key with
+      | offsets -> offsets
+      | exception Not_found -> [||])
+
+(** [view_find_single] is {!view_find} for a single-column index,
+    probing with the bare value — no key tuple on the hot path.
+    @raise Invalid_argument on a multi-column index. *)
+let view_find_single (s : view) (v : Value.t) : int array =
+  match s with
+  | By_value tbl -> (
+      match Value.Tbl.find tbl v with
+      | offsets -> offsets
+      | exception Not_found -> [||])
+  | By_tuple _ -> invalid_arg "Index.view_find_single: multi-column index"
 
 (** Row offsets matching [key], in insertion order. *)
 let lookup (t : t) (key : Tuple.t) : int list =
-  match view_find_bucket (view t) key with
-  | Some offsets -> Array.to_list offsets
-  | None -> []
-
-let iter_bucket (t : t) (key : Tuple.t) (f : int -> unit) : unit =
-  view_iter_bucket (view t) key f
-
-let iter_single (t : t) (v : Value.t) (f : int -> unit) : unit =
-  view_iter_single (view t) v f
+  Array.to_list (view_find (view t) key)
 
 let cardinality (t : t) =
   match Atomic.get t.store with

@@ -26,26 +26,18 @@ type view
 
 val view : t -> view
 
-val view_iter_bucket : view -> Tuple.t -> (int -> unit) -> unit
-(** Apply a function to each offset matching the key, in insertion
-    order, without materializing the bucket. *)
+val view_find : view -> Tuple.t -> int array
+(** Offsets matching the key, in insertion (ascending) order; [[||]]
+    when none.  The array is the view's own bucket: callers must not
+    mutate it. *)
 
-val view_iter_single : view -> Value.t -> (int -> unit) -> unit
-(** {!view_iter_bucket} for a single-column index, probing with the bare
+val view_find_single : view -> Value.t -> int array
+(** {!view_find} for a single-column index, probing with the bare
     value — the hot path allocates no key tuple.
     @raise Invalid_argument on a multi-column index. *)
 
 val lookup : t -> Tuple.t -> int list
 (** Row offsets matching the key, in insertion order. *)
-
-val iter_bucket : t -> Tuple.t -> (int -> unit) -> unit
-(** Apply a function to each matching offset in insertion order,
-    without materializing the bucket — the join probe's hot path. *)
-
-val iter_single : t -> Value.t -> (int -> unit) -> unit
-(** {!iter_bucket} for a single-column index, probing with the bare
-    value — the hot path allocates no key tuple.
-    @raise Invalid_argument on a multi-column index. *)
 
 val cardinality : t -> int
 (** Number of distinct keys. *)

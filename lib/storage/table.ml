@@ -181,11 +181,9 @@ let to_relation_at t ~at = Relation.of_array t.schema (rows_at t ~at)
 
 let rows t = Array.to_list (Array.sub t.rows 0 t.row_count)
 
-let get_row t i =
+let published t =
   let rows, _, n = published_view t in
-  if i < 0 || i >= n then
-    Errors.exec_errorf "table %s: row offset %d out of range" t.name i;
-  rows.(i)
+  (rows, n)
 
 let to_relation t =
   let rows, _, n = published_view t in

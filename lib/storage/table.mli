@@ -76,9 +76,10 @@ val encode_row : t -> Tuple.t -> Tuple.t
 val clear : t -> unit
 val rows : t -> Tuple.t list
 
-val get_row : t -> int -> Tuple.t
-(** Row by physical offset (used by indexes).
-    @raise Errors.Exec_error out of range. *)
+val published : t -> Tuple.t array * int
+(** The row store and the number of published rows, read together:
+    offsets below the count are readable (an index's offsets address
+    them).  The array is the table's own; callers must not mutate it. *)
 
 val visible_count : t -> at:int -> int
 (** Number of rows with commit stamp [<= at] — the length of the prefix

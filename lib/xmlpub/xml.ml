@@ -55,32 +55,95 @@ let escape s =
     Buffer.contents buf
   end
 
-let rec serialize_into buf = function
-  | Text s -> escape_into buf s
+(* [to_string] sizes the document first and writes it into one string of
+   exactly that length, so its one allocation comes before the writing.
+   A large document's string goes straight to the major heap, and the
+   GC slice that allocation requests runs at the next poll point: with
+   the writing still to do, that is here, not in the caller's next
+   code. *)
+
+(* length of [s] escaped *)
+let escaped_length s =
+  let n = ref (String.length s) in
+  for i = 0 to String.length s - 1 do
+    match String.unsafe_get s i with
+    | '<' | '>' -> n := !n + 3
+    | '&' -> n := !n + 4
+    | '"' -> n := !n + 5
+    | _ -> ()
+  done;
+  !n
+
+let rec serialized_length = function
+  | Text s -> escaped_length s
   | Element (tag, attrs, children) ->
-      Buffer.add_char buf '<';
-      Buffer.add_string buf tag;
-      List.iter
-        (fun (k, v) ->
-          Buffer.add_char buf ' ';
-          Buffer.add_string buf k;
-          Buffer.add_string buf "=\"";
-          escape_into buf v;
-          Buffer.add_char buf '"')
-        attrs;
-      if children = [] then Buffer.add_string buf "/>"
+      let t = String.length tag in
+      (* ' ' k '="' v '"' *)
+      let a =
+        List.fold_left
+          (fun n (k, v) -> n + String.length k + 4 + escaped_length v)
+          0 attrs
+      in
+      if children = [] then 1 + t + a + 2 (* '<' tag attrs '/>' *)
+      else
+        (* '<' tag attrs '>' children '</' tag '>' *)
+        List.fold_left
+          (fun n c -> n + serialized_length c)
+          (1 + t + a + 1 + 2 + t + 1)
+          children
+
+(* writers into [b] at [pos], returning the position after *)
+let put_string b pos s =
+  Bytes.blit_string s 0 b pos (String.length s);
+  pos + String.length s
+
+let rec put_escaped b pos s i =
+  let j = next_special s i in
+  Bytes.blit_string s i b pos (j - i);
+  let pos = pos + (j - i) in
+  if j = String.length s then pos
+  else
+    put_escaped b
+      (put_string b pos
+         (match String.unsafe_get s j with
+         | '<' -> "&lt;"
+         | '>' -> "&gt;"
+         | '&' -> "&amp;"
+         | _ -> "&quot;"))
+      s (j + 1)
+
+let rec put_node b pos = function
+  | Text s -> put_escaped b pos s 0
+  | Element (tag, attrs, children) ->
+      Bytes.set b pos '<';
+      let pos = put_string b (pos + 1) tag in
+      let pos =
+        List.fold_left
+          (fun pos (k, v) ->
+            Bytes.set b pos ' ';
+            let pos = put_string b (pos + 1) k in
+            let pos = put_string b pos "=\"" in
+            let pos = put_escaped b pos v 0 in
+            Bytes.set b pos '"';
+            pos + 1)
+          pos attrs
+      in
+      if children = [] then put_string b pos "/>"
       else begin
-        Buffer.add_char buf '>';
-        List.iter (serialize_into buf) children;
-        Buffer.add_string buf "</";
-        Buffer.add_string buf tag;
-        Buffer.add_char buf '>'
+        Bytes.set b pos '>';
+        let pos = List.fold_left (put_node b) (pos + 1) children in
+        let pos = put_string b pos "</" in
+        let pos = put_string b pos tag in
+        Bytes.set b pos '>';
+        pos + 1
       end
 
 let to_string doc =
-  let buf = Buffer.create 256 in
-  serialize_into buf doc;
-  Buffer.contents buf
+  let n = serialized_length doc in
+  let b = Bytes.create n in
+  let written = put_node b 0 doc in
+  assert (written = n);
+  Bytes.unsafe_to_string b
 
 let rec pp_indented ppf ~indent = function
   | Text s -> Format.fprintf ppf "%s%s@\n" (String.make indent ' ') (escape s)

@@ -16,10 +16,11 @@ val escape : string -> string
 
 val escape_into : Buffer.t -> string -> unit
 (** [escape] appended straight to a buffer, in one pass over [s]: the
-    kernel behind {!escape}, {!to_string} and the markup tagger. *)
+    kernel behind {!escape} and the markup tagger. *)
 
 val to_string : t -> string
-(** Compact one-line serialization (self-closing empty elements). *)
+(** Compact one-line serialization (self-closing empty elements),
+    written into one string sized beforehand. *)
 
 val pp : Format.formatter -> t -> unit
 (** Indented pretty-printing. *)

@@ -40,43 +40,79 @@ let catalog_with rel1 rel2 =
   Catalog.add_table cat t2;
   cat
 
+(* How a property's join is wrapped: half the plans put it under a
+   bare-column Project that drops, reorders and repeats columns (the
+   join then writes only the kept cells), some add a residual conjunct,
+   some carry an FK hint although [t2.k] repeats, and the batch size
+   forces batch boundaries. *)
+type join_shape = {
+  keep : string list option;
+  residual : bool;
+  fk : bool;
+  batch_size : int;
+}
+
+let gen_join_shape =
+  Gen.map4
+    (fun keep residual fk batch_size -> { keep; residual; fk; batch_size })
+    (Gen.option ~ratio:0.5
+       (Gen.list_size (Gen.int_range 1 6)
+          (Gen.oneofl [ "a"; "c"; "k"; "v" ])))
+    (Gen.frequency [ (2, Gen.return false); (1, Gen.return true) ])
+    Gen.bool
+    (Gen.oneofl [ 1; 7; 128 ])
+
+let shaped_join shape pred =
+  let pred =
+    if shape.residual then Expr.(pred &&& (column "c" <=^ column "v"))
+    else pred
+  in
+  let join =
+    Plan.join
+      ?fk:(if shape.fk then Some Plan.Left_to_right else None)
+      pred
+      (Plan.table_scan ~table:"t1" ~alias:"t1" t1_schema)
+      (Plan.table_scan ~table:"t2" ~alias:"t2" t2_schema)
+  in
+  match shape.keep with
+  | None -> join
+  | Some cols ->
+      Plan.project
+        (List.mapi (fun i c -> (Expr.column c, Printf.sprintf "o%d" i)) cols)
+        join
+
 let prop_index_join_equals_hash_join =
   QCheck2.Test.make ~count:300
     ~name:"index nested-loop join = hash join = reference"
-    (Gen.pair gen_t1 gen_t2)
-    (fun (r1, r2) ->
+    (Gen.triple gen_t1 gen_t2 gen_join_shape)
+    (fun (r1, r2, shape) ->
       let cat = catalog_with r1 r2 in
       Catalog.create_index cat ~name:"i" ~table:"t2" ~columns:[ "k" ];
-      let p =
-        Plan.join
-          Expr.(column "a" ==^ column "k")
-          (Plan.table_scan ~table:"t1" ~alias:"t1" t1_schema)
-          (Plan.table_scan ~table:"t2" ~alias:"t2" t2_schema)
+      let p = shaped_join shape Expr.(column "a" ==^ column "k") in
+      let run use_indexes =
+        Executor.run
+          ~config:
+            (Compile.config_with ~use_indexes ~batch_size:shape.batch_size ())
+          cat p
       in
       let reference = Reference.run cat p in
-      let indexed =
-        Executor.run ~config:(Compile.config_with ~use_indexes:true ()) cat p
-      in
-      let hashed =
-        Executor.run ~config:(Compile.config_with ~use_indexes:false ()) cat p
-      in
-      Relation.equal_as_multiset reference indexed
-      && Relation.equal_as_multiset reference hashed)
+      Relation.equal_as_multiset reference (run true)
+      && Relation.equal_as_multiset reference (run false))
 
 let prop_nullsafe_join_matches_reference =
   QCheck2.Test.make ~count:300
     ~name:"null-safe equi-join = reference (NULL keys match)"
-    (Gen.pair gen_t1 gen_t2)
-    (fun (r1, r2) ->
+    (Gen.triple gen_t1 gen_t2 gen_join_shape)
+    (fun (r1, r2, shape) ->
       let cat = catalog_with r1 r2 in
       let p =
-        Plan.join
+        shaped_join shape
           (Expr.Binary (Expr.Nulleq, Expr.column "a", Expr.column "k"))
-          (Plan.table_scan ~table:"t1" ~alias:"t1" t1_schema)
-          (Plan.table_scan ~table:"t2" ~alias:"t2" t2_schema)
       in
       Relation.equal_as_multiset (Reference.run cat p)
-        (Executor.run cat p))
+        (Executor.run
+           ~config:(Compile.config_with ~batch_size:shape.batch_size ())
+           cat p))
 
 let prop_nulleq_semantics =
   QCheck2.Test.make ~count:500

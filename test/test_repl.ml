@@ -338,7 +338,9 @@ let test_repl_basic () =
           await_caught_up "streaming" pdb rep;
           check_digest_parity "after streaming" pdb rdb;
           Alcotest.(check int) "no loss, no duplicates" 8
-            (count rdb "select k from kv")))
+            (count rdb "select k from kv");
+          Alcotest.(check int) "a clean loopback stream tears no record" 0
+            (Metrics.get (Repl.replica_stats rep).Repl_stats.torn_detected)))
 
 let test_repl_restart_resume () =
   with_pair (fun ~pdir:_ ~rdir ~pdb ~rdb ~srv:_ ~port ->

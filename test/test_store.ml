@@ -438,6 +438,76 @@ let test_strict_is_durable_without_close () =
   Engine.close db2;
   Engine.close db
 
+(* What the durability modes cost the WAL, and what reopening replays:
+   the same acknowledged single-row INSERTs under off, lazy (default
+   group commit) and strict; then a directory reopened from its log and
+   from a snapshot. *)
+let test_durability_modes_traffic_and_replay () =
+  let n = 150 in
+  let ingest mode =
+    let db = Engine.create ~data_dir:(tmpdir ()) ~durability:mode () in
+    exec_ok db "create table ingest (a int, b varchar)";
+    for i = 1 to n do
+      exec_ok db
+        (Printf.sprintf "insert into ingest values (%d, 'row-%d')" i i)
+    done;
+    (* read before close: closing a lazy log fsyncs its pending tail *)
+    let s =
+      match Engine.wal_stats db with
+      | Some s -> s
+      | None -> Alcotest.fail "expected wal stats"
+    in
+    Engine.close db;
+    (s.Wal_stats.appends, s.Wal_stats.fsyncs)
+  in
+  let off_appends, off_fsyncs = ingest Store.Off in
+  let lazy_appends, lazy_fsyncs = ingest Store.Lazy in
+  let strict_appends, strict_fsyncs = ingest Store.Strict in
+  Alcotest.(check (pair int int)) "off: no appends, no fsyncs" (0, 0)
+    (off_appends, off_fsyncs);
+  Alcotest.(check bool)
+    (Printf.sprintf "strict: %d fsyncs >= %d commits" strict_fsyncs n)
+    true (strict_fsyncs >= n);
+  Alcotest.(check bool)
+    (Printf.sprintf "lazy: 0 < %d fsyncs < strict's %d" lazy_fsyncs
+       strict_fsyncs)
+    true
+    (0 < lazy_fsyncs && lazy_fsyncs < strict_fsyncs);
+  Alcotest.(check int) "lazy appends = strict appends" strict_appends
+    lazy_appends;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d appends > %d commits" strict_appends n)
+    true (strict_appends > n);
+  let reopen k ~checkpoint =
+    let dir = tmpdir () in
+    let db = Engine.create ~data_dir:dir ~durability:Store.Lazy () in
+    exec_ok db "create table r (a int, b varchar)";
+    for i = 1 to k do
+      exec_ok db (Printf.sprintf "insert into r values (%d, 'payload-%d')" i i)
+    done;
+    if checkpoint then ignore (Engine.checkpoint db);
+    Engine.close db;
+    let db = Engine.create ~data_dir:dir () in
+    let o =
+      match Engine.recovery_outcome db with
+      | Some o -> o
+      | None -> Alcotest.fail "expected a recovery outcome"
+    in
+    Engine.close db;
+    o
+  in
+  List.iter
+    (fun k ->
+      Alcotest.(check int)
+        (Printf.sprintf "WAL recovery replays all %d records" (k + 1))
+        (k + 1)
+        (reopen k ~checkpoint:false).Recovery.replayed)
+    [ 10; 100 ];
+  let o = reopen 100 ~checkpoint:true in
+  Alcotest.(check bool) "snapshot loaded" true o.Recovery.snapshot_loaded;
+  Alcotest.(check int) "snapshot recovery replays nothing" 0
+    o.Recovery.replayed
+
 let test_wal_dump_renders () =
   let dir = tmpdir () in
   let db = Engine.create ~data_dir:dir () in
@@ -575,6 +645,8 @@ let suite =
       test_lazy_group_commit_batches;
     Alcotest.test_case "engine: strict mode is durable without close" `Quick
       test_strict_is_durable_without_close;
+    Alcotest.test_case "engine: durability modes' WAL traffic and replay"
+      `Quick test_durability_modes_traffic_and_replay;
     Alcotest.test_case "wal-dump renders offsets and checksum status" `Quick
       test_wal_dump_renders;
     Alcotest.test_case "atomic INSERT: arity mismatch leaves no trace" `Quick

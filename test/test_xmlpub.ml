@@ -55,7 +55,12 @@ let prop_escape_matches_reference =
       Xml.escape_into buf s;
       Xml.escape s = want
       && Buffer.contents buf = "pre" ^ want
-      && (want <> s || Xml.escape s == s))
+      && (want <> s || Xml.escape s == s)
+      (* [to_string] sizes its output before writing it *)
+      && Xml.to_string (Xml.element "t" ~attrs:[ ("k", s) ] [ Xml.text s ])
+         = "<t k=\"" ^ want ^ "\">" ^ want ^ "</t>"
+      && Xml.to_string (Xml.element "t" ~attrs:[ ("k", s); ("j", s) ] [])
+         = "<t k=\"" ^ want ^ "\" j=\"" ^ want ^ "\"/>")
 
 let test_canonicalize_unordered () =
   let d1 = Xml.element "a" [ Xml.element "b" []; Xml.element "c" [] ] in
