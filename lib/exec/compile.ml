@@ -15,8 +15,9 @@
    EXISTS over the group; possibly kept or dropped whole by an EXISTS
    guard) runs as one loop per group that tests the guard, then
    filters, folds and projects the slice directly, running an Apply's
-   inner once per group; any other is compiled once and re-run per
-   group with the slice bound to the relation-valued variable.
+   inner once per group (under EXPLAIN ANALYZE, over counting copies
+   of its closures); any other is compiled once and re-run per group
+   with the slice bound to the relation-valued variable.
 
    Execution is vectorized: every operator is a cursor over [Batch.t]
    row arrays of up to [config.batch_size] rows and consumes its
@@ -595,6 +596,9 @@ and local_exists = {
   having_nodes : Obs.node option array;  (* like [having] *)
   negated : bool;
   exists_node : Obs.node option;
+  drain : int option;
+      (* [Some size] when counted: the probe's chain drains the
+         [size]-row batch of its first survivor, so [holds] reads it *)
 }
 
 let scan_branch node =
@@ -777,13 +781,22 @@ and pair a gov frames (v : Batch.t) =
       widened a gov !values
 
 (* Whether EXISTS [e] (or NOT EXISTS) holds for group [v]: some member
-   passes its probe's Selects — the scan stops there — or the folded row
-   passes its [having]. *)
+   passes its probe's Selects — the scan stops there, or at the end of
+   its batch when [e] drains — or the folded row passes its
+   [having]. *)
 and holds e gov frames (v : Batch.t) =
   let b = e.probe in
   let found =
     match b.aggs with
-    | None -> Option.is_some (first_row b frames v)
+    | None -> (
+        match (first_row b frames v, e.drain) with
+        | Some i, Some size ->
+            let stop = min v.Batch.len (((i / size) + 1) * size) in
+            for j = v.Batch.pos + i + 1 to v.Batch.pos + stop - 1 do
+              ignore (level b.preds frames v.Batch.rows.(j) 0)
+            done;
+            true
+        | first, _ -> Option.is_some first)
     | Some _ ->
         let hit = ref false in
         run_branch b gov frames Tuple.empty v (fun row ->
@@ -792,170 +805,126 @@ and holds e gov frames (v : Batch.t) =
   in
   found <> e.negated
 
-(* ---------- observing the loop ---------- *)
+(* ---------- counting the loop ---------- *)
 
-(* Per level of a branch's Selects (0 = its source's rows, k = past the
-   k-th Select), the rows that reach it and the batches they come in,
-   as the cursor chain counts them: each Select yields one batch per
-   input batch with a survivor.  [last] is each level's latest batch. *)
-type tally = { rows : int array; batches : int array; last : int array }
+(* One branch's counts as its cursor chain makes them, per level of its
+   Selects (0 = its source's rows, k = past the k-th Select): the rows
+   that reach it and their batches — a Select yields one batch per
+   input batch with a survivor.  [batch] numbers the batch of the row
+   being tested, never reusing a number, and [fill] counts its rows;
+   [groups] counts the groups with a source row, [group] is the last
+   one's number (the copy's [ran]). *)
+type meter = {
+  rows : int array;
+  batches : int array;
+  last : int array;  (* each level's latest batch *)
+  mutable batch : int;
+  mutable fill : int;
+  mutable groups : int;
+  mutable group : int;
+}
 
-let tally n =
-  { rows = Array.make n 0; batches = Array.make n 0; last = Array.make n (-1) }
+let meter n =
+  let a () = Array.make n 0 in
+  { rows = a (); batches = a (); last = a (); batch = 0; fill = 0;
+    groups = 0; group = 0 }
 
-(* Count one row of source batch [batch] that passes [depth] Selects. *)
-let count t ~batch depth =
-  for k = 0 to depth do
-    t.rows.(k) <- t.rows.(k) + 1;
-    if t.last.(k) <> batch then begin
-      t.last.(k) <- batch;
-      t.batches.(k) <- t.batches.(k) + 1
-    end
-  done
+let tick m k =
+  Array.unsafe_set m.rows k (Array.unsafe_get m.rows k + 1);
+  if Array.unsafe_get m.last k <> m.batch then begin
+    Array.unsafe_set m.last k m.batch;
+    Array.unsafe_set m.batches k (Array.unsafe_get m.batches k + 1)
+  end
 
-(* Record the counts of [b]'s Selects from [t]. *)
-let record_selects ~record b t =
-  Array.iteri
-    (fun k n -> record n (t.rows.(k + 1), t.batches.(k + 1)))
-    b.select_nodes
+(* A counting copy of a group-local PGQ, used by one domain: per
+   operator its Obs node, (invocations, rows, batches) and time; the
+   groups it [ran]; the batches the guarded Apply [packed] its rows
+   into; the time of the guard ([ns.(0)]) and of each branch. *)
+type counting = {
+  mutable readers :
+    (Obs.node * (unit -> int * int * int) * (unit -> int)) list;
+  mutable ran : int;
+  mutable packed : int;
+  ns : int array;
+}
 
-(* The observed [run_branch]: one pass that pushes the same rows in the
-   same order — each with the batch of the branch's output it leaves in
-   — and counts what the branch's cursor chain would: the source and
-   each Select from the rows' batches (a Group_scan yields [size]-row
-   chunks of the slice, an Apply packs its output into [size]-row
-   batches, a Distinct keeps its input's batches), an Aggregate one row,
-   a Project what it reads.  [record node (rows, batches)] takes every operator's counts;
-   returns the branch's. *)
-let rec observe_branch ~size ~record b gov frames key (v : Batch.t) push =
-  let np = Array.length b.preds in
-  let t = tally (np + 1) in
-  let fold = Option.map (fun specs -> (specs, agg_states specs)) b.aggs in
-  let governed = Option.is_some gov and bytes = ref 0 in
-  let source_node =
-    observe_rows ~size ~record b gov frames v (fun ~batch row ->
-        let depth = level b.preds frames row 0 in
-        count t ~batch depth;
-        if depth = np then
-          match fold with
-          | None -> push ~batch (branch_row b key frames row)
-          | Some (specs, states) ->
-              agg_add specs states frames row;
-              if governed then bytes := !bytes + Governor.tuple_bytes row)
+(* Add the time since [t0] to [c.ns.(i)]; returns the time now. *)
+let lap c i t0 =
+  let now = Metrics.now_ns () in
+  c.ns.(i) <- c.ns.(i) + (now - t0);
+  now
+
+let register c ~time node read =
+  Option.iter (fun n -> c.readers <- (n, read, time) :: c.readers) node
+
+(* [b] with counting Selects after a counting test that every row
+   passes, over a fresh meter [m], and a reader in [c] timed by [time]
+   for each operator.  Returns it, the meter [unit] of the group scan
+   under its source (whose [groups] count the branch's invocations:
+   each reads the group's first member first) and its output reader. *)
+let rec counted ~size c ~time b =
+  let m = meter (Array.length b.preds + 1) in
+  (* a group scan yields [size]-row chunks of the slice; an Apply packs
+     its output into [size]-row batches *)
+  let ordinal _ _ =
+    if m.group <> c.ran || m.fill = size then begin
+      if m.group <> c.ran then m.groups <- m.groups + 1;
+      m.group <- c.ran;
+      m.batch <- m.batch + 1;
+      m.fill <- 0
+    end;
+    m.fill <- m.fill + 1;
+    tick m 0;
+    true
   in
-  record source_node (t.rows.(0), t.batches.(0));
-  record_selects ~record b t;
-  let out =
-    match fold with
-    | None -> (t.rows.(np), t.batches.(np))
-    | Some (_, states) ->
-        Governor.charge gov ~op:"aggregate.input" !bytes;
-        record b.agg_node (1, 1);
-        push ~batch:0
-          (branch_row b key frames (Array.map Agg_state.finish states));
-        (1, 1)
-  in
-  record b.project_node out;
-  out
-
-(* [f ~batch row] on every row of [b]'s source over [v], in order, with
-   the source's output batch it is in; records the counts of the
-   operators below the source and returns the source's own node. *)
-and observe_rows ~size ~record b gov frames (v : Batch.t) f =
-  match b.source with
-  | Scan node ->
-      for i = 0 to v.Batch.len - 1 do
-        f ~batch:(i / size) (Array.unsafe_get v.Batch.rows (v.Batch.pos + i))
-      done;
-      node
-  | Distinct d ->
-      let seen = seen_set gov in
-      ignore
-        (observe_branch ~size ~record d.projected gov frames Tuple.empty v
-           (fun ~batch row -> if first_seen seen row then f ~batch row));
-      d.distinct_node
-  | Apply a ->
-      (* the outer branch is Selects over the members, counted here;
-         each member passing them is paired as in [each_row] *)
-      let ob = a.outer in
-      let nop = Array.length ob.preds in
-      let t = tally (nop + 1) in
-      let pairing = ref None and k = ref 0 in
-      for i = 0 to v.Batch.len - 1 do
-        let row = Array.unsafe_get v.Batch.rows (v.Batch.pos + i) in
-        let depth = level ob.preds frames row 0 in
-        count t ~batch:(i / size) depth;
-        if depth = nop then begin
-          let p =
-            match !pairing with
-            | Some p -> p
-            | None ->
-                let p = observe_pair ~size ~record a gov frames v in
-                pairing := Some p;
-                p
-          in
-          match p with
-          | Nothing -> ()
-          | Unchanged ->
-              f ~batch:(!k / size) row;
-              incr k
-          | Widened scratch ->
-              Array.blit row 0 scratch 0 a.width;
-              f ~batch:(!k / size) scratch;
-              incr k
-        end
-      done;
-      (match ob.source with
-      | Scan node -> record node (t.rows.(0), t.batches.(0))
-      | Distinct _ | Apply _ -> ());
-      record_selects ~record ob t;
-      a.apply_node
-
-and observe_pair ~size ~record a gov frames v =
-  match a.inner with
-  | Test e ->
-      if observe_holds ~size ~record e gov frames v then Unchanged else Nothing
-  | Values inner ->
-      let values = ref Tuple.empty in
-      ignore
-        (observe_branch ~size ~record inner gov frames Tuple.empty v
-           (fun ~batch:_ row -> values := row));
-      widened a gov !values
-
-(* The observed [holds]: an Exists yields one row when it holds.  Its
-   probe without an Aggregate stops after the batch of the first member
-   that passes, as the probing cursor does: [first_row] finds that
-   member, then the batches up to it are counted.  A Select over an
-   Aggregate yields the folded row if it passes. *)
-and observe_holds ~size ~record e gov frames (v : Batch.t) =
-  let b = e.probe in
-  let found =
-    match b.aggs with
-    | None ->
-        let first = first_row b frames v in
-        let len =
-          match first with
-          | Some i -> min v.Batch.len (((i / size) + 1) * size)
-          | None -> v.Batch.len
+  let source, level0, unit, node =
+    match b.source with
+    | Scan node -> (b.source, ordinal, m, node)
+    | Distinct d ->
+        (* a Distinct keeps its input's batches *)
+        let projected, unit, _ = counted ~size c ~time d.projected in
+        let keeps _ _ = m.batch <- unit.batch; tick m 0; true in
+        (Distinct { d with projected }, keeps, unit, d.distinct_node)
+    | Apply a ->
+        let outer, unit, _ = counted ~size c ~time a.outer in
+        let inner =
+          match a.inner with
+          | Values i -> Values (match counted ~size c ~time i with i, _, _ -> i)
+          | Test e ->
+              (* the Apply yields rows in the groups its Exists holds for *)
+              let hits () = m.groups in
+              Test (counted_exists ~size c ~time ~hits e)
         in
-        ignore
-          (observe_branch ~size ~record b gov frames Tuple.empty
-             { v with Batch.len } (fun ~batch:_ _ -> ()));
-        Option.is_some first
-    | Some _ ->
-        let folded = ref Tuple.empty in
-        ignore
-          (observe_branch ~size ~record b gov frames Tuple.empty v
-             (fun ~batch:_ row -> folded := row));
-        let depth = level e.having frames !folded 0 in
-        Array.iteri
-          (fun k n -> record n (if k < depth then (1, 1) else (0, 0)))
-          e.having_nodes;
-        depth = Array.length e.having
+        (Apply { a with outer; inner }, ordinal, unit, a.apply_node)
   in
-  let n = if found <> e.negated then 1 else 0 in
-  record e.exists_node (n, n);
-  n = 1
+  let at k () = (unit.groups, m.rows.(k), m.batches.(k)) in
+  (* an Aggregate, and a Project over it, yield a row per invocation *)
+  let once () = (unit.groups, unit.groups, unit.groups) in
+  let out = if Option.is_some b.aggs then once else at (Array.length b.preds) in
+  let add = register c ~time in
+  add node (at 0);
+  Array.iteri (fun k node -> add node (at (k + 1))) b.select_nodes;
+  add b.agg_node out;
+  add b.project_node out;
+  let select k test =
+    let k = k + 1 in
+    fun frames row -> test frames row && (tick m k; true)
+  in
+  let preds = Array.append [| level0 |] (Array.mapi select b.preds) in
+  ({ b with source; preds }, unit, out)
+
+(* Exists [e] counted in [c], yielding a row in [hits ()] groups. *)
+and counted_exists ~size c ~time ~hits e =
+  let probe, unit, _ = counted ~size c ~time e.probe in
+  let passed = Array.make (Array.length e.having) 0 in
+  let add = register c ~time in
+  let at k () = (unit.groups, passed.(k), passed.(k)) in
+  Array.iteri (fun k node -> add node (at k)) e.having_nodes;
+  add e.exists_node (fun () -> (unit.groups, hits (), hits ()));
+  let having k test frames row =
+    test frames row && (passed.(k) <- passed.(k) + 1; true)
+  in
+  { e with probe; having = Array.mapi having e.having; drain = Some size }
 
 (* ---------- compiling the loop ---------- *)
 
@@ -1033,16 +1002,17 @@ and compile_exists ~config ~outer p =
   match p with
   | Plan.Exists { input; negated } ->
       let probe, _, having, having_nodes = compile_probe input in
-      { probe; having; having_nodes; negated; exists_node }
+      { probe; having; having_nodes; negated; exists_node; drain = None }
   | _ -> invalid_arg "Compile.compile_exists: not an Exists"
 
 (* Compile a group-local PGQ (its shape [l] from [local_branches]) into
-   [run gov frames key view push], which runs one group through every
-   branch in turn — once its guard holds, when it has one.  With a
-   metrics sink it registers the Obs nodes that compiling the PGQ's
-   cursor chain would, in the same tree, and records on them per group
-   what that chain would count ([observe_branch]), in the same pass
-   that produces the rows. *)
+   [run gov frames groups key view push], which runs one of a GApply
+   execution's [groups] groups through every branch in turn — once its
+   guard holds, when it has one.  With a metrics sink it registers the
+   Obs nodes that the PGQ's cursor chain would and counts what they
+   count on copies of the branches ([counted]), recorded once per
+   execution, so a GApply abandoned before its last group (under an
+   EXISTS) records nothing for its PGQ. *)
 let compile_local ~config ~outer pgq (l : local_pgq) =
   let compile_all () =
     Array.of_list
@@ -1054,76 +1024,105 @@ let compile_local ~config ~outer pgq (l : local_pgq) =
       let run gov frames key v push =
         Array.iter (fun b -> run_branch b gov frames key v push) branches
       in
-      match l.guard with
-      | None -> run
-      | Some guard ->
-          let e = compile_exists ~config ~outer guard in
-          fun gov frames key v push ->
-            if holds e gov frames v then run gov frames key v push)
-  | Some sink -> (
-      let size = config.batch_size in
-      (* [f record], with the counts it records timed as its whole run *)
-      let timed f =
-        let pending = ref [] in
-        let t0 = Metrics.now_ns () in
-        let r =
-          f (fun node counts ->
-              Option.iter (fun n -> pending := (n, counts) :: !pending) node)
-        in
-        let time_ns = Metrics.now_ns () - t0 in
-        List.iter
-          (fun (n, (rows, batches)) -> Obs.record sink n ~rows ~batches ~time_ns)
-          (List.rev !pending);
-        (r, time_ns)
+      let run =
+        match l.guard with
+        | None -> run
+        | Some guard ->
+            let e = compile_exists ~config ~outer guard in
+            fun gov frames key v push ->
+              if holds e gov frames v then run gov frames key v push
       in
-      let compile_body () =
+      fun gov frames _groups -> run gov frames)
+  | Some sink ->
+      let size = config.batch_size in
+      let body () =
         match l.body with
         | Plan.Union_all _ ->
-            Obs.enter sink ~op:(Plan.op_name l.body) (fun n ->
-                (Some n, compile_all ()))
+            observed config l.body (fun n -> (n, compile_all ()))
         | _ -> (None, compile_all ())
       in
-      (* one group through the body; returns its rows and time *)
-      let run_body (union, branches) gov frames key v push =
-        let rows = ref 0 and batches = ref 0 and time = ref 0 in
-        Array.iter
-          (fun b ->
-            let (r, n), time_ns =
-              timed (fun record ->
-                  observe_branch ~size ~record b gov frames key v
-                    (fun ~batch:_ row -> push row))
-            in
-            rows := !rows + r;
-            batches := !batches + n;
-            time := !time + time_ns)
-          branches;
-        Option.iter
-          (fun n ->
-            Obs.record sink n ~rows:!rows ~batches:!batches ~time_ns:!time)
-          union;
-        (!rows, !time)
+      let apply_node, guard, (union_node, branches) =
+        match l.guard with
+        | None -> (None, None, body ())
+        | Some g ->
+            observed config pgq (fun n ->
+                let e = compile_exists ~config ~outer g in
+                (n, Some e, body ()))
       in
-      match l.guard with
-      | None ->
-          let body = compile_body () in
-          fun gov frames key v push ->
-            ignore (run_body body gov frames key v push)
-      | Some guard ->
-          (* the Apply yields the body's rows, packed into [size]-row
-             batches, when its Exists outer yields a row *)
-          Obs.enter sink ~op:(Plan.op_name pgq) @@ fun apply_node ->
-          let e = compile_exists ~config ~outer guard in
-          let body = compile_body () in
-          fun gov frames key v push ->
-            let passes, guard_ns =
-              timed (fun record -> observe_holds ~size ~record e gov frames v)
-            in
-            let rows, body_ns =
-              if passes then run_body body gov frames key v push else (0, 0)
-            in
-            Obs.record sink apply_node ~rows
-              ~batches:((rows + size - 1) / size)
-              ~time_ns:(guard_ns + body_ns))
+      let copy () =
+        let ns = Array.make (Array.length branches + 1) 0 in
+        let c = { readers = []; ran = 0; packed = 0; ns } in
+        let time i () = c.ns.(i) and all_ns () = Array.fold_left ( + ) 0 c.ns in
+        let count i b = counted ~size c ~time:(time (i + 1)) b in
+        let counted = Array.mapi count branches in
+        (* the body ran in the groups whose guard held *)
+        let held () = match counted.(0) with _, unit, _ -> unit.groups in
+        let guard =
+          Option.map (counted_exists ~size c ~time:(time 0) ~hits:held) guard
+        in
+        let sum (_, r, b) (_, _, out) =
+          match out () with _, r', b' -> (held (), r + r', b + b')
+        in
+        let body () = Array.fold_left sum (held (), 0, 0) counted in
+        register c ~time:(fun () -> all_ns () - c.ns.(0)) union_node body;
+        (* the guarded Apply packs the body's rows into [size]-row batches *)
+        register c ~time:all_ns apply_node (fun () ->
+            match body () with _, rows, _ -> (c.ran, rows, c.packed));
+        (c, Array.map (fun (b, _, _) -> b) counted, guard)
+      in
+      let run (c, branches, guard) gov frames key v push =
+        c.ran <- c.ran + 1;
+        let t = ref (Metrics.now_ns ()) in
+        let passes =
+          match guard with
+          | None -> true
+          | Some e ->
+              let h = holds e gov frames v in
+              t := lap c 0 !t;
+              h
+        in
+        if passes then begin
+          let pushed = ref 0 in
+          let push =
+            if Option.is_none guard then push
+            else fun row -> incr pushed; push row
+          in
+          for i = 0 to Array.length branches - 1 do
+            run_branch branches.(i) gov frames key v push;
+            t := lap c (i + 1) !t
+          done;
+          c.packed <- c.packed + ((!pushed + size - 1) / size)
+        end
+      in
+      let flush (c, _, _) =
+        List.iter
+          (fun (node, read, time) ->
+            let invocations, rows, batches = read () in
+            if invocations > 0 then
+              Obs.record sink node ~invocations ~rows ~batches
+                ~time_ns:(time ()))
+          c.readers
+      in
+      fun gov frames groups ->
+        (* one copy per domain (its id keys it), all recorded after the
+           last group; with a trace hook, one per group, recorded after
+           it *)
+        let copies = Atomic.make [] and left = Atomic.make groups in
+        let rec mine d =
+          let l = Atomic.get copies in
+          match List.assq d l with
+          | c -> c
+          | exception Not_found ->
+              ignore (Atomic.compare_and_set copies l ((d, copy ()) :: l));
+              mine d
+        in
+        let traced = Obs.traced sink in
+        fun key v push ->
+          let c = if traced then copy () else mine (Domain.self () :> int) in
+          run c gov frames key v push;
+          if traced then flush c
+          else if Atomic.fetch_and_add left (-1) = 1 then
+            List.iter (fun (_, c) -> flush c) (Atomic.get copies)
 
 (* ---------- the compiler ---------- *)
 
@@ -1459,7 +1458,7 @@ and compile ~config ~(outer : Schema.t list) ?cols (p : Plan.t) :
               in
               match exec with
               | `Loop run ->
-                  let run = run gov env.Env.frames in
+                  let run = run gov env.Env.frames (group_count gs) in
                   run_groups (fun g push -> run gs.keys.(g) (view g) push)
               | `Chain cp -> (
                   let run_group g =

@@ -97,8 +97,8 @@ let instrument_batch t node ~len (pull : unit -> 'a option) : unit -> 'a option
     | None -> emit t node Close);
     r
 
-let record t node ~rows ~batches ~time_ns =
-  Metrics.incr node.invocations;
+let record t node ~invocations ~rows ~batches ~time_ns =
+  Metrics.add node.invocations invocations;
   Metrics.add node.rows rows;
   Metrics.add node.batches batches;
   Metrics.add_span node.time time_ns;
@@ -106,11 +106,17 @@ let record t node ~rows ~batches ~time_ns =
   match t.hook with
   | None -> ()
   | Some _ ->
-      emit t node Open;
+      for _ = 1 to invocations do
+        emit t node Open
+      done;
       for _ = 1 to rows do
         emit t node Next
       done;
-      emit t node Close
+      for _ = 1 to invocations do
+        emit t node Close
+      done
+
+let traced t = Option.is_some t.hook
 
 let add_partitions node n = Metrics.add node.partitions n
 

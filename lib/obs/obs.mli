@@ -62,13 +62,20 @@ val instrument_batch :
     yields [len batch] rows, counted into [rows], with [batches]
     counting the pulls.  Trace hooks still receive one [Next] per row. *)
 
-val record : t -> node -> rows:int -> batches:int -> time_ns:int -> unit
-(** Record one invocation evaluated outside a cursor (a group-local
-    per-group query node run inside its GApply's loop): the same
-    invocation, row and batch counts and [Open]/[Next]/[Close] events
-    that {!instrument_batch} records for a cursor yielding [rows] rows
-    in [batches] pulls, with [time_ns] as both its time and, when it
-    yields a row, its time to first tuple. *)
+val record :
+  t -> node -> invocations:int -> rows:int -> batches:int -> time_ns:int ->
+  unit
+(** Record [invocations] evaluated outside a cursor (a group-local
+    per-group query node run inside its GApply's loop), which together
+    yielded [rows] rows in [batches] pulls and took [time_ns]: the
+    counts {!instrument_batch} records for as many cursors, with
+    [time_ns] also added as time to first tuple when [rows > 0].  A
+    hook receives the events at this call: [invocations] [Open]s, one
+    [Next] per row, then [invocations] [Close]s.  The loop records once
+    per GApply execution, or once per group when {!traced}. *)
+
+val traced : t -> bool
+(** Whether a trace hook is installed. *)
 
 val add_partitions : node -> int -> unit
 (** Record groups formed by a partition phase (GApply / Group_by). *)

@@ -9,7 +9,8 @@
    invisible: on random such PGQs it returns the reference evaluator's
    rows (as multisets) and exactly the rows, in exactly the order, and
    the EXPLAIN ANALYZE counts of the same PGQ forced through the cursor
-   chain (wrapped in an Alias, which the shape test rejects) — at every
+   chain (wrapped in an Alias, which the shape test rejects), and the
+   same rows again when it counts them for EXPLAIN ANALYZE — at every
    batch size, parallelism, partitioning and clustering.  The governor
    still reaches it: a cancellation or a deadline that trips while the
    loop runs aborts at the next group with a typed error.  The
@@ -226,12 +227,12 @@ let run ?observe st env plan =
          ~parallelism:st.parallelism ~partition:st.partition ?observe ())
     env plan
 
-(* the metric tree of an observed run *)
+(* the rows and metric tree of an observed run *)
 let analyze st env plan =
   let sink = Obs.make () in
-  ignore (run ~observe:sink st env plan);
+  let rows = run ~observe:sink st env plan in
   match Obs.snapshot sink with
-  | Some stat -> stat
+  | Some stat -> (rows, stat)
   | None -> Alcotest.fail "no metric tree"
 
 (* Every counter EXPLAIN ANALYZE prints but time, node for node. *)
@@ -264,7 +265,7 @@ let same_rows a b =
        a b
 
 let prop_loop_matches_reference_and_chain =
-  QCheck2.Test.make ~count:500
+  QCheck2.Test.make ~count:500 ~long_factor:10
     ~name:
       "group-local loop = Reference (multiset) = cursor chain (in order, \
        same EXPLAIN ANALYZE counts), sizes 1/7/128, parallelism 1/2/4, \
@@ -281,11 +282,14 @@ let prop_loop_matches_reference_and_chain =
       let loop = gapply ~cluster:st.cluster ~gcols pgq
       and chain = gapply ~cluster:st.cluster ~gcols chained in
       let rows = run st env loop in
+      let observed_rows, observed = analyze st env loop in
       Relation.equal_as_multiset
         (Reference.eval env (gapply ~cluster:false ~gcols pgq))
         rows
       && same_rows rows (run st env chain)
-      && same_analyze (analyze st env loop) (analyze st env chain))
+      (* counting the loop changes none of its rows *)
+      && same_rows rows observed_rows
+      && same_analyze observed (snd (analyze st env chain)))
 
 (* ---------- shape test ---------- *)
 
@@ -400,7 +404,8 @@ let governed_pgqs =
 
 (* Run [pgq] over 40 rows in 8 groups under [gov]; [on_first_group]
    fires from the trace hook when the loop records its first group (on
-   the PGQ's group scan). *)
+   the PGQ's group scan): with a hook installed, the loop records each
+   group as soon as it ran. *)
 let trip_inside_loop ~gov ~on_first_group pgq =
   let rel =
     Relation.make src_schema

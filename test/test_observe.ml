@@ -357,6 +357,47 @@ let q4_analyze_golden =
    batches=178 time=_ first=_)\n\
    == actual rows: 155  estimated: 195 ==\n"
 
+let q3_analyze_golden =
+  "== explain analyze ==\n\
+   gapply[ps_suppkey : $tmpsupp]  (est rows=267) (rows=800 \
+   loops=1 groups=5 batches=7 time=_ first=_)\n\
+  \  project[partsupp.ps_suppkey as ps_suppkey, part.p_name as \
+   p_name, part.p_retailprice as p_retailprice]  (est rows=400) \
+   (rows=400 loops=1 batches=4 time=_ first=_)\n\
+  \    join(fk->)[(partsupp.ps_partkey = part.p_partkey)]  (est \
+   rows=400) (rows=400 loops=1 batches=4 time=_ first=_)\n\
+  \      scan(partsupp)  (est rows=400) (rows=400 loops=1 \
+   batches=4 time=_ first=_)\n\
+  \      scan(part)  (est rows=100) (rows=100 loops=1 batches=1 \
+   time=_ first=_)\n\
+  \  union all  (est rows=53) (rows=800 loops=5 batches=10 \
+   time=_ first=_)\n\
+  \    project[p_name, p_retailprice, 'high' as price_band]  \
+   (est rows=27) (rows=400 loops=5 batches=5 time=_ first=_)\n\
+  \      select[(p_retailprice >= (0.8 * __sq_))]  (est rows=27) \
+   (rows=400 loops=5 batches=5 time=_ first=_)\n\
+  \        apply  (est rows=80) (rows=400 loops=5 batches=5 \
+   time=_ first=_)\n\
+  \          group_scan($tmpsupp)  (est rows=80) (rows=400 \
+   loops=5 batches=5 time=_ first=_)\n\
+  \          aggregate[max(p_retailprice) as __sq_]  (est \
+   rows=1) (rows=5 loops=5 batches=5 time=_ first=_)\n\
+  \            group_scan($tmpsupp)  (est rows=80) (rows=400 \
+   loops=5 batches=5 time=_ first=_)\n\
+  \    project[p_name, p_retailprice, 'low' as col3]  (est \
+   rows=27) (rows=400 loops=5 batches=5 time=_ first=_)\n\
+  \      select[(p_retailprice <= (1.25 * __sq_))]  (est \
+   rows=27) (rows=400 loops=5 batches=5 time=_ first=_)\n\
+  \        apply  (est rows=80) (rows=400 loops=5 batches=5 \
+   time=_ first=_)\n\
+  \          group_scan($tmpsupp)  (est rows=80) (rows=400 \
+   loops=5 batches=5 time=_ first=_)\n\
+  \          aggregate[min(p_retailprice) as __sq_]  (est \
+   rows=1) (rows=5 loops=5 batches=5 time=_ first=_)\n\
+  \            group_scan($tmpsupp)  (est rows=80) (rows=400 \
+   loops=5 batches=5 time=_ first=_)\n\
+   == actual rows: 800  estimated: 267 ==\n"
+
 (* Q2 and Q4 compare each member with a scalar subquery over its group:
    their PGQs run as the group-local loop, and every operator line —
    the Apply, its inner Aggregate and both group scans included — still
@@ -378,6 +419,19 @@ let test_q2_q4_analyze_golden () =
       ("Q2", Workloads.q2_gapply, q2_analyze_golden);
       ("Q4", Workloads.q4_gapply, q4_analyze_golden);
     ]
+
+(* Q3: two Apply branches under the union and no Aggregate above them,
+   so every line below the union counts the members themselves *)
+let test_q3_analyze_golden () =
+  let db = tpch_db () in
+  let src = Workloads.q3_gapply () in
+  Alcotest.(check bool) "Q3's PGQ is group-local" true
+    (match Engine.effective_plan db src with
+    | Plan.G_apply { var; pgq; _ } -> Compile.group_local ~var pgq
+    | _ -> false);
+  Alcotest.(check string) "EXPLAIN ANALYZE Q3 text (timings normalized)"
+    (q3_analyze_golden ^ q1_analyze_dict_footer)
+    (normalize (explanation db ("explain analyze " ^ src)))
 
 (* batch counters ride the EXPLAIN ANALYZE operator lines *)
 let test_batches_reported () =
@@ -650,6 +704,8 @@ let suite =
       test_q1_analyze_golden;
     Alcotest.test_case "golden: EXPLAIN ANALYZE Q2 and Q4 (normalized)" `Quick
       test_q2_q4_analyze_golden;
+    Alcotest.test_case "golden: EXPLAIN ANALYZE Q3 (normalized)" `Quick
+      test_q3_analyze_golden;
     Alcotest.test_case "batches reported iff vectorized" `Quick
       test_batches_reported;
     Alcotest.test_case "EXPLAIN deterministic on Q2-Q4" `Quick
