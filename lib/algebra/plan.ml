@@ -93,9 +93,9 @@ let g_apply ~gcols ~var ~outer ~pgq =
 (** Like {!g_apply} with the Section 3.1 clustering guarantee: groups
     come out in key order.  The SQL binder uses it for gapply-syntax
     queries.  The publishing plans ([Publish.gapply_plan],
-    [Deep_publish.gapply_plan]) rely on it too: each of their GApply
-    branches then reaches the final ORDER BY already sorted, and the
-    sort only merges runs. *)
+    [Deep_publish.gapply_plan]) rely on it too: its order property
+    ([Props.order_of]) lets their final ORDER BY stream each GApply
+    branch, checking each group's run and merging the branches. *)
 let g_apply_clustered ~gcols ~var ~outer ~pgq =
   G_apply { gcols; var; outer; pgq; cluster = true }
 

@@ -87,6 +87,52 @@ let rec schema_of ?(outer : Schema.t list = []) (plan : Plan.t) : Schema.t =
       Schema.of_list
         (key_cols @ Schema.to_list (schema_of ~outer pgq))
 
+(* The position of column [r] in [schema], if it resolves. *)
+let column_at schema (r : Expr.col_ref) =
+  match Schema.find_all ?qual:r.Expr.qual r.Expr.name schema with
+  | [ i ] -> Some i
+  | _ -> None
+
+(** The output columns, by position, that [plan]'s rows are known to
+    ascend on, most significant first: lexicographically under
+    [Value.compare_total], ties in any order.  An [Order_by] knows the
+    bare-column keys it leads with in ascending order; a clustered
+    [G_apply] its grouping columns, which lead its output in key order
+    (Section 3.1).  [Select] and [Alias] keep the order, and a [Project]
+    the leading part of it that it keeps as bare columns (renames
+    included).  Every other operator knows none: [[]]. *)
+let rec order_of ?(outer : Schema.t list = []) (plan : Plan.t) : int list =
+  match plan with
+  | Plan.Order_by { keys; input } ->
+      let schema = schema_of ~outer input in
+      let rec lead = function
+        | (Expr.Col r, Plan.Asc) :: rest -> (
+            match column_at schema r with Some i -> i :: lead rest | None -> [])
+        | _ -> []
+      in
+      lead keys
+  | Plan.G_apply { gcols; cluster = true; _ } ->
+      List.init (List.length gcols) Fun.id
+  | Plan.Select { input; _ } | Plan.Alias { input; _ } -> order_of ~outer input
+  | Plan.Project { items; input } ->
+      let schema = schema_of ~outer input in
+      (* the output position of the first item that keeps input column
+         [i] as a bare column *)
+      let kept i =
+        List.find_index
+          (function
+            | Expr.Col r, _ -> column_at schema r = Some i
+            | _ -> false)
+          items
+      in
+      let rec lead = function
+        | i :: rest -> (
+            match kept i with Some j -> j :: lead rest | None -> [])
+        | [] -> []
+      in
+      lead (order_of ~outer input)
+  | _ -> []
+
 (** Output column names, in order. *)
 let output_columns ?outer plan = Schema.names (schema_of ?outer plan)
 

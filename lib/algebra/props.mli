@@ -10,6 +10,16 @@ val schema_of : ?outer:Schema.t list -> Plan.t -> Schema.t
 
 val output_columns : ?outer:Schema.t list -> Plan.t -> string list
 
+val order_of : ?outer:Schema.t list -> Plan.t -> int list
+(** The order property: the output columns, by position, that the
+    plan's rows ascend on, most significant first (lexicographically
+    under [Value.compare_total]; ties in any order).  Produced by an
+    [Order_by]'s leading ascending bare-column keys and by a clustered
+    [G_apply]'s grouping columns (which lead its output); kept by
+    [Select], [Alias] and the bare-column items of a [Project]
+    (renames included); [[]] for every other operator.
+    @raise Errors.Name_error on unresolvable names. *)
+
 val group_var_schema : ?outer:Schema.t list -> Plan.t -> Schema.t
 (** The schema a [Group_scan] for the given GApply should carry (= the
     schema of its outer input).

@@ -1309,53 +1309,72 @@ and compile ~config ~(outer : Schema.t list) ?cols (p : Plan.t) :
       in
       (schema, fun env -> Batch.filter (make_pred env) (c.brun env))
   | Plan.Order_by { keys; input } ->
-      let c = plan ~config ~outer input in
+      let orders, branches = order_inputs ~config ~outer input in
       (* a bare-column key is compared in place; any other key is
          evaluated once per row into a trailing column of a widened row,
          which the same comparator sorts and the output drops *)
-      let arity = Schema.arity c.schema in
+      let arity = Schema.arity schema in
       let exprs =
         List.filter_map
           (function
-            | Expr.Col _, _ -> None | e, _ -> Some (Eval.compile c.schema e))
+            | Expr.Col _, _ -> None | e, _ -> Some (Eval.compile schema e))
           keys
       in
       let next = ref arity in
       let idx = function
-        | Expr.Col r, _ -> Schema.find ?qual:r.Expr.qual r.Expr.name c.schema
+        | Expr.Col r, _ -> Schema.find ?qual:r.Expr.qual r.Expr.name schema
         | _ -> incr next; !next - 1
       in
-      let cmp =
-        compare_on
-          (Array.of_list (List.map idx keys))
-          (Array.of_list (List.map (fun (_, dir) -> dir = Plan.Desc) keys))
+      let idxs = Array.of_list (List.map idx keys) in
+      let desc = Array.of_list (List.map (fun (_, dir) -> dir = Plan.Desc) keys) in
+      let cmp = compare_on idxs desc and diff = Order_merge.diff_on idxs desc in
+      (* per branch, how many leading keys its order property covers *)
+      let prefix order =
+        let rec go k = function
+          | i :: rest when k < Array.length idxs && idxs.(k) = i && not desc.(k)
+            ->
+              go (k + 1) rest
+          | _ -> k
+        in
+        go 0 order
       in
+      let prefixes = Array.of_list (List.map prefix orders) in
       ( schema,
         fun env ->
           Batch.deferred (fun () ->
               let gov = env.Env.governor in
-              let rows =
-                Batch.to_array
-                  ?account:(Governor.batch_accountant gov ~op:"orderby.input")
-                  (c.brun env)
-              in
-              Governor.charge gov ~op:"orderby.sort"
-                (Array.length rows * Governor.sort_partition_overhead_per_row);
+              let account = Governor.batch_accountant gov ~op:"orderby.input" in
               let pool = Domain_pool.for_parallelism config.parallelism in
+              let widen =
+                match exprs with
+                | [] -> Fun.id
+                | _ ->
+                    let frames = env.Env.frames in
+                    Batch.map (fun row ->
+                        Array.append row
+                          (Array.of_list (List.map (fun ce -> ce frames row) exprs)))
+              in
+              (* sort a copy of rows, already charged as materialized *)
+              let sort rows =
+                Governor.charge gov ~op:"orderby.sort"
+                  (Array.length rows * Governor.sort_partition_overhead_per_row);
+                sort_rows ?pool cmp rows;
+                Batch.of_array ~size rows
+              in
+              (* a branch with no covered key is materialized and sorted
+                 whole; any other streams through its segments *)
+              let sorted p bc =
+                if p = 0 then sort (Batch.to_array ?account bc)
+                else Order_merge.segments ~size ~p ~diff ~sort ?account bc
+              in
+              let merged =
+                Order_merge.merge ~cmp
+                  (Array.map2 (fun p bc -> sorted p (widen bc)) prefixes
+                     (branches env))
+              in
               match exprs with
-              | [] ->
-                  sort_rows ?pool cmp rows;
-                  Batch.of_array ~size rows
-              | _ ->
-                  let frames = env.Env.frames in
-                  let widen row =
-                    Array.append row
-                      (Array.of_list (List.map (fun ce -> ce frames row) exprs))
-                  in
-                  let wide = Array.map widen rows in
-                  sort_rows ?pool cmp wide;
-                  Batch.of_array ~size
-                    (Array.map (fun row -> Array.sub row 0 arity) wide)) )
+              | [] -> merged
+              | _ -> Batch.map (fun row -> Array.sub row 0 arity) merged) )
   | Plan.Union_all branches ->
       let cs = List.map (plan ~config ~outer) branches in
       (schema, fun env -> Batch.concat (List.map (fun c () -> c.brun env) cs))
@@ -1476,6 +1495,32 @@ and compile ~config ~(outer : Schema.t list) ?cols (p : Plan.t) :
                         (Array.to_list
                            (Array.map (fun g () -> run_group g) order))))
       )
+
+(* The branches of an ORDER BY's input, a UNION ALL's or the input
+   itself, each with its order property; [open env] opens them.  A
+   UNION ALL keeps its own node and guard: the branches' cursors are
+   one invocation of it, metered and checked on every pull. *)
+and order_inputs ~config ~outer input :
+    int list list * (Env.t -> Batch.cursor array) =
+  match input with
+  | Plan.Union_all branches ->
+      let op = Plan.op_name input in
+      observed config input @@ fun node ->
+      let cs = Array.of_list (List.map (plan ~config ~outer) branches) in
+      let meter =
+        match (config.observe, node) with
+        | Some sink, Some n ->
+            Obs.instrument_batches sink n ~len:(fun (b : Batch.t) -> b.len)
+        | _ -> Fun.id
+      in
+      ( List.map (Props.order_of ~outer) branches,
+        fun env ->
+          Array.map
+            (Governor.guard env.Env.governor ~op)
+            (meter (Array.map (fun c -> c.brun env) cs)) )
+  | _ ->
+      let c = plan ~config ~outer input in
+      ([ Props.order_of ~outer input ], fun env -> [| c.brun env |])
 
 (* Partition phase of GApply.  Hash partitioning returns groups in
    reverse first-seen key order; sort partitioning returns them in key

@@ -61,41 +61,55 @@ let emit t node kind =
   | None -> ()
   | Some h -> h { op = node.op; node_id = node.id; kind }
 
-(* Wrap one batch-cursor invocation: counts the invocation, emits
-   [Open], then meters every pull.  One pull yields a whole batch, so
-   the row counter advances by [len r] per pull and [batches] counts the
-   pulls.  Trace hooks still see one [Next] per row (not per batch) so
-   traces stay row-granular; the per-row emit loop only runs when a hook
-   is installed.  Per-invocation state: one cursor is only ever pulled
-   by the single domain that runs it, so a plain ref is safe here. *)
-let instrument_batch t node ~len (pull : unit -> 'a option) : unit -> 'a option
-    =
+(* Wrap one invocation whose output is pulled from [pulls] (one cursor,
+   or the branches of a UNION ALL that an ORDER BY merges): counts the
+   invocation, emits [Open], then meters every pull of every cursor.
+   One pull yields a whole batch, so the row counter advances by
+   [len r] per pull and [batches] counts the pulls.  Trace hooks still
+   see one [Next] per row (not per batch) so traces stay row-granular;
+   the per-row emit loop only runs when a hook is installed.  [Close]
+   is emitted once every cursor has reported its end.  Per-invocation
+   state: one cursor is only ever pulled by the single domain that runs
+   it, so plain refs are safe here. *)
+let instrument_batches t node ~len (pulls : (unit -> 'a option) array) =
   Metrics.incr node.invocations;
   emit t node Open;
   let opened = Metrics.now_ns () in
-  let awaiting_first = ref true in
-  fun () ->
-    let t0 = Metrics.now_ns () in
-    let r = pull () in
-    let t1 = Metrics.now_ns () in
-    Metrics.add_span node.time (t1 - t0);
-    (match r with
-    | Some b ->
-        let n = len b in
-        Metrics.incr node.batches;
-        Metrics.add node.rows n;
-        if !awaiting_first then begin
-          awaiting_first := false;
-          Metrics.add_span node.ttft (t1 - opened)
-        end;
-        (match t.hook with
-        | None -> ()
-        | Some _ ->
-            for _ = 1 to n do
-              emit t node Next
-            done)
-    | None -> emit t node Close);
-    r
+  let awaiting_first = ref true and live = ref (Array.length pulls) in
+  let metered pull =
+    let over = ref false in
+    fun () ->
+      let t0 = Metrics.now_ns () in
+      let r = pull () in
+      let t1 = Metrics.now_ns () in
+      Metrics.add_span node.time (t1 - t0);
+      (match r with
+      | Some b ->
+          let n = len b in
+          Metrics.incr node.batches;
+          Metrics.add node.rows n;
+          if !awaiting_first then begin
+            awaiting_first := false;
+            Metrics.add_span node.ttft (t1 - opened)
+          end;
+          (match t.hook with
+          | None -> ()
+          | Some _ ->
+              for _ = 1 to n do
+                emit t node Next
+              done)
+      | None ->
+          if not !over then begin
+            over := true;
+            decr live;
+            if !live = 0 then emit t node Close
+          end);
+      r
+  in
+  Array.map metered pulls
+
+let instrument_batch t node ~len pull =
+  (instrument_batches t node ~len [| pull |]).(0)
 
 let record t node ~invocations ~rows ~batches ~time_ns =
   Metrics.add node.invocations invocations;

@@ -60,7 +60,17 @@ val instrument_batch :
 (** Wrap one batch cursor (one invocation): counts the invocation,
     emits [Open], then meters every pull as described above.  Each pull
     yields [len batch] rows, counted into [rows], with [batches]
-    counting the pulls.  Trace hooks still receive one [Next] per row. *)
+    counting the pulls.  Trace hooks still receive one [Next] per row,
+    and one [Close] when the stream first reports its end. *)
+
+val instrument_batches :
+  t -> node -> len:('a -> int) -> (unit -> 'a option) array ->
+  (unit -> 'a option) array
+(** {!instrument_batch} for one invocation whose output is pulled from
+    several cursors, in any interleaving (the branches of a UNION ALL
+    that an ORDER BY merges): one invocation and one [Open], every pull
+    of every cursor metered, and the [Close] once each cursor has
+    reported its end. *)
 
 val record :
   t -> node -> invocations:int -> rows:int -> batches:int -> time_ns:int ->

@@ -24,6 +24,7 @@ let () =
       ("observe", Test_observe.suite);
       ("vectorized", Test_vectorized.suite);
       ("group-local", Test_group_local.suite);
+      ("order-merge", Test_order_merge.suite);
       ("plan-cache", Test_plan_cache.suite);
       ("governor", Test_governor.suite);
       ("chaos", Test_chaos.suite);

@@ -197,3 +197,31 @@ let conservation_failures ?executions db =
 
 let check_conservation ?executions msg db =
   Alcotest.(check (list string)) msg [] (conservation_failures ?executions db)
+
+(* The final ORDER BY of a publishing plan streams every GApply branch
+   of its UNION ALL: the branch's order property covers the leading
+   ORDER BY key, so the ORDER BY only checks and merges it and never
+   falls back to materializing and sorting it. *)
+let check_gapply_branches_stream label (plan : Plan.t) =
+  match plan with
+  | Plan.Order_by { keys = (Expr.Col r, Plan.Asc) :: _; input } ->
+      let lead =
+        Schema.find ?qual:r.Expr.qual r.Expr.name (Props.schema_of input)
+      in
+      let branches =
+        match input with Plan.Union_all bs -> bs | p -> [ p ]
+      in
+      let gapplies = List.filter Plan.contains_gapply branches in
+      if gapplies = [] then Alcotest.failf "%s: no GApply branch" label;
+      List.iteri
+        (fun i b ->
+          match Props.order_of b with
+          | first :: _ when first = lead -> ()
+          | order ->
+              Alcotest.failf
+                "%s: GApply branch %d has order [%s], not led by column %d"
+                label i
+                (String.concat "; " (List.map string_of_int order))
+                lead)
+        gapplies
+  | _ -> Alcotest.failf "%s: no final ORDER BY on a leading column" label

@@ -282,6 +282,13 @@ let test_presorted_runs () =
   if runs > bound then
     Alcotest.failf "%d runs reach the ORDER BY, bound %d" runs bound
 
+(* ...and the ORDER BY streams each of those branches: its order
+   property covers the leading ORDER BY key. *)
+let test_branches_stream () =
+  let cat = Tpch_gen.catalog ~seed:1 ~msf:0.25 () in
+  Support.check_gapply_branches_stream "3-level view"
+    (fst (Deep_publish.gapply_plan cat Deep_view.customer_orders))
+
 (* ---------- random views: both strategies against Reference ---------- *)
 
 (* Random views of depth 1-3 with 0-2 children per node, sibling tags
@@ -582,4 +589,6 @@ let suite =
     Alcotest.test_case "sibling nodes sharing a tag" `Quick
       test_same_tag_siblings;
     QCheck_alcotest.to_alcotest prop_views_agree;
+    Alcotest.test_case "the ORDER BY streams every GApply branch" `Quick
+      test_branches_stream;
   ]

@@ -16,7 +16,9 @@
      batch size.
 
    Both results must be multiset-equal to the reference, with no
-   tolerance, and the engines' metrics must stay conserved.
+   tolerance; a case that ends in an ORDER BY must also come out sorted
+   on its keys, in their directions; and the engines' metrics must stay
+   conserved.
 
    The cases are Q1-Q4, the Figure-1 and 3-level publishing plans (no
    SQL text, so the plan cache does not apply to them), and random
@@ -201,10 +203,49 @@ let head r =
     (Relation.of_array (Relation.schema r)
        (Array.sub rows 0 (min 12 (Array.length rows))))
 
+(* The ORDER BY [plan] ends in, as (output column, descending) pairs;
+   [] when it ends in none, or orders on anything but bare columns. *)
+let final_order (plan : Plan.t) =
+  match plan with
+  | Plan.Order_by { keys; input } ->
+      let schema = Props.schema_of input in
+      let key = function
+        | Expr.Col r, dir ->
+            Some (Schema.find ?qual:r.Expr.qual r.Expr.name schema, dir = Plan.Desc)
+        | _ -> None
+      in
+      let keys = List.map key keys in
+      if List.mem None keys then [] else List.filter_map Fun.id keys
+  | _ -> []
+
+(* The first pair of adjacent rows of [r] out of [order], as a message. *)
+let misordered order r =
+  let rows = Relation.rows_array r in
+  let cmp a b =
+    List.fold_left
+      (fun c (i, desc) ->
+        if c <> 0 then c
+        else
+          let c = Value.compare_total a.(i) b.(i) in
+          if desc then -c else c)
+      0 order
+  in
+  let rec go i =
+    if i >= Array.length rows then None
+    else if cmp rows.(i - 1) rows.(i) > 0 then
+      Some
+        (Format.asprintf "rows %d and %d are out of ORDER BY order: %a, %a"
+           (i - 1) i Tuple.pp rows.(i - 1) Tuple.pp rows.(i))
+    else go (i + 1)
+  in
+  go 1
+
 (* The first disagreement with [reference] over every configuration,
    as a message: [run cfg w] labels the results of one case under
-   [cfg], on the engine [w] of its dictionary setting. *)
-let first_failure ~reference ~run =
+   [cfg], on the engine [w] of its dictionary setting.  A case whose
+   plan, [plan w], ends in an ORDER BY must also come out in its
+   order. *)
+let first_failure ~reference ~plan ~run =
   let expected = Hashtbl.create 2 in
   let reference_of dict =
     match Hashtbl.find_opt expected dict with
@@ -216,17 +257,21 @@ let first_failure ~reference ~run =
   in
   let check cfg =
     let expected = reference_of cfg.dict in
+    let order = final_order (plan (world cfg.dict)) in
     List.find_map
       (fun (label, actual) ->
-        if Relation.equal_as_multiset expected actual then None
-        else
+        if not (Relation.equal_as_multiset expected actual) then
           Some
             (Printf.sprintf
                "%s, %s: %d rows, reference %d rows\ngot:\n%s\nreference:\n%s"
                (config_name cfg) label
                (Relation.cardinality actual)
                (Relation.cardinality expected)
-               (head actual) (head expected)))
+               (head actual) (head expected))
+        else
+          Option.map
+            (Printf.sprintf "%s, %s: %s" (config_name cfg) label)
+            (misordered order actual))
       (run cfg (world cfg.dict))
   in
   match List.find_map check configs with
@@ -237,8 +282,9 @@ let first_failure ~reference ~run =
       | laws -> Some ("metrics not conserved: " ^ String.concat "; " laws))
 
 let sql_failure sql =
-  first_failure
-    ~reference:(fun w -> Reference.run (Engine.catalog w.db) (Engine.plan_of_sql w.db sql))
+  let plan w = Engine.plan_of_sql w.db sql in
+  first_failure ~plan
+    ~reference:(fun w -> Reference.run (Engine.catalog w.db) (plan w))
     ~run:(fun cfg w -> run_sql cfg w sql)
 
 let check_sql name sql =
@@ -294,7 +340,7 @@ let test_publishing_plans () =
           | _ -> ())
         () (plan (world false));
       match
-        first_failure
+        first_failure ~plan
           ~reference:(fun w -> Reference.run (Engine.catalog w.db) (plan w))
           ~run:(fun cfg w -> run_plan cfg w (plan w))
       with

@@ -263,6 +263,99 @@ let test_failed_insert_is_atomic () =
   Alcotest.(check int) "catalog generation unchanged" gen_before
     (Catalog.generation cat)
 
+(* ---------- ORDER BY accounting ---------- *)
+
+(* An ORDER BY charges only what it copies: rows that stream through as
+   views of its input's batches cost nothing; a branch it materializes,
+   and a segment that fails its run check, are charged under
+   orderby.input (the rows) and orderby.sort (the sort's overhead). *)
+let order_base =
+  Relation.make Test_order_merge.base_schema
+    (List.init 300 (fun i ->
+         Tuple.of_list
+           [ Value.Int (i mod 7); Value.Int (i * 37 mod 11);
+             Value.Int (if i mod 7 < 3 then 0 else i mod 3); Value.Int i ]))
+
+(* The rows of [p] and the bytes its run charged, under [limit]. *)
+let charged ?limit p =
+  let gov =
+    Governor.start
+      { Governor.unlimited with
+        Governor.mem_limit_bytes = Some (Option.value limit ~default:max_int) }
+  in
+  let env =
+    Env.bind_group "g" order_base (Env.make ~governor:gov (Catalog.create ()))
+  in
+  let rows = Batch.to_array ((Compile.plan p).Compile.brun env) in
+  (rows, Governor.mem_bytes gov)
+
+(* What copying [rows] costs. *)
+let copy_bytes rows =
+  Array.fold_left (fun n r -> n + Governor.tuple_bytes r) 0 rows
+  + (Array.length rows * Governor.sort_partition_overhead_per_row)
+
+let by names =
+  List.map (fun n -> (Expr.column n, Plan.Asc)) names
+
+let test_orderby_charges_copies () =
+  let ga =
+    Test_order_merge.build 0
+      (Test_order_merge.Gapply
+         { gcols = [ "a" ]; pgq = Test_order_merge.Members; perm = [| 0; 1; 2 |] })
+  in
+  let plain = Test_order_merge.build 1 Test_order_merge.Plain in
+  let input, input_bytes = charged ga in
+  (* grouped on x0, the GApply's segments are runs on x0; on x0, x2
+     only those of groups 0-2 are *)
+  let _, streamed = charged (Plan.order_by (by [ "x0" ]) ga) in
+  Alcotest.(check int) "streamed rows are not charged" input_bytes streamed;
+  (* the input's segments, rows tying on x0, in order *)
+  let segments =
+    let out = ref [] and cur = ref [] in
+    Array.iteri
+      (fun i r ->
+        if i > 0 && Value.compare_total input.(i - 1).(0) r.(0) <> 0 then begin
+          out := Array.of_list (List.rev !cur) :: !out;
+          cur := []
+        end;
+        cur := r :: !cur)
+      input;
+    List.rev (Array.of_list (List.rev !cur) :: !out)
+  in
+  let runs seg =
+    let ok = ref true in
+    Array.iteri
+      (fun i r ->
+        if i > 0 && Value.compare_total seg.(i - 1).(2) r.(2) > 0 then ok := false)
+      seg;
+    !ok
+  in
+  let failing = List.filter (fun s -> not (runs s)) segments in
+  if failing = [] || List.length failing = List.length segments then
+    Alcotest.fail "expected some segments to run and some not";
+  let _, checked = charged (Plan.order_by (by [ "x0"; "x2" ]) ga) in
+  Alcotest.(check int) "only the segments that fail their run check"
+    (input_bytes + List.fold_left (fun n s -> n + copy_bytes s) 0 failing)
+    checked;
+  let rows, _ = charged plain in
+  let _, sorted = charged (Plan.order_by (by [ "x1" ]) plain) in
+  Alcotest.(check int) "an unsorted branch, whole" (copy_bytes rows) sorted;
+  let _, both = charged (Plan.order_by (by [ "x0" ]) (Plan.union_all [ ga; plain ])) in
+  Alcotest.(check int) "a union: the unsorted branch only"
+    (input_bytes + copy_bytes rows) both
+
+(* A memory ceiling still trips while an unsorted ORDER BY input is
+   materialized. *)
+let test_orderby_trips_at_input () =
+  let plain = Test_order_merge.build 0 Test_order_merge.Plain in
+  match charged ~limit:1000 (Plan.order_by (by [ "x1" ]) plain) with
+  | _ -> Alcotest.fail "expected a memory trip"
+  | exception Errors.Resource_error v ->
+      Alcotest.(check string) "kind" "memory limit exceeded"
+        (Errors.resource_kind_to_string v.Errors.kind);
+      Alcotest.(check (option string)) "operator" (Some "orderby.input")
+        v.Errors.operator
+
 let suite =
   [
     Alcotest.test_case "governor unit: budgets and first-violation-wins"
@@ -285,4 +378,8 @@ let suite =
       test_prepare_failure_paths;
     Alcotest.test_case "failed INSERT leaves no partial rows or bumps" `Quick
       test_failed_insert_is_atomic;
+    Alcotest.test_case "ORDER BY charges only the rows it copies" `Quick
+      test_orderby_charges_copies;
+    Alcotest.test_case "memory ceiling: trips at orderby.input" `Quick
+      test_orderby_trips_at_input;
   ]

@@ -224,6 +224,16 @@ let test_figure1_presorted_runs () =
           bound)
     figure1_digests
 
+(* ...and the ORDER BY streams each of those branches: its order
+   property covers the leading ORDER BY key. *)
+let test_figure1_branches_stream () =
+  let cat = Lazy.force tpch_half in
+  List.iter
+    (fun (label, spec, _) ->
+      Support.check_gapply_branches_stream label
+        (fst (Publish.gapply_plan cat spec)))
+    figure1_digests
+
 (* The five Figure-1 specs and the 3-level view at the publish
    workload's scale: both strategies publish the same document, and
    every GApply runs its per-group query as the group-local loop, the
@@ -579,4 +589,6 @@ let suite =
     Alcotest.test_case "group selection scans the child query once" `Quick
       test_group_selection_plan_shape;
     QCheck_alcotest.to_alcotest prop_strategies_agree;
+    Alcotest.test_case "the ORDER BY streams every GApply branch" `Quick
+      test_figure1_branches_stream;
   ]
