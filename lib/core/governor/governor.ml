@@ -125,13 +125,15 @@ let value_bytes = function
 let tuple_bytes (row : Tuple.t) =
   Array.fold_left (fun acc v -> acc + 8 + value_bytes v) 16 row
 
-(* Per-row partition-structure overheads.  Hash partitioning pays for a
-   table slot, a bucket cons cell and a projected key copy per row (and
-   the parallel phase additionally merges per-domain partials); sort
-   partitioning sorts the rows in place and pays only the merge sort's
-   scratch buffer and a group-list cell per row.  The
-   constants encode that real gap — it is why the engine can degrade
-   from hash to sort when the ceiling trips. *)
+(* Per-row partition-structure overheads.  Hash partitioning holds a
+   group id per row and a key table per input chunk (the parallel phase
+   additionally merges the chunks' keys); sort partitioning sorts the
+   rows in place and pays only the merge sort's scratch buffer and a
+   group-list cell per row.  The hash constants date from a partition
+   that also held a bucket cell and a key copy per row; they still bound
+   today's structures from above and keep the gap that lets the engine
+   degrade from hash to sort when the ceiling trips, so a ceiling means
+   what it meant before. *)
 let hash_partition_overhead_per_row = 112
 let hash_partition_merge_overhead_per_row = 56
 let sort_partition_overhead_per_row = 48

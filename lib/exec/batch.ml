@@ -9,7 +9,9 @@
    A batch is a *view* [{ rows; pos; len }] over a row array —
    producers can hand out windows of a large materialized array without
    copying ([of_array] chunks this way).  Consumers must not mutate
-   [rows] and must not read outside [pos .. pos+len-1].
+   [rows] and must not read outside [pos .. pos+len-1]; producers never
+   write a view's rows after emitting it, so a consumer may keep a
+   batch past the next pull.
 
    Every compiled operator is a batch cursor; [to_cursor] is the one
    adapter back to rows, for consumers at the tagger/client boundary. *)
@@ -59,55 +61,54 @@ let of_array ?size (arr : Tuple.t array) : cursor =
 (* ---------- consumers / adapters ---------- *)
 
 (** Unbatch: replay a batch cursor row by row.  One live batch at a
-    time, so the row-at-a-time boundary keeps the pipeline streaming. *)
+    time, so the row-at-a-time boundary keeps the pipeline streaming;
+    the batch and the position in it are mutable fields, so a row costs
+    only its [Some]. *)
+type replay = { mutable batch : t; mutable at : int }
+
 let to_cursor (bc : cursor) : Cursor.t =
-  let current = ref None in
+  let r = { batch = { rows = [||]; pos = 0; len = 0 }; at = 0 } in
   let rec next () =
-    match !current with
-    | Some (b, i) when i < b.len ->
-        current := Some (b, i + 1);
-        Some (get b i)
-    | _ -> (
-        match bc () with
-        | None ->
-            current := None;
-            None
-        | Some b ->
-            current := Some (b, 0);
-            next ())
+    if r.at < r.batch.len then begin
+      let row = get r.batch r.at in
+      r.at <- r.at + 1;
+      Some row
+    end
+    else
+      match bc () with
+      | None -> None
+      | Some b ->
+          r.batch <- b;
+          r.at <- 0;
+          next ()
   in
   next
 
-(** Drain into a fresh array, blitting batch by batch into a buffer of
-    at least 64 rows that doubles as it fills.  The buffer is allocated
-    at the first batch, so an empty result allocates nothing, and a
-    first batch of 64 rows or more that is also the last is copied
-    once.  [account] (if
-    given) is called once per batch with [(rows, pos, len)] — the
-    governor charges materialization this way without a per-row
-    callback. *)
+(** Drain into a fresh array of exactly the rows drained: the batches
+    are kept until the end (emitted rows are never written, see the
+    header) and blitted into one array, so a large result is allocated
+    once, at its size.  [account] (if given) is called once per batch
+    with [(rows, pos, len)] — the governor charges materialization this
+    way without a per-row callback. *)
 let to_array ?account (bc : cursor) : Tuple.t array =
-  let rec drain buf n =
+  let rec drain kept n =
     match bc () with
-    | None -> if n = Array.length buf then buf else Array.sub buf 0 n
+    | None -> (kept, n)
     | Some b ->
         (match account with None -> () | Some f -> f b.rows b.pos b.len);
-        let buf =
-          if n + b.len <= Array.length buf then buf
-          else begin
-            let grown =
-              Array.make
-                (max (n + b.len) (max 64 (2 * Array.length buf)))
-                Tuple.empty
-            in
-            Array.blit buf 0 grown 0 n;
-            grown
-          end
-        in
-        Array.blit b.rows b.pos buf n b.len;
-        drain buf (n + b.len)
+        drain (b :: kept) (n + b.len)
   in
-  drain [||] 0
+  match drain [] 0 with
+  | [], _ -> [||]
+  | kept, n ->
+      let out = Array.make n Tuple.empty in
+      List.fold_left
+        (fun stop b ->
+          Array.blit b.rows b.pos out (stop - b.len) b.len;
+          stop - b.len)
+        n kept
+      |> ignore;
+      out
 
 let drain_iter f (bc : cursor) =
   let rec go () =

@@ -4,8 +4,9 @@
 
     A batch is a {e view} over a row array; producers may hand out
     windows of a shared array, so consumers must not mutate [rows] or
-    read outside [pos .. pos+len-1].  Emitted batches always have
-    [len > 0].
+    read outside [pos .. pos+len-1].  Producers never write a view's
+    rows after emitting it, so a consumer may keep a batch.  Emitted
+    batches always have [len > 0].
 
     Every compiled operator is a batch cursor; {!to_cursor} adapts back
     to rows at the tagger/client boundary. *)
@@ -41,9 +42,10 @@ val to_cursor : cursor -> Cursor.t
 
 val to_array :
   ?account:(Tuple.t array -> int -> int -> unit) -> cursor -> Tuple.t array
-(** Drain into a fresh array by blitting whole batches.  [account] is
-    called once per batch with [(rows, pos, len)] so materializing
-    operators can charge the governor batch-wise. *)
+(** Drain into a fresh array of exactly the drained rows, blitting whole
+    batches once all are in.  [account] is called once per batch with
+    [(rows, pos, len)] so materializing operators can charge the
+    governor batch-wise. *)
 
 val drain_iter : (Tuple.t -> unit) -> cursor -> unit
 

@@ -8,7 +8,9 @@
    GApply execution follows the paper's two phases (Section 3): a
    partition phase (by sorting or hashing, per [config]) over the outer
    stream, which lays the groups out as slices of one member array
-   ([groups]), then an execution phase over the groups.  A group-local
+   ([groups]; hashing numbers the rows through a key table and places
+   them with a counting sort), then an execution phase over the
+   groups.  A group-local
    per-group query ([local_branches]: Project/Aggregate/Select chains
    over the group, over a Distinct projection of it, or over an Apply
    pairing the group's members with an uncorrelated scalar aggregate or
@@ -169,94 +171,66 @@ let group_view gs g : Batch.t =
   let pos = gs.starts.(g) in
   { Batch.rows = gs.members; pos; len = gs.starts.(g + 1) - pos }
 
-(* A hash bucket: its members latest first, and how many. *)
-type bucket = { mutable rows : Tuple.t list; mutable count : int }
-
-(* Hash rows [pos .. pos+len-1] into buckets, returned with their keys
-   in reverse first-seen key order. *)
-let hash_chunk ~(idxs : int array) (rows : Tuple.t array) pos len :
-    (Tuple.t * bucket) list =
-  let order = ref [] in
-  let add b row =
-    b.rows <- row :: b.rows;
-    b.count <- b.count + 1
-  in
-  (match idxs with
+(* Number rows [pos .. pos+len-1] by their key on [idxs]: write into
+   [ids] the id each row's key gets in a key table of the chunk's own,
+   and return those keys by id (first-seen order).  One column keys the
+   table by the bare value; several fill one scratch key per row and
+   copy it only for a new key. *)
+let number_chunk ~(idxs : int array) (rows : Tuple.t array) ids pos len =
+  match idxs with
   | [| i0 |] ->
-      (* single grouping column: hash the value itself — no per-row
-         key-tuple allocation; the key tuple is built once per group *)
-      let tbl : bucket Value.Tbl.t = Value.Tbl.create 64 in
+      let tbl : unit Value.Tbl.t = Value.Tbl.create 64 in
       for k = pos to pos + len - 1 do
-        let row = rows.(k) in
-        let v = Array.unsafe_get row i0 in
-        match Value.Tbl.find tbl v with
-        | b -> add b row
-        | exception Not_found ->
-            let b = { rows = [ row ]; count = 1 } in
-            Value.Tbl.add tbl v b;
-            order := ([| v |], b) :: !order
-      done
+        let v = Array.unsafe_get (Array.unsafe_get rows k) i0 in
+        Array.unsafe_set ids k (Value.Tbl.intern tbl v ())
+      done;
+      Array.init (Value.Tbl.length tbl) (fun g -> [| Value.Tbl.key tbl g |])
   | _ ->
-      let tbl : bucket Tuple.Tbl.t = Tuple.Tbl.create 64 in
+      let tbl : unit Tuple.Tbl.t = Tuple.Tbl.create 64 in
+      let scratch = Array.make (Array.length idxs) Value.Null in
       for k = pos to pos + len - 1 do
-        let row = rows.(k) in
-        let key = project_key idxs row in
-        match Tuple.Tbl.find tbl key with
-        | b -> add b row
-        | exception Not_found ->
-            let b = { rows = [ row ]; count = 1 } in
-            Tuple.Tbl.add tbl key b;
-            order := (key, b) :: !order
-      done);
-  !order
-
-(* Write the groups back into [rows], group after group: each group is
-   its key, its size and its members as lists that read latest first
-   when concatenated, so the slice is filled from its end.  Reusing the
-   input array keeps the partition to the one array it was
-   materialized into. *)
-let lay_out (rows : Tuple.t array)
-    (groups : (Tuple.t * int * Tuple.t list list) list) : groups =
-  let ng = List.length groups in
-  let keys = Array.make ng Tuple.empty and starts = Array.make (ng + 1) 0 in
-  List.iteri
-    (fun g (key, count, parts) ->
-      keys.(g) <- key;
-      let stop = starts.(g) + count in
-      starts.(g + 1) <- stop;
-      let i = ref stop in
-      List.iter
-        (List.iter (fun row ->
-             decr i;
-             rows.(!i) <- row))
-        parts)
-    groups;
-  { members = rows; keys; starts }
+        let row = Array.unsafe_get rows k in
+        for j = 0 to Array.length idxs - 1 do
+          Array.unsafe_set scratch j row.(Array.unsafe_get idxs j)
+        done;
+        let g = Tuple.Tbl.find_id tbl scratch in
+        Array.unsafe_set ids k
+          (if g >= 0 then g
+           else begin
+             Tuple.Tbl.add tbl (Array.copy scratch) ();
+             Tuple.Tbl.length tbl - 1
+           end)
+      done;
+      Array.init (Tuple.Tbl.length tbl) (Tuple.Tbl.key tbl)
 
 (* Hash partitioning, in place.  Group order is deterministic — reverse
    of first-seen key order — and each group's rows stay in input order.
 
-   With a pool, per-domain partial tables over contiguous input chunks
-   are merged in chunk order.  Walking each partial in its chunk's
-   first-seen order makes the global key-encounter order the
-   sequential first-seen order, so listing the merged keys latest first
-   reproduces the sequential layout exactly.
+   Every row gets a group id from a key table, then a counting sort over
+   the ids lays the members out group after group.  The input is cut
+   into chunks numbered on their own — one chunk sequentially, one per
+   domain with a pool — and the chunks' keys are merged in chunk order
+   into one table, which renumbers them.  Walking each chunk's keys in
+   its first-seen order makes the merged first-seen order the
+   sequential one, so every chunk count gives the same layout.
 
    Under a governor ([gov]), every chunk first passes a cancellation /
-   deadline check and charges the hash table's per-row structure
-   overhead against the memory ceiling — this is the accounting that
-   makes a hash-partition blow-up trip *during* partitioning, which the
-   engine then retries sort-based (see Governor). *)
+   deadline check and charges the partition's per-row structure
+   overhead against the memory ceiling, before it is numbered — this
+   is the accounting that makes a hash-partition blow-up trip *during*
+   partitioning, which the engine then retries sort-based (see
+   Governor). *)
 let group_rows ?pool ?gov ~op ~(idxs : int array) (rows : Tuple.t array) :
     groups =
+  let n = Array.length rows in
+  let ids = Array.make n 0 in
   let chunk (pos, len) =
     Governor.check gov ~op;
     Governor.charge gov ~op (len * Governor.hash_partition_overhead_per_row);
-    hash_chunk ~idxs rows pos len
+    number_chunk ~idxs rows ids pos len
   in
-  let n = Array.length rows in
-  lay_out rows
-    (match pool with
+  let first_seen =
+    match pool with
     | Some pool when n >= parallel_partition_threshold ->
         let nchunks = Domain_pool.num_domains pool in
         let size = (n + nchunks - 1) / nchunks in
@@ -266,37 +240,57 @@ let group_rows ?pool ?gov ~op ~(idxs : int array) (rows : Tuple.t array) :
           |> List.filter (fun (_, len) -> len > 0)
           |> Array.of_list
         in
-        let partials = Domain_pool.parallel_map_array pool chunk ranges in
-        (* the chunk-order merge re-reads every partial into one table:
+        let keys = Domain_pool.parallel_map_array pool chunk ranges in
+        (* the chunk-order merge keys every chunk's groups into one table:
            charge its structure overhead too (the parallel hash path
-           really does hold partials + merged table at once) *)
+           really does hold the chunks' tables and the merged one at
+           once) *)
         Governor.charge gov ~op
           (n * Governor.hash_partition_merge_overhead_per_row);
-        (* per key: its size and its chunks' member lists, latest
-           chunk first *)
-        let tbl : (int ref * Tuple.t list list ref) Tuple.Tbl.t =
-          Tuple.Tbl.create 64
-        in
-        let order = ref [] in
-        Array.iter
-          (fun partial ->
-            List.iter
-              (fun (key, b) ->
-                match Tuple.Tbl.find tbl key with
-                | count, parts ->
-                    count := !count + b.count;
-                    parts := b.rows :: !parts
-                | exception Not_found ->
-                    Tuple.Tbl.add tbl key (ref b.count, ref [ b.rows ]);
-                    order := key :: !order)
-              (List.rev partial))
-          partials;
-        List.map
-          (fun key ->
-            let count, parts = Tuple.Tbl.find tbl key in
-            (key, !count, !parts))
-          !order
-    | _ -> List.map (fun (key, b) -> (key, b.count, [ b.rows ])) (chunk (0, n)))
+        let tbl : unit Tuple.Tbl.t = Tuple.Tbl.create 64 in
+        Array.iteri
+          (fun c (pos, len) ->
+            let merged =
+              Array.map (fun key -> Tuple.Tbl.intern tbl key ()) keys.(c)
+            in
+            for k = pos to pos + len - 1 do
+              ids.(k) <- merged.(ids.(k))
+            done)
+          ranges;
+        Array.init (Tuple.Tbl.length tbl) (Tuple.Tbl.key tbl)
+    | _ -> chunk (0, n)
+  in
+  (* the counting sort: first-seen group [g] is output group [ng - 1 - g],
+     and each row's id becomes its place in the layout *)
+  let ng = Array.length first_seen in
+  let next = Array.make ng 0 in
+  Array.iter (fun g -> next.(g) <- next.(g) + 1) ids;
+  let keys = Array.make ng Tuple.empty and starts = Array.make (ng + 1) 0 in
+  for o = 0 to ng - 1 do
+    let g = ng - 1 - o in
+    keys.(o) <- first_seen.(g);
+    starts.(o + 1) <- starts.(o) + next.(g);
+    next.(g) <- starts.(o)
+  done;
+  for k = 0 to n - 1 do
+    let g = Array.unsafe_get ids k in
+    let at = Array.unsafe_get next g in
+    Array.unsafe_set ids k at;
+    Array.unsafe_set next g (at + 1)
+  done;
+  (* move every row to its place, one cycle of the permutation at a
+     time; a row in place has [ids.(k) = k] *)
+  for k = 0 to n - 1 do
+    while Array.unsafe_get ids k <> k do
+      let d = Array.unsafe_get ids k in
+      let row = Array.unsafe_get rows d in
+      Array.unsafe_set rows d (Array.unsafe_get rows k);
+      Array.unsafe_set ids k (Array.unsafe_get ids d);
+      Array.unsafe_set ids d d;
+      Array.unsafe_set rows k row
+    done
+  done;
+  { members = rows; keys; starts }
 
 (* Aggregate accumulators live in arrays so the per-row step is an
    indexed loop, not a List.iter2 closure pair. *)
@@ -385,28 +379,37 @@ let expand ~size ~(emit : (Tuple.t -> unit) -> Tuple.t -> Tuple.t -> unit)
             true
         | None -> false)
 
-(* A join's hash build in one pass: a key's first row goes in as a
-   one-row bucket, and only the rows of keys that repeat are collected
-   on the side and appended to their bucket once the build side is
-   drained.  A key-unique build side (an FK join's referenced table; its
-   key is not enforced unique, so this is never assumed) fills one table
-   and finalizes nothing.  Buckets keep insertion order.  Returns the
-   probe: a key's bucket, [[||]] when none. *)
-let hash_build (type k) (module H : Hashtbl.S with type key = k)
-    (fill : (k -> Tuple.t -> unit) -> unit) : k -> Tuple.t array =
-  let tbl = H.create 256 and more = H.create 16 in
+(* A join's hash build in one pass over a key table: a key's first row
+   goes in as a one-row bucket, and only the rows of keys that repeat
+   are collected on the side, with their key's id, and appended to their
+   bucket once the build side is drained.  A key-unique build side (an
+   FK join's referenced table; its key is not enforced unique, so this
+   is never assumed) fills one table and finalizes nothing.  Buckets
+   keep insertion order.  The table is sized for the [size] rows [fill]
+   adds at most, and [keep] is the key it stores for a new key (a copy
+   when [fill] hands out a reused scratch key).  Returns the probe: a
+   key's bucket, [[||]] when none. *)
+let hash_build (type k) (module H : Keytbl.S with type key = k) ~size
+    ~(keep : k -> k) (fill : (k -> Tuple.t -> unit) -> unit) :
+    k -> Tuple.t array =
+  let tbl = H.create size and more = ref [] in
   fill (fun key row ->
-      if H.mem tbl key then
-        match H.find_opt more key with
-        | Some rows -> rows := row :: !rows
-        | None -> H.add more key (ref [ row ])
-      else H.add tbl key [| row |]);
-  H.iter
-    (fun key rows ->
-      H.replace tbl key
-        (Array.append (H.find tbl key) (Array.of_list (List.rev !rows))))
-    more;
-  fun key -> match H.find tbl key with b -> b | exception Not_found -> [||]
+      let g = H.find_id tbl key in
+      if g >= 0 then more := (g, row) :: !more
+      else H.add tbl (keep key) [| row |]);
+  if !more <> [] then begin
+    (* latest first, so consing puts each key's rows in build order *)
+    let extra = Array.make (H.length tbl) [] in
+    List.iter (fun (g, row) -> extra.(g) <- row :: extra.(g)) !more;
+    Array.iteri
+      (fun g rows ->
+        if rows <> [] then
+          H.set_value tbl g (Array.append (H.value tbl g) (Array.of_list rows)))
+      extra
+  end;
+  fun key ->
+    let g = H.find_id tbl key in
+    if g < 0 then [||] else H.value tbl g
 
 let emit_concat push lrow rrow = push (Tuple.concat lrow rrow)
 
@@ -673,12 +676,12 @@ let seen_set gov =
     charge = Governor.accountant gov ~op:"distinct.hash";
   }
 
-(* Add [row] to [s]; whether it was new. *)
+(* Add [row] to [s]; whether it was new (its id is the old length). *)
 let first_seen s row =
-  (not (Tuple.Tbl.mem s.seen row))
+  let n = Tuple.Tbl.length s.seen in
+  Tuple.Tbl.intern s.seen row () = n
   && begin
        Option.iter (fun charge -> charge row) s.charge;
-       Tuple.Tbl.add s.seen row ();
        s.last <- Some row;
        true
      end
@@ -1177,10 +1180,14 @@ and compile ~config ~(outer : Schema.t list) ?cols (p : Plan.t) :
       ( schema,
         fun env ->
           let t = Catalog.find_table env.Env.catalog table in
-          Batch.of_array ~size
-            (match env.Env.snapshot with
-            | None -> Relation.rows_array (Table.to_relation t)
-            | Some snap -> Mvcc.visible_rows snap t) )
+          (* batches are views of the table's own rows, which no
+             operator writes into *)
+          let rows, len =
+            match env.Env.snapshot with
+            | None -> Table.published t
+            | Some snap -> Mvcc.visible_view snap t
+          in
+          Batch.of_view ~size { Batch.rows; pos = 0; len } )
   | Plan.Group_scan { var; _ } ->
       ( schema,
         fun env -> Batch.of_view ~size (Env.find_group env var) )
@@ -1300,12 +1307,12 @@ and compile ~config ~(outer : Schema.t list) ?cols (p : Plan.t) :
           Governor.accountant env.Env.governor ~op:"distinct.hash"
         in
         fun row ->
-          if Tuple.Tbl.mem seen row then false
-          else begin
-            Option.iter (fun f -> f row) account;
-            Tuple.Tbl.add seen row ();
-            true
-          end
+          let n = Tuple.Tbl.length seen in
+          Tuple.Tbl.intern seen row () = n
+          && begin
+               Option.iter (fun f -> f row) account;
+               true
+             end
       in
       (schema, fun env -> Batch.filter (make_pred env) (c.brun env))
   | Plan.Order_by { keys; input } ->
@@ -1529,11 +1536,10 @@ and order_inputs ~config ~outer input :
    the numberings, and sorting becomes a parallel merge sort; both
    layouts are identical to the sequential result.
 
-   Memory accounting mirrors the real structures: hashing pays per-row
-   table overhead (plus a merge pass when parallel) through
-   [group_rows]; sorting only pays the merge buffer and the group
-   slices.  The governor's graceful degradation leans on exactly this
-   asymmetry. *)
+   Memory accounting: hashing pays a per-row structure overhead (plus a
+   merge pass when parallel) through [group_rows]; sorting only pays
+   the merge buffer and the group slices.  The governor's graceful
+   degradation leans on exactly this asymmetry. *)
 and partition ~config ?pool ?gov ~idxs (rows : Tuple.t array) : groups =
   match config.partition with
   | Hash_partition ->
@@ -1571,7 +1577,8 @@ and partition ~config ?pool ?gov ~idxs (rows : Tuple.t array) : groups =
    probe returns its bucket; an index probe returns the rows of its
    bucket's visible prefix.  A single-component key probes a [Value.Tbl]
    (hash build) or the index's [Value]-keyed bucket directly, with no
-   per-row key tuple.
+   per-row key tuple; a multi-component hash build and probe each fill
+   one reused scratch key, and the build copies it only for a new key.
 
    With [cols] (passed down by a bare-column Project right above) each
    match writes only the kept cells, and the compiled schema is the
@@ -1624,10 +1631,10 @@ and compile_join ~config ~outer ?cols pred left right :
     let strict = Array.of_list (List.map (fun (_, _, ns) -> not ns) equi) in
     let key_rejected (key : Tuple.t) =
       let rejected = ref false in
-      Array.iteri
-        (fun i v ->
-          if strict.(i) && Value.is_null v then rejected := true)
-        (key : Tuple.t :> Value.t array);
+      for i = 0 to Array.length key - 1 do
+        if strict.(i) && Value.is_null (Array.unsafe_get key i) then
+          rejected := true
+      done;
       !rejected
     in
     (* index nested-loop candidate: the right side is a base-table scan
@@ -1738,10 +1745,11 @@ and compile_join ~config ~outer ?cols pred left right :
                             (Index.view_find iview
                                (Tuple.of_list (List.map fst parts)))))
     in
-    (* build the hash table from the right side in one pass, probed for
-       a left row's bucket array (see [hash_build]) *)
-    let build_lookup env (drain : (Tuple.t -> unit) -> unit) :
-        Tuple.t -> Tuple.t array =
+    (* build the hash table from the materialized right side in one
+       pass, sized for it, probed for a left row's bucket array (see
+       [hash_build]) *)
+    let build_lookup env (rows : Tuple.t array) : Tuple.t -> Tuple.t array =
+      let size = Array.length rows and drain f = Array.iter f rows in
       let frames = env.Env.frames in
       let build_account =
         Governor.accountant env.Env.governor ~op:"join.build"
@@ -1751,7 +1759,7 @@ and compile_join ~config ~outer ?cols pred left right :
           (* single-component key: hash the value itself *)
           let strict0 = strict.(0) in
           let find =
-            hash_build (module Value.Tbl) (fun add ->
+            hash_build (module Value.Tbl) ~size ~keep:Fun.id (fun add ->
                 drain (fun rrow ->
                     let v = rk frames rrow in
                     if not (strict0 && Value.is_null v) then begin
@@ -1763,22 +1771,29 @@ and compile_join ~config ~outer ?cols pred left right :
             let v = lk frames lrow in
             if strict0 && Value.is_null v then [||] else find v
       | _ ->
-          let lks = Array.of_list left_keys in
-          let rks = Array.of_list right_keys in
-          let key_of ks row =
-            (Array.map (fun ce -> ce frames row) ks : Tuple.t)
+          (* each side fills one scratch key per row; the build copies
+             it only for a new key *)
+          let key_of ks =
+            let scratch = Array.make (Array.length ks) Value.Null in
+            fun row ->
+              for j = 0 to Array.length ks - 1 do
+                Array.unsafe_set scratch j ((Array.unsafe_get ks j) frames row)
+              done;
+              (scratch : Tuple.t)
           in
+          let build_key = key_of (Array.of_list right_keys) in
+          let probe_key = key_of (Array.of_list left_keys) in
           let find =
-            hash_build (module Tuple.Tbl) (fun add ->
+            hash_build (module Tuple.Tbl) ~size ~keep:Array.copy (fun add ->
                 drain (fun rrow ->
-                    let key = key_of rks rrow in
+                    let key = build_key rrow in
                     if not (key_rejected key) then begin
                       Option.iter (fun f -> f rrow) build_account;
                       add key rrow
                     end))
           in
           fun lrow ->
-            let key = key_of lks lrow in
+            let key = probe_key lrow in
             if key_rejected key then [||] else find key
     in
     ( schema,
@@ -1790,7 +1805,7 @@ and compile_join ~config ~outer ?cols pred left right :
         | None ->
             Batch.deferred (fun () ->
                 let lookup =
-                  build_lookup env (fun f -> Batch.drain_iter f (cr.brun env))
+                  build_lookup env (Batch.to_array (cr.brun env))
                 in
                 expand ~size ~emit:(emit env) lookup (cl.brun env)) )
 

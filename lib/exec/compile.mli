@@ -8,7 +8,10 @@
     GApply follows the paper's two phases (Section 3): a partition phase
     (sorting or hashing, per {!config}) over the outer stream, which
     lays every group out as a slice of one member array, then an
-    execution phase over the groups.  A {!group_local} per-group query
+    execution phase over the groups.  Hashing gives every row a group id
+    through a key table ({!Keytbl}) and moves the rows into place with a
+    counting sort over the ids: groups in reverse first-seen key order,
+    members in input order, the same layout at every parallelism.  A {!group_local} per-group query
     runs as one loop per group over its slice; any other is compiled
     once into its cursor chain and re-run per group with the group's
     slice bound to the relation-valued variable. *)

@@ -26,7 +26,13 @@ let project idxs (t : t) : t =
       dst
 
 let equal (a : t) (b : t) =
-  Array.length a = Array.length b && Array.for_all2 Value.equal_total a b
+  let n = Array.length a in
+  let rec go i =
+    i = n
+    || (Value.equal_total (Array.unsafe_get a i) (Array.unsafe_get b i)
+       && go (i + 1))
+  in
+  n = Array.length b && go 0
 
 (** Lexicographic total order using [Value.compare_total]. *)
 let compare (a : t) (b : t) =
@@ -40,16 +46,24 @@ let compare (a : t) (b : t) =
   go 0
 
 let hash (t : t) =
-  Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) 7 t
+  let h = ref 7 in
+  for i = 0 to Array.length t - 1 do
+    h := (!h * 31) + Value.hash (Array.unsafe_get t i)
+  done;
+  !h
 
-(** Hash tables keyed on tuples under the engine's total value order
-    (so [Int 1] and [Float 1.0] hash and compare alike, unlike OCaml's
-    polymorphic equality). *)
-module Tbl = Hashtbl.Make (struct
+(** Key tables on tuples under the engine's total value order (so
+    [Int 1] and [Float 1.0] hash and compare alike, unlike OCaml's
+    polymorphic equality).  A one-cell tuple has its cell's int view. *)
+module Tbl = Keytbl.Make (struct
   type nonrec t = t
 
   let equal = equal
   let hash = hash
+
+  let int_view (t : t) =
+    if Array.length t = 1 then Value.int_view (Array.unsafe_get t 0)
+    else Keytbl.no_int
 end)
 
 let pp ppf (t : t) =

@@ -29,9 +29,10 @@ val compare : t -> t -> int
 val hash : t -> int
 (** Compatible with {!equal}. *)
 
-(** Hash tables keyed on tuples under {!equal}/{!hash} (the total value
-    order, where [Int 1] and [Float 1.0] coincide). *)
-module Tbl : Hashtbl.S with type key = t
+(** Key tables on tuples under {!equal}/{!hash} (the total value
+    order, where [Int 1] and [Float 1.0] coincide): multi-column join
+    builds and partitions, DISTINCT and multi-column indexes. *)
+module Tbl : Keytbl.S with type key = t
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

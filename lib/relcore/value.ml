@@ -196,23 +196,29 @@ let compare_total a b =
 
 let equal_total a b = compare_total a b = 0
 
-(** Hash compatible with [equal_total]: ints and equal-valued floats hash
-    alike so hash partitioning groups them together.  A number whose
-    float value is integral and strictly inside +-2^53 hashes as that
-    int, so the common [Int] key boxes no float; every other number
-    (where [float_of_int] may round, so distinct ints can equal one
-    float) hashes as its float. *)
+(* The int inside +-2^53 a number equals, or [Keytbl.no_int]: an
+   integral float there is equal to an int, and no int outside it can
+   equal one inside, so [equal_total] keys with the same view are equal
+   and keys with a view equal no key without one. *)
 let two_53 = 9007199254740992 (* 2^53 *)
 
+let int_view = function
+  | Int i when i > -two_53 && i < two_53 -> i
+  | Float f when Float.is_integer f && Float.abs f < 0x1p53 -> int_of_float f
+  | Null | Int _ | Float _ | Str _ | Bool _ | Sym _ -> Keytbl.no_int
+
+(** Hash compatible with [equal_total]: ints and equal-valued floats hash
+    alike so hash partitioning groups them together.  A number with an
+    int view hashes as that int through the key table's multiplicative
+    mix; every other number (where [float_of_int] may round, so distinct
+    ints can equal one float) hashes as its float. *)
 let hash = function
   | Null -> 17
-  | Int i ->
-      if i > -two_53 && i < two_53 then Hashtbl.hash i
-      else Hashtbl.hash (float_of_int i)
-  | Float f ->
-      if Float.is_integer f && Float.abs f < 0x1p53 then
-        Hashtbl.hash (int_of_float f)
-      else Hashtbl.hash f
+  | Int i when i > -two_53 && i < two_53 -> Keytbl.mix i
+  | Int i -> Hashtbl.hash (float_of_int i)
+  | Float f when Float.is_integer f && Float.abs f < 0x1p53 ->
+      Keytbl.mix (int_of_float f)
+  | Float f -> Hashtbl.hash f
   | Str s -> Hashtbl.hash s
   | Sym (pool, id) -> Strpool.hash pool id  (* = Hashtbl.hash of the string *)
   | Bool b -> if b then 3 else 5
@@ -289,12 +295,13 @@ let concat a b =
   | Null, _ | _, Null -> Null
   | x, y -> Str (to_string x ^ to_string y)
 
-(** Hash table keyed on single values under the total order — the
-    batched hash join's single-key fast path ([Sym] keys hash and
-    compare without decoding). *)
-module Tbl = Hashtbl.Make (struct
+(** Key table on single values under the total order — join builds
+    and partitions on one column, single-column indexes ([Sym] keys hash
+    and compare without decoding, numbers take the unboxed int path). *)
+module Tbl = Keytbl.Make (struct
   type nonrec t = t
 
   let equal = equal_total
   let hash = hash
+  let int_view = int_view
 end)

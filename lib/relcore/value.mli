@@ -60,9 +60,13 @@ val equal_total : t -> t -> bool
 
 val hash : t -> int
 (** Compatible with {!equal_total}: equal values (including [Int]/[Float]
-    with the same numeric value) hash alike.  A number that is integral
-    and strictly inside +-2^53 hashes as an int, without boxing a
-    float. *)
+    with the same numeric value) hash alike.  A number with an
+    {!int_view} hashes as {!Keytbl.mix} of it, without boxing a float
+    or calling [caml_hash]. *)
+
+val int_view : t -> int
+(** The int strictly inside +-2^53 that a number equals ([Int 3] and
+    [Float 3.0] give 3), or {!Keytbl.no_int} for every other value. *)
 
 (** {1 SQL (null-propagating) comparison} *)
 
@@ -90,6 +94,6 @@ val div : t -> t -> t
 val neg : t -> t
 val concat : t -> t -> t
 
-(** Hash table keyed on values under {!equal_total} / {!hash} (the
-    batched hash join's single-key fast path). *)
-module Tbl : Hashtbl.S with type key = t
+(** Key table on single values under {!equal_total} / {!hash}: join
+    builds and partitions on one column and single-column indexes. *)
+module Tbl : Keytbl.S with type key = t

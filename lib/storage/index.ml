@@ -5,10 +5,11 @@
    join compiler uses an index on the inner side of an equi-join to skip
    the per-query hash-build (index nested-loop join).
 
-   Buckets are finalized into insertion-order arrays at build time, so
-   a probe returns its matches without allocating; a single-column index
-   keys its table by the bare [Value.t], so the probe hot path builds
-   no key tuple at all.
+   The store is a key table ([Keytbl], through [Value.Tbl] and
+   [Tuple.Tbl]) whose values are the buckets, each an ascending array
+   of offsets, so a probe returns its matches without allocating; a
+   single-column index keys its table by the bare [Value.t], so the
+   probe hot path builds no key tuple at all.
 
    [refresh] must be safe to call from concurrent query domains (the
    parallel GApply execution phase runs per-group queries — and hence
@@ -66,22 +67,31 @@ let create ~name ~(table : Table.t) ~columns : t =
     lock = Mutex.create ();
   }
 
-(* accumulate reversed offset lists keyed by ['k], then finalize each
-   bucket into an insertion-order array in [replace] *)
-let build (type k) ~(find : k -> int list option) ~(add : k -> int list -> unit)
-    ~(replace : k -> int array -> unit) ~(keys : (k -> unit) -> unit)
-    ~(key_of : Tuple.t -> k) (table : Table.t) : unit =
-  let i = ref 0 in
-  Table.iter
-    (fun row ->
-      let key = key_of row in
-      let existing = Option.value ~default:[] (find key) in
-      add key (!i :: existing);
-      incr i)
-    table;
-  keys (fun key ->
-      let offsets = Option.get (find key) in
-      replace key (Array.of_list (List.rev offsets)))
+(* Number the published rows by key in one key table, then hand each
+   key its offsets array, filled in ascending order: a counting sort
+   over the key ids. *)
+module Build (T : Keytbl.S) = struct
+  let build ~(key_of : Tuple.t -> T.key) (table : Table.t) : int array T.t =
+    let tbl = T.create 1024 in
+    let rows, n = Table.published table in
+    let ids = Array.make n 0 in
+    for r = 0 to n - 1 do
+      ids.(r) <- T.intern tbl (key_of rows.(r)) [||]
+    done;
+    let counts = Array.make (T.length tbl) 0 in
+    Array.iter (fun g -> counts.(g) <- counts.(g) + 1) ids;
+    Array.iteri (fun g c -> T.set_value tbl g (Array.make c 0)) counts;
+    let filled = Array.make (T.length tbl) 0 in
+    Array.iteri
+      (fun r g ->
+        (T.value tbl g).(filled.(g)) <- r;
+        filled.(g) <- filled.(g) + 1)
+      ids;
+    tbl
+end
+
+module By_value_build = Build (Value.Tbl)
+module By_tuple_build = Build (Tuple.Tbl)
 
 (** (Re)build the index over the table's current contents.  No-op (a
     single atomic read) when already fresh; thread-safe otherwise, and
@@ -95,23 +105,9 @@ let refresh (t : t) (table : Table.t) =
       let fresh =
         match t.idx_positions with
         | [ pos ] ->
-            let tbl : int array Value.Tbl.t = Value.Tbl.create 1024 in
-            let acc : int list Value.Tbl.t = Value.Tbl.create 1024 in
-            build table ~key_of:(fun row -> Tuple.get row pos)
-              ~find:(Value.Tbl.find_opt acc)
-              ~add:(Value.Tbl.replace acc)
-              ~replace:(Value.Tbl.replace tbl)
-              ~keys:(fun f -> Value.Tbl.iter (fun k _ -> f k) acc);
-            By_value tbl
+            By_value (By_value_build.build ~key_of:(fun row -> row.(pos)) table)
         | positions ->
-            let tbl : int array Tuple.Tbl.t = Tuple.Tbl.create 1024 in
-            let acc : int list Tuple.Tbl.t = Tuple.Tbl.create 1024 in
-            build table ~key_of:(key_of_row positions)
-              ~find:(Tuple.Tbl.find_opt acc)
-              ~add:(Tuple.Tbl.replace acc)
-              ~replace:(Tuple.Tbl.replace tbl)
-              ~keys:(fun f -> Tuple.Tbl.iter (fun k _ -> f k) acc);
-            By_tuple tbl
+            By_tuple (By_tuple_build.build ~key_of:(key_of_row positions) table)
       in
       Atomic.set t.store fresh;
       (* release-publish: readers that see [v] see the rebuilt store *)

@@ -32,11 +32,10 @@ let staged_count s table_name =
 
 let visible_count s table = Table.visible_count table ~at:s.at
 
-let visible_rows s table =
-  let committed = Table.rows_at table ~at:s.at in
+let visible_view s table =
+  let rows, k = Table.published_at table ~at:s.at in
   match staged_for s (Table.name table) with
-  | None | Some [||] -> committed
-  | Some own -> Array.append committed own
-
-let visible_relation s table =
-  Relation.of_array (Table.schema table) (visible_rows s table)
+  | None | Some [||] -> (rows, k)
+  | Some own ->
+      let n = k + Array.length own in
+      (Array.init n (fun i -> if i < k then rows.(i) else own.(i - k)), n)

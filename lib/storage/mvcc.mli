@@ -28,8 +28,9 @@ val staged_count : t -> string -> int
 val visible_count : t -> Table.t -> int
 (** Committed rows visible at the horizon (excludes staged rows). *)
 
-val visible_rows : t -> Table.t -> Tuple.t array
-(** Committed prefix at the horizon followed by own staged rows. *)
-
-val visible_relation : t -> Table.t -> Relation.t
-(** Snapshot-resolved scan of a table. *)
+val visible_view : t -> Table.t -> Tuple.t array * int
+(** The rows a scan reads, as an array and the length of its prefix to
+    read: the committed prefix at the horizon, in place in the table's
+    own array ({!Table.published_at}), or — when the session has staged
+    rows on the table — a fresh array of that prefix followed by them.
+    Callers must not mutate the array. *)

@@ -157,9 +157,8 @@ let clear t =
 
 (* Rows with stamp <= [at], i.e. committed no later than the snapshot.
    [stamps] is nondecreasing, so this is an upper-bound binary search
-   over the published prefix. *)
-let visible_count t ~at =
-  let _, stamps, n = published_view t in
+   over the published prefix [0, n). *)
+let count_at stamps n ~at =
   if n = 0 || stamps.(0) > at then 0
   else if stamps.(n - 1) <= at then n
   else begin
@@ -172,12 +171,15 @@ let visible_count t ~at =
     !lo + 1
   end
 
-let rows_at t ~at =
-  let rows, _, n = published_view t in
-  let k = min n (visible_count t ~at) in
-  Array.sub rows 0 k
+let visible_count t ~at =
+  let _, stamps, n = published_view t in
+  count_at stamps n ~at
 
-let to_relation_at t ~at = Relation.of_array t.schema (rows_at t ~at)
+(* the array and its count from one view: an append that grows the
+   array meanwhile cannot pair a new count with the old array *)
+let published_at t ~at =
+  let rows, stamps, n = published_view t in
+  (rows, count_at stamps n ~at)
 
 let rows t = Array.to_list (Array.sub t.rows 0 t.row_count)
 

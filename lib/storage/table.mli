@@ -85,11 +85,12 @@ val visible_count : t -> at:int -> int
 (** Number of rows with commit stamp [<= at] — the length of the prefix
     a snapshot taken at timestamp [at] may read.  Lock-free. *)
 
-val rows_at : t -> at:int -> Tuple.t array
-(** Copy of the prefix visible at [at]. *)
-
-val to_relation_at : t -> at:int -> Relation.t
-(** Snapshot-resolved scan: only rows committed at or before [at]. *)
+val published_at : t -> at:int -> Tuple.t array * int
+(** The row store and the length of the prefix visible at [at], read
+    from one published view.  The array is the table's own, and the
+    prefix never changes (the store is append-only and {!clear} swaps
+    in a fresh array): scans read it in place.  Callers must not mutate
+    it. *)
 
 val to_relation : t -> Relation.t
 (** Latest-committed scan (all published rows). *)

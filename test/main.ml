@@ -4,6 +4,7 @@ let () =
   Alcotest.run "gapply"
     [
       ("value", Test_value.suite);
+      ("keytbl", Test_keytbl.suite);
       ("relation", Test_relation.suite);
       ("expr", Test_expr.suite);
       ("exec", Test_exec.suite);

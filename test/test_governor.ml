@@ -356,6 +356,68 @@ let test_orderby_trips_at_input () =
       Alcotest.(check (option string)) "operator" (Some "orderby.input")
         v.Errors.operator
 
+(* ---------- hash-structure trip sites ---------- *)
+
+(* A hash partition and a join build charge their structures as they
+   build them, so a ceiling just above the input trips at that operator.
+   [trip_site ~parallelism ~limit plan] is the operator a run of [plan]
+   over [hash_table] trips at, under a ceiling of [limit] bytes. *)
+let hash_table n =
+  let t = Table.create "h" [ ("a", Datatype.Int); ("b", Datatype.Int) ] in
+  Table.insert_all t
+    (List.init n (fun i -> Tuple.of_list [ Value.Int (i mod 37); Value.Int i ]));
+  t
+
+let trip_site ?(parallelism = 1) ~limit cat plan =
+  let gov =
+    Governor.start
+      { Governor.unlimited with Governor.mem_limit_bytes = Some limit }
+  in
+  let config = Compile.config_with ~parallelism () in
+  match
+    Batch.to_array
+      ((Compile.plan ~config plan).Compile.brun
+         (Env.make ~governor:gov cat))
+  with
+  | _ -> None
+  | exception Errors.Resource_error v -> v.Errors.operator
+
+let input_bytes t =
+  List.fold_left (fun n r -> n + Governor.tuple_bytes r) 0 (Table.rows t)
+
+let test_hash_trip_sites () =
+  let check_site msg want got =
+    Alcotest.(check (option string)) msg (Some want) got
+  in
+  List.iter
+    (fun (n, parallelism) ->
+      let t = hash_table n in
+      let cat = Catalog.create () in
+      Catalog.add_table cat t;
+      let scan = Plan.table_scan ~table:"h" ~alias:"h" (Table.schema t) in
+      (* the input is charged as it is materialized; the partition's
+         first chunk charge is the one over the ceiling *)
+      let limit = input_bytes t + 1 in
+      let label = Printf.sprintf " (%d rows, parallelism %d)" n parallelism in
+      check_site ("GApply" ^ label) "gapply.partition(hash)"
+        (trip_site ~parallelism ~limit cat
+           (Plan.g_apply ~gcols:[ Expr.col "a" ] ~var:"g" ~outer:scan
+              ~pgq:(Plan.group_scan ~var:"g" (Table.schema t))));
+      check_site ("GROUP BY" ^ label) "groupby.partition"
+        (trip_site ~parallelism ~limit cat
+           (Plan.group_by [ Expr.col "a" ]
+              [ (Expr.agg Expr.Count_star None, "n") ]
+              scan));
+      (* the build side's rows are charged one by one as they go in *)
+      let other = Plan.table_scan ~table:"h" ~alias:"k" (Table.schema t) in
+      check_site ("join" ^ label) "join.build"
+        (trip_site ~parallelism ~limit:100 cat
+           (Plan.join
+              (Expr.Binary
+                 (Expr.Eq, Expr.column ~qual:"h" "a", Expr.column ~qual:"k" "b"))
+              scan other)))
+    [ (300, 1); (2000, 4) ]
+
 let suite =
   [
     Alcotest.test_case "governor unit: budgets and first-violation-wins"
@@ -382,4 +444,8 @@ let suite =
       test_orderby_charges_copies;
     Alcotest.test_case "memory ceiling: trips at orderby.input" `Quick
       test_orderby_trips_at_input;
+    Alcotest.test_case
+      "memory ceiling: trips at gapply.partition(hash), groupby.partition, \
+       join.build"
+      `Quick test_hash_trip_sites;
   ]
