@@ -297,11 +297,13 @@ let wal_report db =
    as [Fault.Crash] — deliberately not an engine error: the statement
    was applied in memory but never acknowledged, exactly the window a
    real crash hits. *)
-(* ENOSPC surfaces here as the typed [Errors.Disk_full]: the statement
-   fails, and the engine flips to read-only instead of crashing.  The
-   in-memory apply already happened, so memory may run ahead of the
-   durable log — exactly the already-handled crash window (applied but
-   never acknowledged); a restart recovers the durable prefix. *)
+(* ENOSPC surfaces here as the typed [Errors.Disk_full], from a WAL
+   append or from the snapshot of the auto-checkpoint it triggers: the
+   statement fails, and the engine flips to read-only instead of
+   crashing.  The in-memory apply already happened, so memory may run
+   ahead of the durable log — exactly the already-handled crash window
+   (applied but never acknowledged); a restart recovers the durable
+   prefix. *)
 let degrade_on_disk_full db f =
   try f ()
   with Errors.Disk_full _ as e ->
@@ -309,7 +311,8 @@ let degrade_on_disk_full db f =
       Some
         {
           Errors.primary = None;
-          ro_detail = "WAL device out of space: engine degraded to read-only";
+          ro_detail =
+            "data directory out of space: engine degraded to read-only";
         };
     raise e
 

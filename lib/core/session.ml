@@ -35,21 +35,10 @@ type report = {
 
 let combine h x = (h * 31) + x [@@inline]
 
-(* Failed statements are digested by error *class* (exception
-   constructor / violation kind), not by message: violation details
-   embed accounted byte counts and timings that legitimately vary
-   between a concurrent run and its sequential replay. *)
-let error_class (e : exn) =
-  match e with
-  | Errors.Resource_error v -> Errors.resource_kind_to_string v.Errors.kind
-  | Errors.Type_error _ -> "type"
-  | Errors.Name_error _ -> "name"
-  | Errors.Parse_error _ -> "parse"
-  | Errors.Plan_error _ -> "plan"
-  | Errors.Exec_error _ -> "exec"
-  | Errors.Txn_conflict _ -> "txn_conflict"
-  | e -> Printexc.to_string e
-
+(* Failed statements are digested by error class ({!Errors.error_class}),
+   not by message: violation details embed accounted byte counts and
+   timings that legitimately vary between a concurrent run and its
+   sequential replay. *)
 let digest_outcome acc (o : Engine.outcome) =
   match o with
   | Engine.Rows rel ->
@@ -58,7 +47,8 @@ let digest_outcome acc (o : Engine.outcome) =
         (combine acc 1) (Relation.rows_array rel)
   | Engine.Message m -> combine (combine acc 2) (Hashtbl.hash m)
   | Engine.Explanation e -> combine (combine acc 3) (Hashtbl.hash e)
-  | Engine.Failed e -> combine (combine acc 4) (Hashtbl.hash (error_class e))
+  | Engine.Failed e ->
+      combine (combine acc 4) (Hashtbl.hash (Errors.error_class e))
 
 let rows_of_outcome = function
   | Engine.Rows rel -> Relation.cardinality rel

@@ -43,12 +43,6 @@ let gapply_groups reg =
 
 type config = {
   partition : partition_strategy;
-  apply_cache : bool;
-      (* evaluate uncorrelated Apply inners once per run (see the Apply
-         case below); disabled only by the ablation benchmark *)
-  use_indexes : bool;
-      (* probe a matching hash index on the inner side of an equi-join
-         instead of building a per-query hash table *)
   parallelism : int;
       (* total domains (submitter included) for the partition and
          execution phases of GApply/Group_by: 1 = sequential,
@@ -64,24 +58,18 @@ type config = {
 let default_config =
   {
     partition = Hash_partition;
-    apply_cache = true;
-    use_indexes = true;
     parallelism = 1;
     batch_size = Batch.default_size;
     observe = None;
     groups = None;
   }
 
-let config_with ?(partition = Hash_partition) ?(apply_cache = true)
-    ?(use_indexes = true) ?(parallelism = 1)
+let config_with ?(partition = Hash_partition) ?(parallelism = 1)
     ?(batch_size = Batch.default_size) ?observe ?groups () =
   if batch_size < 1 then
     invalid_arg
       (Printf.sprintf "Compile.config_with: batch_size %d < 1" batch_size);
-  {
-    partition; apply_cache; use_indexes; parallelism; batch_size; observe;
-    groups;
-  }
+  { partition; parallelism; batch_size; observe; groups }
 
 (* the Obs node of the operator currently being compiled (used by the
    GApply / Group_by cases to report their partition phase) *)
@@ -379,6 +367,27 @@ let expand ~size ~(emit : (Tuple.t -> unit) -> Tuple.t -> Tuple.t -> unit)
             true
         | None -> false)
 
+(* One scratch key over the key expressions [ks], refilled for every
+   row it is given: a caller reads the key before the next row and
+   copies it to keep it. *)
+let key_of frames (ks : Eval.compiled array) =
+  let scratch = Array.make (Array.length ks) Value.Null in
+  fun row ->
+    for j = 0 to Array.length ks - 1 do
+      Array.unsafe_set scratch j ((Array.unsafe_get ks j) frames row)
+    done;
+    (scratch : Tuple.t)
+
+(* Whether a join key matches nothing: a NULL in a [strict] ('=')
+   component. *)
+let key_rejected strict (key : Tuple.t) =
+  let rejected = ref false in
+  for i = 0 to Array.length key - 1 do
+    if strict.(i) && Value.is_null (Array.unsafe_get key i) then
+      rejected := true
+  done;
+  !rejected
+
 (* A join's hash build in one pass over a key table: a key's first row
    goes in as a one-row bucket, and only the rows of keys that repeat
    are collected on the side, with their key's id, and appended to their
@@ -497,12 +506,11 @@ type local_pgq = {
 (* The shape of a group-local PGQ over [var]: a UNION ALL (or one
    branch) of [Project? (Aggregate? (Select* source))] chains, possibly
    guarded as [Apply (Exists test, _)].  A source is [Group_scan var],
-   [Distinct (Project? (Select* (Group_scan var)))] or — when [apply]
-   (the Apply cache is on) — [Apply (Select* (Group_scan var), inner)]
-   with an uncorrelated inner [Aggregate (Select* (Group_scan var))] or
-   [Exists test]; a [test] is
+   [Distinct (Project? (Select* (Group_scan var)))] or
+   [Apply (Select* (Group_scan var), inner)] with an uncorrelated inner
+   [Aggregate (Select* (Group_scan var))] or [Exists test]; a [test] is
    [Select* (Aggregate? (Select* (Group_scan var)))]. *)
-let local_branches ?(apply = true) ~var (pgq : Plan.t) : local_pgq option =
+let local_branches ~var (pgq : Plan.t) : local_pgq option =
   let rec selects = function
     | Plan.Select { input; _ } -> selects input
     | Plan.Group_scan { var = v; _ } -> String.equal v var
@@ -526,7 +534,7 @@ let local_branches ?(apply = true) ~var (pgq : Plan.t) : local_pgq option =
           inner =
             (Plan.Aggregate { input; _ } | Plan.Exists { input; _ }) as i;
         } ->
-        apply && selects o
+        selects o
         && (match i with Plan.Exists _ -> test input | _ -> selects input)
         && not (correlated ~schema:(Props.schema_of o) i)
     | p -> selects p
@@ -659,20 +667,17 @@ let widened a gov values =
   Array.blit values 0 scratch a.width k;
   Widened scratch
 
-(* A group's seen-set for a Distinct source, with the row it kept last
-   and the governor's charge for each row it keeps (as the Distinct
-   cursor's hash set is charged).  One per group and call, so groups
-   run in parallel share none. *)
+(* A Distinct's seen-set, with the governor's charge for each row it
+   keeps: one per Distinct cursor, and one per group and call in the
+   group-local loop, so groups run in parallel share none. *)
 type seen_set = {
   seen : unit Tuple.Tbl.t;
-  mutable last : Tuple.t option;
   charge : (Tuple.t -> unit) option;
 }
 
 let seen_set gov =
   {
     seen = Tuple.Tbl.create 16;
-    last = None;
     charge = Governor.accountant gov ~op:"distinct.hash";
   }
 
@@ -682,7 +687,6 @@ let first_seen s row =
   Tuple.Tbl.intern s.seen row () = n
   && begin
        Option.iter (fun charge -> charge row) s.charge;
-       s.last <- Some row;
        true
      end
 
@@ -694,11 +698,12 @@ let rec same_cells items frames row (last : Tuple.t) j =
        ((Array.unsafe_get items j) frames row)
      && same_cells items frames row last (j + 1)
 
-(* Whether branch [b]'s projection of [row] equals the row [s] kept
-   last, and so is no new row: known without a hash or a fresh row, the
-   common case of a Distinct over columns the group shares. *)
-let repeats_last s b frames row =
-  match s.last with
+(* Whether branch [b]'s projection of [row] equals the row the group's
+   Distinct kept [last], and so is no new row: known without a hash or a
+   fresh row, the common case of a Distinct over columns the group
+   shares. *)
+let repeats_last last b frames row =
+  match last with
   | None -> false
   | Some last -> (
       match b.items with
@@ -762,14 +767,18 @@ and each_row b gov frames (v : Batch.t) f =
       done
   | Distinct d ->
       let seen = seen_set gov and np = Array.length d.projected.preds in
+      let last = ref None in
       for i = v.Batch.pos to stop - 1 do
         let row = Array.unsafe_get v.Batch.rows i in
         if
           level d.projected.preds frames row 0 = np
-          && not (repeats_last seen d.projected frames row)
+          && not (repeats_last !last d.projected frames row)
         then begin
           let out = branch_row d.projected Tuple.empty frames row in
-          if first_seen seen out then f out
+          if first_seen seen out then begin
+            last := Some out;
+            f out
+          end
         end
       done
 
@@ -1301,20 +1310,9 @@ and compile ~config ~(outer : Schema.t list) ?cols (p : Plan.t) :
   | Plan.Distinct input ->
       let c = plan ~config ~outer input in
       (* one seen-set per invocation *)
-      let make_pred env =
-        let seen = Tuple.Tbl.create 64 in
-        let account =
-          Governor.accountant env.Env.governor ~op:"distinct.hash"
-        in
-        fun row ->
-          let n = Tuple.Tbl.length seen in
-          Tuple.Tbl.intern seen row () = n
-          && begin
-               Option.iter (fun f -> f row) account;
-               true
-             end
-      in
-      (schema, fun env -> Batch.filter (make_pred env) (c.brun env))
+      ( schema,
+        fun env ->
+          Batch.filter (first_seen (seen_set env.Env.governor)) (c.brun env) )
   | Plan.Order_by { keys; input } ->
       let orders, branches = order_inputs ~config ~outer input in
       (* a bare-column key is compared in place; any other key is
@@ -1397,7 +1395,7 @@ and compile ~config ~(outer : Schema.t list) ?cols (p : Plan.t) :
          the inner is an aggregate of the whole group.  The cached inner
          is lazy: an empty outer never runs it. *)
       let matches =
-        if correlated ~schema:co.schema inner || not config.apply_cache then
+        if correlated ~schema:co.schema inner then
           fun env orow ->
           Batch.to_array (ci.brun (Env.push_frame co.schema orow env))
         else fun env ->
@@ -1428,11 +1426,9 @@ and compile ~config ~(outer : Schema.t list) ?cols (p : Plan.t) :
       let idxs = key_indexes co.schema gcols in
       let obs_node = obs_current config in
       (* a group-local PGQ runs as one loop per group; any other PGQ
-         runs its cursor chain once per group, over the group's view.
-         Without the Apply cache an Apply's inner re-runs per member,
-         which only the chain does. *)
+         runs its cursor chain once per group, over the group's view *)
       let exec =
-        match local_branches ~apply:config.apply_cache ~var pgq with
+        match local_branches ~var pgq with
         | Some l -> `Loop (compile_local ~config ~outer pgq l)
         | None -> `Chain (plan ~config ~outer pgq)
       in
@@ -1575,10 +1571,11 @@ and partition ~config ?pool ?gov ~idxs (rows : Tuple.t array) : groups =
    differ only in the match source, which returns a left row's matches
    as an array.  Nested loops return the materialized right side; a hash
    probe returns its bucket; an index probe returns the rows of its
-   bucket's visible prefix.  A single-component key probes a [Value.Tbl]
-   (hash build) or the index's [Value]-keyed bucket directly, with no
-   per-row key tuple; a multi-component hash build and probe each fill
-   one reused scratch key, and the build copies it only for a new key.
+   bucket's visible prefix.  A single-component hash build and probe
+   key a [Value.Tbl] by the value itself, with no per-row key tuple;
+   every other key (a multi-component hash join, any index probe) fills
+   one reused scratch key per row ([key_of]), which the build copies
+   only for a new key.
 
    With [cols] (passed down by a bare-column Project right above) each
    match writes only the kept cells, and the compiled schema is the
@@ -1629,14 +1626,6 @@ and compile_join ~config ~outer ?cols pred left right :
     (* components from plain '=' pairs reject NULL keys; null-safe
        ('<=>') components let NULLs match each other *)
     let strict = Array.of_list (List.map (fun (_, _, ns) -> not ns) equi) in
-    let key_rejected (key : Tuple.t) =
-      let rejected = ref false in
-      for i = 0 to Array.length key - 1 do
-        if strict.(i) && Value.is_null (Array.unsafe_get key i) then
-          rejected := true
-      done;
-      !rejected
-    in
     (* index nested-loop candidate: the right side is a base-table scan
        and every right-side key is a bare column *)
     let index_candidate =
@@ -1656,94 +1645,75 @@ and compile_join ~config ~outer ?cols pred left right :
       | _ -> None
     in
     let index_probe env =
-      if not config.use_indexes then None
-      else
-        match index_candidate with
-        | None -> None
-        | Some (table, cols) -> (
-            match Catalog.find_index_on env.Env.catalog ~table ~cols with
-            | None -> None
-            | Some _
-              when match env.Env.snapshot with
-                   | Some snap -> Mvcc.staged_for snap table <> None
-                   | None -> false ->
-                (* the session has its own uncommitted rows on the inner
-                   table: the index only covers committed rows, so bail
-                   to the hash build, whose scan sees the staged rows *)
-                None
-            | Some index ->
-                let base = Catalog.find_table env.Env.catalog table in
-                (* freshen once when the probe cursor is built; a
-                   version check makes the fresh case a wait-free no-op.
-                   Rebuilds swap the store atomically, so capturing the
-                   view here pins this query to one consistent build
-                   even if a writer commits mid-probe. *)
-                Index.refresh index base;
-                let iview = Index.view index in
-                (* the table's published rows, captured once per cursor
-                   after the refresh, so they cover every offset of the
-                   build; offsets at or beyond the snapshot horizon
-                   belong to transactions committed after this session's
-                   snapshot and are cut off (the captured build may be
-                   fresher than the snapshot, never staler) *)
-                let rows, published = Table.published base in
-                let limit =
-                  match env.Env.snapshot with
-                  | None -> published
-                  | Some snap -> min published (Mvcc.visible_count snap base)
-                in
-                (* a bucket's offsets ascend, so its visible rows are
-                   the prefix below [limit] *)
-                let fetch (offs : int array) : Tuple.t array =
-                  let k = ref (Array.length offs) in
-                  while !k > 0 && offs.(!k - 1) >= limit do
-                    decr k
+      match index_candidate with
+      | None -> None
+      | Some (table, cols) -> (
+          match Catalog.find_index_on env.Env.catalog ~table ~cols with
+          | None -> None
+          | Some _
+            when match env.Env.snapshot with
+                 | Some snap -> Mvcc.staged_for snap table <> None
+                 | None -> false ->
+              (* the session has its own uncommitted rows on the inner
+                 table: the index only covers committed rows, so bail
+                 to the hash build, whose scan sees the staged rows *)
+              None
+          | Some index ->
+              let base = Catalog.find_table env.Env.catalog table in
+              (* freshen once when the probe cursor is built; a
+                 version check makes the fresh case a wait-free no-op.
+                 Rebuilds swap the store atomically, so capturing the
+                 view here pins this query to one consistent build
+                 even if a writer commits mid-probe. *)
+              Index.refresh index base;
+              let iview = Index.view index in
+              (* the table's published rows, captured once per cursor
+                 after the refresh, so they cover every offset of the
+                 build; offsets at or beyond the snapshot horizon
+                 belong to transactions committed after this session's
+                 snapshot and are cut off (the captured build may be
+                 fresher than the snapshot, never staler) *)
+              let rows, published = Table.published base in
+              let limit =
+                match env.Env.snapshot with
+                | None -> published
+                | Some snap -> min published (Mvcc.visible_count snap base)
+              in
+              (* a bucket's offsets ascend, so its visible rows are
+                 the prefix below [limit] *)
+              let fetch (offs : int array) : Tuple.t array =
+                let k = ref (Array.length offs) in
+                while !k > 0 && offs.(!k - 1) >= limit do
+                  decr k
+                done;
+                if !k = 0 then [||]
+                else begin
+                  let out = Array.make !k Tuple.empty in
+                  for i = 0 to !k - 1 do
+                    Array.unsafe_set out i rows.(offs.(i))
                   done;
-                  if !k = 0 then [||]
-                  else begin
-                    let out = Array.make !k Tuple.empty in
-                    for i = 0 to !k - 1 do
-                      Array.unsafe_set out i rows.(offs.(i))
-                    done;
-                    out
-                  end
-                in
-                (* re-order the probe to the index's column order *)
-                let by_col =
-                  List.map2
-                    (fun c ((_, _, ns), lk) -> (c, (lk, not ns)))
-                    cols
-                    (List.combine equi left_keys)
-                in
-                let probe =
-                  List.map (fun c -> List.assoc c by_col)
-                    (Index.columns index)
-                in
-                let frames = env.Env.frames in
-                Some
-                  (match probe with
-                  | [ (ce, strict) ] ->
-                      (* single-component key: no per-probe part list *)
-                      fun lrow ->
-                        let v = ce frames lrow in
-                        if strict && Value.is_null v then [||]
-                        else fetch (Index.view_find_single iview v)
-                  | probe ->
-                      fun lrow ->
-                        let parts =
-                          List.map
-                            (fun (ce, strict) -> (ce frames lrow, strict))
-                            probe
-                        in
-                        if
-                          List.exists
-                            (fun (v, strict) -> strict && Value.is_null v)
-                            parts
-                        then [||]
-                        else
-                          fetch
-                            (Index.view_find iview
-                               (Tuple.of_list (List.map fst parts)))))
+                  out
+                end
+              in
+              (* the probe key and its strictness in the index's column
+                 order *)
+              let by_col =
+                List.combine cols
+                  (List.combine left_keys (Array.to_list strict))
+              in
+              let lks, strict =
+                List.split
+                  (List.map
+                     (fun c -> List.assoc c by_col)
+                     (Index.columns index))
+              in
+              let probe_key = key_of env.Env.frames (Array.of_list lks)
+              and strict = Array.of_list strict in
+              Some
+                (fun lrow ->
+                  let key = probe_key lrow in
+                  if key_rejected strict key then [||]
+                  else fetch (Index.view_find iview key)))
     in
     (* build the hash table from the materialized right side in one
        pass, sized for it, probed for a left row's bucket array (see
@@ -1771,30 +1741,20 @@ and compile_join ~config ~outer ?cols pred left right :
             let v = lk frames lrow in
             if strict0 && Value.is_null v then [||] else find v
       | _ ->
-          (* each side fills one scratch key per row; the build copies
-             it only for a new key *)
-          let key_of ks =
-            let scratch = Array.make (Array.length ks) Value.Null in
-            fun row ->
-              for j = 0 to Array.length ks - 1 do
-                Array.unsafe_set scratch j ((Array.unsafe_get ks j) frames row)
-              done;
-              (scratch : Tuple.t)
-          in
-          let build_key = key_of (Array.of_list right_keys) in
-          let probe_key = key_of (Array.of_list left_keys) in
+          let build_key = key_of frames (Array.of_list right_keys) in
+          let probe_key = key_of frames (Array.of_list left_keys) in
           let find =
             hash_build (module Tuple.Tbl) ~size ~keep:Array.copy (fun add ->
                 drain (fun rrow ->
                     let key = build_key rrow in
-                    if not (key_rejected key) then begin
+                    if not (key_rejected strict key) then begin
                       Option.iter (fun f -> f rrow) build_account;
                       add key rrow
                     end))
           in
           fun lrow ->
             let key = probe_key lrow in
-            if key_rejected key then [||] else find key
+            if key_rejected strict key then [||] else find key
     in
     ( schema,
       fun env ->

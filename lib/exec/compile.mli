@@ -27,13 +27,6 @@ val gapply_groups : Metrics.registry -> gapply_groups
 
 type config = {
   partition : partition_strategy;
-  apply_cache : bool;
-      (** evaluate uncorrelated Apply inners once per run instead of once
-          per outer row (standard subquery caching); disabled only by the
-          ablation benchmark *)
-  use_indexes : bool;
-      (** probe a matching hash index on the inner side of an equi-join
-          instead of building a per-query hash table *)
   parallelism : int;
       (** total domains (submitting domain included) used by the
           partition and execution phases of GApply/Group_by on a shared
@@ -56,13 +49,11 @@ type config = {
 }
 
 val default_config : config
-(** Hash partitioning, Apply caching on, indexes on, sequential,
-    {!Batch.default_size}-row batches, unobserved, uncounted. *)
+(** Hash partitioning, sequential, {!Batch.default_size}-row batches,
+    unobserved, uncounted. *)
 
 val config_with :
   ?partition:partition_strategy ->
-  ?apply_cache:bool ->
-  ?use_indexes:bool ->
   ?parallelism:int ->
   ?batch_size:int ->
   ?observe:Obs.t ->
@@ -100,8 +91,7 @@ val group_local : var:string -> Plan.t -> bool
     [member ++ inner values]; a Distinct through a seen-set of the
     group's own.  It writes [key ++ values] rows, in the order its
     cursor chain would yield them (groups, then branches, then
-    members).  With [config.apply_cache] off a member-level Apply takes
-    the chain. *)
+    members). *)
 
 val sort_rows : ?pool:Domain_pool.t -> ('a -> 'a -> int) -> 'a array -> unit
 (** The row sort behind ORDER BY and sort partitioning: stable and in

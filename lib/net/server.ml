@@ -66,23 +66,11 @@ type t = {
 
 (* ---------- outcome -> wire ---------- *)
 
-(* The stable error-class strings wire clients switch on; same mapping
-   the concurrent-session driver digests by. *)
-let error_class (e : exn) =
-  match e with
-  | Errors.Resource_error v -> Errors.resource_kind_to_string v.Errors.kind
-  | Errors.Type_error _ -> "type"
-  | Errors.Name_error _ -> "name"
-  | Errors.Parse_error _ -> "parse"
-  | Errors.Plan_error _ -> "plan"
-  | Errors.Exec_error _ -> "exec"
-  | Errors.Txn_conflict _ -> "txn_conflict"
-  | Errors.Recovery_error _ -> "recovery"
-  | Errors.Overloaded _ -> "overloaded"
-  | Errors.Read_only _ -> "read_only"
-  | Errors.Disk_full _ -> "disk_full"
+(* The stable error-class strings wire clients switch on: the engine's
+   classes, and the wire's own protocol errors. *)
+let error_class = function
   | Wire.Protocol_error _ -> "protocol"
-  | _ -> "internal"
+  | e -> Errors.error_class e
 
 let failed_of_exn e =
   Wire.Failed { cls = error_class e; message = Errors.to_string e }

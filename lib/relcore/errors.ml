@@ -179,10 +179,11 @@ let read_only_to_string (r : read_only_info) =
     | Some p -> Printf.sprintf " (primary at %s)" p)
 
 exception Disk_full of string
-(** The WAL device rejected an append (ENOSPC, or the injected
-    equivalent).  The engine reacts by degrading to read-only rather
-    than crashing: in-memory state may be ahead of the durable log at
-    that point, which is exactly the already-handled crash window. *)
+(** The data directory's device rejected a WAL append or a snapshot
+    write (ENOSPC, or the injected equivalent).  The engine reacts by
+    degrading to read-only rather than crashing: in-memory state may be
+    ahead of the durable log at that point, which is exactly the
+    already-handled crash window. *)
 
 let disk_fullf fmt = Format.kasprintf (fun s -> raise (Disk_full s)) fmt
 
@@ -214,3 +215,21 @@ let is_engine_error = function
   | Read_only _ | Disk_full _ ->
       true
   | _ -> false
+
+(* The stable class of an engine error: what wire clients switch on and
+   what [Session] digests failed statements by.  A class never carries
+   the message's details (byte counts, timings, names), which vary
+   between runs of the same statement. *)
+let error_class = function
+  | Resource_error v -> resource_kind_to_string v.kind
+  | Type_error _ -> "type"
+  | Name_error _ -> "name"
+  | Parse_error _ -> "parse"
+  | Plan_error _ -> "plan"
+  | Exec_error _ -> "exec"
+  | Txn_conflict _ -> "txn_conflict"
+  | Recovery_error _ -> "recovery"
+  | Overloaded _ -> "overloaded"
+  | Read_only _ -> "read_only"
+  | Disk_full _ -> "disk_full"
+  | _ -> "internal"

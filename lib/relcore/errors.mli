@@ -139,8 +139,9 @@ val read_onlyf :
 val read_only_to_string : read_only_info -> string
 
 exception Disk_full of string
-(** The WAL device rejected an append (ENOSPC or the injected
-    equivalent); the engine degrades to read-only instead of crashing. *)
+(** The data directory's device rejected a WAL append or a snapshot
+    write (ENOSPC or the injected equivalent); the engine degrades to
+    read-only instead of crashing. *)
 
 val disk_fullf : ('a, Format.formatter, unit, 'b) format4 -> 'a
 
@@ -155,3 +156,9 @@ val to_string : exn -> string
     exceptions. *)
 
 val is_engine_error : exn -> bool
+
+val error_class : exn -> string
+(** The stable class of an engine error ([Resource_error]'s violation
+    kind, ["type"], ["exec"], ["disk_full"], ...), free of the message's
+    varying details: what wire clients switch on and what [Session]
+    digests failed statements by.  ["internal"] for any other exception. *)

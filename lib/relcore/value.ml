@@ -296,8 +296,8 @@ let concat a b =
   | x, y -> Str (to_string x ^ to_string y)
 
 (** Key table on single values under the total order — join builds
-    and partitions on one column, single-column indexes ([Sym] keys hash
-    and compare without decoding, numbers take the unboxed int path). *)
+    and probes and partitions on one column ([Sym] keys hash and compare
+    without decoding, numbers take the unboxed int path). *)
 module Tbl = Keytbl.Make (struct
   type nonrec t = t
 

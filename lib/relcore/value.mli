@@ -95,5 +95,5 @@ val neg : t -> t
 val concat : t -> t -> t
 
 (** Key table on single values under {!equal_total} / {!hash}: join
-    builds and partitions on one column and single-column indexes. *)
+    builds and probes and partitions on one column. *)
 module Tbl : Keytbl.S with type key = t

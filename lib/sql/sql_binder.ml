@@ -459,9 +459,7 @@ and apply_subquery_conjunct scope (plan : Plan.t) (c : Sql_ast.expr) : Plan.t
       let additions = ref [] in
       let rec rewrite (e : Sql_ast.expr) : Sql_ast.expr =
         match e with
-        | Sql_ast.Scalar_subquery q ->
-            let col = attach_scalar q in
-            Sql_ast.Col_ref (None, col)
+        | Sql_ast.Scalar_subquery q -> attach_scalar scope additions q
         | Sql_ast.Exists _ | Sql_ast.In_subquery _ ->
             Errors.plan_errorf
               "EXISTS / IN must appear as a top-level WHERE conjunct"
@@ -475,31 +473,6 @@ and apply_subquery_conjunct scope (plan : Plan.t) (c : Sql_ast.expr) : Plan.t
               ( List.map (fun (c, v) -> (rewrite c, rewrite v)) whens,
                 Option.map rewrite els )
         | e -> e
-      and attach_scalar q : string =
-        let inner =
-          bind_query scope.catalog ~group_vars:scope.group_vars
-            ~parent:(Some scope) q
-        in
-        let inner_schema = Props.schema_of inner in
-        if Schema.arity inner_schema <> 1 then
-          Errors.plan_errorf
-            "scalar subquery must return exactly one column";
-        let fresh = fresh_name "sq" in
-        let inner =
-          (* keep canonical shapes: rename an Aggregate's single output
-             in place rather than wrapping it in a projection *)
-          match inner with
-          | Plan.Aggregate { aggs = [ (a, _) ]; input } ->
-              Plan.aggregate [ (a, fresh) ] input
-          | _ ->
-              let c = Schema.get inner_schema 0 in
-              Plan.project
-                [ (Expr.Col (Expr.col ?qual:c.Schema.source c.Schema.cname),
-                   fresh) ]
-                inner
-        in
-        additions := inner :: !additions;
-        fresh
       in
       let rewritten = rewrite c in
       let plan =
@@ -514,6 +487,33 @@ and apply_subquery_conjunct scope (plan : Plan.t) (c : Sql_ast.expr) : Plan.t
         }
       in
       Plan.select (bind_pure widened rewritten) plan
+
+(* Bind scalar subquery [q] for attachment by Apply: it must return
+   one column, which gets a fresh name — an Aggregate's single output
+   renamed in place (keeping the canonical shape), any other plan
+   projected — and is pushed onto [additions].  The reference to it
+   replaces the subquery in the enclosing expression. *)
+and attach_scalar scope additions q : Sql_ast.expr =
+  let inner =
+    bind_query scope.catalog ~group_vars:scope.group_vars ~parent:(Some scope)
+      q
+  in
+  let inner_schema = Props.schema_of inner in
+  if Schema.arity inner_schema <> 1 then
+    Errors.plan_errorf "scalar subquery must return exactly one column";
+  let fresh = fresh_name "sq" in
+  let inner =
+    match inner with
+    | Plan.Aggregate { aggs = [ (a, _) ]; input } ->
+        Plan.aggregate [ (a, fresh) ] input
+    | _ ->
+        let c = Schema.get inner_schema 0 in
+        Plan.project
+          [ (Expr.Col (Expr.col ?qual:c.Schema.source c.Schema.cname), fresh) ]
+          inner
+  in
+  additions := inner :: !additions;
+  Sql_ast.Col_ref (None, fresh)
 
 (* ---------- SELECT list handling ---------- *)
 
@@ -727,28 +727,7 @@ and bind_plain_select scope plan (spec : Sql_ast.select_spec) : Plan.t =
   let additions = ref [] in
   let rec strip (e : Sql_ast.expr) : Sql_ast.expr =
     match e with
-    | Sql_ast.Scalar_subquery q ->
-        let inner =
-          bind_query scope.catalog ~group_vars:scope.group_vars
-            ~parent:(Some scope) q
-        in
-        let inner_schema = Props.schema_of inner in
-        if Schema.arity inner_schema <> 1 then
-          Errors.plan_errorf "scalar subquery must return exactly one column";
-        let fresh = fresh_name "sq" in
-        let inner =
-          match inner with
-          | Plan.Aggregate { aggs = [ (a, _) ]; input } ->
-              Plan.aggregate [ (a, fresh) ] input
-          | _ ->
-              let c = Schema.get inner_schema 0 in
-              Plan.project
-                [ (Expr.Col (Expr.col ?qual:c.Schema.source c.Schema.cname),
-                   fresh) ]
-                inner
-        in
-        additions := inner :: !additions;
-        Sql_ast.Col_ref (None, fresh)
+    | Sql_ast.Scalar_subquery q -> attach_scalar scope additions q
     | Sql_ast.Binop (op, a, b) -> Sql_ast.Binop (op, strip a, strip b)
     | Sql_ast.Neg a -> Sql_ast.Neg (strip a)
     | Sql_ast.Not a -> Sql_ast.Not (strip a)

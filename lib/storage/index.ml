@@ -5,11 +5,9 @@
    join compiler uses an index on the inner side of an equi-join to skip
    the per-query hash-build (index nested-loop join).
 
-   The store is a key table ([Keytbl], through [Value.Tbl] and
-   [Tuple.Tbl]) whose values are the buckets, each an ascending array
-   of offsets, so a probe returns its matches without allocating; a
-   single-column index keys its table by the bare [Value.t], so the
-   probe hot path builds no key tuple at all.
+   The store is a key table ([Tuple.Tbl]) whose values are the
+   buckets, each an ascending array of offsets, so a probe returns its
+   matches without allocating.
 
    [refresh] must be safe to call from concurrent query domains (the
    parallel GApply execution phase runs per-group queries — and hence
@@ -25,73 +23,68 @@
    any reader that observes the fresh version also observes the rebuilt
    store. *)
 
-type store =
-  | By_value of int array Value.Tbl.t (* single column: key is the value *)
-  | By_tuple of int array Tuple.Tbl.t
+type view = int array Tuple.Tbl.t
 
 type t = {
   idx_name : string;
   idx_table : string;
   idx_columns : string list;
-  idx_positions : int list;         (* column positions in the table *)
-  store : store Atomic.t;           (* key -> row offsets, insertion order;
+  idx_positions : int array;        (* column positions in the table *)
+  store : view Atomic.t;            (* key -> row offsets, insertion order;
                                        swapped wholesale on rebuild *)
   built_version : int Atomic.t;     (* Table.version covered; -1 = never *)
   lock : Mutex.t;                   (* serialises rebuilds *)
 }
 
-type view = store
-
 let name t = t.idx_name
 let table t = t.idx_table
 let columns t = t.idx_columns
 
-let key_of_row positions (row : Tuple.t) =
-  Tuple.of_list (List.map (fun i -> Tuple.get row i) positions)
-
-let empty_store positions =
-  match positions with
-  | [ _ ] -> By_value (Value.Tbl.create 1024)
-  | _ -> By_tuple (Tuple.Tbl.create 1024)
-
 let create ~name ~(table : Table.t) ~columns : t =
   let schema = Table.schema table in
-  let idx_positions = List.map (fun c -> Schema.find c schema) columns in
   {
     idx_name = name;
     idx_table = Table.name table;
     idx_columns = columns;
-    idx_positions;
-    store = Atomic.make (empty_store idx_positions);
+    idx_positions =
+      Array.of_list (List.map (fun c -> Schema.find c schema) columns);
+    store = Atomic.make (Tuple.Tbl.create 1);
     built_version = Atomic.make (-1);
     lock = Mutex.create ();
   }
 
-(* Number the published rows by key in one key table, then hand each
-   key its offsets array, filled in ascending order: a counting sort
-   over the key ids. *)
-module Build (T : Keytbl.S) = struct
-  let build ~(key_of : Tuple.t -> T.key) (table : Table.t) : int array T.t =
-    let tbl = T.create 1024 in
-    let rows, n = Table.published table in
-    let ids = Array.make n 0 in
-    for r = 0 to n - 1 do
-      ids.(r) <- T.intern tbl (key_of rows.(r)) [||]
+(* Number the published rows by key in one key table, filling one
+   scratch key per row and copying it only for a new key, then hand
+   each key its offsets array, filled in ascending order: a counting
+   sort over the key ids. *)
+let build positions (table : Table.t) : view =
+  let tbl = Tuple.Tbl.create 1024 in
+  let rows, n = Table.published table in
+  let ids = Array.make n 0 in
+  let scratch = Array.make (Array.length positions) Value.Null in
+  for r = 0 to n - 1 do
+    let row = rows.(r) in
+    for j = 0 to Array.length positions - 1 do
+      scratch.(j) <- row.(positions.(j))
     done;
-    let counts = Array.make (T.length tbl) 0 in
-    Array.iter (fun g -> counts.(g) <- counts.(g) + 1) ids;
-    Array.iteri (fun g c -> T.set_value tbl g (Array.make c 0)) counts;
-    let filled = Array.make (T.length tbl) 0 in
-    Array.iteri
-      (fun r g ->
-        (T.value tbl g).(filled.(g)) <- r;
-        filled.(g) <- filled.(g) + 1)
-      ids;
-    tbl
-end
-
-module By_value_build = Build (Value.Tbl)
-module By_tuple_build = Build (Tuple.Tbl)
+    let g = Tuple.Tbl.find_id tbl scratch in
+    ids.(r) <-
+      (if g >= 0 then g
+       else begin
+         Tuple.Tbl.add tbl (Array.copy scratch) [||];
+         Tuple.Tbl.length tbl - 1
+       end)
+  done;
+  let counts = Array.make (Tuple.Tbl.length tbl) 0 in
+  Array.iter (fun g -> counts.(g) <- counts.(g) + 1) ids;
+  Array.iteri (fun g c -> Tuple.Tbl.set_value tbl g (Array.make c 0)) counts;
+  let filled = Array.make (Tuple.Tbl.length tbl) 0 in
+  Array.iteri
+    (fun r g ->
+      (Tuple.Tbl.value tbl g).(filled.(g)) <- r;
+      filled.(g) <- filled.(g) + 1)
+    ids;
+  tbl
 
 (** (Re)build the index over the table's current contents.  No-op (a
     single atomic read) when already fresh; thread-safe otherwise, and
@@ -102,14 +95,7 @@ let refresh (t : t) (table : Table.t) =
     Mutex.lock t.lock;
     (* another domain may have rebuilt while we waited *)
     if Atomic.get t.built_version <> v then begin
-      let fresh =
-        match t.idx_positions with
-        | [ pos ] ->
-            By_value (By_value_build.build ~key_of:(fun row -> row.(pos)) table)
-        | positions ->
-            By_tuple (By_tuple_build.build ~key_of:(key_of_row positions) table)
-      in
-      Atomic.set t.store fresh;
+      Atomic.set t.store (build t.idx_positions table);
       (* release-publish: readers that see [v] see the rebuilt store *)
       Atomic.set t.built_version v
     end;
@@ -122,32 +108,11 @@ let view (t : t) : view = Atomic.get t.store
     none.  Allocation-free: the bucket is the view's own array, which
     callers must not mutate — the join's per-row hot path. *)
 let view_find (s : view) (key : Tuple.t) : int array =
-  match s with
-  | By_value tbl -> (
-      match Value.Tbl.find tbl (Tuple.get key 0) with
-      | offsets -> offsets
-      | exception Not_found -> [||])
-  | By_tuple tbl -> (
-      match Tuple.Tbl.find tbl key with
-      | offsets -> offsets
-      | exception Not_found -> [||])
-
-(** [view_find_single] is {!view_find} for a single-column index,
-    probing with the bare value — no key tuple on the hot path.
-    @raise Invalid_argument on a multi-column index. *)
-let view_find_single (s : view) (v : Value.t) : int array =
-  match s with
-  | By_value tbl -> (
-      match Value.Tbl.find tbl v with
-      | offsets -> offsets
-      | exception Not_found -> [||])
-  | By_tuple _ -> invalid_arg "Index.view_find_single: multi-column index"
+  let g = Tuple.Tbl.find_id s key in
+  if g < 0 then [||] else Tuple.Tbl.value s g
 
 (** Row offsets matching [key], in insertion order. *)
 let lookup (t : t) (key : Tuple.t) : int list =
   Array.to_list (view_find (view t) key)
 
-let cardinality (t : t) =
-  match Atomic.get t.store with
-  | By_value tbl -> Value.Tbl.length tbl
-  | By_tuple tbl -> Tuple.Tbl.length tbl
+let cardinality (t : t) = Tuple.Tbl.length (Atomic.get t.store)

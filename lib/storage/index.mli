@@ -31,11 +31,6 @@ val view_find : view -> Tuple.t -> int array
     when none.  The array is the view's own bucket: callers must not
     mutate it. *)
 
-val view_find_single : view -> Value.t -> int array
-(** {!view_find} for a single-column index, probing with the bare
-    value — the hot path allocates no key tuple.
-    @raise Invalid_argument on a multi-column index. *)
-
 val lookup : t -> Tuple.t -> int list
 (** Row offsets matching the key, in insertion order. *)
 

@@ -24,16 +24,6 @@ let header_len = 32
 
 (* ---------- body codec ---------- *)
 
-let put_u32 buf v =
-  for i = 0 to 3 do
-    Buffer.add_char buf (Char.chr ((v lsr (8 * i)) land 0xFF))
-  done
-
-let put_u64 buf v =
-  for i = 0 to 7 do
-    Buffer.add_char buf (Char.chr ((v lsr (8 * i)) land 0xFF))
-  done
-
 let put_i64 buf (v : int64) =
   for i = 0 to 7 do
     Buffer.add_char buf
@@ -41,11 +31,11 @@ let put_i64 buf (v : int64) =
   done
 
 let put_str buf s =
-  put_u32 buf (String.length s);
+  Wal.put_u32 buf (String.length s);
   Buffer.add_string buf s
 
 let put_str_list buf l =
-  put_u32 buf (List.length l);
+  Wal.put_u32 buf (List.length l);
   List.iter (put_str buf) l
 
 let type_tag = function
@@ -88,14 +78,14 @@ let put_value buf = function
 let encode_body catalog =
   let buf = Buffer.create 4096 in
   let tables = Catalog.table_names catalog in
-  put_u32 buf (List.length tables);
+  Wal.put_u32 buf (List.length tables);
   List.iter
     (fun tname ->
       let table = Catalog.find_table catalog tname in
       put_str buf (Table.name table);
       put_str_list buf (Table.primary_key table);
       let fks = Table.foreign_keys table in
-      put_u32 buf (List.length fks);
+      Wal.put_u32 buf (List.length fks);
       List.iter
         (fun (fk : Table.foreign_key) ->
           put_str_list buf fk.fk_columns;
@@ -103,19 +93,19 @@ let encode_body catalog =
           put_str_list buf fk.fk_ref_columns)
         fks;
       let cols = Schema.to_list (Table.schema table) in
-      put_u32 buf (List.length cols);
+      Wal.put_u32 buf (List.length cols);
       List.iter
         (fun (c : Schema.column) ->
           put_str buf c.cname;
           Buffer.add_char buf (Char.chr (type_tag c.ctype)))
         cols;
-      put_u32 buf (Table.cardinality table);
+      Wal.put_u32 buf (Table.cardinality table);
       Table.iter
         (fun row -> List.iter (put_value buf) (Tuple.to_list row))
         table)
     tables;
   let indexes = Catalog.index_specs catalog in
-  put_u32 buf (List.length indexes);
+  Wal.put_u32 buf (List.length indexes);
   List.iter
     (fun (name, table, columns) ->
       put_str buf name;
@@ -137,8 +127,7 @@ let need cur n what =
 
 let get_u32 cur =
   need cur 4 "u32";
-  let b i = Char.code cur.data.[cur.pos + i] in
-  let v = b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24) in
+  let v = Wal.get_u32 cur.data cur.pos in
   cur.pos <- cur.pos + 4;
   v
 
@@ -255,14 +244,6 @@ let decode_body data =
 
 (* ---------- file I/O ---------- *)
 
-let write_all fd s pos len =
-  let written = ref pos and remaining = ref len in
-  while !remaining > 0 do
-    let n = Unix.write_substring fd s !written !remaining in
-    written := !written + n;
-    remaining := !remaining - n
-  done
-
 let fsync_dir dir =
   match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
   | fd ->
@@ -274,57 +255,52 @@ let fsync_dir dir =
     [path], atomically (temp file + fsync + rename).  The
     [Fault.Rename] crash site fires after the temp file is durable but
     before the rename — the state a crash between those syscalls
-    leaves. *)
+    leaves.  The writes and the fsync are the WAL's, so a full device
+    raises [Errors.Disk_full]; any other I/O failure raises
+    [Errors.Exec_error]. *)
 let write catalog ~epoch ~wal_offset ~path =
   let body = encode_body catalog in
   let buf = Buffer.create (header_len + String.length body) in
   Buffer.add_string buf magic;
-  put_u64 buf epoch;
-  put_u64 buf wal_offset;
-  put_u32 buf (String.length body);
-  put_u32 buf (Crc32.string body);
+  Wal.put_u64 buf epoch;
+  Wal.put_u64 buf wal_offset;
+  Wal.put_u32 buf (String.length body);
+  Wal.put_u32 buf (Crc32.string body);
   Buffer.add_string buf body;
   let bytes = Buffer.contents buf in
   let tmp = path ^ ".tmp" in
-  let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  write_all fd bytes 0 (String.length bytes);
-  Unix.fsync fd;
-  Unix.close fd;
-  if Fault.crash_now Fault.Rename then raise (Fault.Crash Fault.Rename);
-  Unix.rename tmp path;
+  (try
+     let fd =
+       Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+     in
+     Fun.protect
+       ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+       (fun () ->
+         Wal.write_all fd bytes 0 (String.length bytes);
+         Wal.fsync_fd fd);
+     if Fault.crash_now Fault.Rename then raise (Fault.Crash Fault.Rename);
+     Unix.rename tmp path
+   with
+  | Unix.Unix_error (Unix.ENOSPC, call, _) ->
+      Errors.disk_fullf "snapshot %s: device out of space" call
+  | Unix.Unix_error (err, call, arg) ->
+      Errors.exec_errorf "snapshot %s %s: %s" call arg
+        (Unix.error_message err));
   fsync_dir (Filename.dirname path);
   String.length bytes
 
 type loaded = { catalog : Catalog.t; snap_epoch : int; wal_offset : int }
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let get_u64_at s pos =
-  let b i = Char.code s.[pos + i] in
-  let v = ref 0 in
-  for i = 7 downto 0 do
-    v := (!v lsl 8) lor b i
-  done;
-  !v
-
-let get_u32_at s pos =
-  let b i = Char.code s.[pos + i] in
-  b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24)
-
 let load path =
-  let data = read_file path in
+  let data = Wal.read_file path in
   let len = String.length data in
   if len < header_len || String.sub data 0 8 <> magic then
     Errors.recovery_errorf ~at_offset:0 Errors.Snapshot_corrupt
       "%s: bad or truncated snapshot header (%d bytes)" path len;
-  let snap_epoch = get_u64_at data 8 in
-  let wal_offset = get_u64_at data 16 in
-  let body_len = get_u32_at data 24 in
-  let crc = get_u32_at data 28 in
+  let snap_epoch = Wal.get_u64 data 8 in
+  let wal_offset = Wal.get_u64 data 16 in
+  let body_len = Wal.get_u32 data 24 in
+  let crc = Wal.get_u32 data 28 in
   if header_len + body_len <> len then
     Errors.recovery_errorf ~at_offset:header_len Errors.Snapshot_corrupt
       "%s: body length %d does not match file size %d" path body_len len;

@@ -218,7 +218,7 @@ let write_all fd s pos len =
              engine can degrade to read-only.  A partial record already
              on disk is a torn tail recovery quarantines. *)
           Errors.disk_fullf
-            "wal: device out of space with %d byte(s) unwritten" !remaining
+            "device out of space with %d byte(s) unwritten" !remaining
     in
     if n > 0 then begin
       stalls := 0;
@@ -229,7 +229,7 @@ let write_all fd s pos len =
       incr stalls;
       if !stalls > max_io_retries then
         Errors.exec_errorf
-          "wal: write made no progress after %d retries (%d byte(s) \
+          "write made no progress after %d retries (%d byte(s) \
            unwritten)"
           max_io_retries !remaining
     end
@@ -239,11 +239,11 @@ let rec fsync_fd ?(retries = 0) fd =
   try Unix.fsync fd with
   | Unix.Unix_error (Unix.EINTR, _, _) ->
       if retries >= max_io_retries then
-        Errors.exec_errorf "wal: fsync interrupted %d times, giving up"
+        Errors.exec_errorf "fsync interrupted %d times, giving up"
           max_io_retries;
       fsync_fd ~retries:(retries + 1) fd
   | Unix.Unix_error (Unix.ENOSPC, _, _) ->
-      Errors.disk_fullf "wal: fsync failed, device out of space"
+      Errors.disk_fullf "fsync failed, device out of space"
 
 let header_bytes ~epoch =
   let buf = Buffer.create header_len in

@@ -142,3 +142,27 @@ val set_write_fault : (unit -> write_fault option) option -> unit
     as if the device filled up (surfaced as the typed
     {!Errors.Disk_full}), [None] lets the write through.  Pass [None]
     to clear the hook. *)
+
+(** {1 Shared with snapshots}
+
+    The snapshot file uses the same little-endian codec and the same
+    hardened I/O. *)
+
+val put_u32 : Buffer.t -> int -> unit
+val put_u64 : Buffer.t -> int -> unit
+val get_u32 : string -> int -> int
+val get_u64 : string -> int -> int
+
+val write_all : Unix.file_descr -> string -> int -> int -> unit
+(** [write_all fd s pos len] writes [len] bytes of [s] from [pos],
+    retrying EINTR, EAGAIN and partial writes.
+    @raise Errors.Disk_full on ENOSPC.
+    @raise Errors.Exec_error after {!max_io_retries} progress-free
+    attempts. *)
+
+val fsync_fd : ?retries:int -> Unix.file_descr -> unit
+(** [Unix.fsync], retrying EINTR up to {!max_io_retries} times.
+    @raise Errors.Disk_full on ENOSPC. *)
+
+val read_file : string -> string
+(** A whole file's bytes. *)

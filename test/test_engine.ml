@@ -320,6 +320,53 @@ let test_client_sim_rejects_non_gapply () =
        false
      with Errors.Plan_error _ -> true)
 
+(* Every engine error has a fixed class of its own: two errors of one
+   kind with different details share it, no two kinds share one, and
+   only a foreign exception is "internal". *)
+let test_error_classes () =
+  let kinds detail =
+    let resource kind =
+      Errors.Resource_error { kind; operator = Some detail; detail }
+    in
+    [
+      Errors.Type_error detail;
+      Errors.Name_error detail;
+      Errors.Parse_error detail;
+      Errors.Plan_error detail;
+      Errors.Exec_error detail;
+      resource Errors.Timeout;
+      resource Errors.Memory_exceeded;
+      resource Errors.Row_limit;
+      resource Errors.Cancelled;
+      resource Errors.Injected_fault;
+      Errors.Recovery_error
+        { rkind = Errors.Torn_tail; at_offset = String.length detail;
+          rdetail = detail };
+      Errors.Txn_conflict
+        { txn_id = String.length detail; conflict_table = Some detail;
+          tdetail = detail };
+      Errors.Overloaded
+        { queue_depth = String.length detail; retry_after_ms = 1;
+          odetail = detail };
+      Errors.Read_only { primary = Some detail; ro_detail = detail };
+      Errors.Disk_full detail;
+    ]
+  in
+  let a = kinds "one" and b = kinds "another detail" in
+  List.iter2
+    (fun ea eb ->
+      Alcotest.(check bool) "an engine error" true (Errors.is_engine_error ea);
+      Alcotest.(check string) "details do not change the class"
+        (Errors.error_class ea) (Errors.error_class eb);
+      Alcotest.(check bool) "not internal" true
+        (Errors.error_class ea <> "internal"))
+    a b;
+  let classes = List.map Errors.error_class a in
+  Alcotest.(check int) "one class per kind" (List.length classes)
+    (List.length (List.sort_uniq String.compare classes));
+  Alcotest.(check string) "a foreign exception" "internal"
+    (Errors.error_class (Failure "boom"))
+
 let suite =
   [
     Alcotest.test_case "tpch generator is deterministic" `Quick
@@ -342,6 +389,8 @@ let suite =
     Alcotest.test_case "stats report smoke" `Quick test_stats_report_smoke;
     Alcotest.test_case "unknown column is a Failed outcome" `Quick
       test_unknown_column_is_failed;
+    Alcotest.test_case "every engine error has a fixed class" `Quick
+      test_error_classes;
     Alcotest.test_case "script runs on after a failed statement" `Quick
       test_script_continues_after_failure;
     Alcotest.test_case "script runs on after a syntax error" `Quick

@@ -34,10 +34,8 @@ let test_index_lookup () =
   Alcotest.(check int) "size 9 has none" 0
     (List.length (Index.lookup index (row [ vi 9 ])))
 
-let join_query cat ~use_indexes =
-  Executor.run
-    ~config:(Compile.config_with ~use_indexes ())
-    cat
+let join_query cat =
+  Executor.run cat
     (Sql_binder.bind_query cat
        (Sql_parser.parse_query_string
           "select ps_suppkey, p_name from partsupp, part where ps_partkey \
@@ -45,10 +43,10 @@ let join_query cat ~use_indexes =
 
 let test_index_join_matches_hash_join () =
   let cat = mini_catalog () in
+  let without = join_query cat in
   Catalog.create_index cat ~name:"part_pk" ~table:"part"
     ~columns:[ "p_partkey" ];
-  let with_index = join_query cat ~use_indexes:true in
-  let without = join_query cat ~use_indexes:false in
+  let with_index = join_query cat in
   check_rel "index join = hash join" without with_index;
   Alcotest.(check int) "expected rows" 4 (Relation.cardinality with_index)
 
@@ -56,13 +54,13 @@ let test_index_sees_new_rows () =
   let cat = mini_catalog () in
   Catalog.create_index cat ~name:"part_pk" ~table:"part"
     ~columns:[ "p_partkey" ];
-  ignore (join_query cat ~use_indexes:true);
+  ignore (join_query cat);
   (* grow the table after the index was built and used *)
   Table.insert (Catalog.find_table cat "part")
     (row [ vi 9; vs "widget"; vf 99.; vi 3; vs "Brand#C" ]);
   Table.insert (Catalog.find_table cat "partsupp") (row [ vi 3; vi 9 ]);
   Catalog.invalidate_stats cat "part";
-  let r = join_query cat ~use_indexes:true in
+  let r = join_query cat in
   Alcotest.(check int) "new row visible through the index" 5
     (Relation.cardinality r)
 

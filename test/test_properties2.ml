@@ -81,23 +81,45 @@ let shaped_join shape pred =
         (List.mapi (fun i c -> (Expr.column c, Printf.sprintf "o%d" i)) cols)
         join
 
+(* The join equals [Reference] through the hash build, and again through
+   an index on [t2]'s [columns] created afterwards over the same rows. *)
+let index_join_agrees ~columns pred (r1, r2, shape) =
+  let cat = catalog_with r1 r2 in
+  let p = shaped_join shape pred in
+  let run () =
+    Executor.run
+      ~config:(Compile.config_with ~batch_size:shape.batch_size ())
+      cat p
+  in
+  let reference = Reference.run cat p in
+  let hashed = run () in
+  Catalog.create_index cat ~name:"i" ~table:"t2" ~columns;
+  Relation.equal_as_multiset reference hashed
+  && Relation.equal_as_multiset reference (run ())
+
 let prop_index_join_equals_hash_join =
   QCheck2.Test.make ~count:300
     ~name:"index nested-loop join = hash join = reference"
     (Gen.triple gen_t1 gen_t2 gen_join_shape)
-    (fun (r1, r2, shape) ->
-      let cat = catalog_with r1 r2 in
-      Catalog.create_index cat ~name:"i" ~table:"t2" ~columns:[ "k" ];
-      let p = shaped_join shape Expr.(column "a" ==^ column "k") in
-      let run use_indexes =
-        Executor.run
-          ~config:
-            (Compile.config_with ~use_indexes ~batch_size:shape.batch_size ())
-          cat p
+    (index_join_agrees ~columns:[ "k" ] Expr.(column "a" ==^ column "k"))
+
+(* A two-column index declared in the opposite order of the join's equi
+   pairs, each pair '=' or '<=>': the probe must reorder both its key
+   and its NULL rejection. *)
+let prop_two_column_index_join =
+  QCheck2.Test.make ~count:300
+    ~name:"two-column index probe (reversed, = and <=>) = hash join"
+    (Gen.pair
+       (Gen.triple gen_t1 gen_t2 gen_join_shape)
+       (Gen.pair Gen.bool Gen.bool))
+    (fun (case, (ns_a, ns_c)) ->
+      let eq nullsafe l r =
+        if nullsafe then Expr.Binary (Expr.Nulleq, Expr.column l, Expr.column r)
+        else Expr.(column l ==^ column r)
       in
-      let reference = Reference.run cat p in
-      Relation.equal_as_multiset reference (run true)
-      && Relation.equal_as_multiset reference (run false))
+      index_join_agrees ~columns:[ "v"; "k" ]
+        Expr.(eq ns_a "a" "k" &&& eq ns_c "c" "v")
+        case)
 
 let prop_nullsafe_join_matches_reference =
   QCheck2.Test.make ~count:300
@@ -278,6 +300,7 @@ let suite =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_index_join_equals_hash_join;
+      prop_two_column_index_join;
       prop_nullsafe_join_matches_reference;
       prop_nulleq_semantics;
       prop_decorrelation_preserves;

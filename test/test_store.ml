@@ -355,6 +355,52 @@ let test_persistence_across_engines () =
   | _ -> Alcotest.fail "expected rows");
   Engine.close db2
 
+(* The auto-checkpoint's snapshot runs on the WAL's I/O: ENOSPC on its
+   write fails the statement with [Disk_full] and degrades the engine
+   to read-only; any other I/O error fails it with [Exec_error].  Both
+   are engine errors, which a write statement raises typed (the
+   server's reply guard catches them), never a bare [Unix_error]. *)
+let test_checkpoint_io_errors_typed () =
+  let dir = tmpdir () in
+  let db = Engine.create ~data_dir:dir ~checkpoint_wal_bytes:1 () in
+  let tmp = Recovery.snapshot_path dir ^ ".tmp" in
+  Fun.protect
+    ~finally:(fun () ->
+      Wal.set_write_fault None;
+      if Sys.file_exists tmp && Sys.is_directory tmp then Unix.rmdir tmp;
+      Engine.close db)
+    (fun () ->
+      exec_ok db "create table t (a int)";
+      (* a directory where the snapshot's temp file goes *)
+      Unix.mkdir tmp 0o755;
+      (match Engine.exec db "insert into t values (1)" with
+      | exception Errors.Exec_error _ -> ()
+      | exception e ->
+          Alcotest.failf "expected an exec error, got %s" (Printexc.to_string e)
+      | _ -> Alcotest.fail "a failed checkpoint must fail the statement");
+      Alcotest.(check bool) "an I/O error does not degrade" true
+        (Engine.read_only db = None);
+      Unix.rmdir tmp;
+      exec_ok db "insert into t values (2)";
+      Alcotest.(check bool) "the next checkpoint lands" true
+        (Sys.file_exists (Recovery.snapshot_path dir));
+      (* the record's write goes through, the snapshot's hits ENOSPC *)
+      let writes = ref 0 in
+      Wal.set_write_fault
+        (Some
+           (fun () ->
+             incr writes;
+             if !writes >= 2 then Some Wal.Enospc else None));
+      (match Engine.exec db "insert into t values (3)" with
+      | exception Errors.Disk_full _ -> ()
+      | _ -> Alcotest.fail "ENOSPC in the snapshot must fail as Disk_full");
+      Alcotest.(check bool) "the snapshot's write was reached" true
+        (!writes >= 2);
+      Wal.set_write_fault None;
+      match Engine.read_only db with
+      | Some { Errors.primary = None; _ } -> ()
+      | _ -> Alcotest.fail "engine must degrade to read-only")
+
 let test_checkpoint_and_suffix_replay () =
   let dir = tmpdir () in
   let db = Engine.create ~data_dir:dir () in
@@ -639,6 +685,8 @@ let suite =
       test_persistence_across_engines;
     Alcotest.test_case "engine: checkpoint, then only the suffix replays"
       `Quick test_checkpoint_and_suffix_replay;
+    Alcotest.test_case "engine: checkpoint I/O errors fail typed" `Quick
+      test_checkpoint_io_errors_typed;
     Alcotest.test_case "engine: durability off leaves the WAL untouched"
       `Quick test_durability_off_no_wal_traffic;
     Alcotest.test_case "engine: lazy mode group-commits fsyncs" `Quick
