@@ -260,18 +260,45 @@ let durability db = Option.map Store.durability db.store
 let recovery_outcome db = db.recovery
 let wal_stats db = Option.map (fun _ -> Wal_stats.snapshot db.wal_stats) db.store
 
+(* ENOSPC surfaces as the typed [Errors.Disk_full], from a WAL append
+   or a snapshot write: the engine flips to read-only instead of
+   crashing.  The degrade is sticky — the operator re-enables writes
+   once space is back. *)
+let degrade_read_only db =
+  db.read_only <-
+    Some
+      {
+        Errors.primary = None;
+        ro_detail = "data directory out of space: engine degraded to read-only";
+      }
+
+(* A write that raises [Disk_full] fails, and the engine degrades.  When
+   the write is a commit's log record, the in-memory apply already
+   happened, so memory may run ahead of the durable log — exactly the
+   already-handled crash window (applied but never acknowledged); a
+   restart recovers the durable prefix. *)
+let degrade_on_disk_full db f =
+  try f ()
+  with Errors.Disk_full _ as e ->
+    degrade_read_only db;
+    raise e
+
 let set_durability db d =
   match db.store with
   | None ->
       Errors.exec_errorf "durability requires a data directory (--data-dir)"
-  | Some s -> Mutex.protect db.ddl_lock (fun () -> Store.set_durability s d)
+  | Some s ->
+      Mutex.protect db.ddl_lock (fun () ->
+          degrade_on_disk_full db (fun () -> Store.set_durability s d))
 
 (** Cut a snapshot and reset the WAL; returns the snapshot size.
     @raise Errors.Exec_error without a data directory. *)
 let checkpoint db =
   match db.store with
   | None -> Errors.exec_errorf "no data directory: nothing to checkpoint"
-  | Some s -> Mutex.protect db.ddl_lock (fun () -> Store.checkpoint s)
+  | Some s ->
+      Mutex.protect db.ddl_lock (fun () ->
+          degrade_on_disk_full db (fun () -> Store.checkpoint s))
 
 let flush_wal db = Option.iter Store.flush db.store
 let close db = Option.iter Store.close db.store
@@ -292,34 +319,32 @@ let wal_report db =
             "\n  " ^ Recovery.outcome_to_string o
         | _ -> "")
 
-(* Log a committed statement (called with the ddl_lock held, so WAL
-   order is apply order).  A crash injected at a WAL hook point escapes
-   as [Fault.Crash] — deliberately not an engine error: the statement
-   was applied in memory but never acknowledged, exactly the window a
-   real crash hits. *)
-(* ENOSPC surfaces here as the typed [Errors.Disk_full], from a WAL
-   append or from the snapshot of the auto-checkpoint it triggers: the
-   statement fails, and the engine flips to read-only instead of
-   crashing.  The in-memory apply already happened, so memory may run
-   ahead of the durable log — exactly the already-handled crash window
-   (applied but never acknowledged); a restart recovers the durable
-   prefix. *)
-let degrade_on_disk_full db f =
-  try f ()
-  with Errors.Disk_full _ as e ->
-    db.read_only <-
-      Some
-        {
-          Errors.primary = None;
-          ro_detail =
-            "data directory out of space: engine degraded to read-only";
-        };
-    raise e
+(* Finish a commit whose change is applied in memory (called with the
+   ddl_lock held, so WAL order is apply order): [log] it, publish its
+   timestamp [ts] (DDL has none), then run the auto-checkpoint.
 
-let log_committed db sql =
+   A failed log write fails the statement.  A crash injected at a WAL
+   hook point escapes as [Fault.Crash] — deliberately not an engine
+   error: the statement was applied in memory but never acknowledged,
+   exactly the window a real crash hits.
+
+   The auto-checkpoint runs after the publish and never fails the
+   statement: its record is already in the log, so telling the client
+   it did not apply would invite a retry that duplicates it.  On ENOSPC
+   the engine degrades to read-only; any other I/O error is counted,
+   and the WAL stays in place for the next commit to retry. *)
+let commit_logged db ?ts log =
+  (match db.store with
+  | None -> ()
+  | Some s -> degrade_on_disk_full db (fun () -> log s));
+  Option.iter (Catalog.publish_commit_ts db.catalog) ts;
   match db.store with
   | None -> ()
-  | Some s -> degrade_on_disk_full db (fun () -> Store.log_statement s sql)
+  | Some s -> (
+      try Store.maybe_checkpoint s with
+      | Errors.Disk_full _ -> degrade_read_only db
+      | e when Errors.is_engine_error e ->
+          Metrics.incr db.wal_stats.Wal_stats.checkpoint_failures)
 
 (* ---------- replication ----------
 
@@ -569,11 +594,7 @@ let load_tpch ?seed db ~msf =
       ignore (Tpch_gen.load ?seed ~ts db.catalog ~msf);
       (* the generator is deterministic in (seed, msf), so logging the
          parameters is a complete redo record *)
-      (match db.store with
-      | None -> ()
-      | Some s ->
-          degrade_on_disk_full db (fun () -> Store.log_load_tpch s ~seed ~msf));
-      Catalog.publish_commit_ts db.catalog ts);
+      commit_logged db ~ts (fun s -> Store.log_load_tpch s ~seed ~msf));
   ignore (Plan_cache.invalidate_stale db.cache db.catalog)
 
 let config ?observe db =
@@ -1060,7 +1081,7 @@ let apply_set sess name (v : Sql_ast.set_value) : outcome =
       int_knob
         (budget_knob (fun b n -> { b with Governor.mem_limit_bytes = n }))
   | "durability" ->
-      with_store (fun s ->
+      with_store (fun _ ->
           let mode =
             match v with
             | Sql_ast.Set_default -> Some Store.Strict
@@ -1069,7 +1090,7 @@ let apply_set sess name (v : Sql_ast.set_value) : outcome =
           in
           match mode with
           | Some m ->
-              Mutex.protect db.ddl_lock (fun () -> Store.set_durability s m);
+              set_durability db m;
               Message
                 (Printf.sprintf "durability = %s"
                    (Store.durability_to_string m))
@@ -1169,12 +1190,8 @@ let commit_txn db tx =
       (* the WAL group is one contiguous begin/stmts/commit record run
          with a single sync decision; a crash before the commit marker
          reaches disk makes recovery quarantine the whole group *)
-      (match db.store with
-      | None -> ()
-      | Some s ->
-          degrade_on_disk_full db (fun () ->
-              Store.log_txn s ~id:tx.txn_id (List.rev tx.wstmts)));
-      Catalog.publish_commit_ts db.catalog ts)
+      commit_logged db ~ts (fun s ->
+          Store.log_txn s ~id:tx.txn_id (List.rev tx.wstmts)))
 
 (* A query's engine errors — binding or optimizing it (unknown column,
    type error), a re-prepare on the downgrade retry, or a budget
@@ -1305,8 +1322,8 @@ let exec_stmt sess ~sql (stmt : Sql_ast.statement) : outcome =
             in
             let ts = Catalog.next_commit_ts db.catalog in
             Table.insert_all ~ts table bound;
-            log_committed db (Sql_ast.statement_to_string stmt);
-            Catalog.publish_commit_ts db.catalog ts;
+            commit_logged db ~ts (fun s ->
+                Store.log_statement s (Sql_ast.statement_to_string stmt));
             Printf.sprintf "inserted %d row(s) into %s" (List.length bound)
               (Table.name table))
       in
@@ -1338,7 +1355,9 @@ let exec_stmt sess ~sql (stmt : Sql_ast.statement) : outcome =
                        canonical text goes to the WAL (still under the
                        lock, keeping log order = apply order).  A failed
                        bind raises past this line and logs nothing. *)
-                    log_committed db (Sql_ast.statement_to_string stmt);
+                    commit_logged db (fun s ->
+                        Store.log_statement s
+                          (Sql_ast.statement_to_string stmt));
                     msg
                 | _ -> assert false)
           in

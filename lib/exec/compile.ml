@@ -162,8 +162,7 @@ let group_view gs g : Batch.t =
 (* Number rows [pos .. pos+len-1] by their key on [idxs]: write into
    [ids] the id each row's key gets in a key table of the chunk's own,
    and return those keys by id (first-seen order).  One column keys the
-   table by the bare value; several fill one scratch key per row and
-   copy it only for a new key. *)
+   table by the bare value; several go through {!Tuple.number_rows}. *)
 let number_chunk ~(idxs : int array) (rows : Tuple.t array) ids pos len =
   match idxs with
   | [| i0 |] ->
@@ -175,20 +174,7 @@ let number_chunk ~(idxs : int array) (rows : Tuple.t array) ids pos len =
       Array.init (Value.Tbl.length tbl) (fun g -> [| Value.Tbl.key tbl g |])
   | _ ->
       let tbl : unit Tuple.Tbl.t = Tuple.Tbl.create 64 in
-      let scratch = Array.make (Array.length idxs) Value.Null in
-      for k = pos to pos + len - 1 do
-        let row = Array.unsafe_get rows k in
-        for j = 0 to Array.length idxs - 1 do
-          Array.unsafe_set scratch j row.(Array.unsafe_get idxs j)
-        done;
-        let g = Tuple.Tbl.find_id tbl scratch in
-        Array.unsafe_set ids k
-          (if g >= 0 then g
-           else begin
-             Tuple.Tbl.add tbl (Array.copy scratch) ();
-             Tuple.Tbl.length tbl - 1
-           end)
-      done;
+      Tuple.number_rows tbl () ~positions:idxs rows ~ids ~pos ~len;
       Array.init (Tuple.Tbl.length tbl) (Tuple.Tbl.key tbl)
 
 (* Hash partitioning, in place.  Group order is deterministic — reverse

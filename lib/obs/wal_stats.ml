@@ -1,5 +1,6 @@
 (* Durability counters, registered as gapply_wal_*: records and bytes
-   appended, fsyncs with their group-commit batch sizes, checkpoints,
+   appended, fsyncs with their group-commit batch sizes, checkpoints
+   and failed auto-checkpoints,
    and what recovery replayed, loaded and quarantined.  Atomics, so
    appends recorded under the engine's commit lock and reads from
    report renderers never tear.  Every engine registers them; one
@@ -12,6 +13,7 @@ type t = {
   batched_records : Metrics.counter;  (* records covered by all fsyncs *)
   max_batch : Metrics.counter;        (* max gauge: largest group commit *)
   checkpoints : Metrics.counter;
+  checkpoint_failures : Metrics.counter;  (* auto-checkpoints that failed *)
   replayed : Metrics.counter;         (* records re-applied by recovery *)
   snapshot_loads : Metrics.counter;
   quarantined_bytes : Metrics.counter; (* torn-tail bytes truncated away *)
@@ -28,13 +30,17 @@ let create reg =
       "gapply_wal_max_batch"
   in
   let checkpoints = c "checkpoints_total" "Snapshots written (WAL resets)." in
+  let checkpoint_failures =
+    c "checkpoint_failures_total"
+      "Auto-checkpoints that failed on an I/O error (the WAL is kept)."
+  in
   let replayed = c "replayed_total" "Records re-applied by recovery." in
   let snapshot_loads = c "snapshot_loads_total" "Snapshots loaded by recovery." in
   let quarantined_bytes =
     c "quarantined_bytes_total" "Torn-tail bytes recovery truncated away."
   in
-  { appends; bytes; fsyncs; batched_records; max_batch; checkpoints; replayed;
-    snapshot_loads; quarantined_bytes }
+  { appends; bytes; fsyncs; batched_records; max_batch; checkpoints;
+    checkpoint_failures; replayed; snapshot_loads; quarantined_bytes }
 
 (* The plain-int view [Engine.wal_stats] returns (the append and fsync
    figures the benchmark and the durability tests read). *)

@@ -66,6 +66,22 @@ module Tbl = Keytbl.Make (struct
     else Keytbl.no_int
 end)
 
+let number_rows tbl v ~positions (rows : t array) ~ids ~pos ~len =
+  let scratch = Array.make (Array.length positions) Value.Null in
+  for k = pos to pos + len - 1 do
+    let row = Array.unsafe_get rows k in
+    for j = 0 to Array.length positions - 1 do
+      Array.unsafe_set scratch j row.(Array.unsafe_get positions j)
+    done;
+    let g = Tbl.find_id tbl scratch in
+    Array.unsafe_set ids k
+      (if g >= 0 then g
+       else begin
+         Tbl.add tbl (Array.copy scratch) v;
+         Tbl.length tbl - 1
+       end)
+  done
+
 let pp ppf (t : t) =
   Format.fprintf ppf "(%a)"
     (Format.pp_print_list

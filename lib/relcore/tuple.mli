@@ -34,5 +34,19 @@ val hash : t -> int
     builds and partitions, DISTINCT and multi-column indexes. *)
 module Tbl : Keytbl.S with type key = t
 
+val number_rows :
+  'a Tbl.t ->
+  'a ->
+  positions:int array ->
+  t array ->
+  ids:int array ->
+  pos:int ->
+  len:int ->
+  unit
+(** [number_rows tbl v ~positions rows ~ids ~pos ~len] writes into
+    [ids.(k)], for [pos <= k < pos + len], the id in [tbl] of row [k]'s
+    key on the columns at [positions], binding a new key to [v].  One
+    scratch key is filled per row and copied only for a new key. *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

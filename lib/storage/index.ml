@@ -53,28 +53,14 @@ let create ~name ~(table : Table.t) ~columns : t =
     lock = Mutex.create ();
   }
 
-(* Number the published rows by key in one key table, filling one
-   scratch key per row and copying it only for a new key, then hand
-   each key its offsets array, filled in ascending order: a counting
-   sort over the key ids. *)
+(* Number the published rows by key in one key table
+   ({!Tuple.number_rows}), then hand each key its offsets array, filled
+   in ascending order: a counting sort over the key ids. *)
 let build positions (table : Table.t) : view =
   let tbl = Tuple.Tbl.create 1024 in
   let rows, n = Table.published table in
   let ids = Array.make n 0 in
-  let scratch = Array.make (Array.length positions) Value.Null in
-  for r = 0 to n - 1 do
-    let row = rows.(r) in
-    for j = 0 to Array.length positions - 1 do
-      scratch.(j) <- row.(positions.(j))
-    done;
-    let g = Tuple.Tbl.find_id tbl scratch in
-    ids.(r) <-
-      (if g >= 0 then g
-       else begin
-         Tuple.Tbl.add tbl (Array.copy scratch) [||];
-         Tuple.Tbl.length tbl - 1
-       end)
-  done;
+  Tuple.number_rows tbl [||] ~positions rows ~ids ~pos:0 ~len:n;
   let counts = Array.make (Tuple.Tbl.length tbl) 0 in
   Array.iter (fun g -> counts.(g) <- counts.(g) + 1) ids;
   Array.iteri (fun g c -> Tuple.Tbl.set_value tbl g (Array.make c 0)) counts;

@@ -13,9 +13,12 @@
      Lazy    append, group-commit fsync every [group_commit] records
      Strict  append + fsync before the statement is acknowledged
 
-   Every log write also arms the auto-checkpoint: once the WAL passes
-   [checkpoint_bytes], a snapshot is cut and the log reset, bounding
-   both recovery time and disk growth.
+   After every logged commit the engine runs the auto-checkpoint: once
+   the WAL passes [checkpoint_bytes], a snapshot is cut and the log
+   reset, bounding both recovery time and disk growth.  It runs after
+   the commit is published, outside the statement's outcome: the record
+   is already in the log, so a snapshot that fails leaves the WAL in
+   place for the next commit to retry.
 
    Checkpoint sequence (each step a crash may interrupt, each state
    recoverable):
@@ -148,14 +151,14 @@ let sync_policy t =
   | Lazy -> if Wal.pending t.wal >= t.group_commit then Wal.fsync t.wal
 
 let maybe_checkpoint t =
-  if t.checkpoint_bytes > 0 && Wal.length t.wal >= t.checkpoint_bytes then
-    ignore (checkpoint t)
+  if t.durability <> Off && t.checkpoint_bytes > 0
+     && Wal.length t.wal >= t.checkpoint_bytes
+  then ignore (checkpoint t)
 
 let log_record t record =
   if t.durability <> Off then begin
     ignore (Wal.append t.wal record);
     sync_policy t;
-    maybe_checkpoint t;
     t.on_durable ()
   end
 
@@ -166,15 +169,14 @@ let log_load_tpch t ~seed ~msf = log_record t (Wal.Load_tpch { seed; msf })
    begin marker, its statements, commit marker — with a single sync
    decision at the end (the whole group is one durability unit, so
    Strict pays one fsync per transaction, not per statement).  The
-   checkpoint trigger also runs once, after the group: a checkpoint can
-   therefore never split a transaction across the snapshot boundary. *)
+   auto-checkpoint runs after the whole group, so a checkpoint can never
+   split a transaction across the snapshot boundary. *)
 let log_txn t ~id stmts =
   if t.durability <> Off then begin
     ignore (Wal.append t.wal (Wal.Txn_begin id));
     List.iter (fun sql -> ignore (Wal.append t.wal (Wal.Stmt sql))) stmts;
     ignore (Wal.append t.wal (Wal.Txn_commit id));
     sync_policy t;
-    maybe_checkpoint t;
     t.on_durable ()
   end
 

@@ -64,9 +64,8 @@ val set_durability : t -> durability -> unit
     folded into a snapshot before logging resumes. *)
 
 val log_statement : t -> string -> unit
-(** Log a committed DDL/DML statement (canonical SQL text), apply the
-    mode's sync policy, and auto-checkpoint once the WAL passes
-    [checkpoint_bytes].  A no-op under [Off]. *)
+(** Log a committed DDL/DML statement (canonical SQL text) and apply
+    the mode's sync policy.  A no-op under [Off]. *)
 
 val log_load_tpch : t -> seed:int option -> msf:float -> unit
 (** Log a deterministic TPC-H bulk load by its parameters. *)
@@ -75,8 +74,7 @@ val log_txn : t -> id:int -> string list -> unit
 (** Log a committed transaction as one contiguous group —
     [Txn_begin id], its statements, [Txn_commit id] — with a single
     sync-policy decision for the whole group (one fsync per transaction
-    under [Strict]) and one checkpoint check after it, so a checkpoint
-    never splits a group.  A no-op under [Off]. *)
+    under [Strict]).  A no-op under [Off]. *)
 
 val log_repl_group : t -> id:int -> mark:int * int -> Wal.record list -> unit
 (** Replica-side: log one applied replication batch as a single local
@@ -86,6 +84,15 @@ val log_repl_group : t -> id:int -> mark:int * int -> Wal.record list -> unit
     position are crash-atomic.  Ignores the durability mode and never
     auto-checkpoints (the applier checkpoints explicitly and re-logs a
     fresh mark). *)
+
+val maybe_checkpoint : t -> unit
+(** The auto-checkpoint: {!checkpoint} once the WAL passes
+    [checkpoint_bytes] (never under [Off]).  Run after a commit is
+    logged and published, never inside the commit: a failed snapshot
+    leaves the WAL in place, so the next call retries it, and the
+    commit it follows stays committed.
+    @raise Errors.Disk_full when the device is out of space.
+    @raise Errors.Exec_error on any other I/O failure. *)
 
 val flush : t -> unit
 (** Fsync any pending records regardless of mode. *)

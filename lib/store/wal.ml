@@ -235,15 +235,18 @@ let write_all fd s pos len =
     end
   done
 
-let rec fsync_fd ?(retries = 0) fd =
-  try Unix.fsync fd with
-  | Unix.Unix_error (Unix.EINTR, _, _) ->
-      if retries >= max_io_retries then
-        Errors.exec_errorf "fsync interrupted %d times, giving up"
-          max_io_retries;
-      fsync_fd ~retries:(retries + 1) fd
-  | Unix.Unix_error (Unix.ENOSPC, _, _) ->
-      Errors.disk_fullf "fsync failed, device out of space"
+let fsync_fd fd =
+  let rec go retries =
+    try Unix.fsync fd with
+    | Unix.Unix_error (Unix.EINTR, _, _) ->
+        if retries >= max_io_retries then
+          Errors.exec_errorf "fsync interrupted %d times, giving up"
+            max_io_retries;
+        go (retries + 1)
+    | Unix.Unix_error (Unix.ENOSPC, _, _) ->
+        Errors.disk_fullf "fsync failed, device out of space"
+  in
+  go 0
 
 let header_bytes ~epoch =
   let buf = Buffer.create header_len in

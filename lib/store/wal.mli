@@ -160,7 +160,7 @@ val write_all : Unix.file_descr -> string -> int -> int -> unit
     @raise Errors.Exec_error after {!max_io_retries} progress-free
     attempts. *)
 
-val fsync_fd : ?retries:int -> Unix.file_descr -> unit
+val fsync_fd : Unix.file_descr -> unit
 (** [Unix.fsync], retrying EINTR up to {!max_io_retries} times.
     @raise Errors.Disk_full on ENOSPC. *)
 

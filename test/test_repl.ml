@@ -568,6 +568,36 @@ let test_repl_torn_stream () =
           Alcotest.(check int) "no loss, no duplicates" 6
             (count rdb "select k from kv")))
 
+(* A replica whose local checkpoint fails (here: a directory planted
+   where the snapshot's temp file goes) gets a typed engine error from
+   installing the bootstrap snapshot.  The applier counts it as a torn
+   stream, so repeated failures escalate instead of looping silently,
+   and the replica heals once the checkpoint can land. *)
+let test_repl_install_checkpoint_failure () =
+  with_pair (fun ~pdir:_ ~rdir ~pdb ~rdb ~srv:_ ~port ->
+      exec_ok pdb "create table kv (k int)";
+      for i = 1 to 3 do
+        exec_ok pdb (Printf.sprintf "insert into kv values (%d)" i)
+      done;
+      let tmp = Recovery.snapshot_path rdir ^ ".tmp" in
+      Unix.mkdir tmp 0o755;
+      let rep = Repl.start_replica ~host:"127.0.0.1" ~port rdb in
+      Fun.protect
+        ~finally:(fun () ->
+          Repl.stop_replica rep;
+          if Sys.file_exists tmp then Unix.rmdir tmp)
+        (fun () ->
+          let s = Repl.replica_stats rep in
+          await "the failed install counted as torn" (fun () ->
+              Metrics.get s.Repl_stats.torn_detected >= 1);
+          Alcotest.(check int) "no snapshot installed" 0
+            (Metrics.get s.Repl_stats.snapshots_installed);
+          Unix.rmdir tmp;
+          await_caught_up "after the checkpoint can land" pdb rep;
+          check_digest_parity "after the healed install" pdb rdb;
+          Alcotest.(check int) "no loss, no duplicates" 3
+            (count rdb "select k from kv")))
+
 (* ---------- promote, then reject the old primary's rewind ---------- *)
 
 let test_promote_rewind_rejected () =
@@ -749,6 +779,8 @@ let suite =
       test_repl_bootstrap_race;
     Alcotest.test_case "torn stream detected and healed" `Quick
       test_repl_torn_stream;
+    Alcotest.test_case "a failed snapshot install escalates, then heals"
+      `Quick test_repl_install_checkpoint_failure;
     Alcotest.test_case "promote refuses the old primary's rewind" `Quick
       test_promote_rewind_rejected;
     Alcotest.test_case "promoted history flagged diverged on restart" `Quick

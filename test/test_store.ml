@@ -355,15 +355,26 @@ let test_persistence_across_engines () =
   | _ -> Alcotest.fail "expected rows");
   Engine.close db2
 
-(* The auto-checkpoint's snapshot runs on the WAL's I/O: ENOSPC on its
-   write fails the statement with [Disk_full] and degrades the engine
-   to read-only; any other I/O error fails it with [Exec_error].  Both
-   are engine errors, which a write statement raises typed (the
-   server's reply guard catches them), never a bare [Unix_error]. *)
-let test_checkpoint_io_errors_typed () =
+(* The auto-checkpoint runs after its commit is logged and published,
+   and its snapshot writes through the WAL's I/O.  A snapshot that fails
+   never fails the statement, whose record is already in the log: the
+   row is visible at once and survives a restart.  Any other I/O error
+   is counted and leaves the WAL for the next commit to retry; ENOSPC
+   degrades the engine to read-only. *)
+let test_auto_checkpoint_failure_keeps_commit () =
   let dir = tmpdir () in
   let db = Engine.create ~data_dir:dir ~checkpoint_wal_bytes:1 () in
   let tmp = Recovery.snapshot_path dir ^ ".tmp" in
+  let rows () =
+    match Engine.exec db "select count(*) as n from t" with
+    | Engine.Rows rel -> (
+        match Relation.rows rel with
+        | [ [| Value.Int n |] ] -> n
+        | _ -> Alcotest.fail "expected one count")
+    | _ -> Alcotest.fail "expected rows"
+  in
+  let counter name = Metrics.read (Engine.metrics db) ("gapply_wal_" ^ name) in
+  let failures () = counter "checkpoint_failures_total" in
   Fun.protect
     ~finally:(fun () ->
       Wal.set_write_fault None;
@@ -373,17 +384,19 @@ let test_checkpoint_io_errors_typed () =
       exec_ok db "create table t (a int)";
       (* a directory where the snapshot's temp file goes *)
       Unix.mkdir tmp 0o755;
-      (match Engine.exec db "insert into t values (1)" with
-      | exception Errors.Exec_error _ -> ()
-      | exception e ->
-          Alcotest.failf "expected an exec error, got %s" (Printexc.to_string e)
-      | _ -> Alcotest.fail "a failed checkpoint must fail the statement");
+      let checkpoints = counter "checkpoints_total" in
+      exec_ok db "insert into t values (1)";
+      Alcotest.(check int) "the committed row is visible" 1 (rows ());
+      Alcotest.(check int) "the failed snapshot is counted" 1 (failures ());
+      Alcotest.(check int) "no checkpoint landed" checkpoints
+        (counter "checkpoints_total");
       Alcotest.(check bool) "an I/O error does not degrade" true
         (Engine.read_only db = None);
       Unix.rmdir tmp;
       exec_ok db "insert into t values (2)";
-      Alcotest.(check bool) "the next checkpoint lands" true
-        (Sys.file_exists (Recovery.snapshot_path dir));
+      Alcotest.(check int) "the next commit retries the checkpoint"
+        (checkpoints + 1) (counter "checkpoints_total");
+      Alcotest.(check int) "the retry succeeded" 1 (failures ());
       (* the record's write goes through, the snapshot's hits ENOSPC *)
       let writes = ref 0 in
       Wal.set_write_fault
@@ -391,11 +404,39 @@ let test_checkpoint_io_errors_typed () =
            (fun () ->
              incr writes;
              if !writes >= 2 then Some Wal.Enospc else None));
-      (match Engine.exec db "insert into t values (3)" with
-      | exception Errors.Disk_full _ -> ()
-      | _ -> Alcotest.fail "ENOSPC in the snapshot must fail as Disk_full");
+      exec_ok db "insert into t values (3)";
       Alcotest.(check bool) "the snapshot's write was reached" true
         (!writes >= 2);
+      Wal.set_write_fault None;
+      Alcotest.(check int) "the committed row is visible" 3 (rows ());
+      match Engine.read_only db with
+      | Some { Errors.primary = None; _ } -> ()
+      | _ -> Alcotest.fail "ENOSPC in the snapshot must degrade to read-only");
+  let db2 = Engine.create ~data_dir:dir () in
+  Fun.protect
+    ~finally:(fun () -> Engine.close db2)
+    (fun () ->
+      match Engine.exec db2 "select a from t" with
+      | Engine.Rows rel ->
+          Alcotest.(check int) "every committed row survives a restart" 3
+            (Relation.cardinality rel)
+      | _ -> Alcotest.fail "expected rows")
+
+(* A manual checkpoint is its command's own outcome: ENOSPC fails it as
+   [Disk_full] and degrades the engine, like the auto-checkpoint. *)
+let test_manual_checkpoint_disk_full () =
+  let dir = tmpdir () in
+  let db = Engine.create ~data_dir:dir () in
+  Fun.protect
+    ~finally:(fun () ->
+      Wal.set_write_fault None;
+      Engine.close db)
+    (fun () ->
+      exec_ok db "create table t (a int)";
+      Wal.set_write_fault (Some (fun () -> Some Wal.Enospc));
+      (match Engine.checkpoint db with
+      | exception Errors.Disk_full _ -> ()
+      | _ -> Alcotest.fail "ENOSPC in a checkpoint must raise Disk_full");
       Wal.set_write_fault None;
       match Engine.read_only db with
       | Some { Errors.primary = None; _ } -> ()
@@ -685,8 +726,10 @@ let suite =
       test_persistence_across_engines;
     Alcotest.test_case "engine: checkpoint, then only the suffix replays"
       `Quick test_checkpoint_and_suffix_replay;
-    Alcotest.test_case "engine: checkpoint I/O errors fail typed" `Quick
-      test_checkpoint_io_errors_typed;
+    Alcotest.test_case "engine: a failed auto-checkpoint keeps the commit"
+      `Quick test_auto_checkpoint_failure_keeps_commit;
+    Alcotest.test_case "engine: manual checkpoint ENOSPC degrades" `Quick
+      test_manual_checkpoint_disk_full;
     Alcotest.test_case "engine: durability off leaves the WAL untouched"
       `Quick test_durability_off_no_wal_traffic;
     Alcotest.test_case "engine: lazy mode group-commits fsyncs" `Quick
