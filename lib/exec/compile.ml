@@ -7,10 +7,10 @@
 
    GApply execution follows the paper's two phases (Section 3): a
    partition phase (by sorting or hashing, per [config]) over the outer
-   stream, which lays the groups out as slices of one member array
-   ([groups]; hashing numbers the rows through a key table and places
-   them with a counting sort), then an execution phase over the
-   groups.  A group-local
+   stream, which lays every group out as a view ([groups]; hashing
+   numbers each input batch through a key table and gives every group
+   an array of its own, sorting slices one sorted array), then an
+   execution phase over the groups.  A group-local
    per-group query ([local_branches]: Project/Aggregate/Select chains
    over the group, over a Distinct projection of it, or over an Apply
    pairing the group's members with an uncorrelated scalar aggregate or
@@ -140,131 +140,186 @@ let parallel_partition_threshold = 1024
 
 (* ---------- the partition layout ---------- *)
 
-(* A partitioned input: every member row in one array (the input's
-   own, reordered in place), each group a contiguous slice of it.
-   Group [g] has key [keys.(g)] and members
-   [members.(starts.(g)) .. members.(starts.(g + 1) - 1)]; groups are
-   numbered in the partition's output order and members keep their
-   input order.  A group is bound to its variable as a view over the
-   array ([group_view]), so nothing is copied per group. *)
-type groups = {
-  members : Tuple.t array;
-  keys : Tuple.t array;
-  starts : int array;  (* one entry per group, then [Array.length members] *)
-}
+(* A partitioned input: group [g] has key [keys.(g)] and members
+   [members.(g)], a view; groups are numbered in the partition's output
+   order and members keep their input order.  Hash partitioning lays
+   every group out in an array of its own, of exactly its size (so a
+   group of at most 256 rows is young); sort partitioning slices one
+   sorted array.  A group is bound to its variable as its view, so
+   nothing is copied per group. *)
+type groups = { keys : Tuple.t array; members : Batch.t array }
 
 let group_count gs = Array.length gs.keys
 
-let group_view gs g : Batch.t =
-  let pos = gs.starts.(g) in
-  { Batch.rows = gs.members; pos; len = gs.starts.(g + 1) - pos }
-
-(* Number rows [pos .. pos+len-1] by their key on [idxs]: write into
-   [ids] the id each row's key gets in a key table of the chunk's own,
-   and return those keys by id (first-seen order).  One column keys the
-   table by the bare value; several go through {!Tuple.number_rows}. *)
-let number_chunk ~(idxs : int array) (rows : Tuple.t array) ids pos len =
+(* A key table numbering rows by their key on [idxs] in first-seen
+   order: [number b ids] writes into [ids.(i)] the id of batch [b]'s row
+   [i], and [keys ()] returns the keys by id.  One column keys the table
+   by the bare value; several go through {!Tuple.number_rows}. *)
+let numbering ~(idxs : int array) =
   match idxs with
   | [| i0 |] ->
       let tbl : unit Value.Tbl.t = Value.Tbl.create 64 in
-      for k = pos to pos + len - 1 do
-        let v = Array.unsafe_get (Array.unsafe_get rows k) i0 in
-        Array.unsafe_set ids k (Value.Tbl.intern tbl v ())
-      done;
-      Array.init (Value.Tbl.length tbl) (fun g -> [| Value.Tbl.key tbl g |])
+      ( (fun (b : Batch.t) ids ->
+          for k = 0 to b.len - 1 do
+            let v = Array.unsafe_get (Batch.get b k) i0 in
+            Array.unsafe_set ids k (Value.Tbl.intern tbl v ())
+          done),
+        fun () ->
+          Array.init (Value.Tbl.length tbl) (fun g -> [| Value.Tbl.key tbl g |])
+      )
   | _ ->
       let tbl : unit Tuple.Tbl.t = Tuple.Tbl.create 64 in
-      Tuple.number_rows tbl () ~positions:idxs rows ~ids ~pos ~len;
-      Array.init (Tuple.Tbl.length tbl) (Tuple.Tbl.key tbl)
+      ( (fun (b : Batch.t) ids ->
+          Tuple.number_rows tbl () ~positions:idxs b.rows ~ids ~pos:b.pos
+            ~len:b.len),
+        fun () -> Array.init (Tuple.Tbl.length tbl) (Tuple.Tbl.key tbl) )
 
-(* Hash partitioning, in place.  Group order is deterministic — reverse
-   of first-seen key order — and each group's rows stay in input order.
+(* Cut [batches] ([n] rows) into at most [k] runs of consecutive
+   batches of about [n / k] rows each: [(first, stop, rows)]. *)
+let runs_of_batches k (batches : Batch.t array) n =
+  let size = (n + k - 1) / k in
+  let runs = ref [] and first = ref 0 and rows = ref 0 in
+  Array.iteri
+    (fun b (v : Batch.t) ->
+      rows := !rows + v.len;
+      if !rows >= size || b = Array.length batches - 1 then begin
+        runs := (!first, b + 1, !rows) :: !runs;
+        first := b + 1;
+        rows := 0
+      end)
+    batches;
+  Array.of_list (List.rev !runs)
 
-   Every row gets a group id from a key table, then a counting sort over
-   the ids lays the members out group after group.  The input is cut
-   into chunks numbered on their own — one chunk sequentially, one per
-   domain with a pool — and the chunks' keys are merged in chunk order
-   into one table, which renumbers them.  Walking each chunk's keys in
-   its first-seen order makes the merged first-seen order the
-   sequential one, so every chunk count gives the same layout.
+(* Hash partitioning, straight from the input's batches.  Group order is
+   deterministic — reverse of first-seen key order — and each group's
+   rows stay in input order.
 
-   Under a governor ([gov]), every chunk first passes a cancellation /
-   deadline check and charges the partition's per-row structure
-   overhead against the memory ceiling, before it is numbered — this
-   is the accounting that makes a hash-partition blow-up trip *during*
-   partitioning, which the engine then retries sort-based (see
-   Governor). *)
-let group_rows ?pool ?gov ~op ~(idxs : int array) (rows : Tuple.t array) :
-    groups =
-  let n = Array.length rows in
-  let ids = Array.make n 0 in
-  let chunk (pos, len) =
+   The input is drained and its batches kept; every row gets a group id
+   from a key table, batch by batch; then each group gets an array of
+   exactly its size and one pass over the kept batches places every row
+   in its group's.  With a pool and enough rows, the batches are cut
+   into runs, one per domain, numbered on their own; the runs' keys are
+   merged in run order into one table, which renumbers them.  Walking
+   each run's keys in its first-seen order makes the merged first-seen
+   order the sequential one, so every run count gives the same layout.
+
+   [account] charges each batch as it is drained (the input's
+   materialization).  Under a governor ([gov]), each run then first
+   passes a cancellation / deadline check and charges the partition's
+   per-row structure overhead against the memory ceiling, before it is
+   numbered — this is the accounting that makes a hash-partition
+   blow-up trip *during* partitioning, which the engine then retries
+   sort-based (see Governor). *)
+let hash_groups ?pool ?gov ~op ?account ~(idxs : int array)
+    (bc : Batch.cursor) : groups =
+  let rec drain kept n =
+    match bc () with
+    | None -> (Array.of_list (List.rev kept), n)
+    | Some b ->
+        Option.iter (fun f -> f b.Batch.rows b.Batch.pos b.Batch.len) account;
+        drain (b :: kept) (n + b.Batch.len)
+  in
+  let batches, n = drain [] 0 in
+  let ids = Array.map (fun (b : Batch.t) -> Array.make b.len 0) batches in
+  let run (first, stop, rows) =
     Governor.check gov ~op;
-    Governor.charge gov ~op (len * Governor.hash_partition_overhead_per_row);
-    number_chunk ~idxs rows ids pos len
+    Governor.charge gov ~op (rows * Governor.hash_partition_overhead_per_row);
+    let number, keys = numbering ~idxs in
+    for b = first to stop - 1 do
+      number batches.(b) ids.(b)
+    done;
+    keys ()
   in
   let first_seen =
     match pool with
     | Some pool when n >= parallel_partition_threshold ->
-        let nchunks = Domain_pool.num_domains pool in
-        let size = (n + nchunks - 1) / nchunks in
-        let ranges =
-          Array.init nchunks (fun i -> (i * size, min size (n - (i * size))))
-          |> Array.to_list
-          |> List.filter (fun (_, len) -> len > 0)
-          |> Array.of_list
-        in
-        let keys = Domain_pool.parallel_map_array pool chunk ranges in
-        (* the chunk-order merge keys every chunk's groups into one table:
+        let runs = runs_of_batches (Domain_pool.num_domains pool) batches n in
+        let keys = Domain_pool.parallel_map_array pool run runs in
+        (* the run-order merge keys every run's groups into one table:
            charge its structure overhead too (the parallel hash path
-           really does hold the chunks' tables and the merged one at
+           really does hold the runs' tables and the merged one at
            once) *)
         Governor.charge gov ~op
           (n * Governor.hash_partition_merge_overhead_per_row);
         let tbl : unit Tuple.Tbl.t = Tuple.Tbl.create 64 in
         Array.iteri
-          (fun c (pos, len) ->
+          (fun r (first, stop, _) ->
             let merged =
-              Array.map (fun key -> Tuple.Tbl.intern tbl key ()) keys.(c)
+              Array.map (fun key -> Tuple.Tbl.intern tbl key ()) keys.(r)
             in
-            for k = pos to pos + len - 1 do
-              ids.(k) <- merged.(ids.(k))
+            for b = first to stop - 1 do
+              let ids = ids.(b) in
+              for k = 0 to Array.length ids - 1 do
+                ids.(k) <- merged.(ids.(k))
+              done
             done)
-          ranges;
+          runs;
         Array.init (Tuple.Tbl.length tbl) (Tuple.Tbl.key tbl)
-    | _ -> chunk (0, n)
+    | _ -> run (0, Array.length batches, n)
   in
-  (* the counting sort: first-seen group [g] is output group [ng - 1 - g],
-     and each row's id becomes its place in the layout *)
+  (* one array per group, of its size; [next.(g)] is where first-seen
+     group [g]'s next member goes *)
   let ng = Array.length first_seen in
   let next = Array.make ng 0 in
-  Array.iter (fun g -> next.(g) <- next.(g) + 1) ids;
-  let keys = Array.make ng Tuple.empty and starts = Array.make (ng + 1) 0 in
-  for o = 0 to ng - 1 do
-    let g = ng - 1 - o in
-    keys.(o) <- first_seen.(g);
-    starts.(o + 1) <- starts.(o) + next.(g);
-    next.(g) <- starts.(o)
-  done;
-  for k = 0 to n - 1 do
-    let g = Array.unsafe_get ids k in
-    let at = Array.unsafe_get next g in
-    Array.unsafe_set ids k at;
-    Array.unsafe_set next g (at + 1)
-  done;
-  (* move every row to its place, one cycle of the permutation at a
-     time; a row in place has [ids.(k) = k] *)
-  for k = 0 to n - 1 do
-    while Array.unsafe_get ids k <> k do
-      let d = Array.unsafe_get ids k in
-      let row = Array.unsafe_get rows d in
-      Array.unsafe_set rows d (Array.unsafe_get rows k);
-      Array.unsafe_set ids k (Array.unsafe_get ids d);
-      Array.unsafe_set ids d d;
-      Array.unsafe_set rows k row
-    done
-  done;
-  { members = rows; keys; starts }
+  Array.iter (Array.iter (fun g -> next.(g) <- next.(g) + 1)) ids;
+  let layout = Array.map (fun n -> Array.make n Tuple.empty) next in
+  Array.fill next 0 ng 0;
+  Array.iteri
+    (fun b (v : Batch.t) ->
+      let ids = Array.unsafe_get ids b in
+      for k = 0 to v.len - 1 do
+        let g = Array.unsafe_get ids k in
+        let at = Array.unsafe_get next g in
+        Array.unsafe_set (Array.unsafe_get layout g) at (Batch.get v k);
+        Array.unsafe_set next g (at + 1)
+      done)
+    batches;
+  (* first-seen group [g] is output group [ng - 1 - g] *)
+  let out o = ng - 1 - o in
+  {
+    keys = Array.init ng (fun o -> first_seen.(out o));
+    members =
+      Array.init ng (fun o ->
+          let rows = layout.(out o) in
+          { Batch.rows; pos = 0; len = Array.length rows });
+  }
+
+(* The partition phase of GApply and GROUP BY over the input [bc], which
+   it drains, charging its batches under [input].  Hash partitioning
+   returns groups in reverse first-seen key order ([hash_groups]); sort
+   partitioning returns them in key order, clustering the output (the
+   property the constant-space tagger needs), by sorting the drained
+   rows as one array and slicing it.  With a pool, hashing numbers runs
+   of batches per domain and sorting becomes a parallel merge sort; both
+   layouts are identical to the sequential result.
+
+   Memory accounting: hashing pays a per-row structure overhead (plus a
+   merge pass when parallel) under [op]; sorting only pays the merge
+   buffer and the group slices.  The governor's graceful degradation
+   leans on exactly this asymmetry. *)
+let partition ?pool ?gov ~input ~op strategy ~idxs (bc : Batch.cursor) :
+    groups =
+  let account = Governor.batch_accountant gov ~op:input in
+  match strategy with
+  | Hash_partition -> hash_groups ?pool ?gov ~op ?account ~idxs bc
+  | Sort_partition ->
+      let rows = Batch.to_array ?account bc in
+      Governor.check gov ~op;
+      Governor.charge gov ~op
+        (Array.length rows * Governor.sort_partition_overhead_per_row);
+      (* sort the rows in place on the key columns, then start a group
+         wherever adjacent keys differ; each key is projected once *)
+      let cmp = compare_on idxs (Array.make (Array.length idxs) false) in
+      sort_rows ?pool cmp rows;
+      let keys = ref [] and members = ref [] and stop = ref (Array.length rows) in
+      for i = Array.length rows - 1 downto 0 do
+        if i = 0 || cmp rows.(i - 1) rows.(i) <> 0 then begin
+          keys := project_key idxs rows.(i) :: !keys;
+          members := { Batch.rows; pos = i; len = !stop - i } :: !members;
+          stop := i
+        end
+      done;
+      { keys = Array.of_list !keys; members = Array.of_list !members }
 
 (* Aggregate accumulators live in arrays so the per-row step is an
    indexed loop, not a List.iter2 closure pair. *)
@@ -441,6 +496,8 @@ let join_emit ~nl ~(cols : int array option) ~residual =
    are order-independent), so each group's rows are collected on the
    pool ([account] charges them) and concatenated in group order: the
    same rows in the same order as the sequential path. *)
+let no_groups _ _ = ()
+
 let run_groups ~size ?pool ?gov ~op ?account (order : int array) emit :
     Batch.cursor =
   let n = Array.length order in
@@ -459,15 +516,21 @@ let run_groups ~size ?pool ?gov ~op ?account (order : int array) emit :
            (Array.to_list
               (Domain_pool.parallel_map_array pool collect order)))
   | _ ->
-      let i = ref 0 in
+      (* [emit] holds the partition: drop it after the last group, so
+         that a cursor promoted while it ran no longer reaches the groups
+         (the next minor collection would promote them all) *)
+      let i = ref 0 and emit = ref emit in
       pack ~size (fun push ->
-          !i < n
-          && begin
-               Governor.check gov ~op;
-               emit order.(!i) push;
-               incr i;
-               true
-             end)
+          if !i < n then begin
+            Governor.check gov ~op;
+            !emit order.(!i) push;
+            incr i;
+            true
+          end
+          else begin
+            emit := no_groups;
+            false
+          end)
 
 (* ---------- group-local per-group queries ---------- *)
 
@@ -546,13 +609,39 @@ let local_branches ~var (pgq : Plan.t) : local_pgq option =
 
 let group_local ~var pgq = Option.is_some (local_branches ~var pgq)
 
+(* A projected item: a column of the input row, a literal, or computed
+   by its closure.  The first two are written straight from the row. *)
+type item = Column of int | Const of Value.t | Computed of Eval.compiled
+
+let compile_items schema items =
+  Array.of_list
+    (List.map
+       (function
+         | Expr.Col r, _ ->
+             Column (Schema.find ?qual:r.Expr.qual r.Expr.name schema)
+         | Expr.Lit v, _ -> Const v
+         | e, _ -> Computed (Eval.compile schema e))
+       items)
+
+let item_value frames (row : Tuple.t) = function
+  | Column i -> row.(i)
+  | Const v -> v
+  | Computed c -> c frames row
+
+(* [items] of [row] written into [out] from [at] on *)
+let project_into (out : Tuple.t) at items frames row =
+  for j = 0 to Array.length items - 1 do
+    Array.unsafe_set out (at + j)
+      (item_value frames row (Array.unsafe_get items j))
+  done
+
 (* One compiled branch, with the Obs node of each of its operators when
    observed. *)
 type local_branch = {
   source : source;
   preds : (Eval.frames -> Tuple.t -> bool) array;  (* innermost first *)
   aggs : (Expr.agg * Eval.compiled option) array option;
-  items : Eval.compiled array option;  (* None: no Project *)
+  items : item array option;  (* None: no Project *)
   select_nodes : Obs.node option array;  (* like [preds] *)
   agg_node : Obs.node option;
   project_node : Obs.node option;
@@ -638,9 +727,7 @@ let branch_row b key frames row =
       let k = Array.length key in
       let out = Array.make (k + Array.length items) Value.Null in
       Array.blit key 0 out 0 k;
-      for j = 0 to Array.length items - 1 do
-        Array.unsafe_set out (k + j) ((Array.unsafe_get items j) frames row)
-      done;
+      project_into out k items frames row;
       out
 
 (* Apply [a]'s pairing with an Aggregate inner's [values] (charged under
@@ -681,7 +768,7 @@ let first_seen s row =
 let rec same_cells items frames row (last : Tuple.t) j =
   j = Array.length items
   || Value.equal_total (Array.unsafe_get last j)
-       ((Array.unsafe_get items j) frames row)
+       (item_value frames row (Array.unsafe_get items j))
      && same_cells items frames row last (j + 1)
 
 (* Whether branch [b]'s projection of [row] equals the row the group's
@@ -954,8 +1041,7 @@ let rec compile_branch ~config ~outer p : local_branch * Schema.t =
         Props.schema_of ~outer p )
   | Plan.Project { items; _ } ->
       let b, schema = input () in
-      let items = List.map (fun (e, _) -> Eval.compile schema e) items in
-      ( { b with items = Some (Array.of_list items); project_node = node },
+      ( { b with items = Some (compile_items schema items); project_node = node },
         Props.schema_of ~outer p )
   | Plan.Distinct _ ->
       let b, schema = input () in
@@ -1206,18 +1292,14 @@ and compile ~config ~(outer : Schema.t list) ?cols (p : Plan.t) :
       (schema, (plan ~config ~outer ~cols:(Array.of_list cols) join).brun)
   | Plan.Project { items; input } ->
       let c = plan ~config ~outer input in
-      let compiled_items =
-        Array.of_list (List.map (fun (e, _) -> Eval.compile c.schema e) items)
-      in
+      let compiled_items = compile_items c.schema items in
       let nitems = Array.length compiled_items in
       (* evaluate items into a preallocated output row — no intermediate
          list on the per-row path *)
       let project frames row =
         let out = Array.make nitems Value.Null in
-        for j = 0 to nitems - 1 do
-          Array.unsafe_set out j ((Array.unsafe_get compiled_items j) frames row)
-        done;
-        (out : Tuple.t)
+        project_into out 0 compiled_items frames row;
+        out
       in
       (* a rename-only projection (item i is input column i) passes the
          input rows through: no operator writes into a row's cells *)
@@ -1246,13 +1328,9 @@ and compile ~config ~(outer : Schema.t list) ?cols (p : Plan.t) :
           Batch.deferred (fun () ->
               let pool = Domain_pool.for_parallelism config.parallelism in
               let gov = env.Env.governor in
-              let rows =
-                Batch.to_array
-                  ?account:(Governor.batch_accountant gov ~op:"groupby.input")
-                  (c.brun env)
-              in
               let gs =
-                group_rows ?pool ?gov ~op:"groupby.partition" ~idxs rows
+                partition ?pool ?gov ~input:"groupby.input"
+                  ~op:"groupby.partition" Hash_partition ~idxs (c.brun env)
               in
               let ngroups = group_count gs in
               Option.iter (fun n -> Obs.add_partitions n ngroups) obs_node;
@@ -1262,8 +1340,8 @@ and compile ~config ~(outer : Schema.t list) ?cols (p : Plan.t) :
               run_groups ~size ?pool ?gov ~op:"groupby.exec"
                 (Array.init ngroups Fun.id)
                 (fun g push ->
-                  run_branch fold None frames gs.keys.(g) (group_view gs g)
-                    push)) )
+                  run_branch fold None frames gs.keys.(g) gs.members.(g) push))
+      )
   | Plan.Aggregate { aggs; input } ->
       let c = plan ~config ~outer input in
       let specs = compile_agg_args c.schema aggs in
@@ -1418,6 +1496,11 @@ and compile ~config ~(outer : Schema.t list) ?cols (p : Plan.t) :
         | Some l -> `Loop (compile_local ~config ~outer pgq l)
         | None -> `Chain (plan ~config ~outer pgq)
       in
+      let partition_op =
+        match config.partition with
+        | Hash_partition -> "gapply.partition(hash)"
+        | Sort_partition -> "gapply.partition(sort)"
+      in
       let path_groups =
         Option.map
           (fun c -> match exec with `Loop _ -> c.loop | `Chain _ -> c.chain)
@@ -1428,13 +1511,10 @@ and compile ~config ~(outer : Schema.t list) ?cols (p : Plan.t) :
           Batch.deferred (fun () ->
               let pool = Domain_pool.for_parallelism config.parallelism in
               let gov = env.Env.governor in
-              let rows =
-                Batch.to_array
-                  ?account:
-                    (Governor.batch_accountant gov ~op:"gapply.materialize")
-                  (co.brun env)
+              let gs =
+                partition ?pool ?gov ~input:"gapply.materialize"
+                  ~op:partition_op config.partition ~idxs (co.brun env)
               in
-              let gs = partition ~config ?pool ?gov ~idxs rows in
               Option.iter
                 (fun n -> Obs.add_partitions n (group_count gs))
                 obs_node;
@@ -1452,7 +1532,7 @@ and compile ~config ~(outer : Schema.t list) ?cols (p : Plan.t) :
                 Governor.batch_accountant gov ~op:"gapply.group"
               in
               let view g =
-                let v = group_view gs g in
+                let v = gs.members.(g) in
                 Option.iter
                   (fun f -> f v.Batch.rows v.Batch.pos v.Batch.len)
                   group_account;
@@ -1510,43 +1590,6 @@ and order_inputs ~config ~outer input :
   | _ ->
       let c = plan ~config ~outer input in
       ([ Props.order_of ~outer input ], fun env -> [| c.brun env |])
-
-(* Partition phase of GApply.  Hash partitioning returns groups in
-   reverse first-seen key order; sort partitioning returns them in key
-   order, clustering the output (the property the constant-space tagger
-   needs).  With a pool, hashing numbers the rows per domain and merges
-   the numberings, and sorting becomes a parallel merge sort; both
-   layouts are identical to the sequential result.
-
-   Memory accounting: hashing pays a per-row structure overhead (plus a
-   merge pass when parallel) through [group_rows]; sorting only pays
-   the merge buffer and the group slices.  The governor's graceful
-   degradation leans on exactly this asymmetry. *)
-and partition ~config ?pool ?gov ~idxs (rows : Tuple.t array) : groups =
-  match config.partition with
-  | Hash_partition ->
-      group_rows ?pool ?gov ~op:"gapply.partition(hash)" ~idxs rows
-  | Sort_partition ->
-      Governor.check gov ~op:"gapply.partition(sort)";
-      Governor.charge gov ~op:"gapply.partition(sort)"
-        (Array.length rows * Governor.sort_partition_overhead_per_row);
-      (* sort the rows in place on the key columns, then start a group
-         wherever adjacent keys differ; each key is projected once *)
-      let cmp = compare_on idxs (Array.make (Array.length idxs) false) in
-      sort_rows ?pool cmp rows;
-      let n = Array.length rows in
-      let starts = ref [ n ] and keys = ref [] in
-      for i = n - 1 downto 0 do
-        if i = 0 || cmp rows.(i - 1) rows.(i) <> 0 then begin
-          starts := i :: !starts;
-          keys := project_key idxs rows.(i) :: !keys
-        end
-      done;
-      {
-        members = rows;
-        keys = Array.of_list !keys;
-        starts = Array.of_list !starts;
-      }
 
 (* Joins: hash join on extracted equi-pairs when possible, nested loops
    otherwise.  NULL join keys never match (SQL semantics), so rows with a

@@ -7,14 +7,15 @@
 
     GApply follows the paper's two phases (Section 3): a partition phase
     (sorting or hashing, per {!config}) over the outer stream, which
-    lays every group out as a slice of one member array, then an
-    execution phase over the groups.  Hashing gives every row a group id
-    through a key table ({!Keytbl}) and moves the rows into place with a
-    counting sort over the ids: groups in reverse first-seen key order,
-    members in input order, the same layout at every parallelism.  A {!group_local} per-group query
-    runs as one loop per group over its slice; any other is compiled
-    once into its cursor chain and re-run per group with the group's
-    slice bound to the relation-valued variable. *)
+    lays every group out as a view ({!groups}), then an execution phase
+    over the groups.  Hashing gives every row of each input batch a
+    group id through a key table ({!Keytbl}) and then copies each
+    group's rows into an array of exactly its size: groups in reverse
+    first-seen key order, members in input order, the same layout at
+    every parallelism.  A {!group_local} per-group query runs as one
+    loop per group over its view; any other is compiled once into its
+    cursor chain and re-run per group with the group's view bound to
+    the relation-valued variable. *)
 
 type partition_strategy = Sort_partition | Hash_partition
 
@@ -92,6 +93,27 @@ val group_local : var:string -> Plan.t -> bool
     group's own.  It writes [key ++ values] rows, in the order its
     cursor chain would yield them (groups, then branches, then
     members). *)
+
+type groups = { keys : Tuple.t array; members : Batch.t array }
+(** A partitioned input: group [g] has key [keys.(g)] and members
+    [members.(g)], in input order. *)
+
+val partition :
+  ?pool:Domain_pool.t ->
+  ?gov:Governor.t ->
+  input:string ->
+  op:string ->
+  partition_strategy ->
+  idxs:int array ->
+  Batch.cursor ->
+  groups
+(** The partition phase of GApply and GROUP BY: drain the cursor and
+    group its rows by their key on the columns [idxs].  Hashing gives
+    the groups in reverse first-seen key order, each in an array of its
+    own, straight from the input's batches; sorting gives them in key
+    order, as slices of one sorted array.  The layout is the same at
+    every parallelism.  Under a governor the input's batches are
+    charged under [input] and the partition's structures under [op]. *)
 
 val sort_rows : ?pool:Domain_pool.t -> ('a -> 'a -> int) -> 'a array -> unit
 (** The row sort behind ORDER BY and sort partitioning: stable and in

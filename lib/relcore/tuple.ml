@@ -74,7 +74,7 @@ let number_rows tbl v ~positions (rows : t array) ~ids ~pos ~len =
       Array.unsafe_set scratch j row.(Array.unsafe_get positions j)
     done;
     let g = Tbl.find_id tbl scratch in
-    Array.unsafe_set ids k
+    Array.unsafe_set ids (k - pos)
       (if g >= 0 then g
        else begin
          Tbl.add tbl (Array.copy scratch) v;

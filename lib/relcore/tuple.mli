@@ -44,9 +44,9 @@ val number_rows :
   len:int ->
   unit
 (** [number_rows tbl v ~positions rows ~ids ~pos ~len] writes into
-    [ids.(k)], for [pos <= k < pos + len], the id in [tbl] of row [k]'s
-    key on the columns at [positions], binding a new key to [v].  One
-    scratch key is filled per row and copied only for a new key. *)
+    [ids.(k - pos)], for [pos <= k < pos + len], the id in [tbl] of row
+    [k]'s key on the columns at [positions], binding a new key to [v].
+    One scratch key is filled per row and copied only for a new key. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

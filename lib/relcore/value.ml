@@ -40,32 +40,19 @@ external format_float : string -> float -> string = "caml_format_float"
 
 (* ---------- exact number rendering ----------
 
-   Numbers are written digit by digit into an exact-size [Bytes], with
-   the same bytes as [string_of_int] and as [%.12g] plus the ".0" rule.
-   Only the floats that are not short decimals go through the C
-   formatter. *)
+   Numbers are written digit by digit, with the same bytes as
+   [string_of_int] and as [%.12g] plus the ".0" rule, by one writer
+   ([write_decimal]): [to_string] points it at an exact-size [Bytes],
+   [add_to_buffer] at the caller's scratch, which goes into the buffer
+   in one blit.  Only the floats that are not short decimals go through
+   the C formatter. *)
 
-(* decimal digits of [n >= 0] *)
-let rec num_digits n = if n < 10 then 1 else 1 + num_digits (n / 10)
+(* decimal digits of [n >= 0]: [d] when below [p = 10^d], by
+   comparisons only *)
+let rec digits_from n d p =
+  if n < p then d else if d = 18 then 19 else digits_from n (d + 1) (p * 10)
 
-(* the low [w] decimal digits of [n >= 0], zero-padded, ending just
-   before [stop] *)
-let rec write_digits b stop n w =
-  if w > 0 then begin
-    Bytes.unsafe_set b (stop - 1) (Char.unsafe_chr (48 + (n mod 10)));
-    write_digits b (stop - 1) (n / 10) (w - 1)
-  end
-
-let int_to_string i =
-  if i = min_int then string_of_int i (* [-i] overflows *)
-  else
-    let sign = if i < 0 then 1 else 0 in
-    let n = abs i in
-    let len = sign + num_digits n in
-    let b = Bytes.create len in
-    if sign = 1 then Bytes.unsafe_set b 0 '-';
-    write_digits b len n (len - sign);
-    Bytes.unsafe_to_string b
+let num_digits n = digits_from n 1 10
 
 (* The C formatter, for the floats the exact path does not cover.  Keep
    a trailing ".0" so floats round-trip through the parser. *)
@@ -79,50 +66,108 @@ let format_float_slow f =
 let pow10_f = [| 1.; 10.; 100.; 1e3; 1e4; 1e5; 1e6 |]
 let pow10_i = [| 1; 10; 100; 1_000; 10_000; 100_000; 1_000_000 |]
 
-(* [-?q.r] for the decimal [m / 10^k]: [k] fraction digits, or [q.0]
-   when [k = 0]. *)
-let render_decimal neg m k =
-  let sign = if neg then 1 else 0 in
-  let q = m / pow10_i.(k) in
-  let dq = num_digits q in
-  let frac = if k = 0 then 1 else k in
-  let len = sign + dq + 1 + frac in
-  let b = Bytes.create len in
-  if neg then Bytes.unsafe_set b 0 '-';
-  write_digits b (sign + dq) q dq;
-  Bytes.unsafe_set b (sign + dq) '.';
-  write_digits b len (m - (q * pow10_i.(k))) frac;
-  Bytes.unsafe_to_string b
+(* The one digit writer: the decimal [-?m] (when [k < 0]) or
+   [-?q.r] for [m / 10^k], with the fraction [r] written in [k] digits
+   (one when [k = 0]: [q.0]), written into [b] so that it ends just
+   before [stop]; returns where it starts.  Digits go last to first,
+   each off its number by a constant division. *)
+let rec write_digits b stop n w =
+  if w = 0 then stop
+  else begin
+    Bytes.unsafe_set b (stop - 1) (Char.unsafe_chr (48 + (n mod 10)));
+    write_digits b (stop - 1) (n / 10) (w - 1)
+  end
 
-(* Exact path for [a = |f|] in [1e-4, 1e12).  For the smallest [k <= 6]
-   with [m = round (a * 10^k) < 1e12] and [m /. 10^k = a], [f] is the
-   double nearest to the decimal [d = m / 10^k]: [m] and [10^k] are
+(* all the digits of [n >= 0] *)
+let rec write_int b stop n =
+  Bytes.unsafe_set b (stop - 1) (Char.unsafe_chr (48 + (n mod 10)));
+  if n < 10 then stop - 1 else write_int b (stop - 1) (n / 10)
+
+(* the integer part of [m / 10^k]; [m] itself when [k < 0] *)
+let[@inline] quotient m k = if k < 0 then m else m / Array.unsafe_get pow10_i k
+
+let write_decimal b stop neg m k =
+  let q = quotient m k in
+  let stop =
+    if k < 0 then stop
+    else begin
+      let r = m - (q * Array.unsafe_get pow10_i k) in
+      let at = write_digits b stop r (if k > 1 then k else 1) - 1 in
+      Bytes.unsafe_set b at '.';
+      at
+    end
+  in
+  let at = write_int b stop q in
+  if neg then begin
+    Bytes.unsafe_set b (at - 1) '-';
+    at - 1
+  end
+  else at
+
+let decimal_length neg m k =
+  (if neg then 1 else 0) + num_digits (quotient m k)
+  + if k < 0 then 0 else if k > 1 then k + 1 else 2
+
+(* The exact path for [a = |f|] in [1e-4, 1e12): [8 m + k] for the
+   smallest [k <= 6] with [m = round (a * 10^k) < 1e12] and
+   [m /. 10^k = a], or -1 when [f] needs the C formatter.  [f] is then
+   the double nearest to the decimal [d = m / 10^k]: [m] and [10^k] are
    exact doubles and IEEE division is correctly rounded.  [d] has at
    most 12 significant digits and lies within [2^-53 * a] of [f], far
    below half a unit in its 12th digit, so [%.12g] prints exactly [d],
    in fixed notation (its exponent is in [-4, 11]), with trailing zeros
    stripped — which the smallest [k] never writes. *)
-let rec float_exact f k =
-  if k > 6 then format_float_slow f
+let rec exact_decimal f k =
+  if k > 6 then -1
   else
     (* [a] is recomputed here, not passed: a float argument is boxed *)
     let a = Float.abs f and p = Array.unsafe_get pow10_f k in
     let m = Float.round (a *. p) in
-    if m < 1e12 && m /. p = a then render_decimal (f < 0.) (int_of_float m) k
-    else float_exact f (k + 1)
+    if m < 1e12 && m /. p = a then (int_of_float m * 8) + k
+    else exact_decimal f (k + 1)
 
-let float_to_string f =
+let float_decimal f =
   let a = Float.abs f in
   (* false for NaN, infinities and zeros *)
-  if a >= 1e-4 && a < 1e12 then float_exact f 0 else format_float_slow f
+  if a >= 1e-4 && a < 1e12 then exact_decimal f 0 else -1
+
+(* A number's rendering, written by [write_decimal] into an exact-size
+   string, or into a scratch and appended to a buffer in one blit. *)
+let exact neg m k =
+  let len = decimal_length neg m k in
+  let b = Bytes.create len in
+  ignore (write_decimal b len neg m k);
+  Bytes.unsafe_to_string b
+
+let append scratch buf neg m k =
+  let stop = Bytes.length scratch in
+  let at = write_decimal scratch stop neg m k in
+  Buffer.add_subbytes buf scratch at (stop - at)
 
 let to_string = function
   | Null -> "NULL"
-  | Int i -> int_to_string i
-  | Float f -> float_to_string f
+  | Int i when i <> min_int (* [-i] overflows *) -> exact (i < 0) (abs i) (-1)
+  | Int i -> string_of_int i
+  | Float f ->
+      let d = float_decimal f in
+      if d < 0 then format_float_slow f else exact (f < 0.) (d lsr 3) (d land 7)
   | Str s -> s
   | Sym (pool, id) -> Strpool.get pool id  (* the decode boundary *)
   | Bool b -> if b then "TRUE" else "FALSE"
+
+(* room for any exact rendering: 20 bytes of an int, or a sign, 12
+   digits and a point *)
+type writer = Bytes.t
+
+let writer () = Bytes.create 24
+
+let add_to_buffer scratch buf = function
+  | Int i when i <> min_int -> append scratch buf (i < 0) (abs i) (-1)
+  | Float f as v ->
+      let d = float_decimal f in
+      if d < 0 then Buffer.add_string buf (to_string v)
+      else append scratch buf (f < 0.) (d lsr 3) (d land 7)
+  | v -> Buffer.add_string buf (to_string v)
 
 (* uncounted decode for internal comparison fallbacks *)
 let str_view = function

@@ -33,6 +33,17 @@ val to_string : t -> string
     integer.  Decodes [Sym] handles — this is the output-boundary
     decode. *)
 
+type writer
+(** Scratch room for {!add_to_buffer}: one per thread that writes. *)
+
+val writer : unit -> writer
+
+val add_to_buffer : writer -> Buffer.t -> t -> unit
+(** Append exactly the bytes of {!to_string}.  An [Int], or a [Float]
+    that is a short decimal, is written by the digit writer {!to_string}
+    uses, into the writer's room, and appended in one blit, with no
+    string in between. *)
+
 val canonical : t -> t
 (** [Sym] decoded back to a plain [Str]; everything else unchanged.
     Required before feeding values to {e polymorphic} hash or equality

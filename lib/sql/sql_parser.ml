@@ -1,9 +1,13 @@
 (* Recursive-descent parser for the dialect of Sql_ast, including the
    paper's gapply / GROUP BY ... : var extension (Section 3.1). *)
 
-type state = { tokens : Sql_token.positioned array; mutable pos : int }
+type state = {
+  tokens : Sql_token.positioned array;
+  mutable pos : int;
+  mutable depth : int;  (* nested expressions and queries open *)
+}
 
-let make tokens = { tokens = Array.of_list tokens; pos = 0 }
+let make tokens = { tokens = Array.of_list tokens; pos = 0; depth = 0 }
 
 let current st = st.tokens.(st.pos)
 let peek st = (current st).Sql_token.token
@@ -24,6 +28,19 @@ let errorf st fmt =
         (Sql_token.to_string t.Sql_token.token)
         msg)
     fmt
+
+(* [parse st] one level deeper: past [max_depth] levels the input is a
+   parse error rather than a stack overflow.  The state of a statement
+   that fails is dropped, so only a success has to restore the depth. *)
+let max_depth = 10_000
+
+let nested st parse =
+  if st.depth >= max_depth then
+    errorf st "expressions and subqueries nest deeper than %d levels" max_depth;
+  st.depth <- st.depth + 1;
+  let v = parse st in
+  st.depth <- st.depth - 1;
+  v
 
 let expect st token what =
   if peek st = token then advance st else errorf st "expected %s" what
@@ -78,19 +95,22 @@ let ident_opt st =
 
 let aggregate_functions = [ "count"; "sum"; "avg"; "min"; "max" ]
 
-let rec parse_expr st : Sql_ast.expr = parse_or st
+let rec parse_expr st : Sql_ast.expr = nested st parse_or
 
-and parse_or st =
-  let left = parse_and st in
-  if accept_keyword st "or" then
-    Sql_ast.Binop (Sql_ast.Or, left, parse_or st)
-  else left
+(* An [op] chain of [operand]s, gathered by a loop and folded into a
+   right-nested tree ([a or (b or c)]): a long flat chain takes no
+   parser recursion and no nesting level. *)
+and parse_chain st keyword op operand =
+  let rec gather rev =
+    if accept_keyword st keyword then gather (operand st :: rev) else rev
+  in
+  match gather [ operand st ] with
+  | last :: rev ->
+      List.fold_left (fun right left -> Sql_ast.Binop (op, left, right)) last rev
+  | [] -> assert false
 
-and parse_and st =
-  let left = parse_not st in
-  if accept_keyword st "and" then
-    Sql_ast.Binop (Sql_ast.And, left, parse_and st)
-  else left
+and parse_or st = parse_chain st "or" Sql_ast.Or parse_and
+and parse_and st = parse_chain st "and" Sql_ast.And parse_not
 
 and parse_not st =
   if is_keyword st "not" then begin
@@ -102,7 +122,7 @@ and parse_not st =
       expect st Sql_token.Rparen ")";
       Sql_ast.Exists (q, true)
     end
-    else Sql_ast.Not (parse_not st)
+    else Sql_ast.Not (nested st parse_not)
   end
   else parse_comparison st
 
@@ -191,7 +211,7 @@ and parse_unary st =
   match peek st with
   | Sql_token.Minus ->
       advance st;
-      Sql_ast.Neg (parse_unary st)
+      Sql_ast.Neg (nested st parse_unary)
   | _ -> parse_primary st
 
 and parse_primary st =
@@ -435,7 +455,9 @@ and parse_select_core st : Sql_ast.query =
       { Sql_ast.distinct; items; from; where; group_by; group_var; having }
   end
 
-and parse_query st : Sql_ast.query =
+and parse_query st : Sql_ast.query = nested st parse_query_body
+
+and parse_query_body st =
   let first = parse_select_core st in
   let rec unions left =
     if is_keyword st "union" then begin

@@ -10,7 +10,13 @@
     lists, and CREATE TABLE / INSERT / DROP / EXPLAIN statements.
 
     All entry points raise {!Errors.Parse_error} with line/column
-    positions. *)
+    positions, also for input nested deeper than {!max_depth}. *)
+
+val max_depth : int
+(** 10000: the deepest nesting the parser follows.  A query is one
+    level, and so is each expression in it, each parenthesized
+    expression, subquery, [NOT] and unary minus.  A flat [AND] or [OR]
+    chain is one level however long it is. *)
 
 val parse_statement : string -> Sql_ast.statement
 (** Parse one statement (an optional trailing ';' is consumed). *)

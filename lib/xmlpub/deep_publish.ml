@@ -451,7 +451,7 @@ type tree = {
    the walk calls each sink's operations directly.  Indirect calls per
    element cost the markup sink about a tenth of its time on the
    Figure-1 documents. *)
-type sink = Markup of Buffer.t | Tree of tree
+type sink = Markup of Buffer.t * Value.writer | Tree of tree
 
 (* A tag with its markup, rendered once per document: the markup sink
    writes an element's opening or closing tag with one [add_string]. *)
@@ -468,7 +468,7 @@ let add_child t child =
 (* an element opens *)
 let start sink tag =
   match sink with
-  | Markup buf -> Buffer.add_string buf tag.t_open
+  | Markup (buf, _) -> Buffer.add_string buf tag.t_open
   | Tree t -> t.t_depth <- t.t_depth + 1
 
 (* A field element with the text of [v] (not NULL).  The markup sink
@@ -478,7 +478,7 @@ let start sink tag =
    number or boolean, whose rendering never holds markup, unscanned. *)
 let field sink tag (v : Value.t) =
   match sink with
-  | Markup buf ->
+  | Markup (buf, numbers) ->
       Buffer.add_string buf tag.t_open;
       (match v with
       | Value.Sym (pool, id) ->
@@ -486,7 +486,7 @@ let field sink tag (v : Value.t) =
           if Strpool.markup_free pool id then Buffer.add_string buf s
           else Xml.escape_into buf s
       | Value.Str s -> Xml.escape_into buf s
-      | v -> Buffer.add_string buf (Value.to_string v));
+      | v -> Value.add_to_buffer numbers buf v);
       Buffer.add_string buf tag.t_close
   | Tree t ->
       add_child t (Xml.element tag.t_name [ Xml.text (Value.to_string v) ])
@@ -494,13 +494,21 @@ let field sink tag (v : Value.t) =
 (* the innermost open element closes *)
 let finish sink tag =
   match sink with
-  | Markup buf -> Buffer.add_string buf tag.t_close
+  | Markup (buf, _) -> Buffer.add_string buf tag.t_close
   | Tree t ->
       let d = t.t_depth - 1 in
       let children = t.t_children.(d) in
       t.t_children.(d) <- [];
       t.t_depth <- d;
       add_child t (Xml.element tag.t_name (List.rev children))
+
+(* Whether rows [a] and [b] agree on the cells at [slots] from [j] on.
+   Top-level, like every other per-row step of the walk, so a row
+   allocates no closure. *)
+let rec same_slots slots (a : Tuple.t) (b : Tuple.t) j =
+  j = Array.length slots
+  || Value.equal_total a.(slots.(j)) b.(slots.(j))
+     && same_slots slots a b (j + 1)
 
 let max_depth (enc : encoding) =
   List.fold_left (fun m b -> max m (Array.length b.b_chain)) 0 enc.e_branches
@@ -557,24 +565,18 @@ let walk (enc : encoding) (sink : sink) (cursor : Cursor.t) =
      here, so queries that never reach output (joins, grouping,
      predicates) compare integer ids and pay no decode. *)
   let fields id row =
-    Array.iter
-      (fun (tag, idx) ->
-        match Tuple.get row idx with
-        | Value.Null -> ()
-        | v -> field sink tag v)
-      fields_of.(id)
+    let fs = fields_of.(id) in
+    for i = 0 to Array.length fs - 1 do
+      let tag, idx = fs.(i) in
+      match Tuple.get row idx with
+      | Value.Null -> ()
+      | v -> field sink tag v
+    done
   in
   (* whether the open element at [level] is [l]'s node with [row]'s keys *)
   let is_open row level l =
     open_node.(level) = l.l_node
-    &&
-    let frow = open_row.(level) and slots = l.l_slots in
-    let rec go j =
-      j = Array.length slots
-      || Value.equal_total frow.(slots.(j)) row.(slots.(j))
-         && go (j + 1)
-    in
-    go 0
+    && same_slots l.l_slots open_row.(level) row 0
   in
   let rec matched row chain upto level =
     if level < upto && level < !depth && is_open row level chain.(level)
@@ -662,7 +664,7 @@ let tag (enc : encoding) (cursor : Cursor.t) : Xml.t =
 
 (** The buffer sink: stream markup, an empty element as [<t></t>]. *)
 let tag_to_buffer (enc : encoding) (cursor : Cursor.t) (buf : Buffer.t) =
-  walk enc (Markup buf) cursor
+  walk enc (Markup (buf, Value.writer ())) cursor
 
 type strategy = Sorted_outer_union | Gapply_pass
 

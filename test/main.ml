@@ -26,6 +26,7 @@ let () =
       ("vectorized", Test_vectorized.suite);
       ("group-local", Test_group_local.suite);
       ("order-merge", Test_order_merge.suite);
+      ("partition", Test_partition.suite);
       ("plan-cache", Test_plan_cache.suite);
       ("governor", Test_governor.suite);
       ("chaos", Test_chaos.suite);

@@ -223,9 +223,72 @@ let prop_sql =
     ~typed:positioned_parse_error ~print:String.escaped sql_corpus
     Sql_parser.parse_query_string
 
+(* Nesting at the parser's limit parses; one level past it is a
+   positioned parse error, also out of the engine, not a stack
+   overflow.  The query and its select item are two levels, and
+   every parenthesis, NOT or unary minus one more. *)
+let test_nesting_limit () =
+  let nested n ~opening ~closing =
+    "select " ^ String.concat "" (List.init n (fun _ -> opening)) ^ "a"
+    ^ String.concat "" (List.init n (fun _ -> closing)) ^ " from t"
+  in
+  let at = Sql_parser.max_depth - 2 in
+  List.iter
+    (fun (label, opening, closing) ->
+      (match Sql_parser.parse_query_string (nested at ~opening ~closing) with
+      | _ -> ()
+      | exception e ->
+          Alcotest.failf "%s at the limit: %s" label (Printexc.to_string e));
+      match Sql_parser.parse_query_string (nested (at + 1) ~opening ~closing) with
+      | _ -> Alcotest.failf "%s past the limit parsed" label
+      | exception e when positioned_parse_error e -> ()
+      | exception e ->
+          Alcotest.failf "%s past the limit: %s" label (Printexc.to_string e))
+    [ ("parentheses", "(", ")"); ("NOT", "not ", ""); ("unary minus", "- ", "") ];
+  let db = Engine.create () in
+  (match Engine.exec db "create table t (a int)" with
+  | Engine.Failed e -> raise e
+  | _ -> ());
+  (match Engine.exec db (nested at ~opening:"(" ~closing:")") with
+  | Engine.Rows _ -> ()
+  | _ -> Alcotest.fail "the engine should run a query at the limit");
+  (match Engine.exec db (nested (at + 1) ~opening:"(" ~closing:")") with
+  | _ -> Alcotest.fail "expected a parse error past the limit"
+  | exception e ->
+      Alcotest.(check bool) "a typed engine error" true
+        (Errors.is_engine_error e && positioned_parse_error e));
+  (* a flat AND / OR chain is no nesting, however long: one longer than
+     the limit parses right-nested and runs *)
+  let chain op n =
+    "select a from t where "
+    ^ String.concat (" " ^ op ^ " ") (List.init n (fun i -> Printf.sprintf "a = %d" i))
+  in
+  let where sql =
+    match Sql_parser.parse_query_string sql with
+    | Sql_ast.Select { where = Some w; _ } -> w
+    | _ -> Alcotest.fail "expected a SELECT with a WHERE"
+  in
+  Alcotest.(check bool) "a or b or c is a or (b or c)" true
+    (match where (chain "or" 3) with
+    | Sql_ast.Binop (Sql_ast.Or, _, Sql_ast.Binop (Sql_ast.Or, _, _)) -> true
+    | _ -> false);
+  (match Engine.exec db "insert into t values (1), (2), (20000)" with
+  | Engine.Failed e -> raise e
+  | _ -> ());
+  List.iter
+    (fun (op, rows) ->
+      match Engine.exec db (chain op (Sql_parser.max_depth + 50)) with
+      | Engine.Rows r ->
+          Alcotest.(check int) (op ^ " chain past the limit") rows
+            (List.length (Relation.rows r))
+      | _ -> Alcotest.failf "the engine should run a long %s chain" op)
+    [ ("or", 2); ("and", 0) ]
+
 let suite =
   Alcotest.test_case "snapshot: forged row counts are refused" `Quick
     test_forged_row_counts
+  :: Alcotest.test_case "SQL: nesting past the parser's limit is a parse error"
+       `Quick test_nesting_limit
   :: List.map QCheck_alcotest.to_alcotest
        [
          prop_wire_requests;

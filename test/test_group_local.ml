@@ -66,6 +66,13 @@ let gen_item =
   Gen.oneofl
     [ column "a"; column "s"; column "b" +^ int 1; null; column "k" ]
 
+(* what a Project writes straight from the member row: bare columns in
+   any order, and literals; beside computed items *)
+let gen_cell_item =
+  Gen.oneofl
+    [ column "s"; column "b"; column "a"; column "k"; null; int 7;
+      Expr.float 2.5; column "s" +^ column "b" ]
+
 let selects preds input =
   List.fold_left (fun p pred -> Plan.select pred p) input preds
 
@@ -157,9 +164,13 @@ let gen_branch : Plan.t Gen.t =
   let* a1 = gen_agg and* a2 = gen_agg in
   let* e1 = if values = [] then gen_item else oneof [ gen_item; oneofl values ]
   and* e2 = gen_item in
+  let* c1 = gen_cell_item and* c2 = gen_cell_item in
   oneofl
     [
       Plan.project [ (e1, "x"); (e2, "y") ] base;
+      Plan.project [ (c1, "x"); (c2, "y") ] base;
+      (* one column twice, under two names *)
+      Plan.project [ (c1, "x"); (c1, "y") ] base;
       Plan.aggregate [ (a1, "x"); (a2, "y") ] base;
       Plan.project
         [ (column "y", "x"); (column "x", "y") ]
@@ -179,6 +190,13 @@ let gen_pgq : Plan.t Gen.t =
          map
            (fun preds -> selects preds source)
            (list_size (int_range 0 2) (gen_source_pred values)));
+        (* a string literal, which no other branch's column would match *)
+        (let* source, values = gen_source in
+         let* preds = list_size (int_range 0 2) (gen_source_pred values) in
+         let+ c = gen_cell_item in
+         Plan.project
+           [ (Expr.Lit (vs "t"), "x"); (c, "y"); (column "s", "z") ]
+           (selects preds source));
       ]
   in
   let* negated = bool in

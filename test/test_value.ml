@@ -189,6 +189,34 @@ let prop_int_rendering =
            ]))
     (fun i -> String.equal (Value.to_string (vi i)) (string_of_int i))
 
+(* The buffer writer appends exactly [to_string]'s bytes: after text
+   already in the buffer, for random float bits, short decimals, ints
+   (min_int and powers of ten among them), signed zeros, NaN and the
+   infinities, and the other values, through one writer reused
+   throughout. *)
+let prop_buffer_rendering =
+  let writer = Value.writer () and buf = Buffer.create 64 in
+  QCheck.Test.make ~count:5000
+    ~name:"Value.add_to_buffer appends the bytes of Value.to_string"
+    (QCheck.make ~print:Value.to_string
+       QCheck.Gen.(
+         let p = map pow10 (int_range 0 18) in
+         oneof
+           [
+             map vf (map Int64.float_of_bits ui64);
+             map vf gen_short_decimal;
+             map vi int;
+             map vi (map2 (fun p neg -> if neg then 1 - p else p) p bool);
+             oneofl
+               [ vi min_int; vi max_int; vi 0; vf 0.; vf (-0.); vf nan;
+                 vf infinity; vf neg_infinity; vnull; vb true; vs "<a>" ];
+           ]))
+    (fun v ->
+      Buffer.clear buf;
+      Buffer.add_string buf "x";
+      Value.add_to_buffer writer buf v;
+      String.equal (Buffer.contents buf) ("x" ^ Value.to_string v))
+
 let test_datatype_unify () =
   Alcotest.(check bool) "null unifies" true
     (Datatype.unify Datatype.Null Datatype.Float = Some Datatype.Float);
@@ -215,6 +243,7 @@ let suite =
     Alcotest.test_case "literal rendering" `Quick test_literal_rendering;
     QCheck_alcotest.to_alcotest prop_float_rendering;
     QCheck_alcotest.to_alcotest prop_short_decimal_rendering;
+    QCheck_alcotest.to_alcotest prop_buffer_rendering;
     QCheck_alcotest.to_alcotest prop_int_rendering;
     Alcotest.test_case "datatype unification" `Quick test_datatype_unify;
   ]
